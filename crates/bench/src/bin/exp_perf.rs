@@ -18,7 +18,9 @@
 //! against the sequential kernel before recording any rate. Thread
 //! speedups are *observations* of this host (recorded with its CPU
 //! count in `BENCH_parallel.json`), never assertions — a single-core CI
-//! runner legitimately reports ≤1×.
+//! runner legitimately reports ≤1×. Every rate comes from a run with the
+//! phase profiler off; each sweep point's phase breakdown comes from a
+//! separate profiled run of the same workload.
 //!
 //! Run with `cargo run --release -p multinoc-bench --bin exp_perf`
 //! (set `EXP_PERF_SMOKE=1` for the fast CI variant).
@@ -79,8 +81,7 @@ struct Measured {
     /// End-to-end latency `(p50, p95, p99)` in cycles, from the bounded
     /// histogram; `None` before the first delivery.
     latency: (Option<u64>, Option<u64>, Option<u64>),
-    /// Kernel phase breakdown; `Some` only when the profiler was on
-    /// (parallel sweep points).
+    /// Kernel phase breakdown; `Some` only for a profiled run.
     phases: Option<PhaseProfile>,
 }
 
@@ -99,25 +100,27 @@ impl Measured {
     }
 }
 
-/// Turns the phase profiler on for parallel kernels, where the
-/// decide/commit/barrier breakdown explains the observed scaling.
-fn profile_if_parallel(noc: &mut Noc, kernel: KernelMode) {
-    if matches!(kernel, KernelMode::Parallel { .. }) {
+/// Builds the network of one run; `profiled` turns the phase profiler
+/// on. Rates come only from unprofiled runs, since the profiler reads
+/// the clock several times per cycle.
+fn network(config: NocConfig, profiled: bool) -> Noc {
+    let mut noc = Noc::new(config).expect("valid mesh");
+    if profiled {
         noc.enable_phase_profiler();
     }
+    noc
 }
 
 /// Sparse bursts on a 16×16 mesh: a handful of packets every few
 /// thousand cycles, then silence — the regime where the reference
 /// kernel scans 256 idle routers per cycle for nothing.
-fn idle_heavy(kernel: KernelMode, cycles: u64) -> Measured {
-    let mut noc = Noc::new(NocConfig::mesh(16, 16).with_kernel_mode(kernel)).expect("valid mesh");
-    profile_if_parallel(&mut noc, kernel);
+fn idle_heavy(kernel: KernelMode, cycles: u64, profiled: bool) -> Measured {
+    let mut noc = network(NocConfig::mesh(16, 16).with_kernel_mode(kernel), profiled);
     let start = Instant::now();
     // Bursts land at 4k-cycle boundaries, so the driving is naturally
     // chunked: each burst is submitted, then the network runs to the
-    // next boundary in one call (batched windows under the parallel
-    // kernel, plain per-cycle stepping under the others).
+    // next boundary in one call (batched windows under every kernel but
+    // the reference, which steps cycle by cycle).
     let mut now = 0;
     while now < cycles {
         if now % 4_000 == 0 {
@@ -144,9 +147,8 @@ fn idle_heavy(kernel: KernelMode, cycles: u64) -> Measured {
 /// Uniform random traffic at a high injection rate on an 8×8 mesh: the
 /// regime where (almost) every router is busy and the active set buys
 /// nothing — the overhead guard.
-fn saturated(kernel: KernelMode, cycles: u64) -> Measured {
-    let mut noc = Noc::new(NocConfig::mesh(8, 8).with_kernel_mode(kernel)).expect("valid mesh");
-    profile_if_parallel(&mut noc, kernel);
+fn saturated(kernel: KernelMode, cycles: u64, profiled: bool) -> Measured {
+    let mut noc = network(NocConfig::mesh(8, 8).with_kernel_mode(kernel), profiled);
     let mut gen = TrafficGen::new(Pattern::Uniform, 0.25, 4, SEED);
     let start = Instant::now();
     gen.drive(&mut noc, cycles, 1_000_000).expect("drive");
@@ -156,12 +158,11 @@ fn saturated(kernel: KernelMode, cycles: u64) -> Measured {
 /// Moderate traffic on an 8×8 fault-tolerant mesh with two permanent
 /// dead links: online diagnosis, wedged-worm flushes, epoch wavefronts
 /// and detoured routing all run under both kernels.
-fn degraded(kernel: KernelMode, cycles: u64) -> Measured {
+fn degraded(kernel: KernelMode, cycles: u64, profiled: bool) -> Measured {
     let config = NocConfig::mesh(8, 8)
         .with_kernel_mode(kernel)
         .with_routing(Routing::FaultTolerantXy);
-    let mut noc = Noc::new(config).expect("valid mesh");
-    profile_if_parallel(&mut noc, kernel);
+    let mut noc = network(config, profiled);
     noc.set_fault_plan(
         FaultPlan::new(SEED)
             .with_link_down(
@@ -186,12 +187,11 @@ fn degraded(kernel: KernelMode, cycles: u64) -> Measured {
 /// flits so 32 rows and columns stay addressable): every row has work
 /// almost every cycle — the regime the row-sharded parallel kernel is
 /// built for.
-fn sea_saturated(kernel: KernelMode, cycles: u64) -> Measured {
+fn sea_saturated(kernel: KernelMode, cycles: u64, profiled: bool) -> Measured {
     let config = NocConfig::mesh(32, 32)
         .with_flit_bits(10)
         .with_kernel_mode(kernel);
-    let mut noc = Noc::new(config).expect("valid mesh");
-    profile_if_parallel(&mut noc, kernel);
+    let mut noc = network(config, profiled);
     let mut gen = TrafficGen::new(Pattern::Uniform, 0.2, 4, SEED ^ 0x5EA);
     let start = Instant::now();
     // Batched driving (16 cycles of traffic per boundary): the network
@@ -220,7 +220,8 @@ fn sweep_threads(host_cpus: usize) -> Vec<(usize, bool)> {
     threads
 }
 
-/// One parallel sweep point: rate plus the profiler's phase breakdown.
+/// One parallel sweep point: rate plus the phase breakdown of a separate
+/// profiled run.
 struct SweepPoint {
     threads: usize,
     /// More worker threads than host CPUs: recorded for visibility, not
@@ -240,29 +241,33 @@ struct ParallelRow {
 }
 
 /// Runs `run` under the sequential kernel and under the parallel kernel
-/// at every sweep thread count, asserting all fingerprints identical
-/// before any rate is recorded.
+/// at every sweep thread count — timed with the profiler off, then once
+/// more profiled for the phase breakdown — asserting all fingerprints
+/// identical before any rate is recorded.
 fn sweep(
     name: &'static str,
     detail: String,
     cycles: u64,
     threads: &[(usize, bool)],
-    run: impl Fn(KernelMode, u64) -> Measured,
+    run: impl Fn(KernelMode, u64, bool) -> Measured,
 ) -> ParallelRow {
-    let active = run(KernelMode::Active, cycles);
+    let active = run(KernelMode::Active, cycles, false);
     let per_threads = threads
         .iter()
         .map(|&(threads, oversubscribed)| {
-            let parallel = run(KernelMode::Parallel { threads }, cycles);
-            assert_eq!(
-                active.fingerprint, parallel.fingerprint,
-                "{name}: parallel kernel at {threads} threads disagrees on the simulated outcome"
-            );
+            let parallel = run(KernelMode::Parallel { threads }, cycles, false);
+            let profiled = run(KernelMode::Parallel { threads }, cycles, true);
+            for outcome in [&parallel, &profiled] {
+                assert_eq!(
+                    active.fingerprint, outcome.fingerprint,
+                    "{name}: parallel kernel at {threads} threads disagrees on the simulated outcome"
+                );
+            }
             SweepPoint {
                 threads,
                 oversubscribed,
                 cps: parallel.fingerprint.cycles as f64 / parallel.seconds,
-                phases: parallel.phases,
+                phases: profiled.phases,
             }
         })
         .collect();
@@ -379,10 +384,10 @@ fn measure(
     name: &'static str,
     detail: String,
     cycles: u64,
-    run: impl Fn(KernelMode, u64) -> Measured,
+    run: impl Fn(KernelMode, u64, bool) -> Measured,
 ) -> Row {
-    let reference = run(KernelMode::Reference, cycles);
-    let active = run(KernelMode::Active, cycles);
+    let reference = run(KernelMode::Reference, cycles, false);
+    let active = run(KernelMode::Active, cycles, false);
     assert_eq!(
         reference.fingerprint, active.fingerprint,
         "{name}: kernels disagree on the simulated outcome"

@@ -5,29 +5,32 @@ use crate::error::ConfigError;
 use crate::routing::Routing;
 use crate::topology::{D2dChannel, Topology};
 
-/// Which stepping kernel [`Noc::step`](crate::Noc::step) uses. All
-/// kernels are cycle-for-cycle identical in every observable outcome
+/// How the one cycle engine behind [`Noc::step`](crate::Noc::step),
+/// [`Noc::run`](crate::Noc::run) and
+/// [`Noc::run_until_idle`](crate::Noc::run_until_idle) is driven: a
+/// thread count (the mesh is sharded row-wise over that many threads)
+/// and whether each cycle walks only the active routers or all of them.
+/// All kernels are cycle-for-cycle identical in every observable outcome
 /// (delivery cycles, statistics, fault counters, random fault decisions);
-/// they differ only in how much work a cycle costs — skipping idle
-/// regions (`Active`) or spreading the scan across cores (`Parallel`).
+/// they differ only in how much work a cycle costs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum KernelMode {
-    /// Quiescence-aware kernel (the default): routers and endpoints with
-    /// no buffered flits, no open connection and no pending control work
-    /// are skipped entirely; they are woken by a flit arrival, a local
-    /// injection, or a scheduled control-logic stall window.
+    /// One thread walking the active set (the default): routers and
+    /// endpoints with no buffered flits, no open connection and no
+    /// pending control work are skipped entirely; they are woken by a
+    /// flit arrival, a local injection, or a scheduled control-logic
+    /// stall window.
     #[default]
     Active,
-    /// The original full-scan kernel: every router and endpoint is
-    /// visited in all four phases on every cycle. Kept as the reference
-    /// for differential testing of the active-set kernel.
+    /// One thread walking every router and endpoint through every
+    /// sub-phase on every cycle, one cycle per window. Kept as the
+    /// reference for differential testing of the active-set walk.
     Reference,
-    /// Multi-threaded full-scan kernel: the mesh is sharded row-wise
-    /// across a persistent pool of `threads` workers that execute the
-    /// same two-phase decide/commit cycle as the sequential kernels,
-    /// synchronised by barriers. Bit-identical to `Active` and
-    /// `Reference` in every observable; worthwhile only on meshes large
-    /// enough to amortise the barrier cost (16×16 and up).
+    /// The active-set walk sharded row-wise across a persistent pool of
+    /// `threads` workers, synchronised by barriers. `threads: 1` is
+    /// exactly `Active`. Bit-identical to `Active` and `Reference` in
+    /// every observable; worthwhile only on meshes large enough to
+    /// amortise the barrier cost (1024 routers, see [`auto`](Self::auto)).
     Parallel {
         /// Number of worker threads (the calling thread is one of them);
         /// must be at least 1.
@@ -53,6 +56,19 @@ impl KernelMode {
         } else {
             KernelMode::Active
         }
+    }
+
+    /// Threads — and row shards — the engine runs on.
+    pub(crate) fn threads(self) -> usize {
+        match self {
+            KernelMode::Parallel { threads } => threads,
+            KernelMode::Active | KernelMode::Reference => 1,
+        }
+    }
+
+    /// Whether every cycle walks every router instead of the active set.
+    pub(crate) fn full_walk(self) -> bool {
+        self == KernelMode::Reference
     }
 }
 
@@ -95,7 +111,7 @@ pub struct NocConfig {
     /// which the health monitor declares a link dead; must be at least 1.
     /// Only [`Routing::FaultTolerantXy`] reacts by reconfiguring.
     pub fault_threshold: u32,
-    /// Stepping kernel (see [`KernelMode`]); both modes are observably
+    /// Stepping kernel (see [`KernelMode`]); all kernels are observably
     /// identical, `Reference` exists for differential testing.
     pub kernel: KernelMode,
     /// Number of recent per-packet records the statistics retain; must be
@@ -122,13 +138,14 @@ pub struct NocConfig {
     /// ≈500-cycle starvation under a 64-packet single-cycle burst), so
     /// merely-congested worms are never flushed.
     pub deadlock_timeout: u32,
-    /// Cycles the parallel kernel batches per barrier round inside
-    /// [`Noc::run`](crate::Noc::run)/[`run_until_idle`](crate::Noc::run_until_idle):
-    /// `0` lets the engine pick (currently 16), `1` forces per-cycle
-    /// synchronisation, larger values trade merge latency for fewer
-    /// barrier/gate round-trips. Whatever the value, windows collapse to
-    /// one cycle whenever a fault plan is installed or a reconfiguration
-    /// epoch exists (the per-cycle feedback paths those enable), and
+    /// Cycles the engine batches per dispatch and merge inside
+    /// [`Noc::run`](crate::Noc::run)/[`run_until_idle`](crate::Noc::run_until_idle),
+    /// under every kernel: `0` lets the engine pick (currently 16), `1`
+    /// forces per-cycle merging, larger values trade merge latency for
+    /// fewer merges and barrier/gate round-trips. Whatever the value,
+    /// windows collapse to one cycle whenever a fault plan is installed
+    /// or a reconfiguration epoch exists (the per-cycle feedback paths
+    /// those enable) and under [`KernelMode::Reference`], and
     /// [`Noc::step`](crate::Noc::step) always runs exactly one cycle —
     /// observables are bit-identical for every window size.
     pub batch_window: u32,
@@ -246,8 +263,8 @@ impl NocConfig {
         self
     }
 
-    /// Sets the parallel kernel's batched-window size in cycles; `0`
-    /// (the default) lets the engine pick (builder style). See
+    /// Sets the engine's batched-window size in cycles; `0` (the
+    /// default) lets the engine pick (builder style). See
     /// [`batch_window`](Self::batch_window).
     pub fn with_batch_window(mut self, cycles: u32) -> Self {
         self.batch_window = cycles;

@@ -1,4 +1,8 @@
-//! The batched-window cycle engine shared by every [`KernelMode`].
+//! The one cycle engine behind every [`KernelMode`]. [`Noc`](crate::Noc)
+//! advances the clock only in windows of cycles through [`run_shard`] —
+//! a [`step`](crate::Noc::step) is a one-cycle window — on a single shard
+//! or sharded row-wise over a worker pool; the kernel modes differ only
+//! in the shard count and in which routers a shard walks.
 //!
 //! A cycle is three sub-phases, each reading only state the previous
 //! sub-phase left behind:
@@ -22,12 +26,15 @@
 //! start of `c + 1`, draining at the next cycle's start is observably
 //! identical to the sequential push at the end of `c`.
 //!
-//! **Windows.** The parallel kernel batches `W` cycles per dispatch: one
-//! gate release, `3W` barriers and one serial merge instead of per-cycle
-//! dispatch and merge. This is sound whenever every merge-time feedback
-//! path into the phases is quiet — link-health failures, epoch
-//! announcements, deadlock recovery and scheduled stalls all require an
-//! installed fault plan or a non-empty epoch list, so
+//! A single shard owns the whole mesh, so it has no mailboxes to drain
+//! and no barriers to wait at, and skips both (and their profiler laps).
+//!
+//! **Windows.** Every kernel batches `W` cycles per dispatch: one gate
+//! release, `3W` barriers (none on a single shard) and one serial merge
+//! instead of per-cycle dispatch and merge. This is sound whenever every
+//! merge-time feedback path into the phases is quiet — link-health
+//! failures, epoch announcements, deadlock recovery and scheduled stalls
+//! all require an installed fault plan or a non-empty epoch list, so
 //! [`Noc`](crate::Noc) collapses the window to 1 whenever either exists.
 //! Side effects that cross router ownership — statistics, packet-record
 //! updates (cycle-tagged), link-health observations, traces — are
@@ -37,18 +44,22 @@
 //! so the merged observables are independent of how routers were
 //! scheduled. Combined with the counter-based fault RNG (keyed by fault
 //! site and cycle, not draw order — see [`crate::fault`]), this makes
-//! the sequential kernels and the sharded parallel kernel bit-identical
-//! for every window size and thread count.
+//! every kernel bit-identical for every window size and thread count.
 //!
-//! **Active-set sharding.** Each shard walks only the routers whose
-//! activity flag is set, exactly like [`KernelMode::Active`], and
-//! retires a node once its router and source queue are quiescent. Flags
-//! are only ever written by their owning shard (retire and same-shard
-//! wake in apply, foreign wake while draining its own mailbox), so the
-//! flag array needs no synchronisation beyond the existing barriers.
+//! **Active-set walk.** Each shard walks only the routers whose activity
+//! flag is set and retires a node once its router and source queue are
+//! quiescent. Flags are only ever written by their owning shard (retire
+//! and same-shard wake in apply, foreign wake while draining its own
+//! mailbox), so the flag array needs no synchronisation beyond the
+//! existing barriers. [`KernelMode::Reference`] walks every router of
+//! its shard instead and retires none — the differential reference for
+//! the active set. Its walk is never empty, so `Noc` pins it to
+//! one-cycle windows: the idle-tail rewind of
+//! [`run_until_idle`](crate::Noc::run_until_idle) finds the stopping
+//! cycle from the last non-empty walk.
 //!
 //! [`KernelMode`]: crate::KernelMode
-//! [`KernelMode::Active`]: crate::KernelMode::Active
+//! [`KernelMode::Reference`]: crate::KernelMode::Reference
 
 use std::ops::Range;
 use std::ptr::addr_of;
@@ -197,7 +208,7 @@ pub(crate) struct ShardDelta {
     pub walk: Vec<usize>,
     /// Last cycle of the window in which this shard's walk was
     /// non-empty; 0 if it never was. Lets `run_until_idle` rewind the
-    /// idle tail of a window to the exact sequential stopping cycle.
+    /// idle tail of a window to the exact per-cycle stopping cycle.
     pub last_busy: u64,
 }
 
@@ -283,6 +294,12 @@ pub(crate) struct CycleShared {
     /// Whether packet-lifecycle tracing is on; when false the trace hooks
     /// reduce to one predictable branch per site.
     pub trace_enabled: bool,
+    /// Whether every shard walks all of its routers every cycle and never
+    /// retires one ([`KernelMode::Reference`]) instead of walking the
+    /// active set.
+    ///
+    /// [`KernelMode::Reference`]: crate::KernelMode::Reference
+    pub full_walk: bool,
     /// Null unless the kernel phase profiler is enabled.
     pub profiler: *const PhaseProfiler,
 }
@@ -354,7 +371,7 @@ impl CycleShared {
 /// The caller must guarantee exclusive access to the routers, endpoints
 /// and delta named by `nodes`/`delta` (disjoint shards, or a single
 /// thread).
-pub(crate) unsafe fn phase_local(
+unsafe fn phase_local(
     sh: &CycleShared,
     now: u64,
     nodes: impl Iterator<Item = usize>,
@@ -604,7 +621,7 @@ pub(crate) unsafe fn phase_local(
 ///
 /// All shards must be between the local and apply barriers of the same
 /// cycle (no router is mutated anywhere while decide runs).
-pub(crate) unsafe fn phase_decide(
+unsafe fn phase_decide(
     sh: &CycleShared,
     now: u64,
     nodes: impl Iterator<Item = usize>,
@@ -682,12 +699,7 @@ pub(crate) unsafe fn phase_decide(
 /// the caller must exclusively own the routers in `range`, and all
 /// shards must have passed the decide barrier (no one reads foreign
 /// buffers any more this cycle).
-pub(crate) unsafe fn phase_apply_src(
-    sh: &CycleShared,
-    now: u64,
-    range: Range<usize>,
-    delta: &mut ShardDelta,
-) {
+unsafe fn phase_apply_src(sh: &CycleShared, now: u64, range: Range<usize>, delta: &mut ShardDelta) {
     let config = sh.config();
     let injector = sh.injector();
     let cadence = u64::from(config.cycles_per_flit);
@@ -877,7 +889,7 @@ pub(crate) unsafe fn phase_apply_src(
 /// (outboxes are complete, and their owners will not clear them until
 /// two barriers from now); the caller must exclusively own the routers
 /// in `range` and be the only shard with index `shard`.
-pub(crate) unsafe fn drain_mailboxes(sh: &CycleShared, range: &Range<usize>, shard: usize) {
+unsafe fn drain_mailboxes(sh: &CycleShared, range: &Range<usize>, shard: usize) {
     for j in 0..sh.n_shards {
         if j == shard {
             // Own transfers were staged in `inbox_local`, never the
@@ -903,7 +915,7 @@ pub(crate) unsafe fn drain_mailboxes(sh: &CycleShared, range: &Range<usize>, sha
 /// the mailbox drains (the windowed engine's replacement for the old
 /// apply-dst sub-phase).
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum ProfiledPhase {
+enum ProfiledPhase {
     Local,
     Decide,
     ApplySrc,
@@ -960,20 +972,20 @@ impl PhaseProfiler {
 
 /// A stopwatch over the profiler: `mark` charges the time since the last
 /// mark to one bucket. Compiles to nothing when the profiler is off.
-pub(crate) struct Lap<'a> {
+struct Lap<'a> {
     profiler: Option<&'a PhaseProfiler>,
     last: Option<Instant>,
 }
 
 impl<'a> Lap<'a> {
-    pub fn start(profiler: Option<&'a PhaseProfiler>) -> Self {
+    fn start(profiler: Option<&'a PhaseProfiler>) -> Self {
         Self {
             profiler,
             last: profiler.map(|_| Instant::now()),
         }
     }
 
-    pub fn mark(&mut self, phase: ProfiledPhase) {
+    fn mark(&mut self, phase: ProfiledPhase) {
         if let (Some(profiler), Some(last)) = (self.profiler, self.last.as_mut()) {
             let now = Instant::now();
             profiler.add(phase, now.duration_since(*last).as_nanos() as u64);
@@ -990,34 +1002,55 @@ impl std::fmt::Debug for Lap<'_> {
     }
 }
 
+/// Waits for every shard at `barrier` and charges the wait to the
+/// profiler. A lone shard (`None`) has nobody to wait for and skips both.
+#[inline]
+fn sync(barrier: Option<&SpinBarrier>, lap: &mut Lap<'_>) {
+    if let Some(barrier) = barrier {
+        barrier.wait();
+        lap.mark(ProfiledPhase::Barrier);
+    }
+}
+
 /// Runs `sh.window` cycles of the fused three-barrier engine for
 /// `shard`: each cycle drains the shard's mailbox (from the second cycle
-/// on), walks the shard's active nodes through local → decide → apply,
-/// and retires nodes that went quiescent; a final drain after the last
-/// cycle lands the window's trailing cross-shard flits so the merged
-/// state matches the sequential engine's end-of-cycle state exactly.
-/// Every participating shard (including the caller) must call this
-/// exactly once per window with the same `sh`.
+/// on), walks the shard's nodes — the active set, or every node under a
+/// full walk — through local → decide → apply, and retires active-set
+/// nodes that went quiescent; a final drain after the last cycle lands
+/// the window's trailing cross-shard flits so the merged state matches
+/// the end-of-cycle state of a per-cycle run exactly. Every
+/// participating shard (including the caller) must call this exactly
+/// once per window with the same `sh`. A single shard passes no
+/// `barrier` and skips the shard arithmetic, the mailboxes and the
+/// barriers.
 ///
 /// # Safety
 ///
 /// `sh` must be a valid [`CycleShared`] for this window, `barrier` must
-/// have as many participants as `sh.n_shards`, and each shard index in
-/// `0..n_shards` must be claimed by exactly one concurrent caller.
-pub(crate) unsafe fn run_shard(sh: &CycleShared, shard: usize, barrier: &SpinBarrier) {
-    let config = sh.config();
-    let range = shard_range(
-        usize::from(config.width()),
-        usize::from(config.height()),
-        sh.n_shards,
-        shard,
-    );
+/// have as many participants as `sh.n_shards` (`None` exactly when that
+/// is one), and each shard index in `0..n_shards` must be claimed by
+/// exactly one concurrent caller.
+#[inline]
+pub(crate) unsafe fn run_shard(sh: &CycleShared, shard: usize, barrier: Option<&SpinBarrier>) {
+    debug_assert_eq!(barrier.is_none(), sh.n_shards == 1);
     debug_assert!(sh.window >= 1, "a window is at least one cycle");
+    let sharded = barrier.is_some();
+    let range = if sharded {
+        let config = sh.config();
+        shard_range(
+            usize::from(config.width()),
+            usize::from(config.height()),
+            sh.n_shards,
+            shard,
+        )
+    } else {
+        0..sh.n_routers
+    };
     let mut lap = Lap::start(sh.profiler());
     let delta = &mut *sh.deltas.add(shard);
     for step in 0..u64::from(sh.window) {
         let now = sh.now + step;
-        if step > 0 {
+        if sharded && step > 0 {
             // Cross-shard flits sent in the previous cycle land before
             // anything of this cycle reads the buffers.
             drain_mailboxes(sh, &range, shard);
@@ -1025,39 +1058,42 @@ pub(crate) unsafe fn run_shard(sh: &CycleShared, shard: usize, barrier: &SpinBar
         }
         let mut walk = std::mem::take(&mut delta.walk);
         walk.clear();
-        walk.extend(range.clone().filter(|&idx| *sh.active.add(idx)));
+        if sh.full_walk {
+            walk.extend(range.clone());
+        } else {
+            walk.extend(range.clone().filter(|&idx| *sh.active.add(idx)));
+        }
         if !walk.is_empty() {
             delta.last_busy = now;
         }
         phase_local(sh, now, walk.iter().copied(), delta);
         lap.mark(ProfiledPhase::Local);
-        barrier.wait();
-        lap.mark(ProfiledPhase::Barrier);
+        sync(barrier, &mut lap);
         phase_decide(sh, now, walk.iter().copied(), delta);
         lap.mark(ProfiledPhase::Decide);
-        barrier.wait();
-        lap.mark(ProfiledPhase::Barrier);
+        sync(barrier, &mut lap);
         phase_apply_src(sh, now, range.clone(), delta);
-        // Retire nodes that went quiescent this cycle, exactly like the
-        // sequential active-set kernel. A node retired here that a
-        // foreign shard just sent a flit to is re-woken by the next
-        // drain, before anyone observes the flags.
-        for &idx in &walk {
-            if sh.router(idx).is_idle() && sh.endpoint(idx).outgoing.is_empty() {
-                *sh.active.add(idx) = false;
+        // Retire active-set nodes that went quiescent this cycle. A node
+        // retired here that a foreign shard just sent a flit to is
+        // re-woken by the next drain, before anyone observes the flags.
+        if !sh.full_walk {
+            for &idx in &walk {
+                if sh.router(idx).is_idle() && sh.endpoint(idx).outgoing.is_empty() {
+                    *sh.active.add(idx) = false;
+                }
             }
         }
         lap.mark(ProfiledPhase::ApplySrc);
         delta.walk = walk;
-        barrier.wait();
-        lap.mark(ProfiledPhase::Barrier);
+        sync(barrier, &mut lap);
     }
-    // Land the last cycle's cross-shard flits before the merge reads or
-    // snapshots any router state.
-    drain_mailboxes(sh, &range, shard);
-    lap.mark(ProfiledPhase::ApplyDst);
-    barrier.wait();
-    lap.mark(ProfiledPhase::Barrier);
+    if sharded {
+        // Land the last cycle's cross-shard flits before the merge reads
+        // or snapshots any router state.
+        drain_mailboxes(sh, &range, shard);
+        lap.mark(ProfiledPhase::ApplyDst);
+        sync(barrier, &mut lap);
+    }
 }
 
 /// How long a waiter busy-spins on the barrier before yielding the CPU.
@@ -1098,9 +1134,6 @@ impl SpinBarrier {
     }
 
     pub fn wait(&self) {
-        if self.total == 1 {
-            return;
-        }
         let gen = self.generation.load(Ordering::Acquire);
         if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.total {
             self.arrived.store(0, Ordering::Release);
@@ -1225,7 +1258,9 @@ impl WorkerPool {
                                 // view valid until the final barrier of
                                 // this window, participates as shard 0 and
                                 // assigned this worker a unique shard.
-                                Command::Run(sh) => unsafe { run_shard(&sh, shard, &barrier) },
+                                Command::Run(sh) => unsafe {
+                                    run_shard(&sh, shard, Some(&barrier))
+                                },
                                 Command::Shutdown => return,
                                 Command::Idle => {}
                             }
@@ -1259,7 +1294,7 @@ impl WorkerPool {
     pub unsafe fn run_window(&self, sh: CycleShared) {
         debug_assert_eq!(sh.n_shards, self.shards);
         self.gate.release(Command::Run(sh));
-        run_shard(&sh, 0, &self.barrier);
+        run_shard(&sh, 0, Some(&self.barrier));
     }
 }
 

@@ -229,10 +229,11 @@ pub struct PhaseProfile {
     /// Nanoseconds in the source-side apply phase (pops, corruption,
     /// local delivery, outbox writes).
     pub apply_src_nanos: u64,
-    /// Nanoseconds in the destination-side apply phase (outbox drain).
+    /// Nanoseconds in the destination-side apply phase (outbox drain;
+    /// always zero on one thread, which has no mailboxes).
     pub apply_dst_nanos: u64,
     /// Nanoseconds worker shards spent waiting at phase barriers
-    /// (always zero for the sequential kernels).
+    /// (always zero on one thread).
     pub barrier_nanos: u64,
 }
 

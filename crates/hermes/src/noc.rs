@@ -9,7 +9,7 @@ use crate::error::{NocError, RouteError, SendError};
 use crate::fault::{FaultInjector, FaultPlan, PlanError};
 use crate::health::{HealthMonitor, LinkHealth};
 use crate::kernel::{
-    self, CycleShared, HealthEvent, PhaseProfiler, RecordEvent, ShardDelta, SpinBarrier, WorkerPool,
+    self, CycleShared, HealthEvent, PhaseProfiler, RecordEvent, ShardDelta, WorkerPool,
 };
 use crate::metrics::{PhaseProfile, Registry};
 use crate::packet::Packet;
@@ -37,6 +37,14 @@ fn table_for(epochs: &[Epoch], cycles_per_flit: u32, here: RouterAddr, now: u64)
     epochs.iter().rev().find(|e| {
         now >= e.announced + u64::from(e.origin.hops_to(here)) * u64::from(cycles_per_flit)
     })
+}
+
+/// The items of the cycle-ascending stream `items` (a shard delta's
+/// cycle-tagged events) that `cycle_of` tags with `cycle`.
+fn at_cycle<T>(items: &[T], cycle: u64, cycle_of: impl Fn(&T) -> u64) -> &[T] {
+    let from = items.partition_point(|item| cycle_of(item) < cycle);
+    let len = items[from..].partition_point(|item| cycle_of(item) == cycle);
+    &items[from..from + len]
 }
 
 /// Outcome of one routing decision at a router's control logic.
@@ -140,20 +148,17 @@ pub struct Noc {
     /// `dead_routers` (an IP dies with its router) plus standalone
     /// endpoint deaths diagnosed through the Local ejection link.
     dead_endpoints: BTreeSet<RouterAddr>,
-    /// Per-node activity flag of the quiescence-aware kernel: `true`
+    /// Per-node activity flag of the engine's active-set walk: `true`
     /// means router `i` or its endpoint may have work this cycle. Nodes
     /// are woken by injection, flit arrival or a scheduled control
-    /// stall, and retired once router and endpoint are both quiescent.
+    /// stall, and retired once router and endpoint are both quiescent
+    /// (the reference full walk wakes nodes but never retires them).
     active: Vec<bool>,
-    /// Scratch list of node indices visited this step (kept across steps
-    /// to avoid re-allocating every cycle).
-    step_list: Vec<usize>,
-    /// Per-shard merge buffers of the two-phase cycle engine: one for the
-    /// sequential kernels, one per shard for the parallel kernel.
-    /// Allocations persist across cycles.
+    /// Per-shard merge buffers of the cycle engine, one per shard.
+    /// Allocations persist across windows.
     deltas: Vec<ShardDelta>,
-    /// Persistent worker threads of [`KernelMode::Parallel`], created
-    /// lazily on the first parallel step and joined on drop.
+    /// Persistent worker threads of a multi-threaded kernel, created
+    /// lazily on the first sharded window and joined on drop.
     pool: Option<WorkerPool>,
     /// Packet-lifecycle tracer; `None` (the default) makes every trace
     /// hook a single never-taken branch.
@@ -205,7 +210,6 @@ impl Noc {
             dead_routers: BTreeSet::new(),
             dead_endpoints: BTreeSet::new(),
             active,
-            step_list: Vec::new(),
             deltas: Vec::new(),
             pool: None,
             tracer: None,
@@ -293,10 +297,10 @@ impl Noc {
     /// [`TelemetryFrame`](crate::TelemetryFrame) of per-link, per-router
     /// and latency deltas is cut into a bounded ring, and the congestion
     /// analytics advance. Sampling happens only at fully merged cycle
-    /// boundaries (the parallel kernel clamps batch windows to them), so
-    /// the stream is bit-identical across kernels, thread counts and
-    /// window sizes. Replacing an existing sampler restarts the stream
-    /// with fresh baselines.
+    /// boundaries (the engine clamps batch windows to them), so the
+    /// stream is bit-identical across kernels, thread counts and window
+    /// sizes. Replacing an existing sampler restarts the stream with
+    /// fresh baselines.
     pub fn enable_telemetry(&mut self, config: TelemetryConfig) {
         self.telemetry = Some(Box::new(Telemetry::new(config, &self.stats)));
     }
@@ -351,18 +355,6 @@ impl Noc {
         if let Some(telemetry) = self.telemetry.as_deref_mut() {
             telemetry.sample(end, &self.stats, occupancy, cycles_per_flit);
         }
-    }
-
-    /// Clamps a parallel batch window starting at `base` so it never
-    /// straddles a telemetry sample boundary: the window may *end* on the
-    /// boundary (the merge then ticks the sampler) but never cross it.
-    fn clamp_window_to_telemetry(&self, base: u64, window: u32) -> u32 {
-        let Some(telemetry) = self.telemetry.as_deref() else {
-            return window;
-        };
-        let interval = telemetry.sample_interval();
-        let next_boundary = base.div_ceil(interval).saturating_mul(interval);
-        u64::from(window).min(next_boundary - base + 1) as u32
     }
 
     /// A point-in-time metrics snapshot of this network: cycle and packet
@@ -754,25 +746,19 @@ impl Noc {
         // in-reassembly traffic anywhere (every flit lives in some active
         // node, and a truncated reassembly is aborted when its worm is
         // flushed), so the scan can be skipped. The flags are a
-        // conservative superset of the busy set for both active-set
-        // kernels, so "all clear" proves idleness; a stale superset (e.g.
-        // after restoring a snapshot taken under the reference kernel)
-        // merely falls through to the full scan.
-        if matches!(
-            self.config.kernel,
-            KernelMode::Active | KernelMode::Parallel { .. }
-        ) && !self.active.iter().any(|&a| a)
-        {
-            return true;
-        }
-        self.endpoints.iter().all(LocalEndpoint::is_idle)
-            && self.routers.iter().all(Router::is_idle)
+        // conservative superset of the busy set under every kernel, so
+        // "all clear" proves idleness; a stale superset (the reference
+        // walk never retires a node) merely falls through to the full
+        // scan.
+        !self.active.iter().any(|&a| a)
+            || (self.endpoints.iter().all(LocalEndpoint::is_idle)
+                && self.routers.iter().all(Router::is_idle))
     }
 
     /// Wakes routers inside a scheduled control-stall window: a stalled
     /// router accrues [`FaultCounters::router_stall_cycles`] every cycle
-    /// of the window even with nothing buffered, so the active-set kernel
-    /// must visit it to count identically to the reference kernel.
+    /// of the window even with nothing buffered, so the active-set walk
+    /// must visit it to count identically to the reference walk.
     ///
     /// [`FaultCounters::router_stall_cycles`]: crate::stats::FaultCounters::router_stall_cycles
     fn wake_scheduled_stalls(&mut self, now: u64) {
@@ -792,100 +778,57 @@ impl Noc {
         }
     }
 
-    /// Advances the simulation by one clock cycle.
-    ///
-    /// All three kernels drive the same two-phase engine (see
-    /// [`kernel`](crate::KernelMode)) and produce bit-identical
-    /// observables: random fault decisions are keyed by fault site and
-    /// cycle — never by visit order — and every cross-router side effect
-    /// is merged serially in ascending router order.
+    /// Advances the simulation by one clock cycle: a one-cycle window of
+    /// the engine [`run`](Self::run) batches. Every [`KernelMode`]
+    /// produces bit-identical observables: random fault decisions are
+    /// keyed by fault site and cycle — never by visit order — and every
+    /// cross-router side effect is merged serially in ascending router
+    /// order.
     pub fn step(&mut self) {
-        self.cycle += 1;
-        let now = self.cycle;
-        match self.config.kernel {
-            KernelMode::Reference => {
-                let mut nodes = std::mem::take(&mut self.step_list);
-                nodes.clear();
-                nodes.extend(0..self.routers.len());
-                self.step_nodes(now, &nodes);
-                self.step_list = nodes;
-            }
-            KernelMode::Active => {
-                self.wake_scheduled_stalls(now);
-                // Any walk order of the active subset would do — the
-                // counter-keyed fault RNG makes decisions independent of
-                // draw order — but ascending keeps cache behaviour and
-                // debugging predictable.
-                let mut nodes = std::mem::take(&mut self.step_list);
-                nodes.clear();
-                nodes.extend((0..self.active.len()).filter(|&i| self.active[i]));
-                self.step_nodes(now, &nodes);
-                for &idx in &nodes {
-                    if self.routers[idx].is_idle() && self.endpoints[idx].outgoing.is_empty() {
-                        self.active[idx] = false;
-                    }
-                }
-                self.step_list = nodes;
-            }
-            KernelMode::Parallel { threads } => {
-                self.step_parallel_window(now, threads, 1);
-            }
-        }
-        if let Some(profiler) = self.profiler.as_deref() {
-            profiler.bump_cycles(1);
-        }
-        self.stats.cycles = self.cycle;
-        self.telemetry_tick();
+        let base = self.cycle + 1;
+        self.cycle = base;
+        self.run_window(base, 1);
+        self.close_window(1);
     }
 
-    /// The number of cycles the parallel kernel may batch per barrier
-    /// round. Any path that feeds merge output back into the phases —
-    /// fault injection (health failures, scheduled stalls) or a non-empty
-    /// epoch list (route reconfiguration, armed deadlock recovery) —
-    /// collapses the window to one cycle so the feedback stays
-    /// cycle-exact; otherwise the configured `batch_window` applies
-    /// (0 = the engine default of 16).
-    fn window_size(&self) -> u32 {
-        if self.injector.is_some() || !self.epochs.is_empty() {
-            1
-        } else if self.config.batch_window == 0 {
-            16
-        } else {
-            self.config.batch_window
+    /// The length of the window starting at `base`, at most `limit`
+    /// cycles. Any path that feeds merge output back into the phases —
+    /// fault injection (health failures, scheduled stalls) or a
+    /// non-empty epoch list (route reconfiguration, armed deadlock
+    /// recovery) — collapses the window to one cycle so the feedback
+    /// stays cycle-exact, and so does the reference full walk, whose
+    /// never-empty walk would defeat the idle-tail rewind of
+    /// [`run_until_idle`](Self::run_until_idle); otherwise the configured
+    /// `batch_window` applies (0 = the engine default of 16). A window
+    /// may end on a telemetry sample boundary (the merge then ticks the
+    /// sampler) but never crosses one.
+    fn next_window(&self, base: u64, limit: u64) -> u32 {
+        let window =
+            if self.config.kernel.full_walk() || self.injector.is_some() || !self.epochs.is_empty()
+            {
+                1
+            } else if self.config.batch_window == 0 {
+                16
+            } else {
+                self.config.batch_window
+            };
+        let mut window = u64::from(window).min(limit);
+        if let Some(telemetry) = self.telemetry.as_deref() {
+            let interval = telemetry.sample_interval();
+            let next_boundary = base.div_ceil(interval).saturating_mul(interval);
+            window = window.min(next_boundary - base + 1);
         }
-    }
-
-    /// Runs one cycle of the fused engine over `nodes` on the calling
-    /// thread — the sequential kernels are the one-shard, one-cycle
-    /// special case of the same engine the parallel kernel runs.
-    fn step_nodes(&mut self, now: u64, nodes: &[usize]) {
-        self.ensure_shards(1);
-        let n_routers = self.routers.len();
-        let shared = self.cycle_shared(now, 1, 1);
-        let mut lap = kernel::Lap::start(self.profiler.as_deref());
-        // SAFETY: one thread, one shard — this call owns every router,
-        // endpoint and delta for the whole cycle, and the sub-phases run
-        // in engine order. With a single shard covering every router no
-        // transfer is cross-shard, so no mailbox drain is needed.
-        unsafe {
-            let delta = &mut *shared.deltas;
-            kernel::phase_local(&shared, now, nodes.iter().copied(), delta);
-            lap.mark(kernel::ProfiledPhase::Local);
-            kernel::phase_decide(&shared, now, nodes.iter().copied(), delta);
-            lap.mark(kernel::ProfiledPhase::Decide);
-            kernel::phase_apply_src(&shared, now, 0..n_routers, delta);
-            lap.mark(kernel::ProfiledPhase::ApplySrc);
-        }
-        self.merge_window(now, now, Some(nodes));
+        window as u32
     }
 
     /// Runs the `window` cycles starting at `base`, sharded row-wise over
-    /// `threads` shards. The stepping thread runs shard 0; shards `1..n`
-    /// run on the persistent worker pool, created lazily on the first
-    /// parallel step. Returns the last cycle in which any shard walked a
-    /// node (0 if none did), for the idle-tail rewind of
+    /// the kernel's thread count. The stepping thread runs shard 0;
+    /// shards `1..n` run on the persistent worker pool, created lazily on
+    /// the first sharded window. Returns the last cycle in which any
+    /// shard walked a node (0 if none did), for the idle-tail rewind of
     /// [`run_until_idle`](Self::run_until_idle).
-    fn step_parallel_window(&mut self, base: u64, threads: usize, window: u32) -> u64 {
+    #[inline]
+    fn run_window(&mut self, base: u64, window: u32) -> u64 {
         // A scheduled control stall must wake its router even with
         // nothing buffered, or the active-set walk skips the stall
         // bookkeeping. Stalls require an installed plan, which also
@@ -896,14 +839,17 @@ impl Noc {
         }
         // More shards than rows would only add idle workers: every shard
         // owns whole grid rows.
-        let shards = threads.clamp(1, usize::from(self.config.height()).max(1));
+        let shards = self
+            .config
+            .kernel
+            .threads()
+            .clamp(1, usize::from(self.config.height()).max(1));
         self.ensure_shards(shards);
         if shards == 1 {
             let shared = self.cycle_shared(base, 1, window);
-            let barrier = SpinBarrier::new(1);
-            // SAFETY: a single shard on a single thread; same contract as
-            // the sequential kernels.
-            unsafe { kernel::run_shard(&shared, 0, &barrier) };
+            // SAFETY: one shard on the calling thread owns every router,
+            // endpoint and delta for the whole window.
+            unsafe { kernel::run_shard(&shared, 0, None) };
         } else {
             if self.pool.as_ref().map(|p| p.shards()) != Some(shards) {
                 self.pool = Some(WorkerPool::new(shards));
@@ -919,7 +865,18 @@ impl Noc {
             unsafe { pool.run_window(shared) };
             self.pool = Some(pool);
         }
-        self.merge_window(base, base + u64::from(window) - 1, None)
+        self.merge_window(base, base + u64::from(window) - 1)
+    }
+
+    /// Books `cycles` just-merged cycles once the clock sits on the
+    /// window's boundary: the profiler's cycle count, the statistics
+    /// clock and the telemetry sampler.
+    fn close_window(&mut self, cycles: u64) {
+        if let Some(profiler) = self.profiler.as_deref() {
+            profiler.bump_cycles(cycles);
+        }
+        self.stats.cycles = self.cycle;
+        self.telemetry_tick();
     }
 
     /// Grows the per-shard delta pool to at least `n` entries.
@@ -956,6 +913,7 @@ impl Noc {
                 && !self.epochs.is_empty(),
             pristine: self.health.is_pristine(),
             trace_enabled: self.tracer.is_some(),
+            full_walk: self.config.kernel.full_walk(),
             profiler: self
                 .profiler
                 .as_deref()
@@ -972,24 +930,23 @@ impl Noc {
     /// cycle order, reproducing the per-cycle sequential merge exactly.
     /// Merge-time feedback into the phases (health failures, epochs,
     /// deadlock recovery) can only occur when the window is one cycle, so
-    /// applying it at `end` is always cycle-exact. `nodes` limits the
-    /// router-counter mirror copy to the routers actually stepped
-    /// (`None` copies all). Returns the last cycle in which any shard
-    /// walked a node (0 if none did).
-    fn merge_window(&mut self, start: u64, end: u64, nodes: Option<&[usize]>) -> u64 {
+    /// applying it at `end` is always cycle-exact. Returns the last cycle
+    /// in which any shard walked a node (0 if none did).
+    fn merge_window(&mut self, start: u64, end: u64) -> u64 {
         let now = end;
         // The statistics keep an exact mirror of the per-router hardware
-        // counters; the phases update only the routers' own counters.
-        match nodes {
-            Some(nodes) => {
-                for &idx in nodes {
+        // counters; the phases update only the counters of walked
+        // routers. A one-cycle window's walks name every router that can
+        // have changed; a longer window mirrors them all, once.
+        if start == end {
+            for delta in &self.deltas {
+                for &idx in &delta.walk {
                     self.stats.routers[idx] = self.routers[idx].counters;
                 }
             }
-            None => {
-                for (idx, router) in self.routers.iter().enumerate() {
-                    self.stats.routers[idx] = router.counters;
-                }
+        } else {
+            for (idx, router) in self.routers.iter().enumerate() {
+                self.stats.routers[idx] = router.counters;
             }
         }
 
@@ -1024,39 +981,20 @@ impl Noc {
         // cycle every local-phase span first (shard order is ascending
         // router order), then every apply-phase span — exactly the order
         // the one-shard sequential engine appends them in, so all kernels
-        // emit bit-identical traces for every window size. Each delta's
-        // spans are already cycle-ascending, so one cursor per delta and
-        // stream suffices.
+        // emit bit-identical traces for every window size.
         if let Some(tracer) = self.tracer.as_mut() {
-            let mut local_pos = vec![0usize; deltas.len()];
-            let mut apply_pos = vec![0usize; deltas.len()];
             for cycle in start..=end {
-                for (d, delta) in deltas.iter().enumerate() {
-                    let spans = &delta.trace_local;
-                    while let Some(&(id, event)) = spans.get(local_pos[d]) {
-                        if event.cycle != cycle {
-                            break;
-                        }
+                for delta in &deltas {
+                    for &(id, event) in at_cycle(&delta.trace_local, cycle, |(_, e)| e.cycle) {
                         tracer.record(id, event);
-                        local_pos[d] += 1;
                     }
                 }
-                for (d, delta) in deltas.iter().enumerate() {
-                    let spans = &delta.trace_apply;
-                    while let Some(&(id, event)) = spans.get(apply_pos[d]) {
-                        if event.cycle != cycle {
-                            break;
-                        }
+                for delta in &deltas {
+                    for &(id, event) in at_cycle(&delta.trace_apply, cycle, |(_, e)| e.cycle) {
                         tracer.record(id, event);
-                        apply_pos[d] += 1;
                     }
                 }
             }
-            debug_assert!(deltas
-                .iter()
-                .enumerate()
-                .all(|(d, delta)| local_pos[d] == delta.trace_local.len()
-                    && apply_pos[d] == delta.trace_apply.len()));
         }
 
         // Zero-progress runs that crossed the deadlock-recovery timeout
@@ -1089,20 +1027,12 @@ impl Noc {
             }
         }
 
-        // Apply the window's record events cycle by cycle (each delta's
-        // events are cycle-ascending, so one cursor per delta suffices),
-        // stamping every event with its own cycle — bit-identical to a
-        // per-cycle merge, including the order latency observations reach
-        // the histogram.
-        let mut record_pos = vec![0usize; deltas.len()];
+        // Apply the window's record events cycle by cycle, stamping every
+        // event with its own cycle — bit-identical to a per-cycle merge,
+        // including the order latency observations reach the histogram.
         for cycle in start..=end {
-            for (d, delta) in deltas.iter().enumerate() {
-                let events = &delta.record_events;
-                while let Some(&(at, ev)) = events.get(record_pos[d]) {
-                    if at != cycle {
-                        break;
-                    }
-                    record_pos[d] += 1;
+            for delta in &deltas {
+                for &(at, ev) in at_cycle(&delta.record_events, cycle, |&(at, _)| at) {
                     match ev {
                         RecordEvent::Injected(id) => {
                             if let Some(record) = self.stats.record_mut(id) {
@@ -1130,10 +1060,6 @@ impl Noc {
                 }
             }
         }
-        debug_assert!(deltas
-            .iter()
-            .enumerate()
-            .all(|(d, delta)| record_pos[d] == delta.record_events.len()));
 
         let mut last_busy = 0u64;
         for delta in &mut deltas {
@@ -1305,44 +1231,31 @@ impl Noc {
         self.stats.cycles = target;
     }
 
-    /// Runs for exactly `cycles` clock cycles.
-    ///
-    /// Under the parallel kernel the cycles are batched into windows of
-    /// [`NocConfig::batch_window`](crate::NocConfig) cycles per barrier
-    /// round (the final window is clamped so the run ends exactly at
-    /// `cycles`); the other kernels step cycle by cycle. Either way the
-    /// call returns at a fully merged cycle boundary with bit-identical
-    /// observables.
+    /// Runs for exactly `cycles` clock cycles, batched into windows of
+    /// [`NocConfig::batch_window`](crate::NocConfig) cycles per dispatch.
+    /// An installed fault plan, a reconfiguration epoch or the
+    /// [`Reference`](KernelMode::Reference) kernel collapses the windows
+    /// to one cycle, and the final window is clamped so the run ends
+    /// exactly at `cycles`. The call returns at a fully merged cycle
+    /// boundary with observables bit-identical to stepping cycle by
+    /// cycle.
     pub fn run(&mut self, cycles: u64) {
-        if let KernelMode::Parallel { threads } = self.config.kernel {
-            let mut remaining = cycles;
-            while remaining > 0 {
-                let base = self.cycle + 1;
-                let w = u64::from(self.window_size()).min(remaining) as u32;
-                let w = self.clamp_window_to_telemetry(base, w);
-                self.cycle += u64::from(w);
-                remaining -= u64::from(w);
-                self.step_parallel_window(base, threads, w);
-                if let Some(profiler) = self.profiler.as_deref() {
-                    profiler.bump_cycles(u64::from(w));
-                }
-                self.stats.cycles = self.cycle;
-                self.telemetry_tick();
-            }
-        } else {
-            for _ in 0..cycles {
-                self.step();
-            }
+        let mut remaining = cycles;
+        while remaining > 0 {
+            let base = self.cycle + 1;
+            let w = self.next_window(base, remaining);
+            self.cycle += u64::from(w);
+            remaining -= u64::from(w);
+            self.run_window(base, w);
+            self.close_window(u64::from(w));
         }
     }
 
-    /// Runs until the network is idle.
-    ///
-    /// Under the parallel kernel the drain proceeds in batched windows;
-    /// trailing cycles of a window in which every shard's walk was empty
-    /// mutate nothing, so the clock is rewound to the last busy cycle and
-    /// the count of cycles actually spent matches the sequential kernels
-    /// exactly.
+    /// Runs until the network is idle, in the same windows as
+    /// [`run`](Self::run). Trailing cycles of a window in which every
+    /// shard's walk was empty mutate nothing, so the clock is rewound to
+    /// the last busy cycle and the count of cycles actually spent matches
+    /// per-cycle stepping exactly.
     ///
     /// # Errors
     ///
@@ -1350,37 +1263,23 @@ impl Noc {
     /// cycles.
     pub fn run_until_idle(&mut self, budget: u64) -> Result<u64, NocError> {
         let start = self.cycle;
-        if let KernelMode::Parallel { threads } = self.config.kernel {
-            while !self.is_idle() {
-                let spent = self.cycle - start;
-                if spent >= budget {
-                    return Err(NocError::NotIdle { budget });
-                }
-                let base = self.cycle + 1;
-                let w = u64::from(self.window_size()).min(budget - spent) as u32;
-                let w = self.clamp_window_to_telemetry(base, w);
-                let last_busy = self.step_parallel_window(base, threads, w);
-                // Not idle on entry ⇒ some walk was non-empty, so
-                // `last_busy >= base`; it equals the window end whenever
-                // traffic is still in flight.
-                debug_assert!(last_busy >= base);
-                self.cycle = last_busy;
-                if let Some(profiler) = self.profiler.as_deref() {
-                    profiler.bump_cycles(last_busy - base + 1);
-                }
-                self.stats.cycles = self.cycle;
-                // After the idle-tail rewind the clock sits exactly where
-                // the sequential kernels stopped; the tick fires only if
-                // that is a sample boundary, keeping the streams aligned.
-                self.telemetry_tick();
-            }
-            return Ok(self.cycle - start);
-        }
         while !self.is_idle() {
-            if self.cycle - start >= budget {
+            let spent = self.cycle - start;
+            if spent >= budget {
                 return Err(NocError::NotIdle { budget });
             }
-            self.step();
+            let base = self.cycle + 1;
+            let w = self.next_window(base, budget - spent);
+            let last_busy = self.run_window(base, w);
+            // Not idle on entry ⇒ some walk was non-empty, so
+            // `last_busy >= base`; it equals the window end whenever
+            // traffic is still in flight.
+            debug_assert!(last_busy >= base);
+            self.cycle = last_busy;
+            // After the idle-tail rewind the clock sits exactly where
+            // per-cycle stepping stopped; the tick fires only if that is
+            // a sample boundary, keeping the streams aligned.
+            self.close_window(last_busy - base + 1);
         }
         Ok(self.cycle - start)
     }
@@ -1447,16 +1346,15 @@ impl Noc {
     /// [`snapshot`](crate::snapshot) container of kind
     /// [`KIND_NOC`](crate::snapshot::KIND_NOC).
     ///
-    /// Transient kernel scratch (step list, shard merge buffers, worker
-    /// pool) and the wall-clock phase profiler's accumulated timings are
+    /// Transient kernel scratch (shard merge buffers, worker pool) and the wall-clock phase profiler's accumulated timings are
     /// deliberately excluded: they carry no simulation state, and the
     /// profiler measures host time, which is not deterministic. Only the
     /// profiler's *enabled* flag is preserved.
     ///
     /// Because this method borrows the network, it can only run between
     /// public stepping calls — and every such call (including a batched
-    /// [`run`](Self::run) under the parallel kernel, whose final window
-    /// is clamped to the requested cycle count) returns at a fully merged
+    /// [`run`](Self::run), whose final window is clamped to the
+    /// requested cycle count) returns at a fully merged
     /// cycle boundary. A mid-window state is unobservable here, so every
     /// snapshot is exact and restoring it under any kernel or window
     /// size resumes bit-identically.
@@ -1788,6 +1686,38 @@ mod tests {
         // And it can still finish afterwards.
         noc.run_until_idle(100_000).unwrap();
         assert_eq!(noc.stats().packets_delivered, 1);
+    }
+
+    #[test]
+    fn run_until_idle_stops_where_stepping_does_under_every_kernel() {
+        // The drain starts with a worm in flight: the batched kernels
+        // must rewind their last window's idle tail, and the reference
+        // kernel, whose walk is never empty, must run one-cycle windows.
+        let start = |kernel| {
+            let mut noc = Noc::new(NocConfig::mesh(3, 3).with_kernel_mode(kernel)).unwrap();
+            noc.send(
+                RouterAddr::new(0, 0),
+                Packet::new(RouterAddr::new(2, 2), vec![1, 2, 3]),
+            )
+            .unwrap();
+            noc.run(5);
+            noc
+        };
+        let mut stepped = start(KernelMode::Reference);
+        let mut steps = 0;
+        while !stepped.is_idle() {
+            stepped.step();
+            steps += 1;
+        }
+        for kernel in [
+            KernelMode::Reference,
+            KernelMode::Active,
+            KernelMode::Parallel { threads: 2 },
+        ] {
+            let mut noc = start(kernel);
+            assert_eq!(noc.run_until_idle(10_000), Ok(steps), "{kernel:?}");
+            assert_eq!(noc.cycle(), stepped.cycle(), "{kernel:?}");
+        }
     }
 
     #[test]

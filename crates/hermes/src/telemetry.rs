@@ -7,9 +7,9 @@
 //! cycles into a bounded ring: per-link flit deltas, per-router grant
 //! deltas and buffer occupancy at the boundary, and the latency-histogram
 //! delta of the interval. Frames are sampled **only at fully merged cycle
-//! boundaries** — the sequential kernels sample after each step, the
-//! parallel kernel clamps its batch windows so no window ever straddles a
-//! sample boundary — which is what makes the stream bit-identical across
+//! boundaries** — after each window, and the engine clamps its batch
+//! windows so no window ever straddles a sample boundary — which is what
+//! makes the stream bit-identical across
 //! `Reference`, `Active` and `Parallel` at any thread count and batch
 //! window, on every topology (see `DESIGN.md`, "Observability").
 //!

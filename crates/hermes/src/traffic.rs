@@ -137,8 +137,10 @@ impl TrafficGen {
         Ok(sent)
     }
 
-    /// Drives `noc` for `cycles` cycles with this generator, then lets
-    /// in-flight traffic drain for up to `drain_budget` cycles.
+    /// Drives `noc` for `cycles` cycles with this generator, pumping
+    /// once before every cycle, then lets in-flight traffic drain for up
+    /// to `drain_budget` cycles: [`drive_batched`](Self::drive_batched)
+    /// with a batch of one cycle.
     ///
     /// # Errors
     ///
@@ -147,23 +149,19 @@ impl TrafficGen {
     /// legitimately hold undeliverable backlog; statistics still count
     /// only what was delivered).
     pub fn drive(&mut self, noc: &mut Noc, cycles: u64, drain_budget: u64) -> Result<(), NocError> {
-        for _ in 0..cycles {
-            self.pump(noc)?;
-            noc.step();
-        }
-        let _ = noc.run_until_idle(drain_budget);
-        Ok(())
+        self.drive_batched(noc, cycles, 1, drain_budget)
     }
 
-    /// Like [`drive`](Self::drive), but submits `batch` cycles' worth of
-    /// traffic at each batch boundary and advances the network `batch`
-    /// cycles at a time — the driving style that lets the parallel
-    /// kernel amortise its barriers over multi-cycle windows. The
-    /// offered load is the same; only the backlog guard is sampled at
-    /// batch boundaries instead of every cycle, so the generated
-    /// schedule differs from per-cycle driving but — because every
-    /// boundary is a fully merged, kernel-invariant network state — is
-    /// identical across kernels and thread counts for a given `batch`.
+    /// Submits `batch` cycles' worth of traffic at each batch boundary
+    /// and advances the network `batch` cycles at a time — the driving
+    /// style that lets the engine amortise its merges (and barriers)
+    /// over multi-cycle windows — then drains like
+    /// [`drive`](Self::drive). The offered load is the same for every
+    /// `batch`; only the backlog guard is sampled at batch boundaries
+    /// instead of every cycle, so the generated schedule differs from
+    /// per-cycle driving but — because every boundary is a fully merged,
+    /// kernel-invariant network state — is identical across kernels and
+    /// thread counts for a given `batch`.
     ///
     /// # Errors
     ///

@@ -415,9 +415,16 @@ fn batched_windows_are_bit_identical_across_window_and_thread_sweeps() {
     // reference fingerprint exactly, on every schedule class. On the
     // faulted schedules the engine collapses to one-cycle windows
     // internally; the sweep proves that collapse — and the batched path
-    // on the healthy schedule — is observationally invisible.
+    // on the healthy schedule — is observationally invisible. The
+    // baseline is the reference kernel, the only one pinned to
+    // one-cycle windows.
     for (config, plan, sends, cycles) in sweep_schedules() {
-        let baseline = chunked_fingerprint(config.clone(), plan.as_ref(), &sends, cycles);
+        let baseline = chunked_fingerprint(
+            config.clone().with_kernel_mode(KernelMode::Reference),
+            plan.as_ref(),
+            &sends,
+            cycles,
+        );
         for window in [1u32, 2, 5, 16] {
             for kernel in [
                 KernelMode::Active,
@@ -450,14 +457,20 @@ fn topology_sweep_is_bit_identical_across_kernels_windows_and_threads() {
     // kernel-, window- and thread-invariant as the paper mesh: every
     // kernel × batch window reproduces the reference fingerprint bit for
     // bit, including with the slow serial d2d channel whose future-cycle
-    // arrivals cross batch-window boundaries.
+    // arrivals cross batch-window boundaries. The baseline steps cycle by
+    // cycle under the reference kernel.
     for config in [
         NocConfig::torus(4, 3),
         NocConfig::chiplet(2, 2, D2dChannel::OffChipSerial),
         NocConfig::chiplet(2, 2, D2dChannel::OffChipParallel),
     ] {
         let sends = schedule(config.width(), config.height(), 40, 9);
-        let baseline = chunked_fingerprint(config.clone(), None, &sends, 2_000);
+        let baseline = chunked_fingerprint(
+            config.clone().with_kernel_mode(KernelMode::Reference),
+            None,
+            &sends,
+            2_000,
+        );
         for window in [1u32, 16] {
             for kernel in [
                 KernelMode::Reference,

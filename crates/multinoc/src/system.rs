@@ -1888,17 +1888,6 @@ impl SystemBuilder {
         self
     }
 
-    /// Sets the parallel kernel's barrier batching window (cycles per
-    /// barrier round; `0` keeps the engine default). The system clock
-    /// steps the network cycle by cycle, so this only changes pacing for
-    /// workloads that drive the network in multi-cycle bursts — results
-    /// are bit-identical either way.
-    pub fn batch_window(mut self, cycles: u32) -> Self {
-        let config = self.noc.unwrap_or_else(NocConfig::multinoc);
-        self.noc = Some(config.with_batch_window(cycles));
-        self
-    }
-
     /// Sets the serial link timing (defaults to a fast functional link).
     pub fn serial(mut self, config: SerialConfig) -> Self {
         self.serial = config;

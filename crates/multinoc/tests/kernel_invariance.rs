@@ -207,57 +207,11 @@ fn every_kernel_produces_the_same_failover() {
 }
 
 #[test]
-fn batch_window_never_changes_a_system_run() {
-    // The batch-window knob is pure pacing: whatever window the parallel
-    // kernel batches under, the program-driven run — memory contents,
-    // retries, service counters, histogram — must match the per-cycle
-    // active-set baseline exactly.
-    let plan = || FaultPlan::new(0xFA57).with_drop_rate(0.15);
-    let mut baseline = None;
-    for (kernel, window) in [
-        (KernelMode::Active, 0u32),
-        (KernelMode::Parallel { threads: 2 }, 1),
-        (KernelMode::Parallel { threads: 2 }, 5),
-        (KernelMode::Parallel { threads: 2 }, 16),
-        (KernelMode::Parallel { threads: 4 }, 16),
-    ] {
-        let mut config = NocConfig::multinoc();
-        config.routing = Routing::FaultTolerantXy;
-        let mut sys = System::builder()
-            .noc(config)
-            .kernel(kernel)
-            .batch_window(window)
-            .serial_at(RouterAddr::new(0, 0))
-            .processor_at(RouterAddr::new(0, 1))
-            .processor_at(RouterAddr::new(1, 0))
-            .memory_at(RouterAddr::new(1, 1))
-            .build()
-            .expect("paper layout");
-        sys.set_fault_plan(plan()).expect("valid fault plan");
-        load_workload(&mut sys);
-        let elapsed = sys.run_until_halted(4_000_000).expect("run halts");
-        assert_eq!(
-            sys.memory(P2).expect("p2").read(0x40),
-            0x5A5A,
-            "{kernel:?} window {window}"
-        );
-        let fp = fingerprint(&sys, elapsed);
-        match &baseline {
-            None => baseline = Some(fp),
-            Some(b) => assert_eq!(
-                b, &fp,
-                "observables diverged under {kernel:?} with batch window {window}"
-            ),
-        }
-    }
-}
-
-#[test]
 fn topology_never_changes_kernel_invariance() {
     // The same program-driven workload on a torus and on a chiplet
     // mesh-of-meshes (both under fault-tolerant routing and a lossy
-    // link): every kernel × thread count × batch window must reproduce
-    // the per-topology baseline exactly, just like on the paper mesh.
+    // link): every kernel × thread count must reproduce the per-topology
+    // baseline exactly, just like on the paper mesh.
     use hermes_noc::D2dChannel;
     let plan = || FaultPlan::new(0xFA57).with_drop_rate(0.1);
     for base in [
@@ -265,19 +219,18 @@ fn topology_never_changes_kernel_invariance() {
         NocConfig::chiplet(2, 2, D2dChannel::OffChipSerial),
     ] {
         let mut baseline = None;
-        for (kernel, window) in [
-            (KernelMode::Reference, 0u32),
-            (KernelMode::Active, 0),
-            (KernelMode::Parallel { threads: 1 }, 1),
-            (KernelMode::Parallel { threads: 2 }, 16),
-            (KernelMode::Parallel { threads: 8 }, 16),
+        for kernel in [
+            KernelMode::Reference,
+            KernelMode::Active,
+            KernelMode::Parallel { threads: 1 },
+            KernelMode::Parallel { threads: 2 },
+            KernelMode::Parallel { threads: 8 },
         ] {
             let mut config = base.clone();
             config.routing = Routing::FaultTolerantXy;
             let mut sys = System::builder()
                 .noc(config)
                 .kernel(kernel)
-                .batch_window(window)
                 .serial_at(RouterAddr::new(0, 0))
                 .processor_at(RouterAddr::new(0, 1))
                 .processor_at(RouterAddr::new(1, 0))
@@ -296,11 +249,7 @@ fn topology_never_changes_kernel_invariance() {
             let fp = fingerprint(&sys, elapsed);
             match &baseline {
                 None => baseline = Some(fp),
-                Some(b) => assert_eq!(
-                    b, &fp,
-                    "{} diverged under {kernel:?} with batch window {window}",
-                    base.topology
-                ),
+                Some(b) => assert_eq!(b, &fp, "{} diverged under {kernel:?}", base.topology),
             }
         }
     }

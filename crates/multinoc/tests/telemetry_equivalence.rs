@@ -1,7 +1,7 @@
 //! Differential test of the causal service-span layer: for the same
 //! program the combined Perfetto export — packet spans, service instants
 //! and the span slices with their flow arrows — must be byte-identical
-//! across kernels and batch windows, spans must record retransmissions
+//! across kernels, spans must record retransmissions
 //! under a lossy network and redirects across a replicated-memory
 //! failover, and a checkpoint/restore split must resume to the same
 //! span log as the uninterrupted run.
@@ -13,14 +13,13 @@ use r8::asm::assemble;
 
 const PROCESSOR: NodeId = NodeId(1);
 
-/// Kernels and batch windows every export is compared across.
+/// Kernels every export is compared across.
 const KERNELS: [KernelMode; 4] = [
     KernelMode::Reference,
     KernelMode::Active,
     KernelMode::Parallel { threads: 2 },
     KernelMode::Parallel { threads: 8 },
 ];
-const BATCH_WINDOWS: [u32; 2] = [1, 16];
 
 /// Eight remote stores then eight remote loads against the window at
 /// 0x800: every iteration is a sequenced service round trip, so every
@@ -54,13 +53,9 @@ struct Run {
 
 /// Boots the paper layout, walks the remote memory IP and returns the
 /// exports. `plan` optionally makes the network lossy.
-fn run_walk(kernel: KernelMode, window: u32, plan: Option<FaultPlan>) -> Run {
+fn run_walk(kernel: KernelMode, plan: Option<FaultPlan>) -> Run {
     let mut sys = System::builder()
-        .noc(
-            NocConfig::multinoc()
-                .with_kernel_mode(kernel)
-                .with_batch_window(window),
-        )
+        .noc(NocConfig::multinoc().with_kernel_mode(kernel))
         .serial_at(RouterAddr::new(0, 0))
         .processor_at(RouterAddr::new(0, 1))
         .processor_at(RouterAddr::new(1, 0))
@@ -90,11 +85,11 @@ fn run_walk(kernel: KernelMode, window: u32, plan: Option<FaultPlan>) -> Run {
 }
 
 /// Healthy walk: the span-bearing Perfetto document is byte-identical
-/// across every kernel and batch window, carries the flow-arrow phases,
-/// and completes one span per remote operation.
+/// across every kernel, carries the flow-arrow phases, and completes one
+/// span per remote operation.
 #[test]
-fn span_exports_identical_across_kernels_and_windows() {
-    let reference = run_walk(KERNELS[0], BATCH_WINDOWS[0], None);
+fn span_exports_identical_across_kernels() {
+    let reference = run_walk(KERNELS[0], None);
     assert_eq!(
         reference.spans_total, 16,
         "8 stores + 8 loads, one span each"
@@ -111,13 +106,11 @@ fn span_exports_identical_across_kernels_and_windows() {
         "spans render on their own named process track"
     );
     for kernel in KERNELS {
-        for window in BATCH_WINDOWS {
-            assert_eq!(
-                reference,
-                run_walk(kernel, window, None),
-                "span export diverged under {kernel:?} window {window}"
-            );
-        }
+        assert_eq!(
+            reference,
+            run_walk(kernel, None),
+            "span export diverged under {kernel:?}"
+        );
     }
 }
 
@@ -134,7 +127,7 @@ fn spans_record_retransmissions_under_faults() {
                 .with_drop_window(CycleWindow::new(50, 2_000)),
         )
     };
-    let reference = run_walk(KERNELS[0], BATCH_WINDOWS[0], plan());
+    let reference = run_walk(KERNELS[0], plan());
     assert!(
         reference.retransmissions > 0,
         "a 20% drop rate must force at least one retransmission"
@@ -146,7 +139,7 @@ fn spans_record_retransmissions_under_faults() {
     for kernel in &KERNELS[1..] {
         assert_eq!(
             reference,
-            run_walk(*kernel, 16, plan()),
+            run_walk(*kernel, plan()),
             "faulted span export diverged under {kernel:?}"
         );
     }

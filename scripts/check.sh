@@ -17,16 +17,26 @@ echo "=== cargo doc (deny warnings) ==="
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --quiet
 
 echo "=== cargo test ==="
-# Includes the differential kernel suites: hermes/tests/kernel_equivalence.rs
-# (reference full scan vs active set vs parallel shards at 1/2/8 threads,
-# cycle-identical, plus the batch-window sweep — every window size in
-# {1,2,5,16} × every thread count bit-identical on healthy, faulted,
-# degraded and router-killed schedules, with checkpoint/restore at
-# arbitrary run split points), multinoc/tests/kernel_invariance.rs
-# (thread-count and batch-window invariance at system level) and
-# multinoc/tests/fast_forward_equivalence.rs (idle fast-forward vs
+# Every kernel runs the same windowed cycle engine; they differ only in
+# thread count and in walking the active set or every router. Includes
+# the differential kernel suites: hermes/tests/kernel_equivalence.rs
+# (reference full walk vs active set vs parallel shards at 1/2/8
+# threads, cycle-identical, plus the batch-window sweep — every window
+# size in {1,2,5,16} × every thread count bit-identical to the per-cycle
+# reference kernel on healthy, faulted, degraded and router-killed
+# schedules, with checkpoint/restore at arbitrary run split points),
+# multinoc/tests/kernel_invariance.rs (kernel and thread-count
+# invariance at system level, on the mesh, the torus and a chiplet mesh)
+# and multinoc/tests/fast_forward_equivalence.rs (idle fast-forward vs
 # single-stepping).
 cargo test -q --offline --workspace
+
+echo "=== benchmark self-tests (perfbench) ==="
+# perfbench is a cargo package of its own that builds against the
+# workspace crates by path: its metric names must match BENCHMARK.json,
+# a corrupted result must fail its operation, and simulated results must
+# repeat exactly per seed and across 1 and 2 NoC threads.
+cargo test --release -q --offline --manifest-path perfbench/Cargo.toml
 
 echo "=== fault-injection smoke checks (fixed seed) ==="
 cargo run --release -q --offline -p multinoc-bench --bin exp_fault_sweep > /dev/null
