@@ -12,9 +12,10 @@
 //! surviving member, and the run halts instead of hanging or erroring.
 //!
 //! Every trial also runs under five NoC kernels (Reference, Active,
-//! Parallel×{1,2,8}) and asserts a bit-identical fingerprint — cycle
-//! count, memory end-state, dead sets, failover log, retry and
-//! replication counters — so fault diagnosis and failover are proven
+//! Parallel×{1,2,8}) and asserts an identical outcome — cycle count,
+//! memory end-state, dead sets, failover log, retry and replication
+//! counters, and the `System::fingerprint` of the whole simulated
+//! state — so fault diagnosis and failover are proven
 //! kernel-invariant, and the whole sweep runs **twice** with the same
 //! seed and must reproduce byte-identically before printing. The
 //! machine-readable summary lands in `BENCH_chaos.json`.
@@ -157,6 +158,8 @@ struct Outcome {
     replication_writes: u64,
     retransmissions: u64,
     reroute_resets: u64,
+    /// [`System::fingerprint`] of the halted run.
+    fingerprint: u64,
 }
 
 fn run_trial(mesh: &Mesh, trial: &Trial, seed: u64, kernel: KernelMode) -> Outcome {
@@ -230,6 +233,7 @@ fn run_trial(mesh: &Mesh, trial: &Trial, seed: u64, kernel: KernelMode) -> Outco
         replication_writes: sys.replication_writes(),
         retransmissions: counters.retransmissions,
         reroute_resets: counters.reroute_resets,
+        fingerprint: sys.fingerprint(),
     }
 }
 

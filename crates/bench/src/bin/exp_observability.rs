@@ -26,7 +26,8 @@
 //!    `TRACE_perfetto.json` (openable in ui.perfetto.dev) with the
 //!    metrics snapshot in `METRICS_observability.json` / `.prom`.
 //! 5. **Telemetry (E25)** — the interval sampler swept across kernels
-//!    *and* batch windows on a hotspot mesh, a torus and a chiplet
+//!    *and* `run` chunk lengths (one cycle, and the engine's full
+//!    16-cycle window) on a hotspot mesh, a torus and a chiplet
 //!    mesh-of-meshes; the time-series JSON and Prometheus expositions
 //!    must be byte-identical everywhere (sampling happens only at fully
 //!    merged cycle boundaries, so no parallel window ever straddles
@@ -175,10 +176,11 @@ fn addr_of(index: u64, width: u8) -> RouterAddr {
     )
 }
 
-/// Batch windows the telemetry section sweeps: fine-grained and the
-/// production default. The sampler clamps every parallel window to the
-/// next sample boundary, so both must export identical bytes.
-const BATCH_WINDOWS: [u32; 2] = [1, 16];
+/// `run` chunk lengths the telemetry section sweeps: one cycle, and the
+/// engine's full 16-cycle window (`run(k)` clamps its window to `k`).
+/// The sampler clamps every window to the next sample boundary, so both
+/// must export identical bytes.
+const CHUNKS: [u64; 2] = [1, 16];
 
 /// Workloads for the telemetry section: a hotspot mesh that funnels
 /// every packet at router (0,0) to trip the congestion alarm, plus the
@@ -223,17 +225,12 @@ struct TelemetryRun {
     alerts_cleared: u64,
 }
 
-/// Runs one workload with the interval sampler on and returns its
+/// Runs one workload with the interval sampler on, advancing at most
+/// `chunk` cycles per `run` call between sends, and returns its
 /// exports. The `hotspot` workload aims every packet at router (0,0);
 /// the rest reuse the determinism section's scatter pattern.
-fn run_telemetry(w: &Workload, kernel: KernelMode, batch_window: u32) -> TelemetryRun {
-    let mut noc = Noc::new(
-        w.config
-            .clone()
-            .with_kernel_mode(kernel)
-            .with_batch_window(batch_window),
-    )
-    .expect("valid config");
+fn run_telemetry(w: &Workload, kernel: KernelMode, chunk: u64) -> TelemetryRun {
+    let mut noc = Noc::new(w.config.clone().with_kernel_mode(kernel)).expect("valid config");
     noc.enable_telemetry(TelemetryConfig::default());
     if let Some(plan) = &w.plan {
         noc.set_fault_plan(plan.clone()).expect("valid fault plan");
@@ -242,7 +239,8 @@ fn run_telemetry(w: &Workload, kernel: KernelMode, batch_window: u32) -> Telemet
     let width = u64::from(w.config.width());
     let hotspot = w.name == "hotspot";
     let mut next = 0u64;
-    for cycle in 0..w.cycles {
+    while noc.cycle() < w.cycles {
+        let cycle = noc.cycle();
         while next < w.packets as u64 && next * w.spacing == cycle {
             // The hotspot pattern funnels every packet at router (0,0)
             // from sources off row 0, so with XY routing the whole load
@@ -259,7 +257,12 @@ fn run_telemetry(w: &Workload, kernel: KernelMode, batch_window: u32) -> Telemet
             let _ = noc.send(src, Packet::new(dst, vec![(next % 200) as u16; 3]));
             next += 1;
         }
-        noc.step();
+        let due = if next < w.packets as u64 {
+            next * w.spacing
+        } else {
+            u64::MAX
+        };
+        noc.run(chunk.min(due - cycle).min(w.cycles - cycle));
     }
     let telemetry = noc.telemetry().expect("enabled");
     TelemetryRun {
@@ -724,29 +727,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 5. E25 — interval telemetry and congestion analytics, swept across
-    // kernels and batch windows. Sampling happens only at fully merged
-    // cycle boundaries (parallel windows are clamped so none straddles
+    // kernels and run chunk lengths. Sampling happens only at fully
+    // merged cycle boundaries (windows are clamped so none straddles
     // one), so every export must be byte-identical.
-    println!("\nE25: interval telemetry across kernels x batch windows");
+    println!("\nE25: interval telemetry across kernels x run chunk lengths");
     table_row!("workload", "frames", "raised", "cleared", "runs", "verdict");
     let mut hotspot_series: Option<(TelemetryRun, NocConfig)> = None;
     for w in telemetry_workloads(scale) {
         let mut runs = Vec::new();
         for &kernel in &KERNELS {
-            for &window in &BATCH_WINDOWS {
-                runs.push((kernel, window, run_telemetry(&w, kernel, window)));
+            for &chunk in &CHUNKS {
+                runs.push((kernel, chunk, run_telemetry(&w, kernel, chunk)));
             }
         }
         let (_, _, reference) = &runs[0];
-        for (kernel, window, got) in &runs[1..] {
+        for (kernel, chunk, got) in &runs[1..] {
             assert_eq!(
                 reference.json, got.json,
-                "{}: time-series JSON diverged ({kernel:?}, window {window})",
+                "{}: time-series JSON diverged ({kernel:?}, chunk {chunk})",
                 w.name
             );
             assert_eq!(
                 reference.prom, got.prom,
-                "{}: time-series Prometheus diverged ({kernel:?}, window {window})",
+                "{}: time-series Prometheus diverged ({kernel:?}, chunk {chunk})",
                 w.name
             );
         }

@@ -3,16 +3,16 @@
 //!
 //! A faulted *and* degraded workload (lossy delivery on top of a
 //! permanently dead link) runs to completion once, uninterrupted, and
-//! its full final fingerprint — cycle count, memory images, retry and
-//! service counters, fault diagnosis, dead-link set, metrics export and
-//! Perfetto trace — is hashed. The same workload is then re-run to a
-//! mid-flight cut point, checkpointed to disk, and **hard-killed**: the
-//! process image is discarded and a fresh child process (this binary
-//! re-executing itself) restores the file, resumes, and reports its own
-//! fingerprint hash. The invariant under test: the resumed world is
-//! byte-identical to the one that was never interrupted, under every
-//! NoC kernel and thread count, with checkpoints taken under one kernel
-//! restored under another.
+//! its `System::fingerprint` — a digest of the whole simulated state:
+//! cycle count, CPU and memory images, reliability and service state,
+//! fault diagnosis, trace logs — is taken. The same workload is then
+//! re-run to a mid-flight cut point, checkpointed to disk, and
+//! **hard-killed**: the process image is discarded and a fresh child
+//! process (this binary re-executing itself) restores the file,
+//! resumes, and reports its own fingerprint. The invariant under test:
+//! the resumed world is identical to the one that was never
+//! interrupted, under every NoC kernel and thread count, with
+//! checkpoints taken under one kernel restored under another.
 //!
 //! The whole sweep runs **twice** and must reproduce byte-identically
 //! before anything is printed. `BENCH_recovery.json` records checkpoint
@@ -145,37 +145,6 @@ fn build(kernel: KernelMode) -> System {
     sys
 }
 
-/// FNV-1a over everything a finished run leaves behind: cycle, retry
-/// and service counters, fault diagnosis, dead-link set, latency
-/// histogram, metrics export, Perfetto trace and every memory image.
-fn fingerprint(sys: &System) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325_u64;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(format!("cycle={}", sys.cycle()).as_bytes());
-    eat(format!("retries={:?}", sys.retry_counters()).as_bytes());
-    eat(format!("services={:?}", sys.service_counters()).as_bytes());
-    eat(format!("faults={:?}", sys.noc_stats().faults).as_bytes());
-    eat(format!("latency={:?}", sys.noc_stats().latency_histogram()).as_bytes());
-    eat(format!("dead_links={:?}", sys.dead_links()).as_bytes());
-    eat(format!("dead_nodes={:?}", sys.dead_nodes()).as_bytes());
-    eat(format!("failover={:?}", sys.failover_report()).as_bytes());
-    eat(sys.metrics_snapshot().to_prometheus().as_bytes());
-    eat(sys.perfetto_json().as_bytes());
-    for i in 0..sys.table().len() {
-        if let Ok(mem) = sys.memory(NodeId(i as u8)) {
-            for addr in 0..mem.words() {
-                eat(&mem.read(addr).to_le_bytes());
-            }
-        }
-    }
-    h
-}
-
 /// The post-crash process image: restore the checkpoint named by the
 /// environment, resume to completion, print the fingerprint, exit.
 fn run_child(path: &str) {
@@ -192,7 +161,7 @@ fn run_child(path: &str) {
     assert_eq!(sys.memory(P2).expect("p2").read(0x40), 0x5A5A);
     println!(
         "RECOVERED {:#018x} cycle={}",
-        fingerprint(&sys),
+        sys.fingerprint(),
         sys.cycle()
     );
 }
@@ -256,7 +225,7 @@ fn run_sweep(smoke: bool, dir: &std::path::Path) -> Vec<Point> {
         // The world that never crashes.
         let mut reference = build(kernel);
         let elapsed = reference.run_until_halted(BUDGET).expect("run halts");
-        let want = fingerprint(&reference);
+        let want = reference.fingerprint();
         assert!(
             reference.retry_counters().retransmissions > 0 && reference.degraded(),
             "the workload must be both faulted and degraded"
@@ -339,8 +308,8 @@ fn measure(dir: &std::path::Path) -> Timings {
     auto.run_until_halted(BUDGET).expect("auto run halts");
     let auto_checkpoint_run_us = t3.elapsed().as_micros();
     assert_eq!(
-        fingerprint(&plain),
-        fingerprint(&auto),
+        plain.fingerprint(),
+        auto.fingerprint(),
         "the auto-checkpoint policy must not change the simulated outcome"
     );
     Timings {

@@ -16,7 +16,8 @@
 //!    both on the single packet and on the mean.
 //! 3. **1024 routers** — `NocConfig::chiplet(4, 8, …)` is a 32×32 grid
 //!    of 1024 routers across 16 chiplets; the sequential and the
-//!    8-thread batched parallel kernel must agree on every counter.
+//!    8-thread batched parallel kernel must reach the same
+//!    `Noc::fingerprint`, so they agree on every counter.
 //!
 //! Everything is seeded; the sweep runs twice and the report must be
 //! byte-identical before anything prints. The machine-readable summary
@@ -53,6 +54,8 @@ struct Point {
     mean_latency: f64,
     p95_latency: u64,
     peak_utilization: f64,
+    /// [`Noc::fingerprint`] of the drained network.
+    fingerprint: u64,
 }
 
 /// Drives seeded uniform traffic over `config` for `cycles`, drains,
@@ -74,6 +77,7 @@ fn measure(config: NocConfig, cycles: u64, rate: f64) -> Point {
         mean_latency: s.mean_latency().unwrap_or(0.0),
         p95_latency: s.latency_quantile(0.95).unwrap_or(0),
         peak_utilization: s.peak_link_utilization(cadence),
+        fingerprint: noc.fingerprint(),
     }
 }
 
@@ -183,9 +187,7 @@ fn run_sweep(scale: u64) -> (String, String) {
     let mut big_fingerprints = Vec::new();
     let mut big_point = None;
     for kernel in [KernelMode::Active, KernelMode::Parallel { threads: 8 }] {
-        let config = NocConfig::chiplet(4, 8, D2dChannel::OffChipParallel)
-            .with_kernel_mode(kernel)
-            .with_batch_window(16);
+        let config = NocConfig::chiplet(4, 8, D2dChannel::OffChipParallel).with_kernel_mode(kernel);
         assert_eq!(config.router_count(), 1024);
         let p = measure(config, big_cycles, 0.02);
         let _ = writeln!(
@@ -197,7 +199,7 @@ fn run_sweep(scale: u64) -> (String, String) {
             p.mean_latency,
             p.cycles
         );
-        big_fingerprints.push((p.sent, p.delivered, p.cycles, p.p95_latency));
+        big_fingerprints.push(p.fingerprint);
         big_point = Some(p);
     }
     assert_eq!(

@@ -138,17 +138,6 @@ pub struct NocConfig {
     /// ≈500-cycle starvation under a 64-packet single-cycle burst), so
     /// merely-congested worms are never flushed.
     pub deadlock_timeout: u32,
-    /// Cycles the engine batches per dispatch and merge inside
-    /// [`Noc::run`](crate::Noc::run)/[`run_until_idle`](crate::Noc::run_until_idle),
-    /// under every kernel: `0` lets the engine pick (currently 16), `1`
-    /// forces per-cycle merging, larger values trade merge latency for
-    /// fewer merges and barrier/gate round-trips. Whatever the value,
-    /// windows collapse to one cycle whenever a fault plan is installed
-    /// or a reconfiguration epoch exists (the per-cycle feedback paths
-    /// those enable) and under [`KernelMode::Reference`], and
-    /// [`Noc::step`](crate::Noc::step) always runs exactly one cycle —
-    /// observables are bit-identical for every window size.
-    pub batch_window: u32,
 }
 
 impl NocConfig {
@@ -195,7 +184,6 @@ impl NocConfig {
             kernel: KernelMode::Active,
             stats_window: 4096,
             deadlock_timeout: 4096,
-            batch_window: 0,
         }
     }
 
@@ -260,14 +248,6 @@ impl NocConfig {
     /// disables the recovery (builder style).
     pub fn with_deadlock_timeout(mut self, cycles: u32) -> Self {
         self.deadlock_timeout = cycles;
-        self
-    }
-
-    /// Sets the engine's batched-window size in cycles; `0` (the
-    /// default) lets the engine pick (builder style). See
-    /// [`batch_window`](Self::batch_window).
-    pub fn with_batch_window(mut self, cycles: u32) -> Self {
-        self.batch_window = cycles;
         self
     }
 
@@ -389,7 +369,9 @@ impl NocConfig {
         }
         w.put_usize(self.stats_window);
         w.put_u32(self.deadlock_timeout);
-        w.put_u32(self.batch_window);
+        // The slot of the retired `batch_window` knob: always 0 (the
+        // engine default), so v2–v4 snapshots keep their layout.
+        w.put_u32(0);
     }
 
     /// Decodes a configuration previously written by
@@ -438,7 +420,8 @@ impl NocConfig {
         };
         let stats_window = r.take_usize()?;
         let deadlock_timeout = r.take_u32()?;
-        let batch_window = r.take_u32()?;
+        // The retired `batch_window` slot; the engine window is fixed.
+        r.take_u32()?;
         Ok(Self {
             topology,
             flit_bits,
@@ -451,7 +434,6 @@ impl NocConfig {
             kernel,
             stats_window,
             deadlock_timeout,
-            batch_window,
         })
     }
 
@@ -622,15 +604,6 @@ mod tests {
         if std::thread::available_parallelism().map_or(1, usize::from) < 2 {
             assert_eq!(big, KernelMode::Active, "single-core hosts never shard");
         }
-    }
-
-    #[test]
-    fn batch_window_round_trips_and_defaults_to_auto() {
-        let c = NocConfig::mesh(4, 4);
-        assert_eq!(c.batch_window, 0, "0 = engine-chosen window");
-        let c = c.with_batch_window(16);
-        assert_eq!(c.batch_window, 16);
-        assert!(c.validate().is_ok());
     }
 
     #[test]

@@ -20,6 +20,11 @@ use crate::stats::{LinkId, NocStats, PacketRecord};
 use crate::telemetry::{Telemetry, TelemetryConfig};
 use crate::trace::PacketTracer;
 
+/// Cycles the engine batches per dispatch and merge inside
+/// [`Noc::run`] and [`Noc::run_until_idle`] when nothing forces one-cycle
+/// windows; a `run(k)` with `k` below it clamps its window to `k`.
+const WINDOW: u32 = 16;
+
 /// One reconfiguration round: a new detour table announced by the router
 /// that detected a dead link. Router `r` adopts the epoch once the control
 /// wave has had time to reach it — `hops(r, origin) × cycles_per_flit`
@@ -798,19 +803,17 @@ impl Noc {
     /// recovery) — collapses the window to one cycle so the feedback
     /// stays cycle-exact, and so does the reference full walk, whose
     /// never-empty walk would defeat the idle-tail rewind of
-    /// [`run_until_idle`](Self::run_until_idle); otherwise the configured
-    /// `batch_window` applies (0 = the engine default of 16). A window
-    /// may end on a telemetry sample boundary (the merge then ticks the
-    /// sampler) but never crosses one.
+    /// [`run_until_idle`](Self::run_until_idle); otherwise windows are
+    /// [`WINDOW`] cycles long. A window may end on a telemetry sample
+    /// boundary (the merge then ticks the sampler) but never crosses
+    /// one.
     fn next_window(&self, base: u64, limit: u64) -> u32 {
         let window =
             if self.config.kernel.full_walk() || self.injector.is_some() || !self.epochs.is_empty()
             {
                 1
-            } else if self.config.batch_window == 0 {
-                16
             } else {
-                self.config.batch_window
+                WINDOW
             };
         let mut window = u64::from(window).min(limit);
         if let Some(telemetry) = self.telemetry.as_deref() {
@@ -1232,7 +1235,7 @@ impl Noc {
     }
 
     /// Runs for exactly `cycles` clock cycles, batched into windows of
-    /// [`NocConfig::batch_window`](crate::NocConfig) cycles per dispatch.
+    /// up to 16 cycles per dispatch.
     /// An installed fault plan, a reconfiguration epoch or the
     /// [`Reference`](KernelMode::Reference) kernel collapses the windows
     /// to one cycle, and the final window is clamped so the run ends
@@ -1360,8 +1363,24 @@ impl Noc {
     /// size resumes bit-identically.
     pub fn save_state(&self) -> Vec<u8> {
         let mut w = SnapshotWriter::new();
-        self.snapshot_write(&mut w);
+        self.snapshot_write(&mut w, false);
         w.finish(snapshot::KIND_NOC)
+    }
+
+    /// A digest of the simulated state: [`snapshot::fletcher64`] over
+    /// the payload [`save_state`](Self::save_state) writes, with the
+    /// fields that only describe how the simulator computes that state —
+    /// the kernel and its thread count, the active-set flags, the
+    /// profiler switch — written canonically. Equal fingerprints mean
+    /// equal clocks, buffers, statistics, health, fault-plan progress,
+    /// delivered queues, trace rings and telemetry, so two networks
+    /// that agree on it export the same bytes; it is the determinism
+    /// contract's one comparison. Costs one serialization, so compare
+    /// at run boundaries rather than every cycle.
+    pub fn fingerprint(&self) -> u64 {
+        let mut w = SnapshotWriter::new();
+        self.snapshot_write(&mut w, true);
+        w.digest()
     }
 
     /// Rebuilds a network from a container produced by
@@ -1401,11 +1420,17 @@ impl Noc {
         Ok(noc)
     }
 
-    /// Writes the raw payload fields (no container framing) so a larger
-    /// snapshot — the full-system checkpoint — can embed the network
-    /// state inline.
-    pub(crate) fn snapshot_write(&self, w: &mut SnapshotWriter) {
-        self.config.snapshot_write(w);
+    /// Writes the raw payload fields (no container framing). `canonical`
+    /// writes the simulator-only fields in a fixed form for
+    /// [`fingerprint`](Self::fingerprint): the `Active` kernel, no
+    /// active-set flags and the profiler off.
+    fn snapshot_write(&self, w: &mut SnapshotWriter, canonical: bool) {
+        if canonical {
+            let config = self.config.clone().with_kernel_mode(KernelMode::Active);
+            config.snapshot_write(w);
+        } else {
+            self.config.snapshot_write(w);
+        }
         // Explicit router count: lets the decoder distinguish "payload
         // from a different mesh shape" from generic corruption.
         w.put_usize(self.routers.len());
@@ -1437,8 +1462,10 @@ impl Noc {
         for addr in &self.dead_endpoints {
             w.put_addr(*addr);
         }
-        for flag in &self.active {
-            w.put_bool(*flag);
+        if !canonical {
+            for flag in &self.active {
+                w.put_bool(*flag);
+            }
         }
         w.put_bool(self.injector.is_some());
         if let Some(injector) = &self.injector {
@@ -1448,7 +1475,7 @@ impl Noc {
         if let Some(tracer) = &self.tracer {
             tracer.snapshot_write(w);
         }
-        w.put_bool(self.profiler.is_some());
+        w.put_bool(self.profiler.is_some() && !canonical);
         w.put_bool(self.telemetry.is_some());
         if let Some(telemetry) = self.telemetry.as_deref() {
             telemetry.snapshot_write(w);
@@ -1458,7 +1485,7 @@ impl Noc {
     /// Decodes a payload written by
     /// [`snapshot_write`](Self::snapshot_write), optionally overriding
     /// the execution kernel before the configuration is re-validated.
-    pub(crate) fn snapshot_read(
+    fn snapshot_read(
         r: &mut SnapshotReader<'_>,
         kernel: Option<KernelMode>,
     ) -> Result<Self, SnapshotError> {
@@ -2133,49 +2160,6 @@ mod tests {
         assert_eq!(noc.stats().flits_delivered, 4);
     }
 
-    /// Everything a run can externally observe, rendered as one string so
-    /// resumed-vs-uninterrupted comparisons are a single equality.
-    fn fingerprint(noc: &mut Noc) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("cycle={}\n", noc.cycle()));
-        let stats = noc.stats();
-        out.push_str(&format!(
-            "counters={} {} {} {} {}\n",
-            stats.cycles,
-            stats.packets_sent,
-            stats.packets_delivered,
-            stats.flit_hops,
-            stats.flits_delivered
-        ));
-        out.push_str(&format!(
-            "faults={:?}\nhealth={:?}\nrouters={:?}\n",
-            stats.faults, stats.health, stats.routers
-        ));
-        let mut links: Vec<_> = stats.link_flits.iter().collect();
-        links.sort();
-        out.push_str(&format!("link_flits={links:?}\n"));
-        let mut ingress: Vec<_> = stats.local_ingress_flits.iter().collect();
-        ingress.sort();
-        out.push_str(&format!("local_ingress={ingress:?}\n"));
-        out.push_str(&format!("records={:?}\n", stats.records()));
-        out.push_str(&noc.metrics().to_json());
-        out.push_str(&format!("\ndead_links={:?}\n", noc.dead_links()));
-        out.push_str(&format!("dead_routers={:?}\n", noc.dead_routers()));
-        out.push_str(&format!("epoch={}\n", noc.current_epoch()));
-        if let Some(tracer) = noc.packet_trace() {
-            out.push_str(&tracer.perfetto_json());
-        }
-        for y in 0..noc.config().height() {
-            for x in 0..noc.config().width() {
-                let here = RouterAddr::new(x, y);
-                while let Some((from, packet)) = noc.try_recv(here) {
-                    out.push_str(&format!("recv {here} <- {from}: {:?}\n", packet.payload()));
-                }
-            }
-        }
-        out
-    }
-
     /// A faulted, degraded, traced 3×3 workload paused mid-flight: the
     /// worst case a checkpoint has to capture.
     fn mid_flight_noc() -> Noc {
@@ -2226,7 +2210,7 @@ mod tests {
             .unwrap();
             noc.run_until_idle(100_000).unwrap();
         }
-        assert_eq!(fingerprint(&mut original), fingerprint(&mut restored));
+        assert_eq!(original.fingerprint(), restored.fingerprint());
     }
 
     #[test]
@@ -2250,9 +2234,7 @@ mod tests {
         );
         reference.run_until_idle(100_000).unwrap();
         parallel.run_until_idle(100_000).unwrap();
-        // The fingerprint embeds the config-independent observables only
-        // via stats/records/metrics/trace, which are kernel-invariant.
-        assert_eq!(fingerprint(&mut reference), fingerprint(&mut parallel));
+        assert_eq!(reference.fingerprint(), parallel.fingerprint());
     }
 
     #[test]
@@ -2351,11 +2333,7 @@ mod tests {
             for n in [&mut noc, &mut restored] {
                 n.run_until_idle(100_000).unwrap();
             }
-            assert_eq!(
-                fingerprint(&mut noc),
-                fingerprint(&mut restored),
-                "{topology}"
-            );
+            assert_eq!(noc.fingerprint(), restored.fingerprint(), "{topology}");
         }
     }
 

@@ -47,8 +47,10 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"MNSP";
 /// chiplet mesh); version 2 predates the topology abstraction — its
 /// payloads open with bare mesh dimensions and are still decodable (as
 /// `Topology::Mesh`, the only shape that existed then). Version 2
-/// itself added the configuration's `batch_window` field; version-1
-/// containers predate it and are rejected rather than guessed at.
+/// itself added a configuration field for a batch-window knob that has
+/// since been retired (its slot is still written as 0 and ignored on
+/// read); version-1 containers predate it and are rejected rather than
+/// guessed at.
 pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Oldest snapshot format version the reader still decodes.
@@ -147,13 +149,27 @@ impl From<std::io::Error> for SnapshotError {
 /// Public so tests can re-seal deliberately corrupted containers and
 /// assert the decoder rejects them for the *right* reason.
 pub fn fletcher64(data: &[u8]) -> u64 {
-    let mut a: u64 = 0;
-    let mut b: u64 = 0;
-    for chunk in data.chunks(4) {
-        let mut word = [0u8; 4];
-        word[..chunk.len()].copy_from_slice(chunk);
-        a = (a + u64::from(u32::from_le_bytes(word))) % 0xFFFF_FFFF;
-        b = (b + a) % 0xFFFF_FFFF;
+    const MODULUS: u64 = 0xFFFF_FFFF;
+    // Reducing once per block of words instead of once per word leaves
+    // the same residues: each word adds less than 2^32 to `a`, and `a`
+    // stays below 2^45 over a block, so `b` cannot overflow either.
+    const BLOCK_BYTES: usize = 4 * 4096;
+    let (mut a, mut b) = (0u64, 0u64);
+    for block in data.chunks(BLOCK_BYTES) {
+        let mut words = block.chunks_exact(4);
+        for w in words.by_ref() {
+            a += u64::from(u32::from_le_bytes([w[0], w[1], w[2], w[3]]));
+            b += a;
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut word = [0u8; 4];
+            word[..tail.len()].copy_from_slice(tail);
+            a += u64::from(u32::from_le_bytes(word));
+            b += a;
+        }
+        a %= MODULUS;
+        b %= MODULUS;
     }
     (b << 32) | a
 }
@@ -255,6 +271,12 @@ impl SnapshotWriter {
     pub fn put_link(&mut self, link: LinkId) {
         self.put_addr(link.0);
         self.put_port(link.1);
+    }
+
+    /// [`fletcher64`] of the payload written so far, without sealing
+    /// it: the digest behind the simulators' state fingerprints.
+    pub fn digest(&self) -> u64 {
+        fletcher64(&self.buf)
     }
 
     /// Seals the payload into a container of the given kind: header,
@@ -590,6 +612,32 @@ mod tests {
         assert_eq!(r.take_str().unwrap(), "worm");
         assert_eq!(r.take_bytes().unwrap(), vec![0x00, 0xFF, 0x7A]);
         r.finish().unwrap();
+    }
+
+    #[test]
+    fn fletcher64_matches_the_per_word_definition() {
+        let per_word = |data: &[u8]| {
+            let (mut a, mut b) = (0u64, 0u64);
+            for chunk in data.chunks(4) {
+                let mut word = [0u8; 4];
+                word[..chunk.len()].copy_from_slice(chunk);
+                a = (a + u64::from(u32::from_le_bytes(word))) % 0xFFFF_FFFF;
+                b = (b + a) % 0xFFFF_FFFF;
+            }
+            (b << 32) | a
+        };
+        let data: Vec<u8> = (0..40_000u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for len in [0, 1, 3, 4, 5, 16_383, 16_384, 16_387, 40_000] {
+            assert_eq!(
+                fletcher64(&data[..len]),
+                per_word(&data[..len]),
+                "length {len}"
+            );
+        }
+        let ones = vec![0xFF; 3 * 16_384 + 2];
+        assert_eq!(fletcher64(&ones), per_word(&ones));
     }
 
     #[test]

@@ -549,7 +549,7 @@ impl NocStats {
         stats.packets_delivered = r.take_u64()?;
         stats.flit_hops = r.take_u64()?;
         stats.flits_delivered = r.take_u64()?;
-        let record_count = r.take_len(40)?;
+        let record_count = r.take_len(35)?;
         if record_count > stats.window.saturating_mul(2) {
             return Err(SnapshotError::Malformed("record ring over window"));
         }

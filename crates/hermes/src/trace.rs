@@ -394,7 +394,7 @@ impl PacketTracer {
             let src = r.take_addr()?;
             let dest = r.take_addr()?;
             let sent = r.take_u64()?;
-            let event_count = r.take_len(14)?;
+            let event_count = r.take_len(13)?;
             let mut events = Vec::with_capacity(event_count);
             for _ in 0..event_count {
                 let cycle = r.take_u64()?;

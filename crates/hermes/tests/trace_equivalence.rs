@@ -1,160 +1,14 @@
-//! Differential test of the observability layer: for the same seed and
-//! workload, every kernel (`Reference`, `Active`, `Parallel` at any
-//! thread count) must export the byte-identical Perfetto trace document
-//! and the byte-identical metrics snapshot — the trace stream doubles as
-//! a correctness oracle for the deterministic parallel engine. Property
-//! tests then tie the traced spans back to the routing algorithm: a
+//! Behaviour of the packet-lifecycle tracer: the trace ring stays
+//! bounded, and the traced spans tie back to the routing algorithm — a
 //! delivered packet's hop count equals its XY route length on a healthy
 //! mesh, and its span path is a contiguous walk from source to
-//! destination even under fault-tolerant detours.
+//! destination even under fault-tolerant detours. That every kernel
+//! traces the same run is checked by the matrix in `differential.rs`.
 
 use hermes_noc::fault::{CycleWindow, FaultPlan};
 use hermes_noc::trace::SpanKind;
-use hermes_noc::{KernelMode, Noc, NocConfig, Packet, Port, RouterAddr, Routing};
+use hermes_noc::{Noc, NocConfig, Packet, Port, RouterAddr, Routing};
 use proptest::prelude::*;
-
-/// One scheduled submission: at `cycle`, send `packet` from `src`.
-struct Send {
-    cycle: u64,
-    src: RouterAddr,
-    dest: RouterAddr,
-    payload: Vec<u16>,
-}
-
-/// A deterministic all-to-all-ish schedule over a `w`×`h` mesh (the same
-/// one the kernel-equivalence suite uses).
-fn schedule(w: u8, h: u8, packets: usize, spacing: u64) -> Vec<Send> {
-    let nodes = u64::from(w) * u64::from(h);
-    (0..packets as u64)
-        .map(|k| {
-            let s = k % nodes;
-            let d = (k * 7 + 3) % nodes;
-            Send {
-                cycle: k * spacing,
-                src: RouterAddr::new((s % u64::from(w)) as u8, (s / u64::from(w)) as u8),
-                dest: RouterAddr::new((d % u64::from(w)) as u8, (d / u64::from(w)) as u8),
-                payload: vec![(k % 200) as u16; 1 + (k % 6) as usize],
-            }
-        })
-        .collect()
-}
-
-const KERNELS: [KernelMode; 5] = [
-    KernelMode::Reference,
-    KernelMode::Active,
-    KernelMode::Parallel { threads: 1 },
-    KernelMode::Parallel { threads: 2 },
-    KernelMode::Parallel { threads: 8 },
-];
-
-/// Runs the workload under one kernel with tracing enabled and returns
-/// the two exported artifacts: the Perfetto JSON document and the
-/// Prometheus + JSON metrics expositions.
-fn run_traced(
-    config: NocConfig,
-    plan: Option<&FaultPlan>,
-    sends: &[Send],
-    run_cycles: u64,
-    kernel: KernelMode,
-) -> (String, String, String) {
-    let mut noc = Noc::new(config.with_kernel_mode(kernel)).expect("valid config");
-    noc.enable_packet_trace(1024);
-    if let Some(plan) = plan {
-        noc.set_fault_plan(plan.clone()).expect("valid fault plan");
-    }
-    let mut next = 0;
-    for cycle in 0..run_cycles {
-        while next < sends.len() && sends[next].cycle == cycle {
-            let s = &sends[next];
-            let _ = noc.send(s.src, Packet::new(s.dest, s.payload.clone()));
-            next += 1;
-        }
-        noc.step();
-    }
-    let tracer = noc.packet_trace().expect("tracing enabled");
-    let metrics = noc.metrics();
-    (
-        tracer.perfetto_json(),
-        metrics.to_prometheus(),
-        metrics.to_json(),
-    )
-}
-
-/// Asserts every kernel exports the byte-identical trace and metrics.
-fn assert_exports_identical(
-    config: NocConfig,
-    plan: Option<FaultPlan>,
-    sends: &[Send],
-    run_cycles: u64,
-) {
-    let reference = run_traced(config.clone(), plan.as_ref(), sends, run_cycles, KERNELS[0]);
-    for &kernel in &KERNELS[1..] {
-        let got = run_traced(config.clone(), plan.as_ref(), sends, run_cycles, kernel);
-        assert_eq!(
-            reference.0, got.0,
-            "Perfetto export diverged under {kernel:?}"
-        );
-        assert_eq!(
-            reference.1, got.1,
-            "Prometheus exposition diverged under {kernel:?}"
-        );
-        assert_eq!(reference.2, got.2, "metrics JSON diverged under {kernel:?}");
-    }
-    assert!(
-        reference.0.contains("\"ph\":\"X\""),
-        "the healthy export actually contains spans"
-    );
-}
-
-#[test]
-fn healthy_trace_and_metrics_are_byte_identical() {
-    let mut sends = schedule(4, 4, 40, 9);
-    for (i, s) in schedule(4, 4, 10, 13).into_iter().enumerate() {
-        sends.push(Send {
-            cycle: 8_000 + i as u64 * 13,
-            ..s
-        });
-    }
-    sends.sort_by_key(|s| s.cycle);
-    assert_exports_identical(NocConfig::mesh(4, 4), None, &sends, 12_000);
-}
-
-#[test]
-fn faulted_trace_and_metrics_are_byte_identical() {
-    let plan = FaultPlan::new(1234)
-        .with_drop_rate(0.1)
-        .with_corrupt_rate(0.15)
-        .with_link_down(RouterAddr::new(1, 0), Port::East, CycleWindow::new(50, 400))
-        .with_router_stall(RouterAddr::new(2, 1), CycleWindow::new(100, 700));
-    let sends = schedule(3, 3, 60, 17);
-    assert_exports_identical(NocConfig::mesh(3, 3), Some(plan), &sends, 6_000);
-}
-
-#[test]
-fn degraded_trace_and_metrics_are_byte_identical() {
-    let plan = FaultPlan::new(99).with_link_down(
-        RouterAddr::new(1, 1),
-        Port::East,
-        CycleWindow::open_ended(0),
-    );
-    let config = NocConfig::mesh(3, 3).with_routing(Routing::FaultTolerantXy);
-    let sends = schedule(3, 3, 60, 23);
-    assert_exports_identical(config, Some(plan), &sends, 8_000);
-}
-
-#[test]
-fn node_death_trace_and_metrics_are_byte_identical() {
-    // A router killed mid-workload plus a standalone IP-core death: the
-    // escalation-driven flushes, purges and epoch announcements feed the
-    // trace stream and the dead-router/endpoint counters, and every
-    // kernel must export them byte for byte.
-    let plan = FaultPlan::new(4242)
-        .with_router_down(RouterAddr::new(1, 1), 120)
-        .with_endpoint_down(RouterAddr::new(2, 0), 300);
-    let config = NocConfig::mesh(3, 3).with_routing(Routing::FaultTolerantXy);
-    let sends = schedule(3, 3, 60, 19);
-    assert_exports_identical(config, Some(plan), &sends, 8_000);
-}
 
 #[test]
 fn trace_ring_stays_bounded_under_load() {

@@ -374,9 +374,10 @@ impl ProcessorIp {
     }
 
     /// Books `cycles` the kernel skipped over into the utilization
-    /// category the processor currently occupies — exactly what per-cycle
-    /// sampling would have recorded, since a skipped processor cannot
-    /// change state.
+    /// category the processor currently occupies, and charges a core
+    /// stalled on a bus access the retries it would have made — exactly
+    /// what per-cycle stepping would have recorded, since a skipped
+    /// processor cannot change state otherwise.
     pub(crate) fn credit_skipped(&mut self, cycles: u64) {
         match self.status() {
             ProcessorStatus::Running => self.utilization.running += cycles,
@@ -385,6 +386,19 @@ impl ProcessorIp {
             ProcessorStatus::Inactive | ProcessorStatus::Faulted => {
                 self.utilization.idle += cycles;
             }
+        }
+        // A core stalled on a remote read or scanf retries the access
+        // every cycle, and every retry costs a core cycle.
+        if self.status() == ProcessorStatus::Blocked
+            && self.wait == WaitState::None
+            && matches!(
+                self.pending,
+                NetPending::RemoteRead(_) | NetPending::Scanf(_)
+            )
+        {
+            let cycles = u32::try_from(cycles).unwrap_or(u32::MAX);
+            self.cpu.stall_for(cycles);
+            self.stalled_cycles = self.stalled_cycles.saturating_add(cycles);
         }
     }
 

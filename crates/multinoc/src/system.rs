@@ -1536,34 +1536,55 @@ impl System {
         // checksum, mesh-shape validation) and is embedded as an opaque
         // blob.
         w.put_bytes(&self.noc.save_state());
+        self.snapshot_write(&mut w);
+        w.finish(snapshot::KIND_SYSTEM)
+    }
+
+    /// A digest of the simulated state: [`snapshot::fletcher64`] over
+    /// the payload [`checkpoint`](Self::checkpoint) writes, with the
+    /// embedded network snapshot replaced by its canonical
+    /// [`Noc::fingerprint`]. Equal fingerprints mean equal clocks,
+    /// memories, CPU images, reliability layers, serial link, counters,
+    /// logs and network state, whatever kernel, thread count or
+    /// stepping style produced them. Costs one serialization, so
+    /// compare at run boundaries rather than every cycle.
+    pub fn fingerprint(&self) -> u64 {
+        let mut w = SnapshotWriter::new();
+        w.put_u64(self.noc.fingerprint());
+        self.snapshot_write(&mut w);
+        w.digest()
+    }
+
+    /// Writes everything a checkpoint holds after the network snapshot.
+    fn snapshot_write(&self, w: &mut SnapshotWriter) {
         w.put_f64(self.clock_hz);
-        self.link.snapshot_write(&mut w);
-        self.table.snapshot_write(&mut w);
-        self.directory.snapshot_write(&mut w);
+        self.link.snapshot_write(w);
+        self.table.snapshot_write(w);
+        self.directory.snapshot_write(w);
         w.put_usize(self.ips.len());
         for ip in &self.ips {
             match ip {
                 Ip::Vacant => w.put_u8(0),
                 Ip::Processor(p) => {
                     w.put_u8(1);
-                    p.snapshot_write(&mut w);
+                    p.snapshot_write(w);
                 }
                 Ip::Memory(m) => {
                     w.put_u8(2);
-                    m.snapshot_write(&mut w);
+                    m.snapshot_write(w);
                 }
                 Ip::Serial(s) => {
                     w.put_u8(3);
-                    s.snapshot_write(&mut w);
+                    s.snapshot_write(w);
                 }
             }
         }
-        self.counters.snapshot_write(&mut w);
+        self.counters.snapshot_write(w);
         match &self.trace {
             None => w.put_u8(0),
             Some(log) => {
                 w.put_u8(1);
-                log.snapshot_write(&mut w);
+                log.snapshot_write(w);
             }
         }
         w.put_usize(self.vacated_routers.len());
@@ -1600,9 +1621,8 @@ impl System {
         }
         w.put_bool(self.spans.is_some());
         if let Some(spans) = &self.spans {
-            spans.snapshot_write(&mut w);
+            spans.snapshot_write(w);
         }
-        w.finish(snapshot::KIND_SYSTEM)
     }
 
     /// Writes [`checkpoint`](Self::checkpoint) to `path` atomically:

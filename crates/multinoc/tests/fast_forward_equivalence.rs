@@ -1,214 +1,40 @@
-//! Differential test of the system-level idle fast-forward: a run that
-//! jumps timer-bound idle gaps (`run_until_halted` / `run`) must be
-//! indistinguishable from single-stepping the same workload — identical
-//! cycle counts, memory contents, utilization, retry work and service
-//! statistics. The fast-forward may only change how fast the simulator
-//! crosses a gap, never what the simulated system does.
+//! Bounds of the system-level idle fast-forward: a bounded `run` lands
+//! on the exact cycle even when a timer deadline lies beyond it, and a
+//! processor parked forever in `wait` still reaches the idle verdict.
+//! That fast-forwarding changes nothing the simulated system does is
+//! checked by the matrix in `differential.rs`, which drives every
+//! workload both by `run` and by `step`.
 
-use hermes_noc::{CycleWindow, FaultPlan, NocConfig, Port, RouterAddr, Routing};
+use hermes_noc::{NocConfig, RouterAddr, Routing};
 use multinoc::processor::ProcessorStatus;
 use multinoc::{NodeId, System};
 use r8::asm::assemble;
 
-const SERIAL: NodeId = NodeId(0);
+mod common;
+use common::load_handshake;
+
 const P1: NodeId = NodeId(1);
 const P2: NodeId = NodeId(2);
-const MEM: NodeId = NodeId(3);
 
-/// Replicates `run_until_halted`'s exit condition while stepping one
-/// cycle at a time, so any divergence is the fast-forward's fault.
-fn step_until_halted(sys: &mut System, budget: u64) -> u64 {
-    let start = sys.cycle();
-    loop {
-        if sys.all_halted() && sys.noc().is_idle() && sys.link().is_idle() && sys.net_quiet() {
-            return sys.cycle() - start;
-        }
-        assert!(sys.cycle() - start < budget, "single-step budget exhausted");
-        sys.step().expect("step");
-    }
-}
-
-fn assert_observables_match(fast: &System, slow: &System, nodes: &[NodeId]) {
-    assert_eq!(fast.cycle(), slow.cycle(), "cycle counts diverged");
-    for &node in nodes {
-        if let (Ok(a), Ok(b)) = (fast.memory(node), slow.memory(node)) {
-            assert_eq!(
-                a.read_block(0, a.words()),
-                b.read_block(0, b.words()),
-                "{node} memory diverged"
-            );
-        }
-        if let (Ok(a), Ok(b)) = (fast.processor_status(node), slow.processor_status(node)) {
-            assert_eq!(a, b, "{node} status diverged");
-        }
-        if let (Ok(a), Ok(b)) = (
-            fast.processor_utilization(node),
-            slow.processor_utilization(node),
-        ) {
-            assert_eq!(a, b, "{node} utilization diverged");
-        }
-    }
-    assert_eq!(
-        fast.retry_counters(),
-        slow.retry_counters(),
-        "reliability work diverged"
-    );
-    assert_eq!(
-        fast.duplicates_dropped(),
-        slow.duplicates_dropped(),
-        "dedup work diverged"
-    );
-    assert_eq!(fast.noc_stats().packets_sent, slow.noc_stats().packets_sent);
-    assert_eq!(
-        fast.noc_stats().packets_delivered,
-        slow.noc_stats().packets_delivered
-    );
-    assert_eq!(fast.noc_stats().flit_hops, slow.noc_stats().flit_hops);
-    assert_eq!(fast.noc_stats().faults, slow.noc_stats().faults);
-    assert_eq!(
-        format!("{:?}", fast.service_counters()),
-        format!("{:?}", slow.service_counters()),
-        "service counters diverged"
-    );
-}
-
-fn build(plan: Option<FaultPlan>) -> System {
+fn build() -> System {
     let mut config = NocConfig::multinoc();
     config.routing = Routing::FaultTolerantXy;
-    let mut sys = System::builder()
+    System::builder()
         .noc(config)
         .serial_at(RouterAddr::new(0, 0))
         .processor_at(RouterAddr::new(0, 1))
         .processor_at(RouterAddr::new(1, 0))
         .memory_at(RouterAddr::new(1, 1))
         .build()
-        .expect("paper layout");
-    if let Some(plan) = plan {
-        sys.set_fault_plan(plan).expect("valid fault plan");
-    }
-    sys
-}
-
-/// P1 writes into remote memory and P2's memory, synchronizes with P2
-/// via notify, and both halt. Remote reads stall the core; posted
-/// writes ride the reliability layer with its retransmission timers.
-fn load_workload(sys: &mut System) {
-    let mem_base = sys
-        .address_map(P1)
-        .expect("map")
-        .window_base(MEM)
-        .expect("window");
-    let p2_base = sys
-        .address_map(P1)
-        .expect("map")
-        .window_base(P2)
-        .expect("window");
-    let p1 = assemble(&format!(
-        "LIW R1, {mem_base}\n\
-         XOR R0, R0, R0\n\
-         LIW R2, 777\n\
-         ST  R2, R1, R0\n\
-         LD  R3, R1, R0\n\
-         LIW R4, 0x20\n\
-         ST  R3, R4, R0\n\
-         LIW R5, {p2_base}\n\
-         LIW R6, 0x5A5A\n\
-         ST  R6, R5, R0\n\
-         LIW R7, 0xFFFD\n\
-         LIW R2, {}\n\
-         ST  R2, R0, R7\n\
-         HALT",
-        P2.as_u16(),
-    ))
-    .expect("p1 assembles");
-    let p2 = assemble(&format!(
-        "LIW R2, 0xFFFE\n\
-         XOR R0, R0, R0\n\
-         LIW R3, {}\n\
-         ST  R3, R0, R2\n\
-         LD  R4, R0, R0\n\
-         LIW R5, 0x40\n\
-         ST  R4, R5, R0\n\
-         HALT",
-        P1.as_u16(),
-    ))
-    .expect("p2 assembles");
-    sys.memory_mut(P1)
-        .expect("p1 memory")
-        .write_block(0, p1.words());
-    sys.memory_mut(P2)
-        .expect("p2 memory")
-        .write_block(0, p2.words());
-    sys.activate_directly(P1).expect("activate p1");
-    sys.activate_directly(P2).expect("activate p2");
-}
-
-#[test]
-fn healthy_workload_matches_single_stepping() {
-    let mut fast = build(None);
-    let mut slow = build(None);
-    load_workload(&mut fast);
-    load_workload(&mut slow);
-    let a = fast.run_until_halted(1_000_000).expect("fast run halts");
-    let b = step_until_halted(&mut slow, 1_000_000);
-    assert_eq!(a, b, "elapsed cycles diverged");
-    assert_observables_match(&fast, &slow, &[SERIAL, P1, P2, MEM]);
-    assert_eq!(fast.memory(P1).expect("p1").read(0x20), 777);
-    assert_eq!(fast.memory(P2).expect("p2").read(0x40), 0x5A5A);
-}
-
-#[test]
-fn lossy_workload_matches_single_stepping() {
-    // Packet drops force the reliability layer through its backoff
-    // timers: exactly the gaps the fast-forward jumps. The shared seed
-    // keeps both runs on the same random stream.
-    let plan = || FaultPlan::new(0xFA57).with_drop_rate(0.2);
-    let mut fast = build(Some(plan()));
-    let mut slow = build(Some(plan()));
-    load_workload(&mut fast);
-    load_workload(&mut slow);
-    let a = fast.run_until_halted(4_000_000).expect("fast run halts");
-    let b = step_until_halted(&mut slow, 4_000_000);
-    assert_eq!(a, b, "elapsed cycles diverged");
-    assert_observables_match(&fast, &slow, &[SERIAL, P1, P2, MEM]);
-    assert!(
-        fast.retry_counters().retransmissions > 0,
-        "the workload must actually exercise retransmission timers"
-    );
-}
-
-#[test]
-fn degraded_workload_matches_single_stepping() {
-    // A permanent dead link: diagnosis, epoch wavefront, reroute and the
-    // reliability layer's reroute resets must land on the same cycles.
-    let plan = || {
-        FaultPlan::new(11).with_link_down(
-            RouterAddr::new(0, 1),
-            Port::East,
-            CycleWindow::open_ended(0),
-        )
-    };
-    let mut fast = build(Some(plan()));
-    let mut slow = build(Some(plan()));
-    // Pre-seed so P1's read does not race its (retransmitted) write.
-    fast.memory_mut(MEM).expect("mem").write(0, 777);
-    slow.memory_mut(MEM).expect("mem").write(0, 777);
-    load_workload(&mut fast);
-    load_workload(&mut slow);
-    let a = fast.run_until_halted(4_000_000).expect("fast run halts");
-    let b = step_until_halted(&mut slow, 4_000_000);
-    assert_eq!(a, b, "elapsed cycles diverged");
-    assert_observables_match(&fast, &slow, &[SERIAL, P1, P2, MEM]);
-    assert!(fast.degraded(), "the dead link was diagnosed");
-    assert_eq!(fast.dead_links(), slow.dead_links());
+        .expect("paper layout")
 }
 
 #[test]
 fn bounded_run_lands_on_the_exact_cycle() {
     // run(n) must advance exactly n cycles even when a timer deadline
     // lies beyond the budget: the jump is clamped, never overshoots.
-    let mut sys = build(None);
-    load_workload(&mut sys);
+    let mut sys = build();
+    load_handshake(&mut sys);
     for chunk in [1u64, 7, 100, 4_096, 50_000] {
         let before = sys.cycle();
         sys.run(chunk).expect("run");
@@ -221,7 +47,7 @@ fn deadlocked_wait_still_reaches_idle_verdict() {
     // A processor parked forever in `wait` has no deadline; the
     // fast-forward must not spin or jump, and run_until_idle must still
     // classify the system as idle-with-a-blocked-core.
-    let mut sys = build(None);
+    let mut sys = build();
     let program = assemble(&format!(
         "LIW R2, 0xFFFE\nXOR R0, R0, R0\nLIW R3, {}\nST R3, R0, R2\nHALT",
         P2.as_u16(),

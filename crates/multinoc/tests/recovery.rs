@@ -1,18 +1,20 @@
 //! Checkpoint/restore round-trip equivalence: a run resumed from a
 //! checkpoint must be indistinguishable from the run that was never
-//! interrupted — same final cycle, same memory images, same reliability
-//! and service counters, same fault diagnosis, same metrics and trace
-//! exports. The suite drives the same schedules the kernel-invariance
-//! and fast-forward suites use, checkpoints them mid-flight (at *every*
-//! cycle for the short healthy schedule), and compares the resumed
-//! world against the uninterrupted one. It also covers the watchdog
-//! restore hazard: a resumed run must never fire a DeadLink verdict the
-//! uninterrupted run would not have fired.
+//! interrupted — the same `System::fingerprint`, which digests every
+//! simulated field a checkpoint holds (cycle, memory images,
+//! reliability and service state, fault diagnosis, logs). The suite
+//! checkpoints healthy, faulted, degraded and failover runs mid-flight
+//! (at *every* cycle for the short healthy schedule) and compares the
+//! resumed world against the uninterrupted one. It also covers the
+//! watchdog restore hazard: a resumed run must never fire a DeadLink
+//! verdict the uninterrupted run would not have fired.
 
 use hermes_noc::{CycleWindow, FaultPlan, KernelMode, NocConfig, Port, RouterAddr, Routing};
-use multinoc::memory::MemoryCore;
 use multinoc::{NodeId, System};
 use r8::asm::assemble;
+
+mod common;
+use common::load_handshake;
 
 const P1: NodeId = NodeId(1);
 const P2: NodeId = NodeId(2);
@@ -36,114 +38,19 @@ fn build(kernel: KernelMode, plan: Option<FaultPlan>) -> System {
     sys
 }
 
-/// P1 writes through remote memory, pokes P2's memory and notifies it;
-/// P2 reads back and halts. Remote reads stall the core; posted writes
-/// ride the reliability layer with its retransmission timers.
-fn load_workload(sys: &mut System) {
-    let mem_base = sys
-        .address_map(P1)
-        .expect("map")
-        .window_base(MEM)
-        .expect("window");
-    let p2_base = sys
-        .address_map(P1)
-        .expect("map")
-        .window_base(P2)
-        .expect("window");
-    let p1 = assemble(&format!(
-        "LIW R1, {mem_base}\n\
-         XOR R0, R0, R0\n\
-         LIW R2, 777\n\
-         ST  R2, R1, R0\n\
-         LD  R3, R1, R0\n\
-         LIW R4, 0x20\n\
-         ST  R3, R4, R0\n\
-         LIW R5, {p2_base}\n\
-         LIW R6, 0x5A5A\n\
-         ST  R6, R5, R0\n\
-         LIW R7, 0xFFFD\n\
-         LIW R2, {}\n\
-         ST  R2, R0, R7\n\
-         HALT",
-        P2.as_u16(),
-    ))
-    .expect("p1 assembles");
-    let p2 = assemble(&format!(
-        "LIW R2, 0xFFFE\n\
-         XOR R0, R0, R0\n\
-         LIW R3, {}\n\
-         ST  R3, R0, R2\n\
-         LD  R4, R0, R0\n\
-         LIW R5, 0x40\n\
-         ST  R4, R5, R0\n\
-         HALT",
-        P1.as_u16(),
-    ))
-    .expect("p2 assembles");
-    sys.memory_mut(P1)
-        .expect("p1 memory")
-        .write_block(0, p1.words());
-    sys.memory_mut(P2)
-        .expect("p2 memory")
-        .write_block(0, p2.words());
-    sys.activate_directly(P1).expect("activate p1");
-    sys.activate_directly(P2).expect("activate p2");
-}
-
-/// FNV-1a over a memory image, so the fingerprint can cover every word
-/// of every memory without dragging megabytes of debug text around.
-fn mem_digest(mem: &MemoryCore) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325_u64;
-    for addr in 0..mem.words() {
-        h ^= u64::from(mem.read(addr));
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Everything a finished run leaves behind, rendered comparable. This
-/// deliberately spans every observable surface the repo exports:
-/// counters, fault diagnosis, metrics text, the Perfetto trace and the
-/// full memory images of every node.
-fn fingerprint(sys: &System) -> Vec<String> {
-    let mut fp = vec![
-        format!("cycle={}", sys.cycle()),
-        format!("retries={:?}", sys.retry_counters()),
-        format!("services={:?}", sys.service_counters()),
-        format!("faults={:?}", sys.noc_stats().faults),
-        format!("latency={:?}", sys.noc_stats().latency_histogram()),
-        format!("dead_links={:?}", sys.dead_links()),
-        format!("dead_nodes={:?}", sys.dead_nodes()),
-        format!("failover={:?}", sys.failover_report()),
-        format!("dups={}", sys.duplicates_dropped()),
-        sys.metrics_snapshot().to_prometheus(),
-        sys.perfetto_json(),
-    ];
-    for i in 0..sys.table().len() {
-        let node = NodeId(i as u8);
-        if let Ok(mem) = sys.memory(node) {
-            fp.push(format!("mem[{i}]={:#018x}", mem_digest(mem)));
-        }
-        if let Ok(util) = sys.processor_utilization(node) {
-            fp.push(format!("util[{i}]={util:?}"));
-        }
-    }
-    fp
-}
-
 #[test]
 fn healthy_run_resumes_identically_from_every_cycle() {
     // The reference world: never interrupted.
     let mut reference = build(KernelMode::Active, None);
-    load_workload(&mut reference);
+    load_handshake(&mut reference);
     reference.run_until_halted(1_000_000).expect("run halts");
-    let want = fingerprint(&reference);
+    let want = reference.fingerprint();
 
     // The probed world: checkpointed at every single cycle. Each
     // checkpoint must (a) survive an immediate restore + re-checkpoint
     // byte-for-byte, and (b) resume to the exact reference fingerprint.
     let mut stepped = build(KernelMode::Active, None);
-    load_workload(&mut stepped);
+    load_handshake(&mut stepped);
     let mut cycles_probed = 0u64;
     loop {
         let snap = stepped.checkpoint();
@@ -159,7 +66,7 @@ fn healthy_run_resumes_identically_from_every_cycle() {
             .run_until_halted(1_000_000)
             .expect("resumed run halts");
         assert_eq!(
-            fingerprint(&resumed),
+            resumed.fingerprint(),
             want,
             "resume from cycle {} diverged from the uninterrupted run",
             stepped.cycle()
@@ -176,7 +83,7 @@ fn healthy_run_resumes_identically_from_every_cycle() {
         cycles_probed += 1;
     }
     assert_eq!(
-        fingerprint(&stepped),
+        stepped.fingerprint(),
         want,
         "the per-cycle probing itself perturbed the run"
     );
@@ -200,7 +107,7 @@ fn assert_resumes_identically(
     prepare(&mut reference);
     let elapsed = reference.run_until_halted(4_000_000).expect("run halts");
     check(&reference);
-    let want = fingerprint(&reference);
+    let want = reference.fingerprint();
     assert!(elapsed > 8, "schedule too short to cut mid-flight");
     for cut in [elapsed / 8, elapsed / 3, elapsed / 2, elapsed - 7] {
         let mut sys = make();
@@ -215,7 +122,7 @@ fn assert_resumes_identically(
             .expect("resumed run halts");
         check(&resumed);
         assert_eq!(
-            fingerprint(&resumed),
+            resumed.fingerprint(),
             want,
             "resume from cycle {cut} diverged from the uninterrupted run"
         );
@@ -235,7 +142,7 @@ fn faulted_run_resumes_identically() {
             sys.enable_trace(4096);
             sys
         },
-        load_workload,
+        load_handshake,
         |sys| {
             assert!(
                 sys.retry_counters().retransmissions > 0,
@@ -264,7 +171,7 @@ fn degraded_run_resumes_identically() {
         |sys| {
             // Pre-seed so P1's read does not race its retransmitted write.
             sys.memory_mut(MEM).expect("mem").write(0, 777);
-            load_workload(sys);
+            load_handshake(sys);
         },
         |sys| {
             assert!(sys.degraded(), "the dead link was diagnosed");
@@ -338,9 +245,9 @@ fn checkpoint_and_restore_commute_with_the_kernel() {
     // identically under the reference kernel, and vice versa.
     let plan = || FaultPlan::new(0xFA57).with_drop_rate(0.15);
     let mut reference = build(KernelMode::Parallel { threads: 8 }, Some(plan()));
-    load_workload(&mut reference);
+    load_handshake(&mut reference);
     let elapsed = reference.run_until_halted(4_000_000).expect("run halts");
-    let want = fingerprint(&reference);
+    let want = reference.fingerprint();
     let swaps = [
         (
             KernelMode::Parallel { threads: 8 },
@@ -355,7 +262,7 @@ fn checkpoint_and_restore_commute_with_the_kernel() {
     ];
     for (run_under, resume_under, label) in swaps {
         let mut sys = build(run_under, Some(plan()));
-        load_workload(&mut sys);
+        load_handshake(&mut sys);
         sys.run(elapsed / 2).expect("run to the cut point");
         let snap = sys.checkpoint();
         let mut resumed = System::restore_with_kernel(&snap, resume_under).expect("restore");
@@ -363,7 +270,7 @@ fn checkpoint_and_restore_commute_with_the_kernel() {
             .run_until_halted(4_000_000)
             .expect("resumed run halts");
         assert_eq!(
-            fingerprint(&resumed),
+            resumed.fingerprint(),
             want,
             "kernel swap {label} changed the simulated outcome"
         );
@@ -405,7 +312,7 @@ fn restored_watchdog_does_not_fire_a_false_dead_link() {
     let elapsed = reference
         .run_until_halted(1_000_000)
         .expect("slow serial is idle time, not a dead link");
-    let want = fingerprint(&reference);
+    let want = reference.fingerprint();
     // The quiet activation trickle must outlast the 4096-cycle watchdog
     // window for the probe to mean anything; checkpoint inside it, while
     // the host bytes are still in flight, including right before the
@@ -420,7 +327,7 @@ fn restored_watchdog_does_not_fire_a_false_dead_link() {
             .run_until_halted(1_000_000)
             .unwrap_or_else(|e| panic!("restore at cycle {cut} fired a false verdict: {e}"));
         assert_eq!(
-            fingerprint(&resumed),
+            resumed.fingerprint(),
             want,
             "resume from cycle {cut} diverged from the uninterrupted run"
         );
@@ -433,7 +340,7 @@ fn checkpoint_file_round_trips_atomically() {
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("mid_flight.mnsp");
     let mut sys = build(KernelMode::Active, None);
-    load_workload(&mut sys);
+    load_handshake(&mut sys);
     sys.run(40).expect("run");
     sys.checkpoint_to_file(&path).expect("write checkpoint");
     assert!(
@@ -446,7 +353,7 @@ fn checkpoint_file_round_trips_atomically() {
     resumed
         .run_until_halted(1_000_000)
         .expect("resumed run halts");
-    assert_eq!(fingerprint(&resumed), fingerprint(&reference));
+    assert_eq!(resumed.fingerprint(), reference.fingerprint());
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -456,12 +363,12 @@ fn auto_checkpoint_writes_on_schedule_and_resumes() {
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("auto.mnsp");
     let mut reference = build(KernelMode::Active, None);
-    load_workload(&mut reference);
+    load_handshake(&mut reference);
     reference.run_until_halted(1_000_000).expect("run halts");
-    let want = fingerprint(&reference);
+    let want = reference.fingerprint();
 
     let mut sys = build(KernelMode::Active, None);
-    load_workload(&mut sys);
+    load_handshake(&mut sys);
     sys.enable_auto_checkpoint(&path, 25);
     sys.run(120).expect("run");
     assert!(
@@ -474,7 +381,7 @@ fn auto_checkpoint_writes_on_schedule_and_resumes() {
     resumed
         .run_until_halted(1_000_000)
         .expect("resumed run halts");
-    assert_eq!(fingerprint(&resumed), want);
+    assert_eq!(resumed.fingerprint(), want);
     // ...and the policy itself is runtime configuration: it is not
     // serialized, and disabling it stops the writes.
     assert_eq!(resumed.auto_checkpoints_written(), 0);
@@ -482,6 +389,6 @@ fn auto_checkpoint_writes_on_schedule_and_resumes() {
     let written = sys.auto_checkpoints_written();
     sys.run_until_halted(1_000_000).expect("run halts");
     assert_eq!(sys.auto_checkpoints_written(), written);
-    assert_eq!(fingerprint(&sys), want);
+    assert_eq!(sys.fingerprint(), want);
     std::fs::remove_dir_all(&dir).ok();
 }

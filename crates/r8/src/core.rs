@@ -484,6 +484,15 @@ impl Cpu {
         self.regs[usize::from(reg.index())] = value;
     }
 
+    /// Charges `cycles` stalled retries at once: what calling
+    /// [`step`](Self::step) that many times costs while the bus keeps
+    /// answering [`BusResponse::Wait`]. Lets a co-simulator jump a
+    /// stretch in which the core provably only waits.
+    pub fn stall_for(&mut self, cycles: u32) {
+        self.cycles += u64::from(cycles);
+        self.inflight_cycles = self.inflight_cycles.saturating_add(cycles);
+    }
+
     fn stall(&mut self) -> StepOutcome {
         self.cycles += 1;
         self.inflight_cycles += 1;

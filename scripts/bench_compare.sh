@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Warn-only benchmark-regression triage: regenerated BENCH_*.json files
-# in the working tree are diffed against the baselines committed at HEAD
-# and the numeric deltas printed as a table. Never fails the build —
+# (those named on the command line, else the ones in the repo root) are
+# diffed against the baselines committed at HEAD and the numeric deltas
+# printed as a table. Never fails the build —
 # benchmark rates are wall-clock observations of the host, so a delta is
 # a prompt for a human, not a gate. Determinism is asserted inside the
 # experiments themselves.
