@@ -19,6 +19,11 @@ pub enum Arbitration {
     FixedPriority,
 }
 
+crate::snap_enum!(Arbitration, "arbitration tag" {
+    RoundRobin = 0,
+    FixedPriority = 1,
+});
+
 /// Round-robin scan state for one router (the rotating priority pointer).
 #[derive(Debug, Clone)]
 pub struct Arbiter {
@@ -58,7 +63,7 @@ impl Arbiter {
     /// Serializes the rotating priority pointer (policy and port count
     /// come from the configuration).
     pub(crate) fn snapshot_write(&self, w: &mut crate::snapshot::SnapshotWriter) {
-        w.put_u8(self.last_winner as u8);
+        w.put(&(self.last_winner as u8));
     }
 
     /// Restores the priority pointer into an arbiter freshly built from
@@ -67,7 +72,7 @@ impl Arbiter {
         &mut self,
         r: &mut crate::snapshot::SnapshotReader<'_>,
     ) -> Result<(), crate::snapshot::SnapshotError> {
-        let winner = usize::from(r.take_u8()?);
+        let winner = usize::from(r.take::<u8>()?);
         if winner >= self.ports {
             return Err(crate::snapshot::SnapshotError::Malformed(
                 "arbiter priority pointer out of range",

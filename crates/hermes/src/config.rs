@@ -3,7 +3,14 @@
 use crate::arbiter::Arbitration;
 use crate::error::ConfigError;
 use crate::routing::Routing;
+use crate::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::topology::{D2dChannel, Topology};
+
+/// Deepest input buffer a configuration may ask for, in flits. The
+/// paper's prototype uses 2 and the buffer-depth sweep stops at 16; the
+/// bound keeps a damaged snapshot's depth from sizing every buffer of
+/// the mesh.
+pub(crate) const MAX_BUFFER_DEPTH: usize = 64;
 
 /// How the one cycle engine behind [`Noc::step`](crate::Noc::step),
 /// [`Noc::run`](crate::Noc::run) and
@@ -324,6 +331,9 @@ impl NocConfig {
         if self.buffer_depth == 0 {
             return Err(ConfigError::ZeroBufferDepth);
         }
+        if self.buffer_depth > MAX_BUFFER_DEPTH {
+            return Err(ConfigError::BufferTooDeep(self.buffer_depth));
+        }
         if self.routing_cycles == 0 || self.cycles_per_flit == 0 {
             return Err(ConfigError::ZeroRoutingCycles);
         }
@@ -337,104 +347,6 @@ impl NocConfig {
             return Err(ConfigError::ZeroThreads);
         }
         Ok(())
-    }
-
-    /// Serializes every configuration field for embedding in a snapshot.
-    /// The topology (tag + per-variant parameters) leads the stream;
-    /// version-2 snapshots predate it and open with the two mesh
-    /// dimensions instead (see [`snapshot_read`](Self::snapshot_read)).
-    pub(crate) fn snapshot_write(&self, w: &mut crate::snapshot::SnapshotWriter) {
-        self.topology.snapshot_write(w);
-        w.put_u8(self.flit_bits);
-        w.put_usize(self.buffer_depth);
-        w.put_u32(self.routing_cycles);
-        w.put_u32(self.cycles_per_flit);
-        w.put_u8(match self.routing {
-            Routing::Xy => 0,
-            Routing::Yx => 1,
-            Routing::FaultTolerantXy => 2,
-        });
-        w.put_u8(match self.arbitration {
-            Arbitration::RoundRobin => 0,
-            Arbitration::FixedPriority => 1,
-        });
-        w.put_u32(self.fault_threshold);
-        match self.kernel {
-            KernelMode::Active => w.put_u8(0),
-            KernelMode::Reference => w.put_u8(1),
-            KernelMode::Parallel { threads } => {
-                w.put_u8(2);
-                w.put_usize(threads);
-            }
-        }
-        w.put_usize(self.stats_window);
-        w.put_u32(self.deadlock_timeout);
-        // The slot of the retired `batch_window` knob: always 0 (the
-        // engine default), so v2–v4 snapshots keep their layout.
-        w.put_u32(0);
-    }
-
-    /// Decodes a configuration previously written by
-    /// [`snapshot_write`](Self::snapshot_write). The caller still runs
-    /// [`validate`](Self::validate) afterwards. `version` is the
-    /// container format version: version-2 payloads predate the topology
-    /// abstraction and open with bare `width, height` bytes, which decode
-    /// as [`Topology::Mesh`] (the only shape that existed then); current
-    /// payloads open with a topology tag.
-    pub(crate) fn snapshot_read(
-        r: &mut crate::snapshot::SnapshotReader<'_>,
-        version: u32,
-    ) -> Result<Self, crate::snapshot::SnapshotError> {
-        use crate::snapshot::SnapshotError;
-        let topology = if version <= 2 {
-            Topology::Mesh {
-                width: r.take_u8()?,
-                height: r.take_u8()?,
-            }
-        } else {
-            Topology::snapshot_read(r)?
-        };
-        let flit_bits = r.take_u8()?;
-        let buffer_depth = r.take_usize()?;
-        let routing_cycles = r.take_u32()?;
-        let cycles_per_flit = r.take_u32()?;
-        let routing = match r.take_u8()? {
-            0 => Routing::Xy,
-            1 => Routing::Yx,
-            2 => Routing::FaultTolerantXy,
-            _ => return Err(SnapshotError::Malformed("routing tag")),
-        };
-        let arbitration = match r.take_u8()? {
-            0 => Arbitration::RoundRobin,
-            1 => Arbitration::FixedPriority,
-            _ => return Err(SnapshotError::Malformed("arbitration tag")),
-        };
-        let fault_threshold = r.take_u32()?;
-        let kernel = match r.take_u8()? {
-            0 => KernelMode::Active,
-            1 => KernelMode::Reference,
-            2 => KernelMode::Parallel {
-                threads: r.take_usize()?,
-            },
-            _ => return Err(SnapshotError::Malformed("kernel tag")),
-        };
-        let stats_window = r.take_usize()?;
-        let deadlock_timeout = r.take_u32()?;
-        // The retired `batch_window` slot; the engine window is fixed.
-        r.take_u32()?;
-        Ok(Self {
-            topology,
-            flit_bits,
-            buffer_depth,
-            routing_cycles,
-            cycles_per_flit,
-            routing,
-            arbitration,
-            fault_threshold,
-            kernel,
-            stats_window,
-            deadlock_timeout,
-        })
     }
 
     /// Theoretical peak throughput of one router channel in bits per
@@ -451,6 +363,71 @@ impl NocConfig {
 impl Default for NocConfig {
     fn default() -> Self {
         Self::multinoc()
+    }
+}
+
+/// The topology (a tag and its parameters) leads the stream; version-2
+/// payloads predate the topology abstraction and open with bare `width,
+/// height` bytes, which decode as [`Topology::Mesh`] (the only shape that
+/// existed then). A decoded configuration still has to pass
+/// [`NocConfig::validate`].
+impl Snap for NocConfig {
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.put(&self.topology);
+        w.put(&(self.flit_bits, self.buffer_depth));
+        w.put(&(self.routing_cycles, self.cycles_per_flit));
+        w.put(&(self.routing, self.arbitration, self.fault_threshold));
+        w.put(&(self.kernel, self.stats_window, self.deadlock_timeout));
+        // The slot of the retired `batch_window` knob: always 0 (the
+        // engine default), so v2–v4 snapshots keep their layout.
+        w.put(&0u32);
+    }
+
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        let topology = if r.version() <= 2 {
+            let (width, height) = r.take()?;
+            Topology::Mesh { width, height }
+        } else {
+            r.take()?
+        };
+        let (flit_bits, buffer_depth) = r.take()?;
+        let (routing_cycles, cycles_per_flit) = r.take()?;
+        let (routing, arbitration, fault_threshold) = r.take()?;
+        let (kernel, stats_window, deadlock_timeout) = r.take()?;
+        r.take::<u32>()?;
+        Ok(Self {
+            topology,
+            flit_bits,
+            buffer_depth,
+            routing_cycles,
+            cycles_per_flit,
+            routing,
+            arbitration,
+            fault_threshold,
+            kernel,
+            stats_window,
+            deadlock_timeout,
+        })
+    }
+}
+
+/// A tag (`0` active, `1` reference, `2` parallel plus its thread count).
+impl Snap for KernelMode {
+    fn put(&self, w: &mut SnapshotWriter) {
+        match *self {
+            KernelMode::Active => w.put(&0u8),
+            KernelMode::Reference => w.put(&1u8),
+            KernelMode::Parallel { threads } => w.put(&(2u8, threads)),
+        }
+    }
+
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        match r.take::<u8>()? {
+            0 => Ok(KernelMode::Active),
+            1 => Ok(KernelMode::Reference),
+            2 => Ok(KernelMode::Parallel { threads: r.take()? }),
+            _ => Err(SnapshotError::Malformed("kernel tag")),
+        }
     }
 }
 

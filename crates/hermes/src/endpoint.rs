@@ -11,6 +11,7 @@ use std::collections::VecDeque;
 use crate::addr::RouterAddr;
 use crate::flit::Flit;
 use crate::packet::Packet;
+use crate::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
 
 /// Opaque identifier of a packet submitted to the network, used to look up
 /// its [`PacketRecord`](crate::stats::PacketRecord) afterwards.
@@ -203,25 +204,32 @@ impl LocalEndpoint {
 
     /// Serializes the injection queue, reassembly state machine and
     /// delivered-packet queue (`flit_bits` comes from the configuration).
-    pub fn snapshot_write(&self, w: &mut crate::snapshot::SnapshotWriter) {
-        w.put_usize(self.outgoing.len());
-        for packet in &self.outgoing {
-            w.put_u64(packet.id.as_u64());
-            w.put_usize(packet.flits.len());
-            for &flit in &packet.flits {
-                w.put_u16(flit);
-            }
-            w.put_bool(packet.started);
-        }
-        w.put_u64(self.next_inject_ok);
-        match &self.rx {
-            RxState::Header => w.put_u8(0),
-            RxState::Size { id, src, dest } => {
-                w.put_u8(1);
-                w.put_u64(id.as_u64());
-                w.put_addr(*src);
-                w.put_addr(*dest);
-            }
+    pub fn snapshot_write(&self, w: &mut SnapshotWriter) {
+        w.put(&self.outgoing);
+        w.put(&self.next_inject_ok);
+        w.put(&self.rx);
+        w.put(&self.delivered);
+    }
+
+    /// Restores state into an endpoint freshly built from the
+    /// configuration.
+    pub fn snapshot_read(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        self.outgoing = r.take()?;
+        self.next_inject_ok = r.take()?;
+        self.rx = r.take()?;
+        self.delivered = r.take()?;
+        Ok(())
+    }
+}
+
+crate::snap_struct!(PacketId { 0 } OutgoingPacket { id, flits, started });
+
+/// A tag byte (0 header, 1 size, 2 payload), then the variant's fields.
+impl Snap for RxState {
+    fn put(&self, w: &mut SnapshotWriter) {
+        match self {
+            RxState::Header => w.put(&0u8),
+            RxState::Size { id, src, dest } => w.put(&(1u8, *id, *src, *dest)),
             RxState::Payload {
                 id,
                 src,
@@ -229,95 +237,35 @@ impl LocalEndpoint {
                 remaining,
                 payload,
             } => {
-                w.put_u8(2);
-                w.put_u64(id.as_u64());
-                w.put_addr(*src);
-                w.put_addr(*dest);
-                w.put_usize(*remaining);
-                w.put_usize(payload.len());
-                for &flit in payload {
-                    w.put_u16(flit);
-                }
-            }
-        }
-        w.put_usize(self.delivered.len());
-        for (id, src, packet) in &self.delivered {
-            w.put_u64(id.as_u64());
-            w.put_addr(*src);
-            w.put_addr(packet.dest());
-            w.put_usize(packet.payload().len());
-            for &word in packet.payload() {
-                w.put_u16(word);
+                w.put(&(2u8, *id, *src, *dest));
+                w.put(remaining);
+                w.put(payload);
             }
         }
     }
 
-    /// Restores state into an endpoint freshly built from the
-    /// configuration.
-    pub fn snapshot_read(
-        &mut self,
-        r: &mut crate::snapshot::SnapshotReader<'_>,
-    ) -> Result<(), crate::snapshot::SnapshotError> {
-        use crate::snapshot::SnapshotError;
-        let outgoing_count = r.take_len(11)?;
-        self.outgoing.clear();
-        for _ in 0..outgoing_count {
-            let id = PacketId(r.take_u64()?);
-            let flit_count = r.take_len(2)?;
-            let mut flits = VecDeque::with_capacity(flit_count);
-            for _ in 0..flit_count {
-                flits.push_back(r.take_u16()?);
-            }
-            let started = r.take_bool()?;
-            self.outgoing
-                .push_back(OutgoingPacket { id, flits, started });
-        }
-        self.next_inject_ok = r.take_u64()?;
-        self.rx = match r.take_u8()? {
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(match r.take::<u8>()? {
             0 => RxState::Header,
-            1 => RxState::Size {
-                id: PacketId(r.take_u64()?),
-                src: r.take_addr()?,
-                dest: r.take_addr()?,
-            },
+            1 => {
+                let (id, src, dest) = r.take()?;
+                RxState::Size { id, src, dest }
+            }
             2 => {
-                let id = PacketId(r.take_u64()?);
-                let src = r.take_addr()?;
-                let dest = r.take_addr()?;
-                let remaining = r.take_usize()?;
+                let (id, src, dest, remaining) = r.take()?;
                 if remaining == 0 || remaining > usize::from(u16::MAX) {
                     return Err(SnapshotError::Malformed("payload flits remaining"));
-                }
-                let payload_len = r.take_len(2)?;
-                let mut payload = Vec::with_capacity(payload_len + remaining);
-                for _ in 0..payload_len {
-                    payload.push(r.take_u16()?);
                 }
                 RxState::Payload {
                     id,
                     src,
                     dest,
                     remaining,
-                    payload,
+                    payload: r.take()?,
                 }
             }
             _ => return Err(SnapshotError::Malformed("rx state tag")),
-        };
-        let delivered_count = r.take_len(13)?;
-        self.delivered.clear();
-        for _ in 0..delivered_count {
-            let id = PacketId(r.take_u64()?);
-            let src = r.take_addr()?;
-            let dest = r.take_addr()?;
-            let payload_len = r.take_len(2)?;
-            let mut payload = Vec::with_capacity(payload_len);
-            for _ in 0..payload_len {
-                payload.push(r.take_u16()?);
-            }
-            self.delivered
-                .push_back((id, src, Packet::new(dest, payload)));
-        }
-        Ok(())
+        })
     }
 }
 

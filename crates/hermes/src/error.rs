@@ -24,6 +24,8 @@ pub enum ConfigError {
     },
     /// Input buffers must hold at least one flit.
     ZeroBufferDepth,
+    /// Input buffers hold at most 64 flits.
+    BufferTooDeep(usize),
     /// The routing charge `R_i` must be at least one cycle.
     ZeroRoutingCycles,
     /// A link must fail at least one handshake before being declared dead.
@@ -66,6 +68,11 @@ impl fmt::Display for ConfigError {
                 "a {width}x{height} mesh is not addressable with {flit_bits}-bit header flits"
             ),
             ConfigError::ZeroBufferDepth => write!(f, "input buffer depth must be at least 1"),
+            ConfigError::BufferTooDeep(depth) => write!(
+                f,
+                "input buffer depth {depth} exceeds {} flits",
+                crate::config::MAX_BUFFER_DEPTH
+            ),
             ConfigError::ZeroRoutingCycles => {
                 write!(f, "routing charge must be at least 1 cycle")
             }

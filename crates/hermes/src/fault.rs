@@ -345,122 +345,47 @@ impl FaultPlan {
     pub fn has_router_stalls(&self) -> bool {
         !self.stalls.is_empty()
     }
+}
 
-    /// Serializes the plan. Because every random decision is a pure
-    /// function of `(seed, site, cycle)`, the plan is the *complete*
-    /// injector state: restoring it and rebuilding the
-    /// [`FaultInjector`] reproduces all future fault decisions exactly.
-    pub(crate) fn snapshot_write(&self, w: &mut crate::snapshot::SnapshotWriter) {
-        fn put_window(w: &mut crate::snapshot::SnapshotWriter, window: &CycleWindow) {
-            w.put_u64(window.from);
-            w.put_u64(window.until);
-        }
-        fn put_opt_window(w: &mut crate::snapshot::SnapshotWriter, window: &Option<CycleWindow>) {
-            w.put_bool(window.is_some());
-            if let Some(window) = window {
-                put_window(w, window);
-            }
-        }
-        w.put_u64(self.seed);
-        w.put_f64(self.corrupt_rate);
-        put_opt_window(w, &self.corrupt_window);
-        w.put_f64(self.drop_rate);
-        put_opt_window(w, &self.drop_window);
-        w.put_usize(self.outages.len());
-        for outage in &self.outages {
-            w.put_addr(outage.router);
-            w.put_port(outage.port);
-            put_window(w, &outage.window);
-        }
-        w.put_usize(self.stalls.len());
-        for stall in &self.stalls {
-            w.put_addr(stall.router);
-            put_window(w, &stall.window);
-        }
-        w.put_usize(self.router_downs.len());
-        for down in &self.router_downs {
-            w.put_addr(down.router);
-            w.put_u64(down.cycle);
-        }
-        w.put_usize(self.endpoint_downs.len());
-        for down in &self.endpoint_downs {
-            w.put_addr(down.router);
-            w.put_u64(down.cycle);
-        }
+// Because every random decision is a pure function of `(seed, site,
+// cycle)`, the plan is the *complete* injector state: restoring it and
+// rebuilding the `FaultInjector` reproduces all future fault decisions
+// exactly. A decoded plan still has to pass `FaultPlan::validate`.
+crate::snap_struct!(CycleWindow { from, until } LinkOutage {
+    router,
+    port,
+    window,
+} RouterStall {
+    router,
+    window
+} RouterDown {
+    router,
+    cycle
+} EndpointDown {
+    router,
+    cycle
+} FaultPlan {
+    seed,
+    corrupt_rate,
+    corrupt_window,
+    drop_rate,
+    drop_window,
+    outages,
+    stalls,
+    router_downs,
+    endpoint_downs,
+});
+
+/// An injector is its plan (see above).
+impl crate::snapshot::Snap for FaultInjector {
+    fn put(&self, w: &mut crate::snapshot::SnapshotWriter) {
+        w.put(&self.plan);
     }
 
-    /// Decodes a plan written by
-    /// [`snapshot_write`](Self::snapshot_write); the caller re-runs
-    /// [`validate`](Self::validate).
-    pub(crate) fn snapshot_read(
+    fn take(
         r: &mut crate::snapshot::SnapshotReader<'_>,
     ) -> Result<Self, crate::snapshot::SnapshotError> {
-        fn take_window(
-            r: &mut crate::snapshot::SnapshotReader<'_>,
-        ) -> Result<CycleWindow, crate::snapshot::SnapshotError> {
-            Ok(CycleWindow {
-                from: r.take_u64()?,
-                until: r.take_u64()?,
-            })
-        }
-        fn take_opt_window(
-            r: &mut crate::snapshot::SnapshotReader<'_>,
-        ) -> Result<Option<CycleWindow>, crate::snapshot::SnapshotError> {
-            Ok(if r.take_bool()? {
-                Some(take_window(r)?)
-            } else {
-                None
-            })
-        }
-        let seed = r.take_u64()?;
-        let corrupt_rate = r.take_f64()?;
-        let corrupt_window = take_opt_window(r)?;
-        let drop_rate = r.take_f64()?;
-        let drop_window = take_opt_window(r)?;
-        let outage_count = r.take_len(19)?;
-        let mut outages = Vec::with_capacity(outage_count);
-        for _ in 0..outage_count {
-            outages.push(LinkOutage {
-                router: r.take_addr()?,
-                port: r.take_port()?,
-                window: take_window(r)?,
-            });
-        }
-        let stall_count = r.take_len(18)?;
-        let mut stalls = Vec::with_capacity(stall_count);
-        for _ in 0..stall_count {
-            stalls.push(RouterStall {
-                router: r.take_addr()?,
-                window: take_window(r)?,
-            });
-        }
-        let router_down_count = r.take_len(10)?;
-        let mut router_downs = Vec::with_capacity(router_down_count);
-        for _ in 0..router_down_count {
-            router_downs.push(RouterDown {
-                router: r.take_addr()?,
-                cycle: r.take_u64()?,
-            });
-        }
-        let endpoint_down_count = r.take_len(10)?;
-        let mut endpoint_downs = Vec::with_capacity(endpoint_down_count);
-        for _ in 0..endpoint_down_count {
-            endpoint_downs.push(EndpointDown {
-                router: r.take_addr()?,
-                cycle: r.take_u64()?,
-            });
-        }
-        Ok(Self {
-            seed,
-            corrupt_rate,
-            corrupt_window,
-            drop_rate,
-            drop_window,
-            outages,
-            stalls,
-            router_downs,
-            endpoint_downs,
-        })
+        Ok(Self::new(r.take()?))
     }
 }
 

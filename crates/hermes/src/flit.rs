@@ -24,6 +24,13 @@ pub struct Flit {
     pub arrived: u64,
 }
 
+crate::snap_struct!(Flit {
+    value,
+    packet,
+    src,
+    arrived
+});
+
 impl Flit {
     /// Creates a flit.
     pub const fn new(value: u16, packet: PacketId, src: RouterAddr, arrived: u64) -> Self {

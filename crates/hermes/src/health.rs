@@ -131,14 +131,7 @@ impl HealthMonitor {
     /// exactly the entries with `dead_since` set, so it is rebuilt on
     /// restore. The threshold comes from the configuration.
     pub fn snapshot_write(&self, w: &mut crate::snapshot::SnapshotWriter) {
-        w.put_usize(self.entries.len());
-        for health in self.entries.values() {
-            w.put_link(health.link);
-            w.put_u32(health.consecutive_failures);
-            w.put_u64(health.failures);
-            w.put_u64(health.successes);
-            w.put_opt_u64(health.dead_since);
-        }
+        w.put(&self.snapshot());
     }
 
     /// Restores the tracked entries into a monitor freshly built from the
@@ -146,32 +139,28 @@ impl HealthMonitor {
     pub fn snapshot_read(
         &mut self,
         r: &mut crate::snapshot::SnapshotReader<'_>,
-        width: u8,
-        height: u8,
     ) -> Result<(), crate::snapshot::SnapshotError> {
-        use crate::snapshot::SnapshotError;
-        let count = r.take_len(12)?;
-        self.entries.clear();
-        self.dead.clear();
-        for _ in 0..count {
-            let link = r.take_link_in(width, height)?;
-            let health = LinkHealth {
-                link,
-                consecutive_failures: r.take_u32()?,
-                failures: r.take_u64()?,
-                successes: r.take_u64()?,
-                dead_since: r.take_opt_u64()?,
-            };
-            if self.entries.insert(link, health).is_some() {
-                return Err(SnapshotError::Malformed("duplicate health entry"));
+        for health in r.take::<Vec<LinkHealth>>()? {
+            if self.entries.insert(health.link, health).is_some() {
+                return Err(crate::snapshot::SnapshotError::Malformed(
+                    "duplicate health entry",
+                ));
             }
             if health.dead_since.is_some() {
-                self.dead.insert(link);
+                self.dead.insert(health.link);
             }
         }
         Ok(())
     }
 }
+
+crate::snap_struct!(LinkHealth {
+    link,
+    consecutive_failures,
+    failures,
+    successes,
+    dead_since,
+});
 
 #[cfg(test)]
 mod tests {

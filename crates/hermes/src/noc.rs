@@ -1426,16 +1426,14 @@ impl Noc {
     /// active-set flags and the profiler off.
     fn snapshot_write(&self, w: &mut SnapshotWriter, canonical: bool) {
         if canonical {
-            let config = self.config.clone().with_kernel_mode(KernelMode::Active);
-            config.snapshot_write(w);
+            w.put(&self.config.clone().with_kernel_mode(KernelMode::Active));
         } else {
-            self.config.snapshot_write(w);
+            w.put(&self.config);
         }
         // Explicit router count: lets the decoder distinguish "payload
         // from a different mesh shape" from generic corruption.
-        w.put_usize(self.routers.len());
-        w.put_u64(self.cycle);
-        w.put_u64(self.next_id);
+        w.put(&self.routers.len());
+        w.put(&(self.cycle, self.next_id));
         for router in &self.routers {
             router.snapshot_write(w);
         }
@@ -1444,60 +1442,41 @@ impl Noc {
         }
         self.stats.snapshot_write(w);
         self.health.snapshot_write(w);
-        w.put_usize(self.epochs.len());
-        for epoch in &self.epochs {
-            w.put_u64(epoch.announced);
-            w.put_addr(epoch.origin);
-            let dead = epoch.table.dead_links();
-            w.put_usize(dead.len());
-            for link in dead {
-                w.put_link(*link);
-            }
-        }
-        w.put_usize(self.dead_routers.len());
-        for addr in &self.dead_routers {
-            w.put_addr(*addr);
-        }
-        w.put_usize(self.dead_endpoints.len());
-        for addr in &self.dead_endpoints {
-            w.put_addr(*addr);
-        }
+        // An epoch is its announcement and dead-link set; the detour
+        // table is rebuilt from them on restore.
+        let epochs: Vec<_> = (self.epochs.iter())
+            .map(|e| (e.announced, e.origin, e.table.dead_links().clone()))
+            .collect();
+        w.put(&epochs);
+        w.put(&self.dead_routers);
+        w.put(&self.dead_endpoints);
         if !canonical {
             for flag in &self.active {
-                w.put_bool(*flag);
+                w.put(flag);
             }
         }
-        w.put_bool(self.injector.is_some());
-        if let Some(injector) = &self.injector {
-            injector.plan().snapshot_write(w);
-        }
-        w.put_bool(self.tracer.is_some());
-        if let Some(tracer) = &self.tracer {
-            tracer.snapshot_write(w);
-        }
-        w.put_bool(self.profiler.is_some() && !canonical);
-        w.put_bool(self.telemetry.is_some());
-        if let Some(telemetry) = self.telemetry.as_deref() {
-            telemetry.snapshot_write(w);
-        }
+        w.put(&self.injector);
+        w.put(&self.tracer);
+        w.put(&(self.profiler.is_some() && !canonical));
+        w.put(&self.telemetry);
     }
 
     /// Decodes a payload written by
     /// [`snapshot_write`](Self::snapshot_write), optionally overriding
-    /// the execution kernel before the configuration is re-validated.
+    /// the execution kernel before the configuration is re-validated,
+    /// then runs the checks that need the decoded network as context.
     fn snapshot_read(
         r: &mut SnapshotReader<'_>,
         kernel: Option<KernelMode>,
     ) -> Result<Self, SnapshotError> {
-        let version = r.version();
-        let mut config = NocConfig::snapshot_read(r, version)?;
+        let mut config: NocConfig = r.take()?;
         if let Some(kernel) = kernel {
             config.kernel = kernel;
         }
         config
             .validate()
             .map_err(|_| SnapshotError::Malformed("configuration fails validation"))?;
-        let routers = r.take_usize()?;
+        let routers = r.take_len()?;
         if routers != config.router_count() {
             return Err(SnapshotError::MeshMismatch {
                 width: config.width(),
@@ -1505,75 +1484,60 @@ impl Noc {
                 routers,
             });
         }
-        let (width, height) = (config.width(), config.height());
-        let topology = config.topology;
+        let mesh = (config.width(), config.height());
         let mut noc = Self::new(config)
             .map_err(|_| SnapshotError::Malformed("validated configuration failed to build"))?;
-        noc.cycle = r.take_u64()?;
-        noc.next_id = r.take_u64()?;
+        (noc.cycle, noc.next_id) = r.take()?;
         for router in &mut noc.routers {
             router.snapshot_read(r)?;
         }
         for endpoint in &mut noc.endpoints {
             endpoint.snapshot_read(r)?;
         }
-        noc.stats =
-            NocStats::snapshot_read(r, noc.routers.len(), noc.config.stats_window, width, height)?;
-        noc.health.snapshot_read(r, width, height)?;
-        let epoch_count = r.take_len(19)?;
-        let mut epochs = Vec::with_capacity(epoch_count);
-        for _ in 0..epoch_count {
-            let announced = r.take_u64()?;
-            let origin = r.take_addr_in(width, height)?;
-            let dead_count = r.take_len(2)?;
-            let mut dead = BTreeSet::new();
-            for _ in 0..dead_count {
-                if !dead.insert(r.take_link_in(width, height)?) {
-                    return Err(SnapshotError::Malformed("duplicate epoch dead link"));
-                }
-            }
-            epochs.push(Epoch {
+        noc.stats.snapshot_read(r)?;
+        noc.health.snapshot_read(r)?;
+        let epochs: Vec<(u64, RouterAddr, BTreeSet<LinkId>)> = r.take()?;
+        noc.dead_routers = r.take()?;
+        noc.dead_endpoints = r.take()?;
+        for flag in &mut noc.active {
+            *flag = r.take()?;
+        }
+        noc.injector = r.take()?;
+        noc.tracer = r.take()?;
+        if r.take()? {
+            noc.enable_phase_profiler();
+        }
+        if r.version() >= 4 {
+            noc.telemetry = r.take()?;
+        }
+
+        noc.stats.check_restored(noc.next_id, noc.cycle, mesh)?;
+        let epoch_addrs = epochs.iter().flat_map(|(_, origin, dead)| {
+            std::iter::once(*origin).chain(dead.iter().map(|link| link.0))
+        });
+        snapshot::check_mesh(
+            mesh,
+            (noc.health.snapshot().iter().map(|h| h.link.0))
+                .chain(epoch_addrs)
+                .chain(noc.dead_routers.iter().copied())
+                .chain(noc.dead_endpoints.iter().copied())
+                .chain(noc.telemetry.iter().flat_map(|t| t.addrs())),
+        )?;
+        if let Some(injector) = &noc.injector {
+            (injector.plan().validate())
+                .map_err(|_| SnapshotError::Malformed("fault plan fails validation"))?;
+        }
+        if let Some(telemetry) = &noc.telemetry {
+            telemetry.check_restored(noc.routers.len())?;
+        }
+        let topology = noc.config.topology;
+        noc.epochs = (epochs.into_iter())
+            .map(|(announced, origin, dead)| Epoch {
                 announced,
                 origin,
                 table: RouteTable::build(&topology, &dead),
-            });
-        }
-        noc.epochs = epochs;
-        let dead_router_count = r.take_len(2)?;
-        for _ in 0..dead_router_count {
-            if !noc.dead_routers.insert(r.take_addr_in(width, height)?) {
-                return Err(SnapshotError::Malformed("duplicate dead router"));
-            }
-        }
-        let dead_endpoint_count = r.take_len(2)?;
-        for _ in 0..dead_endpoint_count {
-            if !noc.dead_endpoints.insert(r.take_addr_in(width, height)?) {
-                return Err(SnapshotError::Malformed("duplicate dead endpoint"));
-            }
-        }
-        for flag in &mut noc.active {
-            *flag = r.take_bool()?;
-        }
-        if r.take_bool()? {
-            let plan = FaultPlan::snapshot_read(r)?;
-            plan.validate()
-                .map_err(|_| SnapshotError::Malformed("fault plan fails validation"))?;
-            noc.injector = Some(FaultInjector::new(plan));
-        }
-        if r.take_bool()? {
-            noc.tracer = Some(PacketTracer::snapshot_read(r)?);
-        }
-        if r.take_bool()? {
-            noc.enable_phase_profiler();
-        }
-        if r.version() >= 4 && r.take_bool()? {
-            noc.telemetry = Some(Box::new(Telemetry::snapshot_read(
-                r,
-                noc.routers.len(),
-                width,
-                height,
-            )?));
-        }
+            })
+            .collect();
         Ok(noc)
     }
 }
@@ -2354,4 +2318,72 @@ mod tests {
 
     /// A mid-payload offset used by the bit-flip test.
     const HEADER_LEN_PROBE: usize = 64;
+
+    /// Applies `edit` to the payload of `bytes` and re-seals the
+    /// checksum, so the decoder, not the checksum, has to refuse it.
+    fn resealed(mut bytes: Vec<u8>, edit: impl FnOnce(&mut [u8])) -> Vec<u8> {
+        use crate::snapshot::{fletcher64, HEADER_LEN};
+        let body = bytes.len() - 8;
+        edit(&mut bytes[HEADER_LEN..body]);
+        let sum = fletcher64(&bytes[..body]);
+        bytes[body..].copy_from_slice(&sum.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn corrupt_buffer_depth_is_a_typed_error_not_an_allocation() {
+        // The top byte of the configured depth (after the topology tag,
+        // width, height and flit width) would size every input buffer at
+        // 2^56 flits.
+        let bytes = resealed(noc_2x2().save_state(), |p| p[11] = 0x01);
+        assert_eq!(
+            Noc::restore_state(&bytes).unwrap_err(),
+            SnapshotError::Malformed("configuration fails validation")
+        );
+    }
+
+    #[test]
+    fn restore_rejects_a_next_id_ahead_of_the_record_ring() {
+        let mut noc = noc_2x2();
+        noc.send(
+            RouterAddr::new(0, 0),
+            Packet::new(RouterAddr::new(1, 1), vec![7]),
+        )
+        .unwrap();
+        noc.run_until_idle(10_000).unwrap();
+        // `next_id` follows the 43-byte configuration, the router count
+        // and the cycle.
+        let bytes = resealed(noc.save_state(), |p| {
+            assert_eq!(p[59..67], 1u64.to_le_bytes());
+            p[59] = 2;
+        });
+        assert_eq!(
+            Noc::restore_state(&bytes).unwrap_err(),
+            SnapshotError::Malformed("record ids disagree with next id")
+        );
+    }
+
+    #[test]
+    fn restore_rejects_a_packet_sent_after_the_snapshot_cycle() {
+        let mut noc = noc_2x2();
+        noc.run(1000);
+        noc.send(
+            RouterAddr::new(0, 0),
+            Packet::new(RouterAddr::new(1, 1), vec![7]),
+        )
+        .unwrap();
+        // The record's `sent` is the last 8-byte 1000 in the payload.
+        let bytes = resealed(noc.save_state(), |p| {
+            let sent = 1000u64.to_le_bytes();
+            let at = (0..p.len() - 8)
+                .rev()
+                .find(|&i| p[i..i + 8] == sent)
+                .unwrap();
+            p[at..at + 8].copy_from_slice(&5000u64.to_le_bytes());
+        });
+        assert_eq!(
+            Noc::restore_state(&bytes).unwrap_err(),
+            SnapshotError::Malformed("packet sent after snapshot cycle")
+        );
+    }
 }

@@ -22,6 +22,8 @@ pub struct Packet {
     payload: Vec<u16>,
 }
 
+crate::snap_struct!(Packet { dest, payload });
+
 impl Packet {
     /// Creates a packet addressed to `dest` carrying `payload`.
     pub fn new(dest: RouterAddr, payload: Vec<u16>) -> Self {

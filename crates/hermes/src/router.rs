@@ -6,53 +6,14 @@ use crate::addr::{Port, RouterAddr};
 use crate::arbiter::Arbiter;
 use crate::buffer::FlitBuffer;
 use crate::config::NocConfig;
-use crate::endpoint::PacketId;
 use crate::flit::Flit;
 use crate::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 
-/// Serializes a flit FIFO head-to-tail (capacity comes from the
-/// configuration).
-fn write_flit_buffer(buffer: &FlitBuffer, w: &mut SnapshotWriter) {
-    let mut flits = buffer.clone();
-    w.put_usize(buffer.len());
-    while let Some(flit) = flits.pop() {
-        w.put_u16(flit.value);
-        w.put_u64(flit.packet.as_u64());
-        w.put_addr(flit.src);
-        w.put_u64(flit.arrived);
-    }
-}
-
-/// Rebuilds a flit FIFO of capacity `depth` from its serialized form.
-fn read_flit_buffer(r: &mut SnapshotReader<'_>, depth: usize) -> Result<FlitBuffer, SnapshotError> {
-    let len = r.take_len(20)?;
-    if len > depth {
-        return Err(SnapshotError::Malformed("flit buffer over capacity"));
-    }
-    let mut buffer = FlitBuffer::new(depth);
-    for _ in 0..len {
-        let value = r.take_u16()?;
-        let packet = PacketId(r.take_u64()?);
-        let src = r.take_addr()?;
-        let arrived = r.take_u64()?;
-        let pushed = buffer.push(Flit::new(value, packet, src, arrived));
-        debug_assert!(pushed, "len was checked against capacity");
-    }
-    Ok(buffer)
-}
-
-/// Decodes an optional `u64` into an optional `usize`.
-fn opt_usize(value: Option<u64>) -> Result<Option<usize>, SnapshotError> {
-    value
-        .map(|v| usize::try_from(v).map_err(|_| SnapshotError::Malformed("count overflows usize")))
-        .transpose()
-}
-
-/// Decodes an optional crossbar port index, validating the range.
-fn take_opt_port_index(r: &mut SnapshotReader<'_>) -> Result<Option<usize>, SnapshotError> {
-    match opt_usize(r.take_opt_u64()?)? {
+/// Rejects a crossbar port index outside the five ports.
+fn check_port_index(index: Option<usize>) -> Result<(), SnapshotError> {
+    match index {
         Some(index) if index >= 5 => Err(SnapshotError::Malformed("crossbar port index")),
-        other => Ok(other),
+        _ => Ok(()),
     }
 }
 
@@ -126,31 +87,47 @@ impl InputPort {
         self.blocked_cycles = 0;
     }
 
-    /// Serializes the buffered flits and wormhole connection state.
+    /// Serializes the buffered flits (head first) and the wormhole
+    /// connection state.
     pub fn snapshot_write(&self, w: &mut SnapshotWriter) {
-        write_flit_buffer(&self.buffer, w);
-        w.put_opt_u64(self.conn.map(|c| c as u64));
-        w.put_u64(self.conn_active_at);
-        w.put_usize(self.fwd_count);
-        w.put_opt_u64(self.fwd_expected.map(|c| c as u64));
-        w.put_bool(self.sinking);
-        w.put_u64(self.sink_ready_at);
-        w.put_opt_u64(self.cur_packet.map(PacketId::as_u64));
-        w.put_u32(self.blocked_cycles);
+        let mut buffer = self.buffer.clone();
+        w.put(&std::iter::from_fn(|| buffer.pop()).collect::<Vec<Flit>>());
+        w.put(&(
+            self.conn,
+            self.conn_active_at,
+            self.fwd_count,
+            self.fwd_expected,
+        ));
+        w.put(&(
+            self.sinking,
+            self.sink_ready_at,
+            self.cur_packet,
+            self.blocked_cycles,
+        ));
     }
 
     /// Restores state into a port freshly built from the configuration.
     pub fn snapshot_read(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        self.buffer = read_flit_buffer(r, self.buffer.capacity())?;
-        self.conn = take_opt_port_index(r)?;
-        self.conn_active_at = r.take_u64()?;
-        self.fwd_count = r.take_usize()?;
-        self.fwd_expected = opt_usize(r.take_opt_u64()?)?;
-        self.sinking = r.take_bool()?;
-        self.sink_ready_at = r.take_u64()?;
-        self.cur_packet = r.take_opt_u64()?.map(PacketId);
-        self.blocked_cycles = r.take_u32()?;
-        Ok(())
+        let flits: Vec<Flit> = r.take()?;
+        if flits.len() > self.buffer.capacity() {
+            return Err(SnapshotError::Malformed("flit buffer over capacity"));
+        }
+        for flit in flits {
+            self.buffer.push(flit);
+        }
+        (
+            self.conn,
+            self.conn_active_at,
+            self.fwd_count,
+            self.fwd_expected,
+        ) = r.take()?;
+        (
+            self.sinking,
+            self.sink_ready_at,
+            self.cur_packet,
+            self.blocked_cycles,
+        ) = r.take()?;
+        check_port_index(self.conn)
     }
 }
 
@@ -164,6 +141,13 @@ pub(crate) struct OutputPort {
     /// asynchronous handshake takes `cycles_per_flit` per flit).
     pub next_free: u64,
 }
+
+crate::snap_struct!(OutputPort { owner, next_free } RouterCounters {
+    grants,
+    blocked_cycles,
+    flits_forwarded,
+    buffer_peak,
+});
 
 impl OutputPort {
     fn new() -> Self {
@@ -239,16 +223,9 @@ impl Router {
         for input in &self.inputs {
             input.snapshot_write(w);
         }
-        for output in &self.outputs {
-            w.put_opt_u64(output.owner.map(|o| o as u64));
-            w.put_u64(output.next_free);
-        }
+        w.put(&self.outputs);
         self.arbiter.snapshot_write(w);
-        w.put_u64(self.control_busy_until);
-        w.put_u64(self.counters.grants);
-        w.put_u64(self.counters.blocked_cycles);
-        w.put_u64(self.counters.flits_forwarded);
-        w.put_u64(self.counters.buffer_peak);
+        w.put(&(self.control_busy_until, self.counters));
     }
 
     /// Restores state into a router freshly built from the configuration.
@@ -256,16 +233,12 @@ impl Router {
         for input in &mut self.inputs {
             input.snapshot_read(r)?;
         }
-        for output in &mut self.outputs {
-            output.owner = take_opt_port_index(r)?;
-            output.next_free = r.take_u64()?;
+        self.outputs = r.take()?;
+        for output in &self.outputs {
+            check_port_index(output.owner)?;
         }
         self.arbiter.snapshot_read(r)?;
-        self.control_busy_until = r.take_u64()?;
-        self.counters.grants = r.take_u64()?;
-        self.counters.blocked_cycles = r.take_u64()?;
-        self.counters.flits_forwarded = r.take_u64()?;
-        self.counters.buffer_peak = r.take_u64()?;
+        (self.control_busy_until, self.counters) = r.take()?;
         Ok(())
     }
 }

@@ -52,6 +52,12 @@ pub enum Routing {
     FaultTolerantXy,
 }
 
+crate::snap_enum!(Routing, "routing tag" {
+    Xy = 0,
+    Yx = 1,
+    FaultTolerantXy = 2,
+});
+
 impl Routing {
     /// The output port a packet for `dest` takes at router `here`, on a
     /// healthy grid topology. Returns [`Port::Local`] when the packet has

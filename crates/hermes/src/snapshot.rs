@@ -12,14 +12,28 @@
 //! 17+n    8     Fletcher-64 checksum of bytes [0, 17+n)
 //! ```
 //!
-//! The payload itself is a flat little-endian field stream written by
-//! [`SnapshotWriter`] and read back by [`SnapshotReader`]; sequences are
-//! length-prefixed, options are tag-prefixed. There is no external
-//! serialization dependency — the codec is hand-rolled in the same spirit
-//! as the `multinoc-bench::json` parser, and every decode path is bounds-
-//! checked so that truncated, bit-flipped, or otherwise corrupt input
-//! yields a typed [`SnapshotError`], never a panic or a silently wrong
-//! restore.
+//! The payload itself is a flat little-endian field stream. Every
+//! checkpointed type defines its encoding once, as an implementation of
+//! [`Snap`]: [`put`](Snap::put) appends it to a [`SnapshotWriter`] and
+//! [`take`](Snap::take) reads it back from a [`SnapshotReader`]. The
+//! generic implementations here fix the shared conventions — integers
+//! little-endian, `usize` as `u64`, options behind a 0/1 tag, sequences,
+//! sets and maps behind a `u64` length (maps and sets in key order,
+//! repeated keys rejected), arrays and tuples bare — and
+//! [`snap_struct!`](crate::snap_struct) /
+//! [`snap_enum!`](crate::snap_enum) derive a struct's or a fieldless
+//! enum's encoding from one list of its fields or variants.
+//!
+//! Sequence lengths are bounded in one place, [`SnapshotReader::take_len`]:
+//! every element encodes to at least one byte, so a length beyond the
+//! payload bytes left is corrupt, and a decoded vector never reserves
+//! more memory than those bytes. Decoding checks what the bytes alone
+//! can refute (tags, duplicate keys, lengths); checks that need context
+//! — the mesh shape, the record window, the router count — run on the
+//! decoded value (see [`check_mesh`]). There is no external
+//! serialization dependency, and every decode path is bounds-checked, so
+//! truncated or corrupt input yields a typed [`SnapshotError`] rather
+//! than a panic.
 //!
 //! Versioning policy: the format version is bumped whenever the payload
 //! layout changes; decoders accept exactly the versions they know how to
@@ -30,11 +44,12 @@
 //! observable state, so a snapshot taken under one kernel restores under
 //! any other.
 
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::error::Error;
 use std::fmt;
+use std::hash::Hash;
 
 use crate::addr::{Port, RouterAddr};
-use crate::stats::LinkId;
 
 /// Magic bytes opening every snapshot container.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"MNSP";
@@ -197,80 +212,9 @@ impl SnapshotWriter {
         self.buf.is_empty()
     }
 
-    /// Writes one byte.
-    pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Writes a little-endian `u16`.
-    pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Writes a little-endian `u32`.
-    pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Writes a little-endian `u64`.
-    pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Writes a `usize` as a little-endian `u64`.
-    pub fn put_usize(&mut self, v: usize) {
-        self.put_u64(v as u64);
-    }
-
-    /// Writes a bool as one byte (0 or 1).
-    pub fn put_bool(&mut self, v: bool) {
-        self.put_u8(u8::from(v));
-    }
-
-    /// Writes an `f64` by bit pattern (exact round-trip).
-    pub fn put_f64(&mut self, v: f64) {
-        self.put_u64(v.to_bits());
-    }
-
-    /// Writes an optional `u64` as a presence tag plus the value.
-    pub fn put_opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            None => self.put_u8(0),
-            Some(x) => {
-                self.put_u8(1);
-                self.put_u64(x);
-            }
-        }
-    }
-
-    /// Writes a length-prefixed UTF-8 string.
-    pub fn put_str(&mut self, s: &str) {
-        self.put_usize(s.len());
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    /// Writes a length-prefixed opaque byte blob (for example a nested,
-    /// independently sealed snapshot container).
-    pub fn put_bytes(&mut self, bytes: &[u8]) {
-        self.put_usize(bytes.len());
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Writes a router address as its two mesh coordinates.
-    pub fn put_addr(&mut self, addr: RouterAddr) {
-        self.put_u8(addr.x());
-        self.put_u8(addr.y());
-    }
-
-    /// Writes a port as its index tag.
-    pub fn put_port(&mut self, port: Port) {
-        self.put_u8(port.index() as u8);
-    }
-
-    /// Writes a directed link (upstream router, output port).
-    pub fn put_link(&mut self, link: LinkId) {
-        self.put_addr(link.0);
-        self.put_port(link.1);
+    /// Writes `value` in its [`Snap`] encoding.
+    pub fn put<T: Snap>(&mut self, value: &T) {
+        value.put(self);
     }
 
     /// [`fletcher64`] of the payload written so far, without sealing
@@ -367,7 +311,7 @@ impl<'a> SnapshotReader<'a> {
         self.buf.len() - self.pos
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
+    fn bytes(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
         if self.remaining() < n {
             return Err(SnapshotError::Truncated);
         }
@@ -376,177 +320,29 @@ impl<'a> SnapshotReader<'a> {
         Ok(slice)
     }
 
-    /// Reads one byte.
+    /// Reads a `T` from its [`Snap`] encoding.
     ///
     /// # Errors
     ///
-    /// [`SnapshotError::Truncated`] past the payload end.
-    pub fn take_u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take(1)?[0])
+    /// Whatever [`Snap::take`] reports for `T`.
+    pub fn take<T: Snap>(&mut self) -> Result<T, SnapshotError> {
+        T::take(self)
     }
 
-    /// Reads a little-endian `u16`.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Truncated`] past the payload end.
-    pub fn take_u16(&mut self) -> Result<u16, SnapshotError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    /// Reads a little-endian `u32`.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Truncated`] past the payload end.
-    pub fn take_u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    /// Reads a little-endian `u64`.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Truncated`] past the payload end.
-    pub fn take_u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Reads a `usize` written by [`SnapshotWriter::put_usize`].
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Truncated`] past the payload end, or
-    /// [`SnapshotError::Malformed`] when the value does not fit `usize`.
-    pub fn take_usize(&mut self) -> Result<usize, SnapshotError> {
-        usize::try_from(self.take_u64()?).map_err(|_| SnapshotError::Malformed("usize overflow"))
-    }
-
-    /// Reads a bool, rejecting anything but 0 or 1.
+    /// Reads a sequence length prefix. Every element encodes to at least
+    /// one byte, so a length beyond the bytes left is corrupt: bounding
+    /// it here keeps a damaged prefix from driving an outsized loop or
+    /// allocation.
     ///
     /// # Errors
     ///
     /// [`SnapshotError::Truncated`] or [`SnapshotError::Malformed`].
-    pub fn take_bool(&mut self) -> Result<bool, SnapshotError> {
-        match self.take_u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(SnapshotError::Malformed("bool tag")),
-        }
-    }
-
-    /// Reads an `f64` by bit pattern.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Truncated`] past the payload end.
-    pub fn take_f64(&mut self) -> Result<f64, SnapshotError> {
-        Ok(f64::from_bits(self.take_u64()?))
-    }
-
-    /// Reads an optional `u64` written by [`SnapshotWriter::put_opt_u64`].
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Truncated`] or [`SnapshotError::Malformed`].
-    pub fn take_opt_u64(&mut self) -> Result<Option<u64>, SnapshotError> {
-        match self.take_u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.take_u64()?)),
-            _ => Err(SnapshotError::Malformed("option tag")),
-        }
-    }
-
-    /// Reads a sequence length prefix, bounding it by the bytes actually
-    /// remaining (`elem_floor` = minimum encoded size of one element) so
-    /// a corrupt length can never trigger an outsized allocation.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Truncated`] or [`SnapshotError::Malformed`].
-    pub fn take_len(&mut self, elem_floor: usize) -> Result<usize, SnapshotError> {
-        let len = self.take_usize()?;
-        let floor = elem_floor.max(1);
-        if len
-            .checked_mul(floor)
-            .is_none_or(|bytes| bytes > self.remaining())
-        {
+    pub fn take_len(&mut self) -> Result<usize, SnapshotError> {
+        let len: usize = self.take()?;
+        if len > self.remaining() {
             return Err(SnapshotError::Malformed("sequence length exceeds payload"));
         }
         Ok(len)
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Truncated`] or [`SnapshotError::Malformed`].
-    pub fn take_str(&mut self) -> Result<String, SnapshotError> {
-        let len = self.take_len(1)?;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| SnapshotError::Malformed("utf-8 string"))
-    }
-
-    /// Reads a length-prefixed opaque byte blob written by
-    /// [`SnapshotWriter::put_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Truncated`] or [`SnapshotError::Malformed`].
-    pub fn take_bytes(&mut self) -> Result<Vec<u8>, SnapshotError> {
-        let len = self.take_len(1)?;
-        Ok(self.take(len)?.to_vec())
-    }
-
-    /// Reads a router address (no mesh-bounds check; callers validate
-    /// against their config where it matters).
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Truncated`] past the payload end.
-    pub fn take_addr(&mut self) -> Result<RouterAddr, SnapshotError> {
-        let x = self.take_u8()?;
-        let y = self.take_u8()?;
-        Ok(RouterAddr::new(x, y))
-    }
-
-    /// Reads a router address, validating it lies on a `width`×`height`
-    /// mesh.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Truncated`] or [`SnapshotError::Malformed`].
-    pub fn take_addr_in(&mut self, width: u8, height: u8) -> Result<RouterAddr, SnapshotError> {
-        let addr = self.take_addr()?;
-        if addr.x() >= width || addr.y() >= height {
-            return Err(SnapshotError::Malformed("router address outside mesh"));
-        }
-        Ok(addr)
-    }
-
-    /// Reads a port tag, rejecting anything but the five valid ports.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Truncated`] or [`SnapshotError::Malformed`].
-    pub fn take_port(&mut self) -> Result<Port, SnapshotError> {
-        let tag = usize::from(self.take_u8()?);
-        if tag >= Port::ALL.len() {
-            return Err(SnapshotError::Malformed("port tag"));
-        }
-        Ok(Port::from_index(tag))
-    }
-
-    /// Reads a directed link whose router must lie on a `width`×`height`
-    /// mesh.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Truncated`] or [`SnapshotError::Malformed`].
-    pub fn take_link_in(&mut self, width: u8, height: u8) -> Result<LinkId, SnapshotError> {
-        let addr = self.take_addr_in(width, height)?;
-        let port = self.take_port()?;
-        Ok((addr, port))
     }
 
     /// Asserts the payload was consumed exactly.
@@ -559,6 +355,373 @@ impl<'a> SnapshotReader<'a> {
             return Err(SnapshotError::TrailingBytes(self.remaining()));
         }
         Ok(())
+    }
+}
+
+/// A type with one snapshot encoding: [`put`](Snap::put) writes it and
+/// [`take`](Snap::take) reads it back, so the format is defined once per
+/// type. Sequences and maps carry a `u64` length prefix, options a 0/1
+/// tag; structs are their fields in the order
+/// [`snap_struct!`](crate::snap_struct) lists them. Decoding checks everything the
+/// bytes alone can refute — tags, duplicate keys, lengths against the
+/// payload left; checks that need context (mesh shape, record window,
+/// router count) run on the decoded value.
+pub trait Snap: Sized {
+    /// Appends the encoding of `self`.
+    fn put(&self, w: &mut SnapshotWriter);
+
+    /// Decodes one value.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Truncated`] past the payload end, or
+    /// [`SnapshotError::Malformed`] naming the field that failed.
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError>;
+
+    /// Appends `items` back to back; `u8` overrides it with one copy.
+    #[doc(hidden)]
+    fn put_all(items: &[Self], w: &mut SnapshotWriter) {
+        for item in items {
+            item.put(w);
+        }
+    }
+
+    /// Decodes `len` values back to back. The vector reserves no more
+    /// memory than the payload bytes left and grows past that only as
+    /// values decode; the integer types override it to decode in bulk.
+    #[doc(hidden)]
+    fn take_all(len: usize, r: &mut SnapshotReader<'_>) -> Result<Vec<Self>, SnapshotError> {
+        let fits = r.remaining() / std::mem::size_of::<Self>().max(1);
+        let mut items = Vec::with_capacity(len.min(fits));
+        for _ in 0..len {
+            items.push(Self::take(r)?);
+        }
+        Ok(items)
+    }
+}
+
+/// Implements [`Snap`] for structs as their listed fields in order:
+/// `snap_struct!(Window { from, until } PacketId { 0 })`. Every field
+/// type must implement [`Snap`]. A struct may name a check that the
+/// decoded value must pass, `Log { capacity, events } => Log::check`,
+/// where `check: fn(&Log) -> Result<(), SnapshotError>`.
+#[macro_export]
+macro_rules! snap_struct {
+    ($($ty:ident { $($field:tt),* $(,)? } $(=> $check:path)?)*) => {$(
+        impl $crate::snapshot::Snap for $ty {
+            fn put(&self, w: &mut $crate::snapshot::SnapshotWriter) {
+                $($crate::snapshot::Snap::put(&self.$field, w);)*
+            }
+            fn take(
+                r: &mut $crate::snapshot::SnapshotReader<'_>,
+            ) -> Result<Self, $crate::snapshot::SnapshotError> {
+                let value = Self { $($field: $crate::snapshot::Snap::take(r)?,)* };
+                $($check(&value)?;)?
+                Ok(value)
+            }
+        }
+    )*};
+}
+
+/// Implements [`Snap`] for a fieldless enum as a one-byte tag; an
+/// unknown tag is [`SnapshotError::Malformed`] with the given message:
+/// `snap_enum!(Arbitration, "arbitration tag" { RoundRobin = 0, FixedPriority = 1 })`.
+#[macro_export]
+macro_rules! snap_enum {
+    ($ty:ident, $what:literal { $($variant:ident = $tag:literal),* $(,)? }) => {
+        impl $crate::snapshot::Snap for $ty {
+            fn put(&self, w: &mut $crate::snapshot::SnapshotWriter) {
+                let tag: u8 = match self { $($ty::$variant => $tag,)* };
+                w.put(&tag);
+            }
+            fn take(
+                r: &mut $crate::snapshot::SnapshotReader<'_>,
+            ) -> Result<Self, $crate::snapshot::SnapshotError> {
+                match r.take::<u8>()? {
+                    $($tag => Ok($ty::$variant),)*
+                    _ => Err($crate::snapshot::SnapshotError::Malformed($what)),
+                }
+            }
+        }
+    };
+}
+
+/// Little-endian integers. Decoding assembles the listed bytes
+/// directly, which keeps the dense histograms cheap to restore.
+macro_rules! snap_le {
+    ($($t:ty: $($i:literal)+;)*) => {$(
+        impl Snap for $t {
+            fn put(&self, w: &mut SnapshotWriter) {
+                w.buf.extend_from_slice(&self.to_le_bytes());
+            }
+            fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+                let b = r.bytes(std::mem::size_of::<$t>())?;
+                Ok(<$t>::from_le_bytes([$(b[$i]),+]))
+            }
+            fn take_all(len: usize, r: &mut SnapshotReader<'_>) -> Result<Vec<Self>, SnapshotError> {
+                const SIZE: usize = std::mem::size_of::<$t>();
+                let bytes = r.bytes(len.checked_mul(SIZE).ok_or(SnapshotError::Truncated)?)?;
+                let mut items = Vec::with_capacity(len);
+                for b in bytes.chunks_exact(SIZE) {
+                    items.push(<$t>::from_le_bytes([$(b[$i]),+]));
+                }
+                Ok(items)
+            }
+        }
+    )*};
+}
+snap_le!(u16: 0 1; u32: 0 1 2 3; u64: 0 1 2 3 4 5 6 7;);
+
+/// Byte sequences (nested containers, serial queues) copy in one go.
+impl Snap for u8 {
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.buf.push(*self);
+    }
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(r.bytes(1)?[0])
+    }
+    fn put_all(items: &[Self], w: &mut SnapshotWriter) {
+        w.buf.extend_from_slice(items);
+    }
+    fn take_all(len: usize, r: &mut SnapshotReader<'_>) -> Result<Vec<Self>, SnapshotError> {
+        Ok(r.bytes(len)?.to_vec())
+    }
+}
+
+/// Written as a `u64`.
+impl Snap for usize {
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.put(&(*self as u64));
+    }
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        usize::try_from(r.take::<u64>()?).map_err(|_| SnapshotError::Malformed("usize overflow"))
+    }
+}
+
+/// One byte, 0 or 1.
+impl Snap for bool {
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.put(&u8::from(*self));
+    }
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        match r.take::<u8>()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(SnapshotError::Malformed("bool tag")),
+        }
+    }
+}
+
+/// The bit pattern, so the value round-trips exactly.
+impl Snap for f64 {
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.put(&self.to_bits());
+    }
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(f64::from_bits(r.take()?))
+    }
+}
+
+/// Length-prefixed UTF-8.
+impl Snap for String {
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.put(&self.len());
+        w.buf.extend_from_slice(self.as_bytes());
+    }
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        let len = r.take_len()?;
+        String::from_utf8(r.bytes(len)?.to_vec())
+            .map_err(|_| SnapshotError::Malformed("utf-8 string"))
+    }
+}
+
+/// The two mesh coordinates. Not bounded here: whether an address must
+/// lie on the mesh is the owner's check (see [`check_mesh`]).
+impl Snap for RouterAddr {
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.put(&self.x());
+        w.put(&self.y());
+    }
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(RouterAddr::new(r.take()?, r.take()?))
+    }
+}
+
+/// The port index as one byte.
+impl Snap for Port {
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.put(&(self.index() as u8));
+    }
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        let tag = usize::from(r.take::<u8>()?);
+        if tag >= Port::ALL.len() {
+            return Err(SnapshotError::Malformed("port tag"));
+        }
+        Ok(Port::from_index(tag))
+    }
+}
+
+/// A 0/1 presence tag, then the value.
+impl<T: Snap> Snap for Option<T> {
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.put(&self.is_some());
+        if let Some(value) = self {
+            value.put(w);
+        }
+    }
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        match r.take::<u8>()? {
+            0 => Ok(None),
+            1 => Ok(Some(r.take()?)),
+            _ => Err(SnapshotError::Malformed("option tag")),
+        }
+    }
+}
+
+impl<T: Snap> Snap for Box<T> {
+    fn put(&self, w: &mut SnapshotWriter) {
+        (**self).put(w);
+    }
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(Box::new(r.take()?))
+    }
+}
+
+/// A length prefix, then the items.
+impl<T: Snap> Snap for Vec<T> {
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.put(&self.len());
+        T::put_all(self, w);
+    }
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        let len = r.take_len()?;
+        T::take_all(len, r)
+    }
+}
+
+/// Encoded as a `Vec` of its items, front first.
+impl<T: Snap> Snap for VecDeque<T> {
+    fn put(&self, w: &mut SnapshotWriter) {
+        let (front, back) = self.as_slices();
+        w.put(&self.len());
+        T::put_all(front, w);
+        T::put_all(back, w);
+    }
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(r.take::<Vec<T>>()?.into())
+    }
+}
+
+/// Encoded as a `Vec` of its elements in order; a repeated element is
+/// malformed.
+impl<T: Snap + Ord> Snap for BTreeSet<T> {
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.put(&self.len());
+        for item in self {
+            item.put(w);
+        }
+    }
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        let items: Vec<T> = r.take()?;
+        let len = items.len();
+        let set: BTreeSet<T> = items.into_iter().collect();
+        if set.len() != len {
+            return Err(SnapshotError::Malformed("duplicate set element"));
+        }
+        Ok(set)
+    }
+}
+
+/// Writes `(key, value)` pairs in key order, so equal maps encode to
+/// equal bytes whatever their hashing.
+fn put_map<'a, K: Snap + Ord + 'a, V: Snap + 'a>(
+    w: &mut SnapshotWriter,
+    entries: impl ExactSizeIterator<Item = (&'a K, &'a V)>,
+) {
+    let mut entries: Vec<_> = entries.collect();
+    entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    w.put(&entries.len());
+    for (key, value) in entries {
+        key.put(w);
+        value.put(w);
+    }
+}
+
+/// Reads `(key, value)` pairs; a repeated key is malformed.
+fn take_map<K: Snap, V: Snap, M: Default>(
+    r: &mut SnapshotReader<'_>,
+    mut insert: impl FnMut(&mut M, K, V) -> bool,
+) -> Result<M, SnapshotError> {
+    let len = r.take_len()?;
+    let mut map = M::default();
+    for _ in 0..len {
+        let (key, value) = r.take()?;
+        if !insert(&mut map, key, value) {
+            return Err(SnapshotError::Malformed("duplicate map key"));
+        }
+    }
+    Ok(map)
+}
+
+impl<K: Snap + Ord, V: Snap> Snap for BTreeMap<K, V> {
+    fn put(&self, w: &mut SnapshotWriter) {
+        put_map(w, self.iter());
+    }
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        take_map(r, |m: &mut Self, k, v| m.insert(k, v).is_none())
+    }
+}
+
+impl<K: Snap + Ord + Hash, V: Snap> Snap for HashMap<K, V> {
+    fn put(&self, w: &mut SnapshotWriter) {
+        put_map(w, self.iter());
+    }
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        take_map(r, |m: &mut Self, k, v| m.insert(k, v).is_none())
+    }
+}
+
+/// The elements in order, no length prefix (the length is the type's).
+impl<T: Snap, const N: usize> Snap for [T; N] {
+    fn put(&self, w: &mut SnapshotWriter) {
+        T::put_all(self, w);
+    }
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        let items = T::take_all(N, r)?;
+        Ok(items
+            .try_into()
+            .unwrap_or_else(|_| unreachable!("exactly N items decoded")))
+    }
+}
+
+macro_rules! snap_tuple {
+    ($(($($t:ident . $i:tt),+))*) => {$(
+        impl<$($t: Snap),+> Snap for ($($t,)+) {
+            fn put(&self, w: &mut SnapshotWriter) {
+                $(self.$i.put(w);)+
+            }
+            fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+                Ok(($(r.take::<$t>()?,)+))
+            }
+        }
+    )*};
+}
+snap_tuple!((A.0, B.1)(A.0, B.1, C.2)(A.0, B.1, C.2, D.3));
+
+/// Rejects any address off a `width`×`height` mesh: the context check
+/// for every address field that must name a router of the network.
+///
+/// # Errors
+///
+/// [`SnapshotError::Malformed`] on the first address outside the mesh.
+pub fn check_mesh(
+    (width, height): (u8, u8),
+    addrs: impl IntoIterator<Item = RouterAddr>,
+) -> Result<(), SnapshotError> {
+    if addrs.into_iter().all(|a| a.x() < width && a.y() < height) {
+        Ok(())
+    } else {
+        Err(SnapshotError::Malformed("router address outside mesh"))
     }
 }
 
@@ -582,36 +745,80 @@ pub fn write_atomic(path: &std::path::Path, bytes: &[u8]) -> Result<(), Snapshot
 mod tests {
     use super::*;
 
+    type Sample = (
+        ((u8, u16), (u32, u64), bool, f64),
+        (Option<u64>, Option<u64>, String, Vec<u8>),
+        (RouterAddr, Port, VecDeque<u16>, BTreeSet<u8>),
+        (BTreeMap<u8, u16>, HashMap<u16, bool>, [u32; 3], Box<usize>),
+    );
+
+    fn sample_value() -> Sample {
+        (
+            ((7, 0xBEEF), (0xDEAD_BEEF, u64::MAX - 3), true, 0.125),
+            (Some(42), None, "worm".into(), vec![0x00, 0xFF, 0x7A]),
+            (
+                RouterAddr::new(2, 1),
+                Port::South,
+                [5, 6].into(),
+                [3, 1].into(),
+            ),
+            (
+                [(2, 20), (1, 10)].into(),
+                [(9, true), (4, false)].into(),
+                [1, 2, 3],
+                Box::new(99),
+            ),
+        )
+    }
+
     fn sample() -> Vec<u8> {
         let mut w = SnapshotWriter::new();
-        w.put_u8(7);
-        w.put_u16(0xBEEF);
-        w.put_u32(0xDEAD_BEEF);
-        w.put_u64(u64::MAX - 3);
-        w.put_bool(true);
-        w.put_f64(0.125);
-        w.put_opt_u64(Some(42));
-        w.put_opt_u64(None);
-        w.put_str("worm");
-        w.put_bytes(&[0x00, 0xFF, 0x7A]);
+        w.put(&sample_value());
         w.finish(KIND_NOC)
     }
 
     #[test]
-    fn round_trips_every_primitive() {
+    fn round_trips_every_generic_impl() {
         let bytes = sample();
         let mut r = SnapshotReader::open(&bytes, KIND_NOC).unwrap();
-        assert_eq!(r.take_u8().unwrap(), 7);
-        assert_eq!(r.take_u16().unwrap(), 0xBEEF);
-        assert_eq!(r.take_u32().unwrap(), 0xDEAD_BEEF);
-        assert_eq!(r.take_u64().unwrap(), u64::MAX - 3);
-        assert!(r.take_bool().unwrap());
-        assert_eq!(r.take_f64().unwrap(), 0.125);
-        assert_eq!(r.take_opt_u64().unwrap(), Some(42));
-        assert_eq!(r.take_opt_u64().unwrap(), None);
-        assert_eq!(r.take_str().unwrap(), "worm");
-        assert_eq!(r.take_bytes().unwrap(), vec![0x00, 0xFF, 0x7A]);
+        assert_eq!(r.take::<Sample>().unwrap(), sample_value());
         r.finish().unwrap();
+    }
+
+    #[test]
+    fn maps_encode_in_key_order_and_reject_duplicate_keys() {
+        let mut w = SnapshotWriter::new();
+        w.put(&HashMap::from([(3u8, 30u8), (1, 10), (2, 20)]));
+        let bytes = w.finish(KIND_NOC);
+        let payload = &bytes[HEADER_LEN..bytes.len() - TRAILER_LEN];
+        assert_eq!(payload[8..], [1, 10, 2, 20, 3, 30]);
+
+        let mut w = SnapshotWriter::new();
+        w.put(&vec![(1u8, 10u8), (1, 11)]);
+        let bytes = w.finish(KIND_NOC);
+        let mut r = SnapshotReader::open(&bytes, KIND_NOC).unwrap();
+        assert_eq!(
+            r.take::<BTreeMap<u8, u8>>().unwrap_err(),
+            SnapshotError::Malformed("duplicate map key")
+        );
+        let mut r = SnapshotReader::open(&bytes, KIND_NOC).unwrap();
+        assert_eq!(
+            r.take::<BTreeSet<(u8, u8)>>().map(|s| s.len()),
+            Ok(2),
+            "distinct pairs form a set"
+        );
+    }
+
+    #[test]
+    fn rejects_bad_tags() {
+        let mut w = SnapshotWriter::new();
+        w.put(&[2u8, 2, 5]);
+        let bytes = w.finish(KIND_NOC);
+        let mut r = SnapshotReader::open(&bytes, KIND_NOC).unwrap();
+        let malformed = SnapshotError::Malformed;
+        assert_eq!(r.take::<bool>(), Err(malformed("bool tag")));
+        assert_eq!(r.take::<Option<u8>>(), Err(malformed("option tag")));
+        assert_eq!(r.take::<Port>(), Err(malformed("port tag")));
     }
 
     #[test]
@@ -650,7 +857,7 @@ mod tests {
             SnapshotError::BadMagic
         );
         let mut w = SnapshotWriter::new();
-        w.put_u8(1);
+        w.put(&1u8);
         let mut versioned = w.finish(KIND_NOC);
         versioned[4] = 99;
         // Re-seal the checksum so only the version is wrong.
@@ -695,11 +902,11 @@ mod tests {
     #[test]
     fn bounds_sequence_lengths_by_remaining_payload() {
         let mut w = SnapshotWriter::new();
-        w.put_usize(usize::MAX / 2);
+        w.put(&(usize::MAX / 2));
         let bytes = w.finish(KIND_NOC);
         let mut r = SnapshotReader::open(&bytes, KIND_NOC).unwrap();
         assert_eq!(
-            r.take_len(8).unwrap_err(),
+            r.take::<Vec<u64>>().unwrap_err(),
             SnapshotError::Malformed("sequence length exceeds payload")
         );
     }

@@ -17,6 +17,7 @@ use std::collections::HashMap;
 use crate::addr::{Port, RouterAddr};
 use crate::endpoint::PacketId;
 pub use crate::router::RouterCounters;
+use crate::snapshot::{check_mesh, SnapshotError, SnapshotReader, SnapshotWriter};
 
 /// Latencies up to this many cycles land in their own one-cycle-wide
 /// histogram bucket (quantiles are exact for them); anything larger is
@@ -34,10 +35,21 @@ pub struct LatencyHistogram {
     sum: u64,
     min: u64,
     max: u64,
-    /// One-cycle-wide buckets, allocated on first observation.
-    buckets: Vec<u32>,
+    /// One-cycle-wide buckets, allocated on first observation; a
+    /// snapshot writes them densely behind a presence tag, so snapshots
+    /// of runs that delivered nothing stay small.
+    pub(crate) buckets: Option<Box<[u32; LATENCY_BUCKETS]>>,
     overflow: u64,
 }
+
+crate::snap_struct!(LatencyHistogram {
+    count,
+    sum,
+    min,
+    max,
+    buckets,
+    overflow,
+});
 
 impl LatencyHistogram {
     /// Folds one latency observation into the aggregate.
@@ -53,10 +65,10 @@ impl LatencyHistogram {
         self.sum += latency;
         match usize::try_from(latency) {
             Ok(idx) if idx < LATENCY_BUCKETS => {
-                if self.buckets.is_empty() {
-                    self.buckets = vec![0; LATENCY_BUCKETS];
-                }
-                self.buckets[idx] = self.buckets[idx].saturating_add(1);
+                let buckets = self
+                    .buckets
+                    .get_or_insert_with(|| Box::new([0; LATENCY_BUCKETS]));
+                buckets[idx] = buckets[idx].saturating_add(1);
             }
             _ => self.overflow += 1,
         }
@@ -90,7 +102,7 @@ impl LatencyHistogram {
     /// The raw one-cycle-wide buckets; empty until the first in-range
     /// observation (telemetry deltas).
     pub(crate) fn buckets(&self) -> &[u32] {
-        &self.buckets
+        self.buckets.as_deref().map_or(&[], |buckets| buckets)
     }
 
     /// Mean latency, or `None` if nothing was observed.
@@ -107,57 +119,13 @@ impl LatencyHistogram {
         }
         let rank = ((self.count - 1) as f64 * q.clamp(0.0, 1.0)).round() as u64;
         let mut seen = 0u64;
-        for (idx, &n) in self.buckets.iter().enumerate() {
+        for (idx, &n) in self.buckets().iter().enumerate() {
             seen += u64::from(n);
             if seen > rank {
                 return Some(idx as u64);
             }
         }
         Some(self.max)
-    }
-
-    /// Serializes the streaming aggregate. The bucket vector is written
-    /// only when allocated (a single bool distinguishes the two states),
-    /// so snapshots of short runs stay small.
-    pub(crate) fn snapshot_write(&self, w: &mut crate::snapshot::SnapshotWriter) {
-        w.put_u64(self.count);
-        w.put_u64(self.sum);
-        w.put_u64(self.min);
-        w.put_u64(self.max);
-        w.put_bool(!self.buckets.is_empty());
-        for &bucket in &self.buckets {
-            w.put_u32(bucket);
-        }
-        w.put_u64(self.overflow);
-    }
-
-    /// Decodes an aggregate written by
-    /// [`snapshot_write`](Self::snapshot_write).
-    pub(crate) fn snapshot_read(
-        r: &mut crate::snapshot::SnapshotReader<'_>,
-    ) -> Result<Self, crate::snapshot::SnapshotError> {
-        let count = r.take_u64()?;
-        let sum = r.take_u64()?;
-        let min = r.take_u64()?;
-        let max = r.take_u64()?;
-        let buckets = if r.take_bool()? {
-            let mut buckets = vec![0u32; LATENCY_BUCKETS];
-            for bucket in &mut buckets {
-                *bucket = r.take_u32()?;
-            }
-            buckets
-        } else {
-            Vec::new()
-        };
-        let overflow = r.take_u64()?;
-        Ok(Self {
-            count,
-            sum,
-            min,
-            max,
-            buckets,
-            overflow,
-        })
     }
 
     /// Median latency — [`quantile`](Self::quantile)`(0.5)`.
@@ -199,6 +167,18 @@ pub struct PacketRecord {
     /// Links traversed (Manhattan distance between source and destination).
     pub hops: u32,
 }
+
+crate::snap_struct!(PacketRecord {
+    id,
+    src,
+    dest,
+    sent,
+    injected,
+    header_delivered,
+    delivered,
+    wire_flits,
+    hops,
+});
 
 impl PacketRecord {
     /// Whether all flits have reached the destination.
@@ -294,6 +274,26 @@ pub struct HealthCounters {
     /// [`deadlock_timeout`]: crate::NocConfig::deadlock_timeout
     pub deadlock_recoveries: u64,
 }
+
+crate::snap_struct!(FaultCounters {
+    flits_corrupted,
+    packets_dropped,
+    flits_dropped,
+    link_down_blocks,
+    router_stall_cycles,
+} HealthCounters {
+    links_declared_dead,
+    epochs,
+    wedged_packets_dropped,
+    wedged_flits_flushed,
+    rerouted_grants,
+    unreachable_drops,
+    misaddressed_drops,
+    routers_declared_dead,
+    endpoints_declared_dead,
+    source_queue_drops,
+    deadlock_recoveries,
+});
 
 /// Aggregate statistics of a [`Noc`](crate::Noc) run.
 #[derive(Debug, Clone)]
@@ -471,149 +471,73 @@ impl NocStats {
     }
 
     /// Serializes all counters, the record ring and the latency
-    /// aggregate. Hash-map backed tallies are written in key order so the
-    /// byte stream is deterministic.
-    pub(crate) fn snapshot_write(&self, w: &mut crate::snapshot::SnapshotWriter) {
-        w.put_u64(self.cycles);
-        w.put_u64(self.packets_sent);
-        w.put_u64(self.packets_delivered);
-        w.put_u64(self.flit_hops);
-        w.put_u64(self.flits_delivered);
-        w.put_usize(self.records.len());
-        for record in &self.records {
-            w.put_u64(record.id.0);
-            w.put_addr(record.src);
-            w.put_addr(record.dest);
-            w.put_u64(record.sent);
-            w.put_opt_u64(record.injected);
-            w.put_opt_u64(record.header_delivered);
-            w.put_opt_u64(record.delivered);
-            w.put_usize(record.wire_flits);
-            w.put_u32(record.hops);
-        }
-        w.put_u64(self.base_id);
-        w.put_u64(self.evicted);
-        self.latency.snapshot_write(w);
-        let mut links: Vec<(&LinkId, &u64)> = self.link_flits.iter().collect();
-        links.sort_unstable_by_key(|(link, _)| **link);
-        w.put_usize(links.len());
-        for (link, flits) in links {
-            w.put_link(*link);
-            w.put_u64(*flits);
-        }
-        let mut ingress: Vec<(&RouterAddr, &u64)> = self.local_ingress_flits.iter().collect();
-        ingress.sort_unstable_by_key(|(addr, _)| **addr);
-        w.put_usize(ingress.len());
-        for (addr, flits) in ingress {
-            w.put_addr(*addr);
-            w.put_u64(*flits);
-        }
+    /// aggregate; the per-router counters are positional.
+    pub(crate) fn snapshot_write(&self, w: &mut SnapshotWriter) {
+        w.put(&(self.cycles, self.packets_sent, self.packets_delivered));
+        w.put(&(self.flit_hops, self.flits_delivered));
+        w.put(&self.records);
+        w.put(&(self.base_id, self.evicted));
+        w.put(&self.latency);
+        w.put(&self.link_flits);
+        w.put(&self.local_ingress_flits);
         for counters in &self.routers {
-            w.put_u64(counters.grants);
-            w.put_u64(counters.blocked_cycles);
-            w.put_u64(counters.flits_forwarded);
-            w.put_u64(counters.buffer_peak);
+            w.put(counters);
         }
-        w.put_u64(self.faults.flits_corrupted);
-        w.put_u64(self.faults.packets_dropped);
-        w.put_u64(self.faults.flits_dropped);
-        w.put_u64(self.faults.link_down_blocks);
-        w.put_u64(self.faults.router_stall_cycles);
-        w.put_u64(self.health.links_declared_dead);
-        w.put_u64(self.health.epochs);
-        w.put_u64(self.health.wedged_packets_dropped);
-        w.put_u64(self.health.wedged_flits_flushed);
-        w.put_u64(self.health.rerouted_grants);
-        w.put_u64(self.health.unreachable_drops);
-        w.put_u64(self.health.misaddressed_drops);
-        w.put_u64(self.health.routers_declared_dead);
-        w.put_u64(self.health.endpoints_declared_dead);
-        w.put_u64(self.health.source_queue_drops);
-        w.put_u64(self.health.deadlock_recoveries);
+        w.put(&(self.faults, self.health));
     }
 
-    /// Decodes statistics written by
-    /// [`snapshot_write`](Self::snapshot_write) for a mesh of
-    /// `router_count` routers with the configured record `window`.
+    /// Restores statistics written by
+    /// [`snapshot_write`](Self::snapshot_write) into statistics freshly
+    /// built for the configured router count and record window.
     pub(crate) fn snapshot_read(
-        r: &mut crate::snapshot::SnapshotReader<'_>,
-        router_count: usize,
-        window: usize,
-        width: u8,
-        height: u8,
-    ) -> Result<Self, crate::snapshot::SnapshotError> {
-        use crate::snapshot::SnapshotError;
-        let mut stats = Self::new(router_count, window);
-        stats.cycles = r.take_u64()?;
-        stats.packets_sent = r.take_u64()?;
-        stats.packets_delivered = r.take_u64()?;
-        stats.flit_hops = r.take_u64()?;
-        stats.flits_delivered = r.take_u64()?;
-        let record_count = r.take_len(35)?;
-        if record_count > stats.window.saturating_mul(2) {
+        &mut self,
+        r: &mut SnapshotReader<'_>,
+    ) -> Result<(), SnapshotError> {
+        (self.cycles, self.packets_sent, self.packets_delivered) = r.take()?;
+        (self.flit_hops, self.flits_delivered) = r.take()?;
+        self.records = r.take()?;
+        (self.base_id, self.evicted) = r.take()?;
+        self.latency = r.take()?;
+        self.link_flits = r.take()?;
+        self.local_ingress_flits = r.take()?;
+        for counters in &mut self.routers {
+            *counters = r.take()?;
+        }
+        (self.faults, self.health) = r.take()?;
+        Ok(())
+    }
+
+    /// The checks restored statistics need context for: the record ring
+    /// fits its window and numbers its packets sequentially up to the
+    /// network's `next_id`, no packet was sent after the snapshot's
+    /// `cycle`, and every tallied router lies on the mesh.
+    pub(crate) fn check_restored(
+        &self,
+        next_id: u64,
+        cycle: u64,
+        mesh: (u8, u8),
+    ) -> Result<(), SnapshotError> {
+        if self.records.len() > self.window.saturating_mul(2) {
             return Err(SnapshotError::Malformed("record ring over window"));
         }
-        stats.records = Vec::with_capacity(record_count);
-        for _ in 0..record_count {
-            stats.records.push(PacketRecord {
-                id: PacketId(r.take_u64()?),
-                src: r.take_addr_in(width, height)?,
-                dest: r.take_addr()?,
-                sent: r.take_u64()?,
-                injected: r.take_opt_u64()?,
-                header_delivered: r.take_opt_u64()?,
-                delivered: r.take_opt_u64()?,
-                wire_flits: r.take_usize()?,
-                hops: r.take_u32()?,
-            });
+        let mut ids = self.records.iter().enumerate();
+        if !ids.all(|(i, record)| record.id.0 == self.base_id.wrapping_add(i as u64)) {
+            return Err(SnapshotError::Malformed("record ids not sequential"));
         }
-        stats.base_id = r.take_u64()?;
-        stats.evicted = r.take_u64()?;
-        for (offset, record) in stats.records.iter().enumerate() {
-            if record.id.0 != stats.base_id.wrapping_add(offset as u64) {
-                return Err(SnapshotError::Malformed("record ids not sequential"));
-            }
+        if !self.records.is_empty()
+            && Some(next_id) != self.base_id.checked_add(self.records.len() as u64)
+        {
+            return Err(SnapshotError::Malformed("record ids disagree with next id"));
         }
-        stats.latency = LatencyHistogram::snapshot_read(r)?;
-        let link_count = r.take_len(11)?;
-        for _ in 0..link_count {
-            let link = r.take_link_in(width, height)?;
-            let flits = r.take_u64()?;
-            if stats.link_flits.insert(link, flits).is_some() {
-                return Err(SnapshotError::Malformed("duplicate link tally"));
-            }
+        if self.records.iter().any(|record| record.sent > cycle) {
+            return Err(SnapshotError::Malformed("packet sent after snapshot cycle"));
         }
-        let ingress_count = r.take_len(10)?;
-        for _ in 0..ingress_count {
-            let addr = r.take_addr_in(width, height)?;
-            let flits = r.take_u64()?;
-            if stats.local_ingress_flits.insert(addr, flits).is_some() {
-                return Err(SnapshotError::Malformed("duplicate ingress tally"));
-            }
-        }
-        for counters in &mut stats.routers {
-            counters.grants = r.take_u64()?;
-            counters.blocked_cycles = r.take_u64()?;
-            counters.flits_forwarded = r.take_u64()?;
-            counters.buffer_peak = r.take_u64()?;
-        }
-        stats.faults.flits_corrupted = r.take_u64()?;
-        stats.faults.packets_dropped = r.take_u64()?;
-        stats.faults.flits_dropped = r.take_u64()?;
-        stats.faults.link_down_blocks = r.take_u64()?;
-        stats.faults.router_stall_cycles = r.take_u64()?;
-        stats.health.links_declared_dead = r.take_u64()?;
-        stats.health.epochs = r.take_u64()?;
-        stats.health.wedged_packets_dropped = r.take_u64()?;
-        stats.health.wedged_flits_flushed = r.take_u64()?;
-        stats.health.rerouted_grants = r.take_u64()?;
-        stats.health.unreachable_drops = r.take_u64()?;
-        stats.health.misaddressed_drops = r.take_u64()?;
-        stats.health.routers_declared_dead = r.take_u64()?;
-        stats.health.endpoints_declared_dead = r.take_u64()?;
-        stats.health.source_queue_drops = r.take_u64()?;
-        stats.health.deadlock_recoveries = r.take_u64()?;
-        Ok(stats)
+        check_mesh(
+            mesh,
+            (self.records.iter().map(|record| record.src))
+                .chain(self.link_flits.keys().map(|link| link.0))
+                .chain(self.local_ingress_flits.keys().copied()),
+        )
     }
 
     /// A multi-line human-readable summary of the run.

@@ -21,8 +21,9 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use crate::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
-use crate::stats::{LinkId, NocStats};
+use crate::addr::RouterAddr;
+use crate::snapshot::SnapshotError;
+use crate::stats::{LinkId, NocStats, LATENCY_BUCKETS};
 use crate::topology::Topology;
 
 /// Fixed-point scale of the per-link EWMA state: per-mille utilization
@@ -190,7 +191,7 @@ pub struct Telemetry {
     base_latency_count: u64,
     base_latency_sum: u64,
     base_latency_overflow: u64,
-    base_latency_buckets: Vec<u32>,
+    base_latency_buckets: Option<Box<[u32; LATENCY_BUCKETS]>>,
     // ---- congestion analytics ----
     links: BTreeMap<LinkId, LinkState>,
     events: VecDeque<CongestionEvent>,
@@ -219,7 +220,7 @@ impl Telemetry {
             base_latency_count: 0,
             base_latency_sum: 0,
             base_latency_overflow: 0,
-            base_latency_buckets: Vec::new(),
+            base_latency_buckets: None,
             links: BTreeMap::new(),
             events: VecDeque::new(),
             events_evicted: 0,
@@ -246,7 +247,7 @@ impl Telemetry {
         self.base_latency_count = hist.count();
         self.base_latency_sum = hist.sum();
         self.base_latency_overflow = hist.overflow();
-        self.base_latency_buckets = hist.buckets().to_vec();
+        self.base_latency_buckets = hist.buckets.clone();
     }
 
     /// The configured sample interval in cycles.
@@ -371,15 +372,15 @@ impl Telemetry {
         {
             LatencyDelta::default()
         } else {
-            let cur = hist.buckets();
+            let base = self.base_latency_buckets.as_deref();
             let mut buckets = Vec::new();
-            for (idx, &n) in cur.iter().enumerate() {
-                let base = self.base_latency_buckets.get(idx).copied().unwrap_or(0);
+            for (idx, &n) in hist.buckets().iter().enumerate() {
+                let base = base.map_or(0, |base| base[idx]);
                 if n > base {
                     buckets.push((idx as u32, n - base));
                 }
             }
-            self.base_latency_buckets = cur.to_vec();
+            self.base_latency_buckets = hist.buckets.clone();
             let delta = LatencyDelta {
                 packets: hist.count() - self.base_latency_count,
                 sum_cycles: hist.sum() - self.base_latency_sum,
@@ -777,235 +778,106 @@ impl Telemetry {
         out
     }
 
-    // ------------------------------------------------------------------
-    // Snapshot codec: the whole sampler — frames, baselines, analytics —
-    // is part of the deterministic simulation state, so checkpoints taken
-    // mid-run restore the exact telemetry stream.
-    // ------------------------------------------------------------------
-
-    /// Serializes the sampler for embedding in a network snapshot.
-    pub(crate) fn snapshot_write(&self, w: &mut SnapshotWriter) {
-        w.put_u64(self.config.sample_interval);
-        w.put_usize(self.config.capacity);
-        w.put_u32(self.config.ewma_shift);
-        w.put_u32(self.config.alert_threshold_permille);
-        w.put_u32(self.config.alert_sustain);
-        w.put_usize(self.config.hotspot_count);
-        w.put_u64(self.next_index);
-        w.put_u64(self.evicted);
-        w.put_usize(self.frames.len());
-        for f in &self.frames {
-            w.put_u64(f.index);
-            w.put_u64(f.start);
-            w.put_u64(f.end);
-            w.put_u64(f.flit_hops);
-            w.put_u64(f.flits_delivered);
-            w.put_u64(f.packets_sent);
-            w.put_u64(f.packets_delivered);
-            w.put_usize(f.link_flits.len());
-            for &(link, flits) in &f.link_flits {
-                w.put_link(link);
-                w.put_u64(flits);
-            }
-            w.put_usize(f.router_grants.len());
-            for &(idx, grants) in &f.router_grants {
-                w.put_u32(idx);
-                w.put_u64(grants);
-            }
-            w.put_usize(f.buffer_occupancy.len());
-            for &(idx, buffered) in &f.buffer_occupancy {
-                w.put_u32(idx);
-                w.put_u64(buffered);
-            }
-            w.put_u64(f.latency.packets);
-            w.put_u64(f.latency.sum_cycles);
-            w.put_u64(f.latency.overflow);
-            w.put_usize(f.latency.buckets.len());
-            for &(cycles, n) in &f.latency.buckets {
-                w.put_u32(cycles);
-                w.put_u32(n);
-            }
-        }
-        w.put_u64(self.base_flit_hops);
-        w.put_u64(self.base_flits_delivered);
-        w.put_u64(self.base_packets_sent);
-        w.put_u64(self.base_packets_delivered);
-        w.put_usize(self.base_link_flits.len());
-        for (&link, &flits) in &self.base_link_flits {
-            w.put_link(link);
-            w.put_u64(flits);
-        }
-        w.put_usize(self.base_grants.len());
-        for &grants in &self.base_grants {
-            w.put_u64(grants);
-        }
-        w.put_u64(self.base_latency_count);
-        w.put_u64(self.base_latency_sum);
-        w.put_u64(self.base_latency_overflow);
-        w.put_bool(!self.base_latency_buckets.is_empty());
-        for &n in &self.base_latency_buckets {
-            w.put_u32(n);
-        }
-        w.put_usize(self.links.len());
-        for (&link, state) in &self.links {
-            w.put_link(link);
-            w.put_u64(state.ewma_fp);
-            w.put_u32(state.hot_frames);
-            w.put_bool(state.alerted);
-        }
-        w.put_usize(self.events.len());
-        for e in &self.events {
-            w.put_u64(e.frame);
-            w.put_u64(e.cycle);
-            w.put_link(e.link);
-            w.put_u32(e.ewma_permille);
-            w.put_bool(matches!(e.kind, CongestionKind::Raised));
-        }
-        w.put_u64(self.events_evicted);
-        w.put_u64(self.alerts_raised);
-        w.put_u64(self.alerts_cleared);
+    /// Every router address the sampler holds: the links of its
+    /// frames, baselines, analytics and events.
+    pub(crate) fn addrs(&self) -> impl Iterator<Item = RouterAddr> + '_ {
+        let frames = self.frames.iter().flat_map(|f| &f.link_flits);
+        (frames.map(|(link, _)| link.0))
+            .chain(self.base_link_flits.keys().map(|link| link.0))
+            .chain(self.links.keys().map(|link| link.0))
+            .chain(self.events.iter().map(|e| e.link.0))
     }
 
-    /// Decodes a sampler written by
-    /// [`snapshot_write`](Self::snapshot_write) for a mesh of
-    /// `router_count` routers.
-    pub(crate) fn snapshot_read(
-        r: &mut SnapshotReader<'_>,
-        router_count: usize,
-        width: u8,
-        height: u8,
-    ) -> Result<Self, SnapshotError> {
-        let config = TelemetryConfig {
-            sample_interval: r.take_u64()?,
-            capacity: r.take_usize()?,
-            ewma_shift: r.take_u32()?,
-            alert_threshold_permille: r.take_u32()?,
-            alert_sustain: r.take_u32()?,
-            hotspot_count: r.take_usize()?,
-        };
-        if config.sample_interval == 0 || config.capacity == 0 || config.alert_sustain == 0 {
+    /// The checks a decoded sampler must pass for a network of
+    /// `router_count` routers: a validated configuration, rings within
+    /// capacity, router indices and grant baselines that fit the mesh.
+    pub(crate) fn check_restored(&self, router_count: usize) -> Result<(), SnapshotError> {
+        let config = &self.config;
+        // Enabling telemetry validates its configuration, so a snapshot
+        // only ever holds one that validation leaves unchanged.
+        if config.validated() != *config {
             return Err(SnapshotError::Malformed("telemetry configuration"));
         }
-        let mut t = Self::new(config, &NocStats::default());
-        t.next_index = r.take_u64()?;
-        t.evicted = r.take_u64()?;
-        let frame_count = r.take_len(60)?;
-        if frame_count > config.capacity {
+        if self.frames.len() > config.capacity {
             return Err(SnapshotError::Malformed("telemetry ring over capacity"));
         }
-        for _ in 0..frame_count {
-            let mut f = TelemetryFrame {
-                index: r.take_u64()?,
-                start: r.take_u64()?,
-                end: r.take_u64()?,
-                flit_hops: r.take_u64()?,
-                flits_delivered: r.take_u64()?,
-                packets_sent: r.take_u64()?,
-                packets_delivered: r.take_u64()?,
-                ..TelemetryFrame::default()
-            };
-            let links = r.take_len(11)?;
-            for _ in 0..links {
-                let link = r.take_link_in(width, height)?;
-                f.link_flits.push((link, r.take_u64()?));
-            }
-            let grants = r.take_len(12)?;
-            for _ in 0..grants {
-                let idx = r.take_u32()?;
-                if idx as usize >= router_count {
-                    return Err(SnapshotError::Malformed("telemetry router index"));
-                }
-                f.router_grants.push((idx, r.take_u64()?));
-            }
-            let occupied = r.take_len(12)?;
-            for _ in 0..occupied {
-                let idx = r.take_u32()?;
-                if idx as usize >= router_count {
-                    return Err(SnapshotError::Malformed("telemetry router index"));
-                }
-                f.buffer_occupancy.push((idx, r.take_u64()?));
-            }
-            f.latency.packets = r.take_u64()?;
-            f.latency.sum_cycles = r.take_u64()?;
-            f.latency.overflow = r.take_u64()?;
-            let buckets = r.take_len(8)?;
-            for _ in 0..buckets {
-                let cycles = r.take_u32()?;
-                f.latency.buckets.push((cycles, r.take_u32()?));
-            }
-            t.frames.push_back(f);
-        }
-        t.base_flit_hops = r.take_u64()?;
-        t.base_flits_delivered = r.take_u64()?;
-        t.base_packets_sent = r.take_u64()?;
-        t.base_packets_delivered = r.take_u64()?;
-        let links = r.take_len(11)?;
-        t.base_link_flits = BTreeMap::new();
-        for _ in 0..links {
-            let link = r.take_link_in(width, height)?;
-            if t.base_link_flits.insert(link, r.take_u64()?).is_some() {
-                return Err(SnapshotError::Malformed(
-                    "duplicate telemetry baseline link",
-                ));
-            }
-        }
-        let grants = r.take_len(8)?;
-        if grants > router_count {
-            return Err(SnapshotError::Malformed("telemetry baseline grants"));
-        }
-        t.base_grants = Vec::with_capacity(grants);
-        for _ in 0..grants {
-            t.base_grants.push(r.take_u64()?);
-        }
-        t.base_latency_count = r.take_u64()?;
-        t.base_latency_sum = r.take_u64()?;
-        t.base_latency_overflow = r.take_u64()?;
-        t.base_latency_buckets = if r.take_bool()? {
-            let mut buckets = vec![0u32; crate::stats::LATENCY_BUCKETS];
-            for n in &mut buckets {
-                *n = r.take_u32()?;
-            }
-            buckets
-        } else {
-            Vec::new()
-        };
-        let tracked = r.take_len(14)?;
-        for _ in 0..tracked {
-            let link = r.take_link_in(width, height)?;
-            let state = LinkState {
-                ewma_fp: r.take_u64()?,
-                hot_frames: r.take_u32()?,
-                alerted: r.take_bool()?,
-            };
-            if t.links.insert(link, state).is_some() {
-                return Err(SnapshotError::Malformed("duplicate telemetry link state"));
-            }
-        }
-        let events = r.take_len(24)?;
-        if events > config.capacity {
+        if self.events.len() > config.capacity {
             return Err(SnapshotError::Malformed("telemetry events over capacity"));
         }
-        for _ in 0..events {
-            let frame = r.take_u64()?;
-            let cycle = r.take_u64()?;
-            let link = r.take_link_in(width, height)?;
-            let ewma_permille = r.take_u32()?;
-            let kind = if r.take_bool()? {
-                CongestionKind::Raised
-            } else {
-                CongestionKind::Cleared
-            };
-            t.events.push_back(CongestionEvent {
-                frame,
-                cycle,
-                link,
-                ewma_permille,
-                kind,
-            });
+        let mut indices = self
+            .frames
+            .iter()
+            .flat_map(|f| f.router_grants.iter().chain(&f.buffer_occupancy));
+        if indices.any(|&(idx, _)| idx as usize >= router_count) {
+            return Err(SnapshotError::Malformed("telemetry router index"));
         }
-        t.events_evicted = r.take_u64()?;
-        t.alerts_raised = r.take_u64()?;
-        t.alerts_cleared = r.take_u64()?;
-        Ok(t)
+        if self.base_grants.len() != router_count {
+            return Err(SnapshotError::Malformed("telemetry baseline grants"));
+        }
+        Ok(())
     }
 }
+
+// The whole sampler — frames, baselines, analytics — is part of the
+// deterministic simulation state, so checkpoints taken mid-run restore
+// the exact telemetry stream.
+crate::snap_struct!(TelemetryConfig {
+    sample_interval,
+    capacity,
+    ewma_shift,
+    alert_threshold_permille,
+    alert_sustain,
+    hotspot_count,
+} LatencyDelta {
+    packets,
+    sum_cycles,
+    overflow,
+    buckets,
+} TelemetryFrame {
+    index,
+    start,
+    end,
+    flit_hops,
+    flits_delivered,
+    packets_sent,
+    packets_delivered,
+    link_flits,
+    router_grants,
+    buffer_occupancy,
+    latency,
+} CongestionEvent {
+    frame,
+    cycle,
+    link,
+    ewma_permille,
+    kind,
+} LinkState {
+    ewma_fp,
+    hot_frames,
+    alerted,
+} Telemetry {
+    config,
+    next_index,
+    evicted,
+    frames,
+    base_flit_hops,
+    base_flits_delivered,
+    base_packets_sent,
+    base_packets_delivered,
+    base_link_flits,
+    base_grants,
+    base_latency_count,
+    base_latency_sum,
+    base_latency_overflow,
+    base_latency_buckets,
+    links,
+    events,
+    events_evicted,
+    alerts_raised,
+    alerts_cleared,
+});
+
+crate::snap_enum!(CongestionKind, "congestion kind tag" {
+    Cleared = 0,
+    Raised = 1,
+});

@@ -28,6 +28,7 @@
 use std::fmt;
 
 use crate::addr::{Port, RouterAddr};
+use crate::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::stats::LinkId;
 
 /// Physical model of an off-chip die-to-die channel, following the
@@ -341,66 +342,48 @@ impl Topology {
     pub fn requires_route_table(&self) -> bool {
         matches!(self, Topology::Torus { .. })
     }
+}
 
-    /// Snapshot tag identifying the variant (`0` mesh, `1` torus, `2`
-    /// chiplet mesh).
-    pub(crate) fn snapshot_write(&self, w: &mut crate::snapshot::SnapshotWriter) {
+crate::snap_enum!(D2dChannel, "d2d channel tag" {
+    OffChipSerial = 0,
+    OffChipParallel = 1,
+});
+
+/// A variant tag (`0` mesh, `1` torus, `2` chiplet mesh), then the
+/// variant's parameters.
+impl Snap for Topology {
+    fn put(&self, w: &mut SnapshotWriter) {
         match *self {
-            Topology::Mesh { width, height } => {
-                w.put_u8(0);
-                w.put_u8(width);
-                w.put_u8(height);
-            }
-            Topology::Torus { width, height } => {
-                w.put_u8(1);
-                w.put_u8(width);
-                w.put_u8(height);
-            }
+            Topology::Mesh { width, height } => w.put(&(0u8, width, height)),
+            Topology::Torus { width, height } => w.put(&(1u8, width, height)),
             Topology::ChipletMesh {
                 k_chip,
                 k_node,
                 d2d,
-            } => {
-                w.put_u8(2);
-                w.put_u8(k_chip);
-                w.put_u8(k_node);
-                w.put_u8(match d2d {
-                    D2dChannel::OffChipSerial => 0,
-                    D2dChannel::OffChipParallel => 1,
-                });
-            }
+            } => w.put(&(2u8, k_chip, k_node, d2d)),
         }
     }
 
-    pub(crate) fn snapshot_read(
-        r: &mut crate::snapshot::SnapshotReader<'_>,
-    ) -> Result<Self, crate::snapshot::SnapshotError> {
-        use crate::snapshot::SnapshotError;
-        match r.take_u8()? {
-            0 => Ok(Topology::Mesh {
-                width: r.take_u8()?,
-                height: r.take_u8()?,
-            }),
-            1 => Ok(Topology::Torus {
-                width: r.take_u8()?,
-                height: r.take_u8()?,
-            }),
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(match r.take::<u8>()? {
+            0 => {
+                let (width, height) = r.take()?;
+                Topology::Mesh { width, height }
+            }
+            1 => {
+                let (width, height) = r.take()?;
+                Topology::Torus { width, height }
+            }
             2 => {
-                let k_chip = r.take_u8()?;
-                let k_node = r.take_u8()?;
-                let d2d = match r.take_u8()? {
-                    0 => D2dChannel::OffChipSerial,
-                    1 => D2dChannel::OffChipParallel,
-                    _ => return Err(SnapshotError::Malformed("d2d channel tag")),
-                };
-                Ok(Topology::ChipletMesh {
+                let (k_chip, k_node, d2d) = r.take()?;
+                Topology::ChipletMesh {
                     k_chip,
                     k_node,
                     d2d,
-                })
+                }
             }
-            _ => Err(SnapshotError::Malformed("topology tag")),
-        }
+            _ => return Err(SnapshotError::Malformed("topology tag")),
+        })
     }
 }
 
@@ -613,10 +596,10 @@ mod tests {
             },
         ] {
             let mut w = SnapshotWriter::new();
-            topo.snapshot_write(&mut w);
+            w.put(&topo);
             let bytes = w.finish(KIND_NOC);
             let mut r = SnapshotReader::open(&bytes, KIND_NOC).unwrap();
-            assert_eq!(Topology::snapshot_read(&mut r).unwrap(), topo);
+            assert_eq!(r.take::<Topology>().unwrap(), topo);
             r.finish().unwrap();
         }
     }

@@ -25,6 +25,7 @@ use std::fmt;
 
 use crate::addr::{Port, RouterAddr};
 use crate::endpoint::PacketId;
+use crate::snapshot::SnapshotError;
 
 /// What happened at one point of a packet's lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -338,97 +339,51 @@ impl PacketTracer {
         perfetto_wrap(&self.perfetto_events())
     }
 
-    /// Serializes the trace ring and its eviction bookkeeping.
-    pub(crate) fn snapshot_write(&self, w: &mut crate::snapshot::SnapshotWriter) {
-        w.put_usize(self.window);
-        w.put_u64(self.base_id);
-        w.put_u64(self.evicted);
-        w.put_bool(self.started);
-        w.put_usize(self.traces.len());
-        for trace in &self.traces {
-            w.put_u64(trace.id.as_u64());
-            w.put_addr(trace.src);
-            w.put_addr(trace.dest);
-            w.put_u64(trace.sent);
-            w.put_usize(trace.events.len());
-            for event in &trace.events {
-                w.put_u64(event.cycle);
-                w.put_u8(match event.kind {
-                    SpanKind::Inject => 0,
-                    SpanKind::Route => 1,
-                    SpanKind::Hop => 2,
-                    SpanKind::Sink => 3,
-                    SpanKind::Delivered => 4,
-                    SpanKind::Drop => 5,
-                });
-                w.put_addr(event.router);
-                w.put_port(event.port);
-                w.put_u8(event.occupancy);
-            }
-        }
-    }
-
-    /// Decodes a tracer written by
-    /// [`snapshot_write`](Self::snapshot_write).
-    pub(crate) fn snapshot_read(
-        r: &mut crate::snapshot::SnapshotReader<'_>,
-    ) -> Result<Self, crate::snapshot::SnapshotError> {
-        use crate::snapshot::SnapshotError;
-        let window = r.take_usize()?;
-        if window == 0 {
+    /// The checks a decoded tracer must pass: a nonzero window, a ring
+    /// within twice the window, trace ids sequential from `base_id`.
+    fn check_restored(&self) -> Result<(), SnapshotError> {
+        if self.window == 0 {
             return Err(SnapshotError::Malformed("tracer window"));
         }
-        let mut tracer = Self::new(window);
-        tracer.base_id = r.take_u64()?;
-        tracer.evicted = r.take_u64()?;
-        tracer.started = r.take_bool()?;
-        let trace_count = r.take_len(21)?;
-        if trace_count > tracer.window.saturating_mul(2) {
+        if self.traces.len() > self.window.saturating_mul(2) {
             return Err(SnapshotError::Malformed("trace ring over window"));
         }
-        for offset in 0..trace_count {
-            let id = PacketId(r.take_u64()?);
-            if id.as_u64() != tracer.base_id.wrapping_add(offset as u64) {
-                return Err(SnapshotError::Malformed("trace ids not sequential"));
-            }
-            let src = r.take_addr()?;
-            let dest = r.take_addr()?;
-            let sent = r.take_u64()?;
-            let event_count = r.take_len(13)?;
-            let mut events = Vec::with_capacity(event_count);
-            for _ in 0..event_count {
-                let cycle = r.take_u64()?;
-                let kind = match r.take_u8()? {
-                    0 => SpanKind::Inject,
-                    1 => SpanKind::Route,
-                    2 => SpanKind::Hop,
-                    3 => SpanKind::Sink,
-                    4 => SpanKind::Delivered,
-                    5 => SpanKind::Drop,
-                    _ => return Err(SnapshotError::Malformed("span kind tag")),
-                };
-                let router = r.take_addr()?;
-                let port = r.take_port()?;
-                let occupancy = r.take_u8()?;
-                events.push(SpanEvent {
-                    cycle,
-                    kind,
-                    router,
-                    port,
-                    occupancy,
-                });
-            }
-            tracer.traces.push(PacketTrace {
-                id,
-                src,
-                dest,
-                sent,
-                events,
-            });
+        let mut ids = self.traces.iter().enumerate();
+        if !ids.all(|(i, trace)| trace.id.as_u64() == self.base_id.wrapping_add(i as u64)) {
+            return Err(SnapshotError::Malformed("trace ids not sequential"));
         }
-        Ok(tracer)
+        Ok(())
     }
 }
+
+crate::snap_enum!(SpanKind, "span kind tag" {
+    Inject = 0,
+    Route = 1,
+    Hop = 2,
+    Sink = 3,
+    Delivered = 4,
+    Drop = 5,
+});
+
+crate::snap_struct!(SpanEvent {
+    cycle,
+    kind,
+    router,
+    port,
+    occupancy,
+} PacketTrace {
+    id,
+    src,
+    dest,
+    sent,
+    events,
+} PacketTracer {
+    window,
+    base_id,
+    evicted,
+    started,
+    traces,
+} => PacketTracer::check_restored);
 
 /// Wraps pre-rendered trace-event JSON objects into a complete Chrome
 /// trace-event document (`{"traceEvents": [...]}`).

@@ -10,7 +10,7 @@
 //! second range; that is a typo for `address - 1024` (offsets must grow
 //! with the address), which is what this implementation does.
 
-use hermes_noc::{SnapshotError, SnapshotReader, SnapshotWriter};
+use hermes_noc::SnapshotError;
 
 use crate::node::NodeId;
 use crate::{IO_ADDR, NOTIFY_ADDR, WAIT_ADDR};
@@ -114,41 +114,20 @@ impl AddressMap {
             .map(|i| (i as u16 + 1) * self.window_words)
     }
 
-    /// Snapshot codec: window size plus the ordered window list.
-    pub(crate) fn snapshot_write(&self, w: &mut SnapshotWriter) {
-        w.put_u16(self.window_words);
-        w.put_usize(self.windows.len());
-        for node in &self.windows {
-            w.put_u8(node.0);
-        }
-    }
-
-    /// Decodes a map written by
-    /// [`snapshot_write`](Self::snapshot_write), re-checking the
-    /// invariants [`new`](Self::new) asserts so corrupt input yields a
-    /// typed error instead of a panic.
-    pub(crate) fn snapshot_read(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let window_words = r.take_u16()?;
-        let len = r.take_len(1)?;
-        let mut windows = Vec::with_capacity(len);
-        for _ in 0..len {
-            windows.push(NodeId(r.take_u8()?));
-        }
-        if window_words == 0 {
+    /// The checks a decoded map must pass: a nonzero window size and
+    /// windows that stay below the command addresses.
+    fn check_restored(&self) -> Result<(), SnapshotError> {
+        if self.window_words == 0 {
             return Err(SnapshotError::Malformed("address window size is 0"));
         }
-        let top = u64::from(window_words) * (windows.len() as u64 + 1);
+        let top = u64::from(self.window_words) * (self.windows.len() as u64 + 1);
         if top > u64::from(NOTIFY_ADDR) {
             return Err(SnapshotError::Malformed(
                 "address windows overlap command addresses",
             ));
         }
-        Ok(Self {
-            window_words,
-            windows,
-        })
+        Ok(())
     }
-
     /// Appends a window onto `node` after the existing ones (dynamic
     /// reconfiguration: existing window bases stay stable). Returns the
     /// new window's base address, or `None` if another window would
@@ -164,6 +143,11 @@ impl AddressMap {
         Some(base as u16)
     }
 }
+
+hermes_noc::snap_struct!(AddressMap {
+    window_words,
+    windows
+} => AddressMap::check_restored);
 
 #[cfg(test)]
 mod tests {

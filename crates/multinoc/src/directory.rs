@@ -17,7 +17,7 @@
 //! node is declared dead, so every kernel replays the identical
 //! promotion at the identical cycle.
 
-use hermes_noc::{SnapshotError, SnapshotReader, SnapshotWriter};
+use hermes_noc::SnapshotError;
 
 use crate::node::NodeId;
 
@@ -97,41 +97,6 @@ impl ServiceDirectory {
         &self.groups
     }
 
-    /// Snapshot codec: the registered groups in registration order.
-    pub(crate) fn snapshot_write(&self, w: &mut SnapshotWriter) {
-        w.put_usize(self.groups.len());
-        for g in &self.groups {
-            w.put_u8(g.primary.0);
-            w.put_u8(g.backup.0);
-            w.put_u8(g.serving.0);
-            w.put_opt_u64(g.failed_over_at);
-        }
-    }
-
-    /// Decodes a directory written by
-    /// [`snapshot_write`](Self::snapshot_write). The serving member must
-    /// be one of the group's two members.
-    pub(crate) fn snapshot_read(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let len = r.take_len(4)?;
-        let mut groups = Vec::with_capacity(len);
-        for _ in 0..len {
-            let primary = NodeId(r.take_u8()?);
-            let backup = NodeId(r.take_u8()?);
-            let serving = NodeId(r.take_u8()?);
-            let failed_over_at = r.take_opt_u64()?;
-            if serving != primary && serving != backup {
-                return Err(SnapshotError::Malformed("serving node outside group"));
-            }
-            groups.push(ReplicaGroup {
-                primary,
-                backup,
-                serving,
-                failed_over_at,
-            });
-        }
-        Ok(Self { groups })
-    }
-
     /// Reacts to `dead` being declared dead at `cycle`. If it was the
     /// serving member of a group whose other member is still available,
     /// promotes the survivor and returns `(logical, survivor)` so the
@@ -150,6 +115,21 @@ impl ServiceDirectory {
         Some((g.primary, survivor))
     }
 }
+
+/// A group's serving node must be one of its two replicas.
+fn check_group(g: &ReplicaGroup) -> Result<(), SnapshotError> {
+    if g.serving != g.primary && g.serving != g.backup {
+        return Err(SnapshotError::Malformed("serving node outside group"));
+    }
+    Ok(())
+}
+
+hermes_noc::snap_struct!(ReplicaGroup {
+    primary,
+    backup,
+    serving,
+    failed_over_at,
+} => check_group ServiceDirectory { groups });
 
 #[cfg(test)]
 mod tests {

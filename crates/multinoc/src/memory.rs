@@ -8,6 +8,7 @@
 //! paper's two interfaces: the processor port (which has priority) and
 //! the NoC port, with the `busyNoC*` mutual-exclusion flags.
 
+use hermes_noc::snapshot::{check_mesh, Snap};
 use hermes_noc::{RouterAddr, SnapshotError, SnapshotReader, SnapshotWriter};
 
 use crate::error::SystemError;
@@ -88,21 +89,20 @@ impl MemoryCore {
             self.write(addr.wrapping_add(i as u16), value);
         }
     }
+}
 
-    /// Snapshot codec: capacity followed by every word (the four-bank
-    /// nibble split is recomputed on restore; a word round-trips the
-    /// banks exactly).
-    pub(crate) fn snapshot_write(&self, w: &mut SnapshotWriter) {
-        w.put_u16(self.words);
+/// Capacity followed by every word (the four-bank nibble split is
+/// recomputed on restore; a word round-trips the banks exactly).
+impl Snap for MemoryCore {
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.put(&self.words);
         for addr in 0..self.words {
-            w.put_u16(self.read(addr));
+            w.put(&self.read(addr));
         }
     }
 
-    /// Decodes a memory written by
-    /// [`snapshot_write`](Self::snapshot_write).
-    pub(crate) fn snapshot_read(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let words = r.take_u16()?;
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        let words: u16 = r.take()?;
         if words == 0 {
             return Err(SnapshotError::Malformed("memory capacity is 0"));
         }
@@ -111,7 +111,7 @@ impl MemoryCore {
         }
         let mut core = Self::new(words);
         for addr in 0..words {
-            core.write(addr, r.take_u16()?);
+            core.write(addr, r.take()?);
         }
         Ok(core)
     }
@@ -127,6 +127,12 @@ struct PendingAck {
     /// Sequence number of the `ReplicateWrite` carrying it to the backup.
     backup_seq: u16,
 }
+
+hermes_noc::snap_struct!(PendingAck {
+    client,
+    client_seq,
+    backup_seq
+});
 
 /// The standalone remote Memory IP: a [`MemoryCore`] plus the NoC-facing
 /// control logic that answers read/write service messages. (In the
@@ -421,63 +427,41 @@ impl MemoryIp {
     /// and the withheld-ack ledger. Node id and router come from the
     /// system's node table and are not written.
     pub(crate) fn snapshot_write(&self, w: &mut SnapshotWriter) {
-        self.core.snapshot_write(w);
-        self.dedup.snapshot_write(w);
-        match self.replica {
-            None => w.put_u8(0),
-            Some(addr) => {
-                w.put_u8(1);
-                w.put_addr(addr);
-            }
-        }
+        w.put(&self.core);
+        w.put(&self.dedup);
+        w.put(&self.replica);
         self.reliable.snapshot_write(w);
-        w.put_usize(self.pending_acks.len());
-        for p in &self.pending_acks {
-            w.put_addr(p.client);
-            w.put_u16(p.client_seq);
-            w.put_u16(p.backup_seq);
-        }
-        w.put_u64(self.replication_writes);
+        w.put(&self.pending_acks);
+        w.put(&self.replication_writes);
     }
 
     /// Decodes a memory IP written by
     /// [`snapshot_write`](Self::snapshot_write) for the slot `node` on
-    /// router `addr`.
+    /// router `addr` of a `mesh`-shaped network.
     pub(crate) fn snapshot_read(
         r: &mut SnapshotReader<'_>,
         node: NodeId,
         addr: RouterAddr,
-        width: u8,
-        height: u8,
+        mesh: (u8, u8),
     ) -> Result<Self, SnapshotError> {
-        let core = MemoryCore::snapshot_read(r)?;
-        let dedup = DedupReceiver::snapshot_read(r, width, height)?;
-        let replica = match r.take_u8()? {
-            0 => None,
-            1 => Some(r.take_addr_in(width, height)?),
-            _ => return Err(SnapshotError::Malformed("replica tag")),
-        };
-        let reliable = ReliableSender::snapshot_read(r, node, width, height)?;
-        let acks = r.take_len(6)?;
-        let mut pending_acks = Vec::with_capacity(acks);
-        for _ in 0..acks {
-            pending_acks.push(PendingAck {
-                client: r.take_addr_in(width, height)?,
-                client_seq: r.take_u16()?,
-                backup_seq: r.take_u16()?,
-            });
-        }
-        let replication_writes = r.take_u64()?;
-        Ok(Self {
-            core,
+        let ip = Self {
+            core: r.take()?,
             node,
             addr,
-            dedup,
-            replica,
-            reliable,
-            pending_acks,
-            replication_writes,
-        })
+            dedup: r.take()?,
+            replica: r.take()?,
+            reliable: ReliableSender::snapshot_read(r, node)?,
+            pending_acks: r.take()?,
+            replication_writes: r.take()?,
+        };
+        check_mesh(
+            mesh,
+            (ip.replica.into_iter())
+                .chain(ip.pending_acks.iter().map(|p| p.client))
+                .chain(ip.dedup.addrs())
+                .chain(ip.reliable.addrs()),
+        )?;
+        Ok(ip)
     }
 }
 

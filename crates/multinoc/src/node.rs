@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use hermes_noc::{SnapshotError, SnapshotReader, SnapshotWriter};
-
 /// Logical number of an IP core in the MultiNoC system, as used by the
 /// host protocol ("read from P1 local memory" = node 1) and by the
 /// wait/notify commands ("the number of the processor").
@@ -131,62 +129,28 @@ impl NodeTable {
         NodeId(self.entries.len() as u8 - 1)
     }
 
+    /// Routers of all occupied slots.
+    pub(crate) fn routers(&self) -> impl Iterator<Item = hermes_noc::RouterAddr> + '_ {
+        self.entries.iter().flatten().map(|&(addr, _)| addr)
+    }
+
     /// Vacates a node slot (the id is never reused).
     pub(crate) fn vacate(&mut self, node: NodeId) {
         if let Some(entry) = self.entries.get_mut(node.index()) {
             *entry = None;
         }
     }
-
-    /// Snapshot codec: slot count, then per slot a vacancy tag and, if
-    /// occupied, the router address and kind tag.
-    pub(crate) fn snapshot_write(&self, w: &mut SnapshotWriter) {
-        w.put_usize(self.entries.len());
-        for entry in &self.entries {
-            match entry {
-                None => w.put_u8(0),
-                Some((addr, kind)) => {
-                    w.put_u8(1);
-                    w.put_addr(*addr);
-                    w.put_u8(match kind {
-                        NodeKind::Processor => 0,
-                        NodeKind::Memory => 1,
-                        NodeKind::Serial => 2,
-                    });
-                }
-            }
-        }
-    }
-
-    /// Decodes a table written by
-    /// [`snapshot_write`](Self::snapshot_write), preserving vacancies and
-    /// validating router addresses against the mesh shape.
-    pub(crate) fn snapshot_read(
-        r: &mut SnapshotReader<'_>,
-        width: u8,
-        height: u8,
-    ) -> Result<Self, SnapshotError> {
-        let len = r.take_len(1)?;
-        let mut entries = Vec::with_capacity(len);
-        for _ in 0..len {
-            entries.push(match r.take_u8()? {
-                0 => None,
-                1 => {
-                    let addr = r.take_addr_in(width, height)?;
-                    let kind = match r.take_u8()? {
-                        0 => NodeKind::Processor,
-                        1 => NodeKind::Memory,
-                        2 => NodeKind::Serial,
-                        _ => return Err(SnapshotError::Malformed("node kind tag")),
-                    };
-                    Some((addr, kind))
-                }
-                _ => return Err(SnapshotError::Malformed("node slot tag")),
-            });
-        }
-        Ok(Self { entries })
-    }
 }
+
+// A node table snapshot is its slot list: a vacancy tag per slot and,
+// if occupied, the router address and kind.
+hermes_noc::snap_struct!(NodeId { 0 } NodeTable { entries });
+
+hermes_noc::snap_enum!(NodeKind, "node kind tag" {
+    Processor = 0,
+    Memory = 1,
+    Serial = 2,
+});
 
 #[cfg(test)]
 mod tests {

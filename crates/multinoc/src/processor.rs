@@ -23,6 +23,7 @@
 
 use std::collections::HashMap;
 
+use hermes_noc::snapshot::{check_mesh, Snap};
 use hermes_noc::{RouterAddr, SnapshotError, SnapshotReader, SnapshotWriter};
 use r8::core::{Bus, BusResponse, Cpu, CpuImage, CpuState, Flags, Pending, StepOutcome};
 
@@ -588,71 +589,23 @@ impl ProcessorIp {
     /// [`snapshot_read`](Self::snapshot_read).
     pub(crate) fn snapshot_write(&self, w: &mut SnapshotWriter) {
         put_cpu_image(w, &self.cpu.image());
-        self.local.snapshot_write(w);
-        self.map.snapshot_write(w);
-        w.put_bool(self.active);
-        match &self.fault {
-            None => w.put_u8(0),
-            Some(msg) => {
-                w.put_u8(1);
-                w.put_str(msg);
-            }
-        }
-        w.put_u64(self.next_ready);
-        w.put_u32(self.stalled_cycles);
-        match &self.pending {
-            NetPending::Idle => w.put_u8(0),
-            NetPending::RemoteRead(req) => {
-                w.put_u8(1);
-                req.snapshot_write(w);
-            }
-            NetPending::RemoteReadDone { value, from } => {
-                w.put_u8(2);
-                w.put_u16(*value);
-                w.put_addr(*from);
-            }
-            NetPending::Scanf(req) => {
-                w.put_u8(3);
-                req.snapshot_write(w);
-            }
-            NetPending::ScanfDone(value) => {
-                w.put_u8(4);
-                w.put_u16(*value);
-            }
-        }
-        match self.wait {
-            WaitState::None => w.put_u8(0),
-            WaitState::Internal(n) => {
-                w.put_u8(1);
-                w.put_u16(n);
-            }
-            WaitState::External(n) => {
-                w.put_u8(2);
-                w.put_u16(n);
-            }
-        }
-        // HashMap iteration order is nondeterministic; write sorted so
-        // identical states produce identical bytes.
-        let mut notifies: Vec<(u16, u32)> = self.notifies.iter().map(|(&k, &v)| (k, v)).collect();
-        notifies.sort_unstable();
-        w.put_usize(notifies.len());
-        for (from, count) in notifies {
-            w.put_u16(from);
-            w.put_u32(count);
-        }
-        w.put_u64(self.utilization.running);
-        w.put_u64(self.utilization.blocked);
-        w.put_u64(self.utilization.halted);
-        w.put_u64(self.utilization.idle);
+        w.put(&self.local);
+        w.put(&self.map);
+        w.put(&self.active);
+        w.put(&self.fault);
+        w.put(&self.next_ready);
+        w.put(&self.stalled_cycles);
+        w.put(&self.pending);
+        w.put(&self.wait);
+        w.put(&self.notifies);
+        w.put(&self.utilization);
         self.reliable.snapshot_write(w);
-        self.dedup.snapshot_write(w);
+        w.put(&self.dedup);
     }
 
     /// Decodes a processor written by
-    /// [`snapshot_write`](Self::snapshot_write). The system-level view
-    /// (`node`, `addr`, `table`, `directory`, `io_router`) comes from
-    /// the enclosing system snapshot.
-    #[allow(clippy::too_many_arguments)]
+    /// [`snapshot_write`](Self::snapshot_write) into the given system
+    /// context on a `mesh`-shaped network.
     pub(crate) fn snapshot_read(
         r: &mut SnapshotReader<'_>,
         node: NodeId,
@@ -660,162 +613,90 @@ impl ProcessorIp {
         table: NodeTable,
         directory: ServiceDirectory,
         io_router: Option<RouterAddr>,
-        width: u8,
-        height: u8,
+        mesh: (u8, u8),
     ) -> Result<Self, SnapshotError> {
-        let image = take_cpu_image(r)?;
-        let cpu = Cpu::from_image(image)
+        let cpu = Cpu::from_image(take_cpu_image(r)?)
             .map_err(|_| SnapshotError::Malformed("decoded instruction slot"))?;
-        let local = MemoryCore::snapshot_read(r)?;
-        let map = AddressMap::snapshot_read(r)?;
-        let active = r.take_bool()?;
-        let fault = match r.take_u8()? {
-            0 => None,
-            1 => Some(r.take_str()?),
-            _ => return Err(SnapshotError::Malformed("fault tag")),
-        };
-        let next_ready = r.take_u64()?;
-        let stalled_cycles = r.take_u32()?;
-        let pending = match r.take_u8()? {
-            0 => NetPending::Idle,
-            1 => NetPending::RemoteRead(PendingRequest::snapshot_read(r, width, height)?),
-            2 => NetPending::RemoteReadDone {
-                value: r.take_u16()?,
-                from: r.take_addr_in(width, height)?,
-            },
-            3 => NetPending::Scanf(PendingRequest::snapshot_read(r, width, height)?),
-            4 => NetPending::ScanfDone(r.take_u16()?),
-            _ => return Err(SnapshotError::Malformed("processor pending tag")),
-        };
-        let wait = match r.take_u8()? {
-            0 => WaitState::None,
-            1 => WaitState::Internal(r.take_u16()?),
-            2 => WaitState::External(r.take_u16()?),
-            _ => return Err(SnapshotError::Malformed("wait state tag")),
-        };
-        let count = r.take_len(6)?;
-        let mut notifies = HashMap::with_capacity(count);
-        for _ in 0..count {
-            let from = r.take_u16()?;
-            let pending_notifies = r.take_u32()?;
-            if notifies.insert(from, pending_notifies).is_some() {
-                return Err(SnapshotError::Malformed("duplicate notify entry"));
-            }
-        }
-        let utilization = UtilizationCounters {
-            running: r.take_u64()?,
-            blocked: r.take_u64()?,
-            halted: r.take_u64()?,
-            idle: r.take_u64()?,
-        };
-        let reliable = ReliableSender::snapshot_read(r, node, width, height)?;
-        let dedup = DedupReceiver::snapshot_read(r, width, height)?;
-        Ok(Self {
+        let ip = Self {
             node,
             addr,
             cpu,
-            local,
-            map,
+            local: r.take()?,
+            map: r.take()?,
             table,
             directory,
             io_router,
-            active,
-            fault,
-            next_ready,
-            stalled_cycles,
-            pending,
-            wait,
-            notifies,
-            utilization,
-            reliable,
-            dedup,
-        })
+            active: r.take()?,
+            fault: r.take()?,
+            next_ready: r.take()?,
+            stalled_cycles: r.take()?,
+            pending: r.take()?,
+            wait: r.take()?,
+            notifies: r.take()?,
+            utilization: r.take()?,
+            reliable: ReliableSender::snapshot_read(r, node)?,
+            dedup: r.take()?,
+        };
+        let pending: Vec<RouterAddr> = match &ip.pending {
+            NetPending::RemoteRead(req) | NetPending::Scanf(req) => req.addrs().collect(),
+            NetPending::RemoteReadDone { from, .. } => vec![*from],
+            NetPending::Idle | NetPending::ScanfDone(_) => Vec::new(),
+        };
+        check_mesh(
+            mesh,
+            (pending.into_iter())
+                .chain(ip.reliable.addrs())
+                .chain(ip.dedup.addrs()),
+        )?;
+        Ok(ip)
     }
 }
 
 /// Writes an R8 core image: registers, control state and the in-flight
-/// instruction of the two-phase stepping model.
+/// instruction of the two-phase stepping model. The image types belong
+/// to the `r8` crate, so they are written field by field here.
 fn put_cpu_image(w: &mut SnapshotWriter, image: &CpuImage) {
-    for reg in image.regs {
-        w.put_u16(reg);
-    }
-    w.put_u16(image.pc);
-    w.put_u16(image.sp);
-    w.put_bool(image.flags.n);
-    w.put_bool(image.flags.z);
-    w.put_bool(image.flags.c);
-    w.put_bool(image.flags.v);
-    w.put_u8(match image.state {
-        CpuState::Running => 0,
-        CpuState::Halted => 1,
-    });
-    w.put_u64(image.cycles);
-    w.put_u64(image.retired);
+    let flags = image.flags;
+    w.put(&(image.regs, image.pc, image.sp));
+    w.put(&(flags.n, flags.z, flags.c, flags.v));
+    w.put(&(
+        matches!(image.state, CpuState::Halted),
+        image.cycles,
+        image.retired,
+    ));
     match image.pending {
-        Pending::Fetch => w.put_u8(0),
-        Pending::Read { addr } => {
-            w.put_u8(1);
-            w.put_u16(addr);
-        }
-        Pending::Write { addr, value } => {
-            w.put_u8(2);
-            w.put_u16(addr);
-            w.put_u16(value);
-        }
+        Pending::Fetch => w.put(&0u8),
+        Pending::Read { addr } => w.put(&(1u8, addr)),
+        Pending::Write { addr, value } => w.put(&(2u8, addr, value)),
     }
-    match image.decoded {
-        None => w.put_u8(0),
-        Some(word) => {
-            w.put_u8(1);
-            w.put_u16(word);
-        }
-    }
-    w.put_u32(image.inflight_cycles);
+    w.put(&(image.decoded, image.inflight_cycles));
 }
 
 /// Decodes an R8 core image written by [`put_cpu_image`].
 fn take_cpu_image(r: &mut SnapshotReader<'_>) -> Result<CpuImage, SnapshotError> {
-    let mut regs = [0u16; 16];
-    for reg in &mut regs {
-        *reg = r.take_u16()?;
-    }
-    let pc = r.take_u16()?;
-    let sp = r.take_u16()?;
-    let flags = Flags {
-        n: r.take_bool()?,
-        z: r.take_bool()?,
-        c: r.take_bool()?,
-        v: r.take_bool()?,
+    let (regs, pc, sp) = r.take()?;
+    let (n, z, c, v) = r.take()?;
+    let (halted, cycles, retired) = r.take()?;
+    let state = if halted {
+        CpuState::Halted
+    } else {
+        CpuState::Running
     };
-    let state = match r.take_u8()? {
-        0 => CpuState::Running,
-        1 => CpuState::Halted,
-        _ => return Err(SnapshotError::Malformed("cpu state tag")),
-    };
-    let cycles = r.take_u64()?;
-    let retired = r.take_u64()?;
-    let pending = match r.take_u8()? {
+    let pending = match r.take::<u8>()? {
         0 => Pending::Fetch,
-        1 => Pending::Read {
-            addr: r.take_u16()?,
-        },
-        2 => Pending::Write {
-            addr: r.take_u16()?,
-            value: r.take_u16()?,
-        },
+        1 => Pending::Read { addr: r.take()? },
+        2 => {
+            let (addr, value) = r.take()?;
+            Pending::Write { addr, value }
+        }
         _ => return Err(SnapshotError::Malformed("cpu pending tag")),
     };
-    let decoded = match r.take_u8()? {
-        0 => None,
-        1 => Some(r.take_u16()?),
-        _ => return Err(SnapshotError::Malformed("decoded slot tag")),
-    };
-    let inflight_cycles = r.take_u32()?;
+    let (decoded, inflight_cycles) = r.take()?;
     Ok(CpuImage {
         regs,
         pc,
         sp,
-        flags,
+        flags: Flags { n, z, c, v },
         state,
         cycles,
         retired,
@@ -824,6 +705,67 @@ fn take_cpu_image(r: &mut SnapshotReader<'_>) -> Result<CpuImage, SnapshotError>
         inflight_cycles,
     })
 }
+
+/// A tag (`0` idle, `1` remote read, `2` read done, `3` scanf, `4` scanf
+/// done), then the variant's fields.
+impl Snap for NetPending {
+    fn put(&self, w: &mut SnapshotWriter) {
+        match self {
+            NetPending::Idle => w.put(&0u8),
+            NetPending::RemoteRead(req) => {
+                w.put(&1u8);
+                w.put(req);
+            }
+            NetPending::RemoteReadDone { value, from } => w.put(&(2u8, *value, *from)),
+            NetPending::Scanf(req) => {
+                w.put(&3u8);
+                w.put(req);
+            }
+            NetPending::ScanfDone(value) => w.put(&(4u8, *value)),
+        }
+    }
+
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(match r.take::<u8>()? {
+            0 => NetPending::Idle,
+            1 => NetPending::RemoteRead(r.take()?),
+            2 => {
+                let (value, from) = r.take()?;
+                NetPending::RemoteReadDone { value, from }
+            }
+            3 => NetPending::Scanf(r.take()?),
+            4 => NetPending::ScanfDone(r.take()?),
+            _ => return Err(SnapshotError::Malformed("processor pending tag")),
+        })
+    }
+}
+
+/// A tag (`0` none, `1` internal, `2` external), then the awaited node.
+impl Snap for WaitState {
+    fn put(&self, w: &mut SnapshotWriter) {
+        match *self {
+            WaitState::None => w.put(&0u8),
+            WaitState::Internal(n) => w.put(&(1u8, n)),
+            WaitState::External(n) => w.put(&(2u8, n)),
+        }
+    }
+
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(match r.take::<u8>()? {
+            0 => WaitState::None,
+            1 => WaitState::Internal(r.take()?),
+            2 => WaitState::External(r.take()?),
+            _ => return Err(SnapshotError::Malformed("wait state tag")),
+        })
+    }
+}
+
+hermes_noc::snap_struct!(UtilizationCounters {
+    running,
+    blocked,
+    halted,
+    idle
+});
 
 /// The bus the control logic presents to the R8 core: decodes the NUMA
 /// address map and turns non-local accesses into service packets and
@@ -1136,8 +1078,7 @@ mod tests {
             ip.table.clone(),
             ip.directory.clone(),
             ip.io_router,
-            2,
-            2,
+            (2, 2),
         )
         .unwrap();
         r.finish().unwrap();

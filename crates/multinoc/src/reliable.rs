@@ -451,39 +451,14 @@ impl ReliableSender {
         self.queues.retain(|q| q.dest != dest);
     }
 
-    /// Snapshot codec: policy, per-destination queues (with their
-    /// in-flight message and backlog), counters and the epoch-reset
-    /// bookkeeping. The owning node id is implied by the IP slot and not
-    /// written.
+    /// Snapshot codec: retry policy, per-destination queues, counters
+    /// and epoch bookkeeping; `node` is the owning IP's.
     pub(crate) fn snapshot_write(&self, w: &mut SnapshotWriter) {
-        w.put_u64(self.policy.base_timeout);
-        w.put_u32(self.policy.max_retries);
-        w.put_usize(self.queues.len());
-        for q in &self.queues {
-            w.put_addr(q.dest);
-            w.put_u16(q.next_seq);
-            match &q.inflight {
-                None => w.put_u8(0),
-                Some(inf) => {
-                    w.put_u8(1);
-                    w.put_u16(inf.seq);
-                    inf.service.snapshot_write(w);
-                    w.put_u64(inf.sent_at);
-                    w.put_u32(inf.attempt);
-                }
-            }
-            w.put_usize(q.backlog.len());
-            for (seq, service) in &q.backlog {
-                w.put_u16(*seq);
-                service.snapshot_write(w);
-            }
-        }
-        w.put_u64(self.counters.sent);
-        w.put_u64(self.counters.retransmissions);
-        w.put_u64(self.counters.acked);
-        w.put_u64(self.counters.reroute_resets);
-        w.put_u64(self.last_epoch);
-        w.put_opt_u64(self.epoch_reset_at);
+        w.put(&self.policy);
+        w.put(&self.queues);
+        w.put(&self.counters);
+        w.put(&self.last_epoch);
+        w.put(&self.epoch_reset_at);
     }
 
     /// Decodes a sender written by
@@ -491,74 +466,25 @@ impl ReliableSender {
     pub(crate) fn snapshot_read(
         r: &mut SnapshotReader<'_>,
         node: NodeId,
-        width: u8,
-        height: u8,
     ) -> Result<Self, SnapshotError> {
-        let policy = RetryPolicy {
-            base_timeout: r.take_u64()?,
-            max_retries: r.take_u32()?,
-        };
-        let queue_count = r.take_len(4)?;
-        let mut queues = Vec::with_capacity(queue_count);
-        for _ in 0..queue_count {
-            let dest = r.take_addr_in(width, height)?;
-            let next_seq = r.take_u16()?;
-            if next_seq == 0 {
-                return Err(SnapshotError::Malformed("sequence counter is 0"));
-            }
-            let inflight = match r.take_u8()? {
-                0 => None,
-                1 => {
-                    let seq = r.take_u16()?;
-                    let service = Service::snapshot_read(r, width, height)?;
-                    let sent_at = r.take_u64()?;
-                    let attempt = r.take_u32()?;
-                    if seq == 0 || attempt == 0 {
-                        return Err(SnapshotError::Malformed("in-flight message state"));
-                    }
-                    Some(Inflight {
-                        seq,
-                        service,
-                        sent_at,
-                        attempt,
-                    })
-                }
-                _ => return Err(SnapshotError::Malformed("in-flight tag")),
-            };
-            let backlog_len = r.take_len(3)?;
-            let mut backlog = VecDeque::with_capacity(backlog_len);
-            for _ in 0..backlog_len {
-                let seq = r.take_u16()?;
-                if seq == 0 {
-                    return Err(SnapshotError::Malformed("backlog sequence is 0"));
-                }
-                backlog.push_back((seq, Service::snapshot_read(r, width, height)?));
-            }
-            queues.push(DestQueue {
-                dest,
-                next_seq,
-                inflight,
-                backlog,
-            });
-        }
-        let counters = RetryCounters {
-            sent: r.take_u64()?,
-            retransmissions: r.take_u64()?,
-            acked: r.take_u64()?,
-            reroute_resets: r.take_u64()?,
-        };
-        let last_epoch = r.take_u64()?;
-        let epoch_reset_at = r.take_opt_u64()?;
         Ok(Self {
             node,
-            policy,
-            queues,
-            counters,
-            last_epoch,
-            epoch_reset_at,
+            policy: r.take()?,
+            queues: r.take()?,
+            counters: r.take()?,
+            last_epoch: r.take()?,
+            epoch_reset_at: r.take()?,
         })
     }
 
+    /// Every router this sender addresses or names in a queued message.
+    pub(crate) fn addrs(&self) -> impl Iterator<Item = RouterAddr> + '_ {
+        self.queues.iter().flat_map(|q| {
+            let inflight = q.inflight.iter().map(|i| &i.service);
+            let queued = inflight.chain(q.backlog.iter().map(|(_, service)| service));
+            std::iter::once(q.dest).chain(queued.filter_map(Service::peer))
+        })
+    }
     /// Like [`poll_request`](Self::poll_request), but without a retry
     /// budget: the request keeps retransmitting at the widest backoff
     /// forever. For requests answered by the *host* (`Scanf`), where a
@@ -634,29 +560,9 @@ impl PendingRequest {
         self.attempt = 1;
     }
 
-    /// Snapshot codec for a pending implicit-ack request.
-    pub(crate) fn snapshot_write(&self, w: &mut SnapshotWriter) {
-        w.put_addr(self.dest);
-        w.put_u16(self.seq);
-        self.request.snapshot_write(w);
-        w.put_u64(self.sent_at);
-        w.put_u32(self.attempt);
-    }
-
-    /// Decodes a request written by
-    /// [`snapshot_write`](Self::snapshot_write).
-    pub(crate) fn snapshot_read(
-        r: &mut SnapshotReader<'_>,
-        width: u8,
-        height: u8,
-    ) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            dest: r.take_addr_in(width, height)?,
-            seq: r.take_u16()?,
-            request: Service::snapshot_read(r, width, height)?,
-            sent_at: r.take_u64()?,
-            attempt: r.take_u32()?,
-        })
+    /// The request's destination and any router its message names.
+    pub(crate) fn addrs(&self) -> impl Iterator<Item = RouterAddr> {
+        std::iter::once(self.dest).chain(self.request.peer())
     }
 }
 
@@ -706,33 +612,9 @@ impl DedupReceiver {
         self.duplicates
     }
 
-    /// Snapshot codec: remembered `(peer, seq)` pairs plus the duplicate
-    /// counter.
-    pub(crate) fn snapshot_write(&self, w: &mut SnapshotWriter) {
-        w.put_usize(self.seen.len());
-        for (peer, seq) in &self.seen {
-            w.put_addr(*peer);
-            w.put_u16(*seq);
-        }
-        w.put_u64(self.duplicates);
-    }
-
-    /// Decodes a receiver written by
-    /// [`snapshot_write`](Self::snapshot_write).
-    pub(crate) fn snapshot_read(
-        r: &mut SnapshotReader<'_>,
-        width: u8,
-        height: u8,
-    ) -> Result<Self, SnapshotError> {
-        let len = r.take_len(4)?;
-        let mut seen = Vec::with_capacity(len);
-        for _ in 0..len {
-            let peer = r.take_addr_in(width, height)?;
-            let seq = r.take_u16()?;
-            seen.push((peer, seq));
-        }
-        let duplicates = r.take_u64()?;
-        Ok(Self { seen, duplicates })
+    /// The peers whose latest sequence number is remembered.
+    pub(crate) fn addrs(&self) -> impl Iterator<Item = RouterAddr> + '_ {
+        self.seen.iter().map(|&(peer, _)| peer)
     }
 }
 
@@ -749,6 +631,50 @@ impl fmt::Display for RetryCounters {
         Ok(())
     }
 }
+
+/// Sequence numbers and transmission counts start at 1.
+fn check_inflight(inflight: &Inflight) -> Result<(), SnapshotError> {
+    if inflight.seq == 0 || inflight.attempt == 0 {
+        return Err(SnapshotError::Malformed("in-flight message state"));
+    }
+    Ok(())
+}
+
+fn check_queue(queue: &DestQueue) -> Result<(), SnapshotError> {
+    if queue.next_seq == 0 {
+        return Err(SnapshotError::Malformed("sequence counter is 0"));
+    }
+    if queue.backlog.iter().any(|&(seq, _)| seq == 0) {
+        return Err(SnapshotError::Malformed("backlog sequence is 0"));
+    }
+    Ok(())
+}
+
+hermes_noc::snap_struct!(RetryPolicy {
+    base_timeout,
+    max_retries
+} RetryCounters {
+    sent,
+    retransmissions,
+    acked,
+    reroute_resets,
+} Inflight {
+    seq,
+    service,
+    sent_at,
+    attempt,
+} => check_inflight DestQueue {
+    dest,
+    next_seq,
+    inflight,
+    backlog,
+} => check_queue PendingRequest {
+    dest,
+    seq,
+    request,
+    sent_at,
+    attempt,
+} DedupReceiver { seen, duplicates });
 
 #[cfg(test)]
 mod tests {

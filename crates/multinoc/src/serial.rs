@@ -16,8 +16,6 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use hermes_noc::{SnapshotError, SnapshotReader, SnapshotWriter};
-
 /// Serial link timing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SerialConfig {
@@ -67,25 +65,6 @@ impl Channel {
 
     fn is_idle(&self) -> bool {
         self.in_flight.is_empty() && self.ready.is_empty()
-    }
-
-    fn snapshot_write(&self, w: &mut SnapshotWriter) {
-        for queue in [&self.in_flight, &self.ready] {
-            let bytes: Vec<u8> = queue.iter().copied().collect();
-            w.put_bytes(&bytes);
-        }
-        w.put_u64(self.next_deliver);
-    }
-
-    fn snapshot_read(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let in_flight = VecDeque::from(r.take_bytes()?);
-        let ready = VecDeque::from(r.take_bytes()?);
-        let next_deliver = r.take_u64()?;
-        Ok(Self {
-            in_flight,
-            ready,
-            next_deliver,
-        })
     }
 }
 
@@ -141,29 +120,6 @@ impl SerialLink {
     /// Whether no byte is queued or in flight in either direction.
     pub fn is_idle(&self) -> bool {
         self.to_device.is_idle() && self.to_host.is_idle()
-    }
-
-    /// Snapshot codec: link timing plus both directions' byte queues and
-    /// delivery timers.
-    pub(crate) fn snapshot_write(&self, w: &mut SnapshotWriter) {
-        w.put_u64(self.config.cycles_per_byte);
-        self.to_device.snapshot_write(w);
-        self.to_host.snapshot_write(w);
-    }
-
-    /// Decodes a link written by
-    /// [`snapshot_write`](Self::snapshot_write).
-    pub(crate) fn snapshot_read(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let config = SerialConfig {
-            cycles_per_byte: r.take_u64()?,
-        };
-        let to_device = Channel::snapshot_read(r)?;
-        let to_host = Channel::snapshot_read(r)?;
-        Ok(Self {
-            config,
-            to_device,
-            to_host,
-        })
     }
 
     /// The earliest cycle at which this link does clocked work: `now`
@@ -389,19 +345,6 @@ impl FrameBuffer {
         self.bytes.drain(..len);
     }
 
-    /// Snapshot codec: the buffered partial-frame bytes.
-    pub(crate) fn snapshot_write(&self, w: &mut SnapshotWriter) {
-        w.put_bytes(&self.bytes);
-    }
-
-    /// Decodes a buffer written by
-    /// [`snapshot_write`](Self::snapshot_write).
-    pub(crate) fn snapshot_read(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            bytes: r.take_bytes()?,
-        })
-    }
-
     /// Tries to parse one complete [`HostCommand`] from the buffered
     /// bytes.
     ///
@@ -495,6 +438,16 @@ impl FrameBuffer {
         Ok(Some(frame))
     }
 }
+
+hermes_noc::snap_struct!(SerialConfig { cycles_per_byte } Channel {
+    in_flight,
+    ready,
+    next_deliver,
+} SerialLink {
+    config,
+    to_device,
+    to_host,
+} FrameBuffer { bytes });
 
 #[cfg(test)]
 mod tests {

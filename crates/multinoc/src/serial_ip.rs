@@ -11,6 +11,7 @@
 //! the [`SYNC_BYTE`] `0x55` so the hardware can
 //! lock to the baud rate; bytes before it are ignored.
 
+use hermes_noc::snapshot::check_mesh;
 use hermes_noc::{RouterAddr, SnapshotError, SnapshotReader, SnapshotWriter};
 
 use crate::directory::ServiceDirectory;
@@ -288,77 +289,47 @@ impl SerialIp {
         }
     }
 
-    /// Snapshot codec: sync state, receive buffer, reliability layer
-    /// and the scanf bookkeeping. The router, node table and directory
-    /// are restored by the enclosing system snapshot and passed to
-    /// [`snapshot_read`](Self::snapshot_read).
+    /// Snapshot codec: framing state, reliability layer and the pending
+    /// read/scanf bookkeeping. Address, node table and directory come
+    /// from the system and are not written.
     pub(crate) fn snapshot_write(&self, w: &mut SnapshotWriter) {
-        w.put_bool(self.synced);
-        self.rx.snapshot_write(w);
+        w.put(&self.synced);
+        w.put(&self.rx);
         self.reliable.snapshot_write(w);
-        w.put_usize(self.pending_reads.len());
-        for req in &self.pending_reads {
-            req.snapshot_write(w);
-        }
-        w.put_usize(self.scanf_pending.len());
-        for &(node, src, seq) in &self.scanf_pending {
-            w.put_u8(node);
-            w.put_addr(src);
-            w.put_u16(seq);
-        }
-        w.put_usize(self.scanf_answered.len());
-        for &(src, seq, value) in &self.scanf_answered {
-            w.put_addr(src);
-            w.put_u16(seq);
-            w.put_u16(value);
-        }
+        w.put(&self.pending_reads);
+        w.put(&self.scanf_pending);
+        w.put(&self.scanf_answered);
     }
 
     /// Decodes a serial IP written by
-    /// [`snapshot_write`](Self::snapshot_write).
+    /// [`snapshot_write`](Self::snapshot_write) for router `addr` of a
+    /// `mesh`-shaped network.
     pub(crate) fn snapshot_read(
         r: &mut SnapshotReader<'_>,
         addr: RouterAddr,
         table: NodeTable,
         directory: ServiceDirectory,
-        width: u8,
-        height: u8,
+        mesh: (u8, u8),
     ) -> Result<Self, SnapshotError> {
-        let synced = r.take_bool()?;
-        let rx = FrameBuffer::snapshot_read(r)?;
-        let reliable = ReliableSender::snapshot_read(r, NodeId(0), width, height)?;
-        let count = r.take_len(8)?;
-        let mut pending_reads = Vec::with_capacity(count);
-        for _ in 0..count {
-            pending_reads.push(PendingRequest::snapshot_read(r, width, height)?);
-        }
-        let count = r.take_len(5)?;
-        let mut scanf_pending = Vec::with_capacity(count);
-        for _ in 0..count {
-            let node = r.take_u8()?;
-            let src = r.take_addr_in(width, height)?;
-            let seq = r.take_u16()?;
-            scanf_pending.push((node, src, seq));
-        }
-        let count = r.take_len(6)?;
-        let mut scanf_answered = Vec::with_capacity(count);
-        for _ in 0..count {
-            let src = r.take_addr_in(width, height)?;
-            let seq = r.take_u16()?;
-            let value = r.take_u16()?;
-            scanf_answered.push((src, seq, value));
-        }
-        Ok(Self {
+        let ip = Self {
             addr,
             table,
             directory,
-            synced,
-            rx,
-            reliable,
-            pending_reads,
-            scanf_pending,
-            scanf_answered,
-        })
+            synced: r.take()?,
+            rx: r.take()?,
+            reliable: ReliableSender::snapshot_read(r, NodeId(0))?,
+            pending_reads: r.take()?,
+            scanf_pending: r.take()?,
+            scanf_answered: r.take()?,
+        };
+        check_mesh(
+            mesh,
+            (ip.reliable.addrs())
+                .chain(ip.pending_reads.iter().flat_map(PendingRequest::addrs))
+                .chain(ip.scanf_pending.iter().map(|&(_, src, _)| src))
+                .chain(ip.scanf_answered.iter().map(|&(src, _, _)| src)),
+        )?;
+        Ok(ip)
     }
 }
 

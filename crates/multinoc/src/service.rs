@@ -31,6 +31,7 @@
 
 use std::fmt;
 
+use hermes_noc::snapshot::Snap;
 use hermes_noc::{Packet, RouterAddr, SnapshotError, SnapshotReader, SnapshotWriter};
 
 /// Service codes, numbered in the order the paper lists them.
@@ -184,105 +185,87 @@ impl Service {
     }
 }
 
-/// Snapshot helper: length-prefixed `u16` word block.
-pub(crate) fn put_words(w: &mut SnapshotWriter, words: &[u16]) {
-    w.put_usize(words.len());
-    for &word in words {
-        w.put_u16(word);
-    }
-}
-
-/// Snapshot helper: reads a word block written by [`put_words`].
-pub(crate) fn take_words(r: &mut SnapshotReader<'_>) -> Result<Vec<u16>, SnapshotError> {
-    let len = r.take_len(2)?;
-    let mut words = Vec::with_capacity(len);
-    for _ in 0..len {
-        words.push(r.take_u16()?);
-    }
-    Ok(words)
-}
-
 impl Service {
-    /// Snapshot codec: tag byte (the service code) followed by the
-    /// variant's fields. Distinct from the wire format, which packs
-    /// fields into flit-width chunks and appends check flits.
-    pub(crate) fn snapshot_write(&self, w: &mut SnapshotWriter) {
-        w.put_u8(self.code() as u8);
+    /// The router a replication message names — the origin of a
+    /// replicated write or the stale primary of an invalidation.
+    pub(crate) fn peer(&self) -> Option<RouterAddr> {
+        match *self {
+            Service::ReplicateWrite { origin, .. } => Some(origin),
+            Service::ReplicaInvalidate { stale } => Some(stale),
+            _ => None,
+        }
+    }
+}
+
+/// The code's number as one byte.
+impl Snap for ServiceCode {
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.put(&(*self as u8));
+    }
+
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        ServiceCode::from_flit(u16::from(r.take::<u8>()?))
+            .ok_or(SnapshotError::Malformed("service code tag"))
+    }
+}
+
+/// The service code, then the variant's fields. Distinct from the wire
+/// format, which packs fields into flit-width chunks and appends check
+/// flits.
+impl Snap for Service {
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.put(&self.code());
         match self {
-            Service::ReadFromMemory { addr, count } => {
-                w.put_u16(*addr);
-                w.put_u16(*count);
-            }
+            Service::ReadFromMemory { addr, count } => w.put(&(*addr, *count)),
             Service::ReadReturn { addr, data } | Service::WriteInMemory { addr, data } => {
-                w.put_u16(*addr);
-                put_words(w, data);
+                w.put(addr);
+                w.put(data);
             }
             Service::ActivateProcessor | Service::Scanf | Service::Ack => {}
-            Service::Printf { data } => put_words(w, data),
-            Service::ScanfReturn { value } => w.put_u16(*value),
-            Service::Notify { from } | Service::Wait { from } => w.put_u16(*from),
+            Service::Printf { data } => w.put(data),
+            Service::ScanfReturn { value } => w.put(value),
+            Service::Notify { from } | Service::Wait { from } => w.put(from),
             Service::ReplicateWrite {
                 origin,
                 origin_seq,
                 addr,
                 data,
             } => {
-                w.put_addr(*origin);
-                w.put_u16(*origin_seq);
-                w.put_u16(*addr);
-                put_words(w, data);
+                w.put(&(*origin, *origin_seq, *addr));
+                w.put(data);
             }
-            Service::ReplicaInvalidate { stale } => w.put_addr(*stale),
+            Service::ReplicaInvalidate { stale } => w.put(stale),
         }
     }
 
-    /// Decodes a service written by [`snapshot_write`](Self::snapshot_write),
-    /// validating embedded router addresses against the mesh shape.
-    pub(crate) fn snapshot_read(
-        r: &mut SnapshotReader<'_>,
-        width: u8,
-        height: u8,
-    ) -> Result<Self, SnapshotError> {
-        let tag = r.take_u8()?;
-        let code = ServiceCode::from_flit(u16::from(tag))
-            .ok_or(SnapshotError::Malformed("service code tag"))?;
-        Ok(match code {
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(match r.take()? {
             ServiceCode::ReadFromMemory => Service::ReadFromMemory {
-                addr: r.take_u16()?,
-                count: r.take_u16()?,
+                addr: r.take()?,
+                count: r.take()?,
             },
             ServiceCode::ReadReturn => Service::ReadReturn {
-                addr: r.take_u16()?,
-                data: take_words(r)?,
+                addr: r.take()?,
+                data: r.take()?,
             },
             ServiceCode::WriteInMemory => Service::WriteInMemory {
-                addr: r.take_u16()?,
-                data: take_words(r)?,
+                addr: r.take()?,
+                data: r.take()?,
             },
             ServiceCode::ActivateProcessor => Service::ActivateProcessor,
-            ServiceCode::Printf => Service::Printf {
-                data: take_words(r)?,
-            },
+            ServiceCode::Printf => Service::Printf { data: r.take()? },
             ServiceCode::Scanf => Service::Scanf,
-            ServiceCode::ScanfReturn => Service::ScanfReturn {
-                value: r.take_u16()?,
-            },
-            ServiceCode::Notify => Service::Notify {
-                from: r.take_u16()?,
-            },
-            ServiceCode::Wait => Service::Wait {
-                from: r.take_u16()?,
-            },
+            ServiceCode::ScanfReturn => Service::ScanfReturn { value: r.take()? },
+            ServiceCode::Notify => Service::Notify { from: r.take()? },
+            ServiceCode::Wait => Service::Wait { from: r.take()? },
             ServiceCode::Ack => Service::Ack,
             ServiceCode::ReplicateWrite => Service::ReplicateWrite {
-                origin: r.take_addr_in(width, height)?,
-                origin_seq: r.take_u16()?,
-                addr: r.take_u16()?,
-                data: take_words(r)?,
+                origin: r.take()?,
+                origin_seq: r.take()?,
+                addr: r.take()?,
+                data: r.take()?,
             },
-            ServiceCode::ReplicaInvalidate => Service::ReplicaInvalidate {
-                stale: r.take_addr_in(width, height)?,
-            },
+            ServiceCode::ReplicaInvalidate => Service::ReplicaInvalidate { stale: r.take()? },
         })
     }
 }
@@ -811,14 +794,10 @@ mod tests {
             },
         ];
         let mut w = SnapshotWriter::new();
-        for s in &services {
-            s.snapshot_write(&mut w);
-        }
+        w.put(&services);
         let bytes = w.finish(hermes_noc::snapshot::KIND_SYSTEM);
         let mut r = SnapshotReader::open(&bytes, hermes_noc::snapshot::KIND_SYSTEM).unwrap();
-        for s in &services {
-            assert_eq!(&Service::snapshot_read(&mut r, 2, 2).unwrap(), s);
-        }
+        assert_eq!(r.take::<Vec<Service>>().unwrap(), services);
         r.finish().unwrap();
     }
 

@@ -12,7 +12,7 @@
 
 use std::collections::VecDeque;
 
-use hermes_noc::{RouterAddr, SnapshotError, SnapshotReader, SnapshotWriter};
+use hermes_noc::{RouterAddr, SnapshotError};
 
 use crate::node::NodeId;
 use crate::service::ServiceCode;
@@ -240,96 +240,46 @@ impl SpanLog {
         }
     }
 
-    /// Serializes the log for embedding in a system checkpoint.
-    pub(crate) fn snapshot_write(&self, w: &mut SnapshotWriter) {
-        w.put_usize(self.capacity);
-        w.put_u64(self.next_id);
-        w.put_u64(self.evicted);
-        w.put_u64(self.completed);
-        w.put_u64(self.retransmissions);
-        w.put_u64(self.redirects);
-        w.put_usize(self.spans.len());
-        for s in &self.spans {
-            w.put_u64(s.id);
-            w.put_u8(s.node.0);
-            w.put_addr(s.dest);
-            w.put_u8(s.code as u8);
-            w.put_u16(s.seq);
-            w.put_u64(s.started);
-            w.put_usize(s.transmissions.len());
-            for t in &s.transmissions {
-                w.put_u64(t.cycle);
-                w.put_opt_u64(t.packet);
-            }
-            w.put_usize(s.redirects.len());
-            for r in &s.redirects {
-                w.put_u64(r.cycle);
-                w.put_addr(r.from);
-                w.put_addr(r.to);
-            }
-            w.put_opt_u64(s.completed);
-        }
-    }
-
-    /// Decodes a log written by [`snapshot_write`](Self::snapshot_write).
-    pub(crate) fn snapshot_read(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let capacity = r.take_usize()?;
-        if capacity == 0 {
+    /// The checks a decoded log must pass: a nonzero capacity holding
+    /// its ring.
+    fn check_restored(&self) -> Result<(), SnapshotError> {
+        if self.capacity == 0 {
             return Err(SnapshotError::Malformed("span log capacity"));
         }
-        let mut log = Self::new(capacity);
-        log.next_id = r.take_u64()?;
-        log.evicted = r.take_u64()?;
-        log.completed = r.take_u64()?;
-        log.retransmissions = r.take_u64()?;
-        log.redirects = r.take_u64()?;
-        let count = r.take_len(26)?;
-        if count > capacity {
+        if self.spans.len() > self.capacity {
             return Err(SnapshotError::Malformed("span ring over capacity"));
         }
-        for _ in 0..count {
-            let id = r.take_u64()?;
-            let node = NodeId(r.take_u8()?);
-            let dest = r.take_addr()?;
-            let code = ServiceCode::from_flit(u16::from(r.take_u8()?))
-                .ok_or(SnapshotError::Malformed("span service code"))?;
-            let seq = r.take_u16()?;
-            let started = r.take_u64()?;
-            let tx_count = r.take_len(9)?;
-            let mut transmissions = Vec::with_capacity(tx_count);
-            for _ in 0..tx_count {
-                let cycle = r.take_u64()?;
-                transmissions.push(SpanTransmission {
-                    cycle,
-                    packet: r.take_opt_u64()?,
-                });
-            }
-            if transmissions.is_empty() {
-                return Err(SnapshotError::Malformed("span without transmissions"));
-            }
-            let redirect_count = r.take_len(12)?;
-            let mut redirects = Vec::with_capacity(redirect_count);
-            for _ in 0..redirect_count {
-                let cycle = r.take_u64()?;
-                let from = r.take_addr()?;
-                redirects.push(SpanRedirect {
-                    cycle,
-                    from,
-                    to: r.take_addr()?,
-                });
-            }
-            log.spans.push_back(ServiceSpan {
-                id,
-                node,
-                dest,
-                code,
-                seq,
-                started,
-                transmissions,
-                redirects,
-                completed: r.take_opt_u64()?,
-            });
-        }
-        Ok(log)
+        Ok(())
     }
 }
+/// Every span records its first transmission.
+fn check_span(span: &ServiceSpan) -> Result<(), SnapshotError> {
+    if span.transmissions.is_empty() {
+        return Err(SnapshotError::Malformed("span without transmissions"));
+    }
+    Ok(())
+}
+
+hermes_noc::snap_struct!(SpanTransmission { cycle, packet } SpanRedirect {
+    cycle,
+    from,
+    to
+} ServiceSpan {
+    id,
+    node,
+    dest,
+    code,
+    seq,
+    started,
+    transmissions,
+    redirects,
+    completed,
+} => check_span SpanLog {
+    capacity,
+    next_id,
+    evicted,
+    completed,
+    retransmissions,
+    redirects,
+    spans,
+} => SpanLog::check_restored);

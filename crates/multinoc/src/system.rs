@@ -75,6 +75,18 @@ enum Ip {
     Vacant,
 }
 
+hermes_noc::snap_struct!(Watchdog {
+    window,
+    last_hops,
+    last_change,
+    last_epoch,
+} FailoverRecord {
+    cycle,
+    logical,
+    from,
+    to
+});
+
 /// One recorded service failover: the cycle the survivor took over and
 /// who handed off to whom.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1535,7 +1547,7 @@ impl System {
         // The NoC snapshot keeps its own sealed container (version,
         // checksum, mesh-shape validation) and is embedded as an opaque
         // blob.
-        w.put_bytes(&self.noc.save_state());
+        w.put(&self.noc.save_state());
         self.snapshot_write(&mut w);
         w.finish(snapshot::KIND_SYSTEM)
     }
@@ -1550,79 +1562,48 @@ impl System {
     /// compare at run boundaries rather than every cycle.
     pub fn fingerprint(&self) -> u64 {
         let mut w = SnapshotWriter::new();
-        w.put_u64(self.noc.fingerprint());
+        w.put(&self.noc.fingerprint());
         self.snapshot_write(&mut w);
         w.digest()
     }
 
     /// Writes everything a checkpoint holds after the network snapshot.
     fn snapshot_write(&self, w: &mut SnapshotWriter) {
-        w.put_f64(self.clock_hz);
-        self.link.snapshot_write(w);
-        self.table.snapshot_write(w);
-        self.directory.snapshot_write(w);
-        w.put_usize(self.ips.len());
+        w.put(&self.clock_hz);
+        w.put(&self.link);
+        w.put(&self.table);
+        w.put(&self.directory);
+        // The IP list writes its own length: each IP decodes with the
+        // context of its node-table slot.
+        w.put(&self.ips.len());
         for ip in &self.ips {
             match ip {
-                Ip::Vacant => w.put_u8(0),
+                Ip::Vacant => w.put(&0u8),
                 Ip::Processor(p) => {
-                    w.put_u8(1);
+                    w.put(&1u8);
                     p.snapshot_write(w);
                 }
                 Ip::Memory(m) => {
-                    w.put_u8(2);
+                    w.put(&2u8);
                     m.snapshot_write(w);
                 }
                 Ip::Serial(s) => {
-                    w.put_u8(3);
+                    w.put(&3u8);
                     s.snapshot_write(w);
                 }
             }
         }
-        self.counters.snapshot_write(w);
-        match &self.trace {
-            None => w.put_u8(0),
-            Some(log) => {
-                w.put_u8(1);
-                log.snapshot_write(w);
-            }
-        }
-        w.put_usize(self.vacated_routers.len());
-        for &addr in &self.vacated_routers {
-            w.put_addr(addr);
-        }
+        w.put(&self.counters);
+        w.put(&self.trace);
+        w.put(&self.vacated_routers);
         // The watchdog's progress windows are written verbatim: a
         // restored run re-arming them from current values could fire a
         // false DeadLink the uninterrupted run never saw.
-        match &self.watchdog {
-            None => w.put_u8(0),
-            Some(wd) => {
-                w.put_u8(1);
-                w.put_u64(wd.window);
-                w.put_u64(wd.last_hops);
-                w.put_u64(wd.last_change);
-                w.put_u64(wd.last_epoch);
-            }
-        }
-        w.put_usize(self.dead_nodes.len());
-        for n in &self.dead_nodes {
-            w.put_u8(n.0);
-        }
-        w.put_usize(self.processed_dead.len());
-        for &addr in &self.processed_dead {
-            w.put_addr(addr);
-        }
-        w.put_usize(self.failover_log.len());
-        for f in &self.failover_log {
-            w.put_u64(f.cycle);
-            w.put_u8(f.logical.0);
-            w.put_u8(f.from.0);
-            w.put_u8(f.to.0);
-        }
-        w.put_bool(self.spans.is_some());
-        if let Some(spans) = &self.spans {
-            spans.snapshot_write(w);
-        }
+        w.put(&self.watchdog);
+        w.put(&self.dead_nodes);
+        w.put(&self.processed_dead);
+        w.put(&self.failover_log);
+        w.put(&self.spans);
     }
 
     /// Writes [`checkpoint`](Self::checkpoint) to `path` atomically:
@@ -1674,24 +1655,25 @@ impl System {
 
     fn restore_inner(bytes: &[u8], kernel: Option<KernelMode>) -> Result<Self, SnapshotError> {
         let mut r = SnapshotReader::open(bytes, snapshot::KIND_SYSTEM)?;
-        let noc_blob = r.take_bytes()?;
+        let noc_blob: Vec<u8> = r.take()?;
         let noc = match kernel {
             None => Noc::restore_state(&noc_blob)?,
             Some(k) => Noc::restore_state_with_kernel(&noc_blob, k)?,
         };
-        let (width, height) = (noc.config().width(), noc.config().height());
-        let clock_hz = r.take_f64()?;
+        let mesh = (noc.config().width(), noc.config().height());
+        let clock_hz: f64 = r.take()?;
         if !clock_hz.is_finite() || clock_hz <= 0.0 {
             return Err(SnapshotError::Malformed("clock frequency"));
         }
-        let link = SerialLink::snapshot_read(&mut r)?;
-        let table = NodeTable::snapshot_read(&mut r, width, height)?;
-        let directory = ServiceDirectory::snapshot_read(&mut r)?;
+        let link = r.take()?;
+        let table: NodeTable = r.take()?;
+        snapshot::check_mesh(mesh, table.routers())?;
+        let directory: ServiceDirectory = r.take()?;
         let io_router = table
             .nodes_of_kind(NodeKind::Serial)
             .next()
             .and_then(|n| table.router_of(n));
-        let count = r.take_len(1)?;
+        let count = r.take_len()?;
         if count != table.len() {
             return Err(SnapshotError::Malformed(
                 "IP count does not match node table",
@@ -1700,7 +1682,7 @@ impl System {
         let mut ips = Vec::with_capacity(count);
         for idx in 0..count {
             let node = NodeId(idx as u8);
-            let tag = r.take_u8()?;
+            let tag: u8 = r.take()?;
             let slot = table.router_of(node);
             let ip = match (tag, slot, table.kind_of(node)) {
                 (0, None, _) => Ip::Vacant,
@@ -1712,20 +1694,18 @@ impl System {
                         table.clone(),
                         directory.clone(),
                         io_router,
-                        width,
-                        height,
+                        mesh,
                     )?))
                 }
                 (2, Some(addr), Some(NodeKind::Memory)) => {
-                    Ip::Memory(MemoryIp::snapshot_read(&mut r, node, addr, width, height)?)
+                    Ip::Memory(MemoryIp::snapshot_read(&mut r, node, addr, mesh)?)
                 }
                 (3, Some(addr), Some(NodeKind::Serial)) => Ip::Serial(SerialIp::snapshot_read(
                     &mut r,
                     addr,
                     table.clone(),
                     directory.clone(),
-                    width,
-                    height,
+                    mesh,
                 )?),
                 (0..=3, _, _) => {
                     return Err(SnapshotError::Malformed(
@@ -1736,57 +1716,19 @@ impl System {
             };
             ips.push(ip);
         }
-        let counters = ServiceCounters::snapshot_read(&mut r)?;
-        let trace = match r.take_u8()? {
-            0 => None,
-            1 => Some(TraceLog::snapshot_read(&mut r)?),
-            _ => return Err(SnapshotError::Malformed("trace presence tag")),
-        };
-        let count = r.take_len(2)?;
-        let mut vacated_routers = Vec::with_capacity(count);
-        for _ in 0..count {
-            vacated_routers.push(r.take_addr_in(width, height)?);
-        }
-        let watchdog = match r.take_u8()? {
-            0 => None,
-            1 => Some(Watchdog {
-                window: r.take_u64()?,
-                last_hops: r.take_u64()?,
-                last_change: r.take_u64()?,
-                last_epoch: r.take_u64()?,
-            }),
-            _ => return Err(SnapshotError::Malformed("watchdog presence tag")),
-        };
-        let count = r.take_len(1)?;
-        let mut dead_nodes = Vec::with_capacity(count);
-        for _ in 0..count {
-            let n = NodeId(r.take_u8()?);
-            if n.index() >= table.len() {
-                return Err(SnapshotError::Malformed("dead node outside the table"));
-            }
-            dead_nodes.push(n);
-        }
-        let count = r.take_len(2)?;
-        let mut processed_dead = BTreeSet::new();
-        for _ in 0..count {
-            processed_dead.insert(r.take_addr_in(width, height)?);
-        }
-        let count = r.take_len(11)?;
-        let mut failover_log = Vec::with_capacity(count);
-        for _ in 0..count {
-            failover_log.push(FailoverRecord {
-                cycle: r.take_u64()?,
-                logical: NodeId(r.take_u8()?),
-                from: NodeId(r.take_u8()?),
-                to: NodeId(r.take_u8()?),
-            });
-        }
-        let spans = if r.version() >= 4 && r.take_bool()? {
-            Some(SpanLog::snapshot_read(&mut r)?)
-        } else {
-            None
-        };
+        let counters = r.take()?;
+        let trace = r.take()?;
+        let vacated_routers: Vec<RouterAddr> = r.take()?;
+        let watchdog = r.take()?;
+        let dead_nodes: Vec<NodeId> = r.take()?;
+        let processed_dead: BTreeSet<RouterAddr> = r.take()?;
+        let failover_log = r.take()?;
+        let spans = if r.version() >= 4 { r.take()? } else { None };
         r.finish()?;
+        snapshot::check_mesh(mesh, vacated_routers.iter().chain(&processed_dead).copied())?;
+        if dead_nodes.iter().any(|n| n.index() >= table.len()) {
+            return Err(SnapshotError::Malformed("dead node outside the table"));
+        }
         Ok(System {
             noc,
             ips,

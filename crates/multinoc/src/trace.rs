@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use hermes_noc::{RouterAddr, SnapshotError, SnapshotReader, SnapshotWriter};
+use hermes_noc::{RouterAddr, SnapshotError};
 
 use crate::node::NodeId;
 use crate::service::{Service, ServiceCode};
@@ -140,48 +140,6 @@ impl ServiceCounters {
         nodes.dedup();
         nodes
     }
-
-    /// Snapshot codec: both per-node tables (`BTreeMap` iteration is
-    /// already key-ordered, hence deterministic) plus the corruption
-    /// tally.
-    pub(crate) fn snapshot_write(&self, w: &mut SnapshotWriter) {
-        for table in [&self.sent, &self.received] {
-            w.put_usize(table.len());
-            for (node, row) in table {
-                w.put_u8(node.0);
-                for &count in row {
-                    w.put_u64(count);
-                }
-            }
-        }
-        w.put_u64(self.corrupt_dropped);
-    }
-
-    /// Decodes counters written by
-    /// [`snapshot_write`](Self::snapshot_write).
-    pub(crate) fn snapshot_read(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let mut tables = [BTreeMap::new(), BTreeMap::new()];
-        for table in &mut tables {
-            let len = r.take_len(97)?;
-            for _ in 0..len {
-                let node = NodeId(r.take_u8()?);
-                let mut row = [0u64; 12];
-                for slot in &mut row {
-                    *slot = r.take_u64()?;
-                }
-                if table.insert(node, row).is_some() {
-                    return Err(SnapshotError::Malformed("duplicate counter row"));
-                }
-            }
-        }
-        let [sent, received] = tables;
-        let corrupt_dropped = r.take_u64()?;
-        Ok(Self {
-            sent,
-            received,
-            corrupt_dropped,
-        })
-    }
 }
 
 /// The opt-in event log (bounded; oldest events drop first).
@@ -239,65 +197,12 @@ impl TraceLog {
         self.evicted
     }
 
-    /// Snapshot codec: capacity, push/evict counters and the *physical*
-    /// buffer (including the not-yet-drained overhang), so the amortized
-    /// eviction schedule resumes exactly where it left off.
-    pub(crate) fn snapshot_write(&self, w: &mut SnapshotWriter) {
-        w.put_usize(self.capacity);
-        w.put_u64(self.pushed);
-        w.put_u64(self.evicted);
-        w.put_usize(self.events.len());
-        for e in &self.events {
-            w.put_u64(e.cycle);
-            w.put_u8(e.node.0);
-            w.put_u8(match e.direction {
-                Direction::Sent => 0,
-                Direction::Received => 1,
-            });
-            w.put_addr(e.peer);
-            w.put_u8(e.code as u8);
-            w.put_str(&e.summary);
-        }
-    }
-
-    /// Decodes a log written by
-    /// [`snapshot_write`](Self::snapshot_write).
-    pub(crate) fn snapshot_read(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let capacity = r.take_usize()?;
-        if capacity == 0 {
+    /// A decoded log must have room for at least one event.
+    fn check_restored(&self) -> Result<(), SnapshotError> {
+        if self.capacity == 0 {
             return Err(SnapshotError::Malformed("trace log capacity is 0"));
         }
-        let pushed = r.take_u64()?;
-        let evicted = r.take_u64()?;
-        let len = r.take_len(21)?;
-        let mut events = Vec::with_capacity(len);
-        for _ in 0..len {
-            let cycle = r.take_u64()?;
-            let node = NodeId(r.take_u8()?);
-            let direction = match r.take_u8()? {
-                0 => Direction::Sent,
-                1 => Direction::Received,
-                _ => return Err(SnapshotError::Malformed("trace direction tag")),
-            };
-            let peer = r.take_addr()?;
-            let code = ServiceCode::from_flit(u16::from(r.take_u8()?))
-                .ok_or(SnapshotError::Malformed("trace service code"))?;
-            let summary = r.take_str()?;
-            events.push(TraceEvent {
-                cycle,
-                node,
-                direction,
-                peer,
-                code,
-                summary,
-            });
-        }
-        Ok(Self {
-            events,
-            capacity,
-            pushed,
-            evicted,
-        })
+        Ok(())
     }
 }
 
@@ -305,6 +210,29 @@ impl TraceLog {
 pub(crate) fn summarize(service: &Service) -> String {
     service.to_string()
 }
+
+hermes_noc::snap_enum!(Direction, "trace direction tag" {
+    Sent = 0,
+    Received = 1,
+});
+
+hermes_noc::snap_struct!(ServiceCounters {
+    sent,
+    received,
+    corrupt_dropped,
+} TraceEvent {
+    cycle,
+    node,
+    direction,
+    peer,
+    code,
+    summary,
+} TraceLog {
+    capacity,
+    pushed,
+    evicted,
+    events,
+} => TraceLog::check_restored);
 
 #[cfg(test)]
 mod tests {

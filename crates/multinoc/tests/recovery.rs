@@ -392,3 +392,85 @@ fn auto_checkpoint_writes_on_schedule_and_resumes() {
     assert_eq!(sys.fingerprint(), want);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A traced, telemetry-on, faulted 4×4 network paused with traffic in
+/// flight: a dead link (so health entries and a detour epoch), a dead
+/// router and a dead endpoint, drops and corruption, a record window
+/// small enough to evict into the latency histogram.
+fn pinned_noc() -> hermes_noc::Noc {
+    use hermes_noc::{Noc, Packet, TelemetryConfig};
+    let mut config = NocConfig::mesh(4, 4);
+    config.routing = Routing::FaultTolerantXy;
+    config.stats_window = 16;
+    let mut noc = Noc::new(config).expect("4x4 mesh");
+    noc.enable_packet_trace(32);
+    noc.enable_telemetry(TelemetryConfig {
+        sample_interval: 16,
+        capacity: 8,
+        ..TelemetryConfig::default()
+    });
+    noc.set_fault_plan(
+        FaultPlan::new(0x5EED)
+            .with_corrupt_rate(0.01)
+            .with_drop_rate(0.02)
+            .with_link_down(
+                RouterAddr::new(1, 1),
+                Port::East,
+                CycleWindow::open_ended(40),
+            )
+            .with_router_down(RouterAddr::new(3, 0), 150)
+            .with_endpoint_down(RouterAddr::new(0, 3), 90),
+    )
+    .expect("valid plan");
+    for round in 0..6u16 {
+        for i in 0..16u16 {
+            let src = RouterAddr::new((i % 4) as u8, (i / 4) as u8);
+            let j = (i * 7 + round * 3 + 5) % 16;
+            let dest = RouterAddr::new((j % 4) as u8, (j / 4) as u8);
+            let payload = (0..1 + (i + round) % 5).map(|w| w * 17 + i).collect();
+            // A send may be refused once its source is dead.
+            let _ = noc.send(src, Packet::new(dest, payload));
+        }
+        noc.run(45);
+    }
+    noc
+}
+
+/// The paper layout, faulted, with every observer on — trace log,
+/// packet trace, service spans and telemetry — paused mid-handshake.
+fn pinned_system() -> System {
+    let mut sys = build(
+        KernelMode::Active,
+        Some(FaultPlan::new(0xC0FFEE).with_drop_rate(0.05)),
+    );
+    sys.enable_trace(128);
+    sys.enable_packet_trace(32);
+    sys.enable_service_spans(64);
+    sys.enable_telemetry(hermes_noc::TelemetryConfig {
+        sample_interval: 32,
+        capacity: 16,
+        ..hermes_noc::TelemetryConfig::default()
+    });
+    load_handshake(&mut sys);
+    sys.run(700).expect("run");
+    sys
+}
+
+#[test]
+fn snapshot_byte_format_is_pinned() {
+    // Length and Fletcher-64 of two fixed snapshots. Any change to the
+    // payload layout moves them; such a change must bump
+    // `SNAPSHOT_VERSION` (and keep the older layouts decodable) before
+    // these values are updated.
+    use hermes_noc::snapshot::fletcher64;
+    let noc = pinned_noc().save_state();
+    let sys = pinned_system().checkpoint();
+    assert_eq!(
+        (noc.len(), fletcher64(&noc)),
+        (153_135, 0xe1af_1a72_a6d8_9010)
+    );
+    assert_eq!(
+        (sys.len(), fletcher64(&sys)),
+        (145_012, 0xd55a_c395_eaad_61ca)
+    );
+}

@@ -3,7 +3,8 @@
 //! mis-restored system. The suite tampers with a real mid-flight system
 //! checkpoint every way a file can rot (truncation, bit flips, a wrong
 //! version stamp, a wrong payload kind, a mesh-shape mismatch, trailing
-//! garbage) and finishes with a property test flipping arbitrary bytes.
+//! garbage) and finishes with property tests that flip or stomp bytes
+//! and re-seal both checksums, so the damage reaches the field decoders.
 
 use std::sync::OnceLock;
 
@@ -175,29 +176,73 @@ fn intact_checkpoint_still_restores_after_all_that() {
     assert_eq!(sys.checkpoint(), snap);
 }
 
+/// Where the embedded NoC container sits inside a system checkpoint:
+/// behind the outer header and its 8-byte length prefix.
+fn inner_container(bytes: &[u8]) -> std::ops::Range<usize> {
+    let start = HEADER_LEN + 8;
+    let len = u64::from_le_bytes(bytes[HEADER_LEN..start].try_into().unwrap()) as usize;
+    start..start + len
+}
+
+/// Maps `pos` onto the bytes whose damage reaches a decoder: the first
+/// 4 KB of the NoC payload, then the system section after it. The rest
+/// of the NoC payload is mostly the dense latency histogram, where any
+/// value decodes.
+fn damage_site(bytes: &[u8], pos: usize) -> usize {
+    let inner = inner_container(bytes);
+    let noc_payload = inner.start + HEADER_LEN..inner.end - 8;
+    let noc_len = noc_payload.len().min(4096);
+    let system_len = bytes.len() - 8 - inner.end;
+    let pos = pos % (noc_len + system_len);
+    if pos < noc_len {
+        noc_payload.start + pos
+    } else {
+        inner.end + pos - noc_len
+    }
+}
+
+/// Re-seals the embedded NoC container, then the outer one, so the
+/// damage reaches the decoders instead of stopping at a checksum.
+fn reseal_both(bytes: &mut [u8]) {
+    let inner = inner_container(bytes);
+    reseal(&mut bytes[inner]);
+    reseal(bytes);
+}
+
+/// A damaged checkpoint either fails with a typed error or restores a
+/// system that keeps running: a few hundred more cycles, then a
+/// checkpoint that itself restores. Nothing may panic.
+fn restore_and_run(bytes: &[u8]) -> Result<(), TestCaseError> {
+    if let Ok(mut sys) = System::restore(bytes) {
+        // A run may stop with a typed error of its own; only a panic
+        // fails the case.
+        let _ = sys.run(400);
+        let again = sys.checkpoint();
+        prop_assert!(
+            System::restore(&again).is_ok(),
+            "restored system lost round-trip"
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Flipping any single bit anywhere in the file either fails with a
+    /// Flipping any single bit of a decoded field either fails with a
     /// typed error or — if the flip lands somewhere truly inert — still
-    /// restores a system whose own re-checkpoint round-trips. It must
-    /// never panic.
+    /// restores a system that runs on and round-trips. It must never
+    /// panic.
     #[test]
     fn any_single_bit_flip_fails_cleanly_or_round_trips(
         pos in 0usize..1_000_000,
         bit in 0u32..8,
     ) {
         let mut bytes = base_checkpoint().to_vec();
-        let pos = pos % bytes.len();
-        bytes[pos] ^= 1 << bit;
-        match System::restore(&bytes) {
-            Err(_) => {} // typed rejection is the expected outcome
-            Ok(sys) => {
-                let again = sys.checkpoint();
-                let back = System::restore(&again);
-                prop_assert!(back.is_ok(), "restored system lost round-trip");
-            }
-        }
+        let at = damage_site(&bytes, pos);
+        bytes[at] ^= 1 << bit;
+        reseal_both(&mut bytes);
+        restore_and_run(&bytes)?;
     }
 
     /// Same property under multi-byte damage: stomp a short run of
@@ -208,18 +253,10 @@ proptest! {
         values in proptest::collection::vec(any::<u8>(), 1..16),
     ) {
         let mut bytes = base_checkpoint().to_vec();
-        let pos = pos % bytes.len();
-        for (i, v) in values.iter().enumerate() {
-            let at = (pos + i) % bytes.len();
-            bytes[at] = *v;
-        }
-        match System::restore(&bytes) {
-            Err(_) => {}
-            Ok(sys) => {
-                let again = sys.checkpoint();
-                let back = System::restore(&again);
-                prop_assert!(back.is_ok(), "restored system lost round-trip");
-            }
-        }
+        let at = damage_site(&bytes, pos);
+        let end = (at + values.len()).min(bytes.len() - 8);
+        bytes[at..end].copy_from_slice(&values[..end - at]);
+        reseal_both(&mut bytes);
+        restore_and_run(&bytes)?;
     }
 }
