@@ -12,8 +12,8 @@
 //! that appear on only one side are listed — but the exit status is
 //! **always zero**: benchmark numbers are wall-clock observations of the
 //! host that produced them, so a delta is a prompt for a human, never a
-//! CI failure. Determinism regressions are caught elsewhere, by the
-//! byte-identity assertions in the experiments themselves.
+//! CI failure. Simulated results are gated exactly elsewhere: `exp_suite`
+//! fails unless each experiment's result digest matches its pin.
 
 use std::collections::BTreeMap;
 

@@ -11,23 +11,21 @@
 //! written before the death, the post-failover write lands on the
 //! surviving member, and the run halts instead of hanging or erroring.
 //!
-//! Every trial also runs under five NoC kernels (Reference, Active,
-//! Parallel×{1,2,8}) and asserts an identical outcome — cycle count,
-//! memory end-state, dead sets, failover log, retry and replication
-//! counters, and the `System::fingerprint` of the whole simulated
-//! state — so fault diagnosis and failover are proven
-//! kernel-invariant, and the whole sweep runs **twice** with the same
-//! seed and must reproduce byte-identically before printing. The
+//! Every trial also runs under all five NoC kernels and must reach an
+//! identical outcome — cycle count, memory end-state, dead sets,
+//! failover log, retry and replication counters, and the
+//! `System::fingerprint` of the whole simulated state — so fault
+//! diagnosis and failover are proven kernel-invariant. The
 //! machine-readable summary lands in `BENCH_chaos.json`.
-//!
-//! Run with `cargo run -p multinoc-bench --bin exp_chaos` (set
-//! `EXP_CHAOS_SMOKE=1` for the fast CI variant).
-
-use std::fmt::Write as _;
 
 use hermes_noc::{FaultPlan, KernelMode, NocConfig, RouterAddr, Routing};
 use multinoc::{NodeId, System};
+use multinoc_bench::obj;
+use multinoc_bench::suite::{Runs, KERNELS};
+use prng::Xorshift64;
 use r8::asm::assemble;
+
+use crate::Outcome;
 
 /// Seed of the whole sweep; each point derives its own stream from it.
 const SEED: u64 = 0xC4A0_5E22;
@@ -37,24 +35,6 @@ const BUDGET: u64 = 4_000_000;
 const PROCESSOR: NodeId = NodeId(1);
 const PRIMARY: NodeId = NodeId(2);
 const BACKUP: NodeId = NodeId(3);
-
-/// Deterministic xorshift64* stream.
-struct Prng(u64);
-
-impl Prng {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn below(&mut self, bound: u64) -> u64 {
-        self.next() % bound
-    }
-}
 
 /// One mesh configuration of the sweep.
 struct Mesh {
@@ -130,7 +110,7 @@ struct Trial {
     spin: u64,
 }
 
-fn draw_trial(rng: &mut Prng, mesh: &Mesh) -> Trial {
+fn draw_trial(rng: &mut Xorshift64, mesh: &Mesh) -> Trial {
     let kinds = if mesh.bystanders.is_empty() { 3 } else { 4 };
     let kill = match rng.below(kinds) {
         0 => Kill::PrimaryRouter,
@@ -145,10 +125,9 @@ fn draw_trial(rng: &mut Prng, mesh: &Mesh) -> Trial {
     }
 }
 
-/// Everything one run leaves behind, rendered comparable across kernels
-/// and across repeated same-seed sweeps.
+/// Everything one run leaves behind, compared across kernels.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct Outcome {
+struct TrialOutcome {
     cycles: u64,
     read_back: u16,
     primary_word: Option<u16>,
@@ -158,11 +137,11 @@ struct Outcome {
     replication_writes: u64,
     retransmissions: u64,
     reroute_resets: u64,
-    /// [`System::fingerprint`] of the halted run.
-    fingerprint: u64,
 }
 
-fn run_trial(mesh: &Mesh, trial: &Trial, seed: u64, kernel: KernelMode) -> Outcome {
+/// Runs one trial; returns the [`System::fingerprint`] of the halted run
+/// and its outcome.
+fn run_trial(mesh: &Mesh, trial: &Trial, seed: u64, kernel: KernelMode) -> (u64, TrialOutcome) {
     let mut config = NocConfig::mesh(mesh.n, mesh.n);
     config.routing = Routing::FaultTolerantXy;
     let mut sys = System::builder()
@@ -223,7 +202,7 @@ fn run_trial(mesh: &Mesh, trial: &Trial, seed: u64, kernel: KernelMode) -> Outco
         }
     };
     let counters = sys.retry_counters();
-    Outcome {
+    let outcome = TrialOutcome {
         cycles,
         read_back: sys.memory(PROCESSOR).expect("p memory").read(0x20),
         primary_word: member(PRIMARY),
@@ -233,14 +212,14 @@ fn run_trial(mesh: &Mesh, trial: &Trial, seed: u64, kernel: KernelMode) -> Outco
         replication_writes: sys.replication_writes(),
         retransmissions: counters.retransmissions,
         reroute_resets: counters.reroute_resets,
-        fingerprint: sys.fingerprint(),
-    }
+    };
+    (sys.fingerprint(), outcome)
 }
 
 /// Zero-lost, zero-duplicated service results: the value written before
 /// the death comes back, and the post-failover write landed on every
 /// surviving member.
-fn check_invariants(mesh: &Mesh, trial: &Trial, out: &Outcome) {
+fn check_invariants(mesh: &Mesh, trial: &Trial, out: &TrialOutcome) {
     let ctx = format!("{:?} on {}x{}: {out:?}", trial.kill, mesh.n, mesh.n);
     assert_eq!(out.read_back, 555, "pre-death write lost ({ctx})");
     for (name, word) in [("primary", out.primary_word), ("backup", out.backup_word)] {
@@ -249,7 +228,6 @@ fn check_invariants(mesh: &Mesh, trial: &Trial, out: &Outcome) {
             // must hold the post-failover write. The non-serving member
             // holds it too (write-through) unless the serving side
             // absorbed it after the other died.
-            let _ = name;
             assert!(w == 666 || w == 0, "torn write on {name} ({ctx})");
         }
     }
@@ -260,143 +238,67 @@ fn check_invariants(mesh: &Mesh, trial: &Trial, out: &Outcome) {
     assert_eq!(serving_word, Some(666), "post-failover write lost ({ctx})");
 }
 
-fn kernels(smoke: bool) -> Vec<KernelMode> {
-    if smoke {
-        vec![KernelMode::Reference, KernelMode::Parallel { threads: 2 }]
-    } else {
-        vec![
-            KernelMode::Reference,
-            KernelMode::Active,
-            KernelMode::Parallel { threads: 1 },
-            KernelMode::Parallel { threads: 2 },
-            KernelMode::Parallel { threads: 8 },
-        ]
-    }
-}
-
-struct Point {
-    mesh: u8,
-    kill: String,
-    kill_cycle: u64,
-    spin: u64,
-    outcome: Outcome,
-}
-
-fn run_sweep(smoke: bool) -> (String, String) {
-    let trials_per_mesh = if smoke { 2 } else { 6 };
-    let kernel_set = kernels(smoke);
-    let mut points: Vec<Point> = Vec::new();
-    for mesh in &meshes() {
-        let mut rng = Prng(SEED ^ (u64::from(mesh.n) << 32) | 1);
-        for t in 0..trials_per_mesh {
-            let trial = draw_trial(&mut rng, mesh);
-            let point_seed = SEED ^ (u64::from(mesh.n) << 16) ^ t;
-            let mut baseline: Option<Outcome> = None;
-            for &kernel in &kernel_set {
-                let out = run_trial(mesh, &trial, point_seed, kernel);
-                check_invariants(mesh, &trial, &out);
-                match &baseline {
-                    None => baseline = Some(out),
-                    Some(b) => assert_eq!(
-                        b,
-                        &out,
-                        "kernel {kernel:?} diverged ({:?} on {n}x{n})",
-                        trial.kill,
-                        n = mesh.n
-                    ),
-                }
-            }
-            points.push(Point {
-                mesh: mesh.n,
-                kill: trial.kill.label(),
-                kill_cycle: trial.kill_cycle,
-                spin: trial.spin,
-                outcome: baseline.expect("at least one kernel ran"),
-            });
-        }
-    }
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "E22 — chaos harness: randomized node death under replicated memory"
-    );
-    let _ = writeln!(
-        out,
+pub fn run(runs: &mut Runs) -> Outcome {
+    let trials_per_mesh = if runs.smoke { 2 } else { 6 };
+    println!("E22 — chaos harness: randomized node death under replicated memory");
+    println!(
         "{} trials x {} kernels, seed {SEED:#x}",
-        points.len(),
-        kernel_set.len()
+        3 * trials_per_mesh,
+        KERNELS.len()
     );
-    let _ = writeln!(
-        out,
+    println!(
         "{:<6} {:<28} {:>10} {:>8} {:>10} {:>6} {:>8}",
         "mesh", "kill", "at cycle", "spin", "cycles", "fail", "repl"
     );
-    for p in &points {
-        let _ = writeln!(
-            out,
-            "{:<6} {:<28} {:>10} {:>8} {:>10} {:>6} {:>8}",
-            format!("{n}x{n}", n = p.mesh),
-            p.kill,
-            p.kill_cycle,
-            p.spin,
-            p.outcome.cycles,
-            if p.outcome.failovers.len() > 2 { 1 } else { 0 },
-            p.outcome.replication_writes,
-        );
+    let mut points = Vec::new();
+    for mesh in &meshes() {
+        let mut rng = Xorshift64::new(SEED ^ (u64::from(mesh.n) << 32) | 1);
+        for t in 0..trials_per_mesh {
+            let trial = draw_trial(&mut rng, mesh);
+            let point_seed = SEED ^ (u64::from(mesh.n) << 16) ^ t;
+            let what = format!("{:?} on {n}x{n}", trial.kill, n = mesh.n);
+            let out = runs.agree(what, &KERNELS, |kernel| {
+                let (fingerprint, out) = run_trial(mesh, &trial, point_seed, kernel);
+                check_invariants(mesh, &trial, &out);
+                (fingerprint, out)
+            });
+            let failed_over = out.failovers.len() > 2;
+            println!(
+                "{:<6} {:<28} {:>10} {:>8} {:>10} {:>6} {:>8}",
+                format!("{n}x{n}", n = mesh.n),
+                trial.kill.label(),
+                trial.kill_cycle,
+                trial.spin,
+                out.cycles,
+                u8::from(failed_over),
+                out.replication_writes,
+            );
+            points.push(obj! {
+                "mesh": format!("{n}x{n}", n = mesh.n),
+                "kill": trial.kill.label(),
+                "kill_cycle": trial.kill_cycle,
+                "spin": trial.spin,
+                "cycles": out.cycles,
+                "read_back": out.read_back,
+                "replication_writes": out.replication_writes,
+                "retransmissions": out.retransmissions,
+                "reroute_resets": out.reroute_resets,
+                "failed_over": failed_over,
+            });
+        }
     }
-    let _ = writeln!(
-        out,
+    println!(
         "All {} trials: pre-death writes survived, post-failover writes landed \
          exactly once, all kernels bit-identical.",
         points.len()
     );
-
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"experiment\": \"E22 chaos harness\",");
-    let _ = writeln!(json, "  \"seed\": {SEED},");
-    let _ = writeln!(json, "  \"kernels\": {},", kernel_set.len());
-    let _ = writeln!(json, "  \"points\": [");
-    for (i, p) in points.iter().enumerate() {
-        let comma = if i + 1 == points.len() { "" } else { "," };
-        let _ = writeln!(
-            json,
-            "    {{\"mesh\": \"{n}x{n}\", \"kill\": \"{k}\", \"kill_cycle\": {kc}, \
-             \"spin\": {s}, \"cycles\": {c}, \"read_back\": {rb}, \
-             \"replication_writes\": {rw}, \"retransmissions\": {rt}, \
-             \"reroute_resets\": {rr}, \"failed_over\": {fo}}}{comma}",
-            n = p.mesh,
-            k = p.kill,
-            kc = p.kill_cycle,
-            s = p.spin,
-            c = p.outcome.cycles,
-            rb = p.outcome.read_back,
-            rw = p.outcome.replication_writes,
-            rt = p.outcome.retransmissions,
-            rr = p.outcome.reroute_resets,
-            fo = if p.outcome.failovers.len() > 2 {
-                "true"
-            } else {
-                "false"
-            },
-        );
-    }
-    json.push_str("  ]\n}\n");
-    (out, json)
-}
-
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let smoke = std::env::var_os("EXP_CHAOS_SMOKE").is_some();
-    let first = run_sweep(smoke);
-    let second = run_sweep(smoke);
-    assert_eq!(
-        first, second,
-        "same seed must reproduce the identical sweep"
-    );
-    let (report, json) = first;
-    std::fs::write("BENCH_chaos.json", &json)?;
-    print!("{report}");
-    println!("Determinism check: two same-seed sweeps produced identical reports.");
+    let json = obj! {
+        "experiment": "E22 chaos harness",
+        "seed": SEED,
+        "kernels": KERNELS.len(),
+        "points": points,
+    };
+    std::fs::write("BENCH_chaos.json", json.render())?;
     println!("Machine-readable summary written to BENCH_chaos.json");
     Ok(())
 }

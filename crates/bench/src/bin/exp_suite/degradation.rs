@@ -13,18 +13,20 @@
 //! 2×2 mesh every 2-edge removal partitions, which the report states
 //! rather than hides.
 //!
-//! Everything is seeded: the sweep runs **twice** with the same seed and
-//! asserts byte-identical reports (and JSON) before printing. The
-//! machine-readable summary lands in `BENCH_degradation.json`.
-//!
-//! Run with `cargo run -p multinoc-bench --bin exp_degradation`.
-
-use std::fmt::Write as _;
+//! Everything is seeded, and the runner pins the fingerprint of every
+//! trial's system. The machine-readable summary lands in
+//! `BENCH_degradation.json`.
 
 use hermes_noc::{
     CycleWindow, FaultPlan, NocConfig, Port, RouteTable, RouterAddr, Routing, Topology,
 };
 use multinoc::{host::Host, NodeId, System, SystemError};
+use multinoc_bench::json::Fixed;
+use multinoc_bench::obj;
+use multinoc_bench::suite::Runs;
+use prng::Xorshift64;
+
+use crate::Outcome;
 
 /// Seed shared by every configuration of the sweep.
 const SEED: u64 = 0xDE6A_DE19;
@@ -38,24 +40,6 @@ const TRIALS: u64 = 3;
 const MAX_FAILURES: usize = 3;
 /// Mesh side lengths swept.
 const MESHES: &[u8] = &[2, 3, 4];
-
-/// Deterministic xorshift64* stream.
-struct Prng(u64);
-
-impl Prng {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn below(&mut self, bound: usize) -> usize {
-        (self.next() % bound as u64) as usize
-    }
-}
 
 /// Every undirected mesh edge, named by its East/North-facing channel.
 fn edges(n: u8) -> Vec<(RouterAddr, Port)> {
@@ -97,7 +81,7 @@ fn connected(n: u8, dead: &[(RouterAddr, Port)]) -> bool {
 
 /// Draws a non-partitioning set of `count` distinct edges, or `None` if
 /// the bounded deterministic search finds none (e.g. 2 failures on 2×2).
-fn draw_failures(n: u8, count: usize, prng: &mut Prng) -> Option<Vec<(RouterAddr, Port)>> {
+fn draw_failures(n: u8, count: usize, prng: &mut Xorshift64) -> Option<Vec<(RouterAddr, Port)>> {
     let all = edges(n);
     if count > all.len() {
         return None;
@@ -106,7 +90,7 @@ fn draw_failures(n: u8, count: usize, prng: &mut Prng) -> Option<Vec<(RouterAddr
         let mut pool = all.clone();
         let mut picked = Vec::with_capacity(count);
         for _ in 0..count {
-            picked.push(pool.swap_remove(prng.below(pool.len())));
+            picked.push(pool.swap_remove(prng.below(pool.len() as u64) as usize));
         }
         picked.sort();
         if connected(n, &picked) {
@@ -116,19 +100,20 @@ fn draw_failures(n: u8, count: usize, prng: &mut Prng) -> Option<Vec<(RouterAddr
     None
 }
 
-struct Outcome {
+struct Trial {
     delivered: usize,
     cycles: u64,
     reroute_resets: u64,
     retransmissions: u64,
     links_diagnosed: usize,
     error: Option<SystemError>,
+    fingerprint: u64,
 }
 
 /// Runs one trial: a fault-tolerant system with `dead` edges down (both
 /// directions) from cycle 0, pushing `OPS` write+read round trips from
 /// the host through the serial IP to the far-corner memory.
-fn run_trial(n: u8, dead: &[(RouterAddr, Port)]) -> Result<Outcome, SystemError> {
+fn run_trial(n: u8, dead: &[(RouterAddr, Port)]) -> Result<Trial, SystemError> {
     let mut config = NocConfig::mesh(n, n);
     config.routing = Routing::FaultTolerantXy;
     let mut system = System::builder()
@@ -179,52 +164,37 @@ fn run_trial(n: u8, dead: &[(RouterAddr, Port)]) -> Result<Outcome, SystemError>
         }
     }
     let retries = system.retry_counters();
-    Ok(Outcome {
+    Ok(Trial {
         delivered,
         cycles: system.cycle() - start,
         reroute_resets: retries.reroute_resets,
         retransmissions: retries.retransmissions,
         links_diagnosed: system.dead_links().len(),
         error,
+        fingerprint: system.fingerprint(),
     })
 }
 
-struct Point {
-    mesh: u8,
-    failures: usize,
-    delivered: usize,
-    ops: usize,
-    avg_cycles_per_op: f64,
-    overhead_pct: f64,
-    reroute_resets: u64,
-    retransmissions: u64,
-    links_diagnosed: usize,
-}
-
-fn run_sweep() -> Result<(String, String), SystemError> {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
+pub fn run(runs: &mut Runs) -> Outcome {
+    println!(
         "E19: graceful degradation under permanent link failures\n\
          {OPS} host write+read round trips ({WORDS} words) per trial, {TRIALS} trials\n\
          per point, fault-tolerant XY routing, seed {SEED:#x}\n"
     );
-    let mut points: Vec<Point> = Vec::new();
+    let mut points = Vec::new();
     for &n in MESHES {
-        let _ = writeln!(
-            out,
+        println!(
             "{n}x{n} mesh (serial at 0.0, memory at {}.{}):",
             n - 1,
             n - 1
         );
-        let _ = writeln!(
-            out,
+        println!(
             "  {:<10} {:>9} {:>12} {:>10} {:>7} {:>7} {:>6}",
             "failures", "delivered", "cycles/op", "overhead", "resets", "retx", "dead"
         );
         let mut healthy_cycles_per_op = None;
         for failures in 0..=MAX_FAILURES {
-            let mut prng = Prng(SEED ^ (u64::from(n) << 32) ^ (failures as u64 + 1));
+            let mut prng = Xorshift64::new(SEED ^ (u64::from(n) << 32) ^ (failures as u64 + 1));
             let mut delivered = 0;
             let mut ops = 0;
             let mut cycles = 0u64;
@@ -238,20 +208,20 @@ fn run_sweep() -> Result<(String, String), SystemError> {
                     skipped = true;
                     break;
                 };
-                let o = run_trial(n, &dead)?;
-                delivered += o.delivered;
+                let t = run_trial(n, &dead)?;
+                runs.record(t.fingerprint);
+                delivered += t.delivered;
                 ops += OPS;
-                cycles += o.cycles;
-                resets += o.reroute_resets;
-                retx += o.retransmissions;
-                diagnosed += o.links_diagnosed;
-                if let Some(e) = o.error {
+                cycles += t.cycles;
+                resets += t.reroute_resets;
+                retx += t.retransmissions;
+                diagnosed += t.links_diagnosed;
+                if let Some(e) = t.error {
                     first_error.get_or_insert(e);
                 }
             }
             if skipped {
-                let _ = writeln!(
-                    out,
+                println!(
                     "  {:<10} every {failures}-edge removal partitions this mesh",
                     failures
                 );
@@ -260,80 +230,41 @@ fn run_sweep() -> Result<(String, String), SystemError> {
             let per_op = cycles as f64 / ops as f64;
             let healthy = *healthy_cycles_per_op.get_or_insert(per_op);
             let overhead = (per_op - healthy) / healthy * 100.0;
-            let _ = writeln!(
-                out,
+            println!(
                 "  {:<10} {:>5}/{:<3} {:>12.1} {:>9.1}% {:>7} {:>7} {:>6}",
                 failures, delivered, ops, per_op, overhead, resets, retx, diagnosed
             );
             if let Some(e) = first_error {
-                let _ = writeln!(out, "  {:<10} ^ typed error: {e}", "");
+                println!("  {:<10} ^ typed error: {e}", "");
             }
-            points.push(Point {
-                mesh: n,
-                failures,
-                delivered,
-                ops,
-                avg_cycles_per_op: per_op,
-                overhead_pct: overhead,
-                reroute_resets: resets,
-                retransmissions: retx,
-                links_diagnosed: diagnosed,
+            points.push(obj! {
+                "mesh": format!("{n}x{n}"),
+                "failures": failures,
+                "delivered": delivered,
+                "ops": ops,
+                "avg_cycles_per_op": Fixed(per_op, 1),
+                "overhead_pct": Fixed(overhead, 1),
+                "reroute_resets": resets,
+                "retransmissions": retx,
+                "links_diagnosed": diagnosed,
             });
         }
-        let _ = writeln!(out);
+        println!();
     }
-    let _ = writeln!(
-        out,
+    println!(
         "Every non-partitioning failure set delivers all operations: the\n\
          diagnosis declares the dead links, the epoch flushes the wedged\n\
          worms, routing detours and the reliability layer absorbs the loss\n\
          as reroute resets, not failures. The cost is latency overhead,\n\
          which grows with the number of detours on the path."
     );
-
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"experiment\": \"E19 graceful degradation\",");
-    let _ = writeln!(json, "  \"seed\": {SEED},");
-    let _ = writeln!(
-        json,
-        "  \"ops_per_point\": {},",
-        OPS * usize::try_from(TRIALS).unwrap_or(usize::MAX)
-    );
-    let _ = writeln!(json, "  \"points\": [");
-    for (i, p) in points.iter().enumerate() {
-        let comma = if i + 1 == points.len() { "" } else { "," };
-        let _ = writeln!(
-            json,
-            "    {{\"mesh\": \"{n}x{n}\", \"failures\": {f}, \"delivered\": {d}, \
-             \"ops\": {o}, \"avg_cycles_per_op\": {c:.1}, \"overhead_pct\": {v:.1}, \
-             \"reroute_resets\": {r}, \"retransmissions\": {x}, \
-             \"links_diagnosed\": {l}}}{comma}",
-            n = p.mesh,
-            f = p.failures,
-            d = p.delivered,
-            o = p.ops,
-            c = p.avg_cycles_per_op,
-            v = p.overhead_pct,
-            r = p.reroute_resets,
-            x = p.retransmissions,
-            l = p.links_diagnosed,
-        );
-    }
-    json.push_str("  ]\n}\n");
-    Ok((out, json))
-}
-
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let first = run_sweep()?;
-    let second = run_sweep()?;
-    assert_eq!(
-        first, second,
-        "same seed must reproduce the identical sweep"
-    );
-    let (report, json) = first;
-    std::fs::write("BENCH_degradation.json", &json)?;
-    print!("{report}");
-    println!("Determinism check: two same-seed sweeps produced identical reports.");
+    let json = obj! {
+        "experiment": "E19 graceful degradation",
+        "seed": SEED,
+        "ops_per_point": OPS * TRIALS as usize,
+        "points": points,
+    };
+    std::fs::write("BENCH_degradation.json", json.render())?;
     println!("Machine-readable summary written to BENCH_degradation.json");
     Ok(())
 }

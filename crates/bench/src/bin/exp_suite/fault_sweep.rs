@@ -7,17 +7,14 @@
 //! checksum detection of corrupted packets, acknowledgement/timeout
 //! retransmission at the serial IP, duplicate suppression at the memory
 //! IP, and the typed failure surface (`DeliveryFailed`) past the
-//! recoverable regime.
-//!
-//! Everything is seeded: the sweep runs **twice** with the same seed and
-//! asserts byte-identical reports before printing.
-//!
-//! Run with `cargo run -p multinoc-bench --bin exp_fault_sweep`.
-
-use std::fmt::Write as _;
+//! recoverable regime. Everything is seeded, and the runner pins the
+//! fingerprint of every configuration's system.
 
 use hermes_noc::FaultPlan;
 use multinoc::{host::Host, System, SystemError, REMOTE_MEMORY};
+use multinoc_bench::suite::Runs;
+
+use crate::Outcome;
 
 /// Seed shared by every configuration of the sweep.
 const SEED: u64 = 0x4D0C_FA17;
@@ -40,7 +37,7 @@ const POINTS: &[(&str, f64, f64)] = &[
     ("drop 50% (beyond budget)", 0.0, 0.50),
 ];
 
-struct Outcome {
+struct Point {
     delivered: usize,
     error: Option<SystemError>,
     retransmissions: u64,
@@ -48,13 +45,14 @@ struct Outcome {
     corrupt_dropped: u64,
     packets_dropped: u64,
     flits_corrupted: u64,
+    fingerprint: u64,
 }
 
 /// Runs `OPS` write-then-read-back operations under one fault plan.
 /// Every operation that reads back exactly what was written counts as
 /// delivered; the first typed error aborts the batch (the remaining
 /// operations count as undelivered).
-fn run_point(corrupt: f64, drop: f64) -> Result<Outcome, SystemError> {
+fn run_point(corrupt: f64, drop: f64) -> Result<Point, SystemError> {
     let mut system = System::paper_config()?;
     system.set_fault_plan(
         FaultPlan::new(SEED)
@@ -86,7 +84,7 @@ fn run_point(corrupt: f64, drop: f64) -> Result<Outcome, SystemError> {
 
     let retries = system.retry_counters();
     let faults = &system.noc_stats().faults;
-    Ok(Outcome {
+    Ok(Point {
         delivered,
         error,
         retransmissions: retries.retransmissions,
@@ -94,58 +92,43 @@ fn run_point(corrupt: f64, drop: f64) -> Result<Outcome, SystemError> {
         corrupt_dropped: system.service_counters().corrupt_dropped(),
         packets_dropped: faults.packets_dropped,
         flits_corrupted: faults.flits_corrupted,
+        fingerprint: system.fingerprint(),
     })
 }
 
-fn run_sweep() -> Result<String, SystemError> {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
+pub fn run(runs: &mut Runs) -> Outcome {
+    println!(
         "E18: {OPS} host write+read round trips ({WORDS} words each) to the remote\n\
          memory IP per fault configuration, seed {SEED:#x}\n"
     );
-    let _ = writeln!(
-        out,
+    println!(
         "{:<28} {:>9} {:>8} {:>8} {:>8} {:>8} {:>8}",
         "configuration", "delivered", "retx", "acked", "ckdrop", "pktdrop", "corrupt"
     );
     for &(label, corrupt, drop) in POINTS {
-        let o = run_point(corrupt, drop)?;
-        let _ = writeln!(
-            out,
+        let p = run_point(corrupt, drop)?;
+        runs.record(p.fingerprint);
+        println!(
             "{:<28} {:>5}/{:<3} {:>8} {:>8} {:>8} {:>8} {:>8}",
             label,
-            o.delivered,
+            p.delivered,
             OPS,
-            o.retransmissions,
-            o.acked,
-            o.corrupt_dropped,
-            o.packets_dropped,
-            o.flits_corrupted
+            p.retransmissions,
+            p.acked,
+            p.corrupt_dropped,
+            p.packets_dropped,
+            p.flits_corrupted
         );
-        if let Some(e) = o.error {
-            let _ = writeln!(out, "{:<28} ^ aborted with typed error: {e}", "");
+        if let Some(e) = p.error {
+            println!("{:<28} ^ aborted with typed error: {e}", "");
         }
     }
-    let _ = writeln!(
-        out,
+    println!(
         "\nAt rate zero every operation lands with zero retransmissions; at\n\
          moderate rates the checksum/ack/retry layer recovers every lost or\n\
          corrupted packet (delivered stays {OPS}/{OPS} while retx > 0); past the\n\
          retry budget the failure surfaces as a typed error — never a hang\n\
          and never a silent wrong answer."
     );
-    Ok(out)
-}
-
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let first = run_sweep()?;
-    let second = run_sweep()?;
-    assert_eq!(
-        first, second,
-        "same seed must reproduce the identical sweep"
-    );
-    print!("{first}");
-    println!("Determinism check: two same-seed sweeps produced identical reports.");
     Ok(())
 }

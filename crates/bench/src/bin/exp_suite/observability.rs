@@ -6,8 +6,8 @@
 //!
 //! Five sections:
 //!
-//! 1. **Determinism** — healthy, faulted and degraded workloads each run
-//!    under the reference, active and parallel kernels; the exported
+//! 1. **Determinism** — healthy, faulted, degraded, torus and chiplet
+//!    workloads each run under all five kernels; the exported
 //!    Perfetto document, Prometheus exposition and metrics JSON must be
 //!    byte-identical across all of them (the span stream rides the same
 //!    `ShardDelta` merge as the simulation state), and every Perfetto
@@ -36,9 +36,6 @@
 //!    `TIMESERIES_observability.json` / `.prom` plus the human-readable
 //!    `RUN_REPORT_observability.md` built back out of the exported
 //!    artifact.
-//!
-//! Run with `cargo run --release -p multinoc-bench --bin
-//! exp_observability` (set `EXP_OBS_SMOKE=1` for the fast CI variant).
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -52,29 +49,14 @@ use hermes_noc::{
 use multinoc::serial::SerialConfig;
 use multinoc::{NodeId, System};
 use multinoc_bench::json::{parse, validate_time_series_json, validate_trace_event_json, Json};
+use multinoc_bench::suite::{Runs, KERNELS};
 use multinoc_bench::table_row;
 use r8::asm::assemble;
 
+use crate::Outcome;
+
 /// Seed shared by every workload.
 const SEED: u64 = 0xE21_0B5;
-
-/// Workload scale: 1 for the CI smoke run, 8 for the full measurement.
-fn scale() -> u64 {
-    if std::env::var_os("EXP_OBS_SMOKE").is_some() {
-        1
-    } else {
-        8
-    }
-}
-
-/// Kernels every export is checked across: the acceptance bar is that
-/// observability output never depends on the engine that produced it.
-const KERNELS: [KernelMode; 4] = [
-    KernelMode::Reference,
-    KernelMode::Active,
-    KernelMode::Parallel { threads: 2 },
-    KernelMode::Parallel { threads: 8 },
-];
 
 /// One deterministic workload the determinism section replays per kernel.
 struct Workload {
@@ -140,9 +122,9 @@ fn workloads(scale: u64) -> Vec<Workload> {
     ]
 }
 
-/// Runs one workload under one kernel with tracing on and returns the
-/// three exported artifacts.
-fn run_traced(w: &Workload, kernel: KernelMode) -> (String, String, String) {
+/// Runs one workload under one kernel with tracing on and returns its
+/// fingerprint and the three exported artifacts.
+fn run_traced(w: &Workload, kernel: KernelMode) -> (u64, (String, String, String)) {
     let mut noc = Noc::new(w.config.clone().with_kernel_mode(kernel)).expect("valid config");
     noc.enable_packet_trace(2_048);
     if let Some(plan) = &w.plan {
@@ -162,11 +144,12 @@ fn run_traced(w: &Workload, kernel: KernelMode) -> (String, String, String) {
         noc.step();
     }
     let metrics = noc.metrics();
-    (
+    let exports = (
         noc.packet_trace().expect("enabled").perfetto_json(),
         metrics.to_prometheus(),
         metrics.to_json(),
-    )
+    );
+    (noc.fingerprint(), exports)
 }
 
 fn addr_of(index: u64, width: u8) -> RouterAddr {
@@ -184,39 +167,26 @@ const CHUNKS: [u64; 2] = [1, 16];
 
 /// Workloads for the telemetry section: a hotspot mesh that funnels
 /// every packet at router (0,0) to trip the congestion alarm, plus the
-/// torus and chiplet topologies so the exported labels carry `:wrap`
-/// and `:d2d` annotations.
+/// determinism section's torus and chiplet workloads so the exported
+/// labels carry `:wrap` and `:d2d` annotations.
 fn telemetry_workloads(scale: u64) -> Vec<Workload> {
-    vec![
-        Workload {
-            name: "hotspot",
-            config: NocConfig::mesh(4, 4),
-            plan: None,
-            packets: 600 * scale as usize,
-            spacing: 2,
-            cycles: 2_000 * scale,
-        },
-        Workload {
-            name: "torus",
-            config: NocConfig::torus(4, 4),
-            plan: None,
-            packets: 40 * scale as usize,
-            spacing: 11,
-            cycles: 2_000 * scale,
-        },
-        Workload {
-            name: "chiplet",
-            config: NocConfig::chiplet(2, 2, D2dChannel::OffChipSerial),
-            plan: None,
-            packets: 40 * scale as usize,
-            spacing: 11,
-            cycles: 2_000 * scale,
-        },
-    ]
+    let hotspot = Workload {
+        name: "hotspot",
+        config: NocConfig::mesh(4, 4),
+        plan: None,
+        packets: 600 * scale as usize,
+        spacing: 2,
+        cycles: 2_000 * scale,
+    };
+    let labelled = workloads(scale)
+        .into_iter()
+        .filter(|w| matches!(w.name, "torus" | "chiplet"));
+    std::iter::once(hotspot).chain(labelled).collect()
 }
 
 /// The exported telemetry of one workload under one kernel and batch
 /// window, plus the sampler counters the report summarizes.
+#[derive(Debug, PartialEq)]
 struct TelemetryRun {
     json: String,
     prom: String,
@@ -227,9 +197,10 @@ struct TelemetryRun {
 
 /// Runs one workload with the interval sampler on, advancing at most
 /// `chunk` cycles per `run` call between sends, and returns its
-/// exports. The `hotspot` workload aims every packet at router (0,0);
-/// the rest reuse the determinism section's scatter pattern.
-fn run_telemetry(w: &Workload, kernel: KernelMode, chunk: u64) -> TelemetryRun {
+/// fingerprint and exports. The `hotspot` workload aims every packet at
+/// router (0,0); the rest reuse the determinism section's scatter
+/// pattern.
+fn run_telemetry(w: &Workload, kernel: KernelMode, chunk: u64) -> (u64, TelemetryRun) {
     let mut noc = Noc::new(w.config.clone().with_kernel_mode(kernel)).expect("valid config");
     noc.enable_telemetry(TelemetryConfig::default());
     if let Some(plan) = &w.plan {
@@ -265,18 +236,20 @@ fn run_telemetry(w: &Workload, kernel: KernelMode, chunk: u64) -> TelemetryRun {
         noc.run(chunk.min(due - cycle).min(w.cycles - cycle));
     }
     let telemetry = noc.telemetry().expect("enabled");
-    TelemetryRun {
+    let run = TelemetryRun {
         frames: telemetry.frames_total(),
         alerts_raised: telemetry.alerts_raised(),
         alerts_cleared: telemetry.alerts_cleared(),
         json: noc.telemetry_json().expect("enabled"),
         prom: noc.telemetry_prometheus().expect("enabled"),
-    }
+    };
+    (noc.fingerprint(), run)
 }
 
-/// Saturated 8×8 run for the overhead section; returns the observables
-/// that must not move when tracing is enabled, plus the wall clock.
-fn overhead_run(traced: bool, cycles: u64) -> ((u64, u64, u64, u64), f64) {
+/// Saturated 8×8 run for the overhead section; records its fingerprint
+/// and returns the observables that must not move when tracing is
+/// enabled, plus the wall clock.
+fn overhead_run(runs: &mut Runs, traced: bool, cycles: u64) -> ((u64, u64, u64, u64), f64) {
     let mut noc = Noc::new(NocConfig::mesh(8, 8)).expect("valid mesh");
     if traced {
         noc.enable_packet_trace(4_096);
@@ -285,6 +258,7 @@ fn overhead_run(traced: bool, cycles: u64) -> ((u64, u64, u64, u64), f64) {
     let start = Instant::now();
     gen.drive(&mut noc, cycles, 1_000_000).expect("drive");
     let seconds = start.elapsed().as_secs_f64();
+    runs.record(noc.fingerprint());
     let s = noc.stats();
     (
         (s.cycles, s.packets_sent, s.packets_delivered, s.flit_hops),
@@ -347,7 +321,8 @@ struct SystemRun {
 /// over the NoC), and exports the combined trace plus the metrics
 /// snapshot. Causal service spans are on, so the Perfetto document also
 /// carries one slice per request with flow arrows into its packets.
-fn system_run(kernel: KernelMode) -> SystemRun {
+/// Returns the system's fingerprint with the exports.
+fn system_run(kernel: KernelMode) -> (u64, SystemRun) {
     let mut sys = System::builder()
         .noc(NocConfig::multinoc().with_kernel_mode(kernel))
         .serial(SerialConfig::from_baud(25.0e6, 115_200.0))
@@ -388,7 +363,7 @@ fn system_run(kernel: KernelMode) -> SystemRun {
     sys.run_until_halted(10_000_000).expect("halts");
     let snapshot = sys.metrics_snapshot();
     let spans = sys.service_spans().expect("spans enabled");
-    SystemRun {
+    let run = SystemRun {
         spans_total: spans.spans_total(),
         spans_completed: spans.completed(),
         span_retransmissions: spans.retransmissions(),
@@ -396,7 +371,8 @@ fn system_run(kernel: KernelMode) -> SystemRun {
         perfetto: sys.perfetto_json(),
         metrics_json: snapshot.to_json(),
         metrics_prom: snapshot.to_prometheus(),
-    }
+    };
+    (sys.fingerprint(), run)
 }
 
 /// Renders `RUN_REPORT_observability.md` from the *exported* artifacts:
@@ -556,8 +532,8 @@ fn run_report(ts_json: &str, config: &NocConfig, system: &SystemRun, scale: u64)
     out
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let scale = scale();
+pub fn run(runs: &mut Runs) -> Outcome {
+    let scale = if runs.smoke { 1 } else { 8 };
     println!("E21/E25: observability (seed {SEED:#x}, scale {scale}x)");
     println!("every export is checked byte-identical across kernels and");
     println!("validated against the Chrome trace-event schema\n");
@@ -573,25 +549,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut metrics_by_name: std::collections::BTreeMap<&'static str, (Topology, String)> =
         std::collections::BTreeMap::new();
     for w in workloads(scale) {
-        let reference = run_traced(&w, KERNELS[0]);
-        for &kernel in &KERNELS[1..] {
-            let got = run_traced(&w, kernel);
-            assert_eq!(
-                reference.0, got.0,
-                "{}: Perfetto diverged ({kernel:?})",
-                w.name
-            );
-            assert_eq!(
-                reference.1, got.1,
-                "{}: Prometheus diverged ({kernel:?})",
-                w.name
-            );
-            assert_eq!(
-                reference.2, got.2,
-                "{}: metrics JSON diverged ({kernel:?})",
-                w.name
-            );
-        }
+        let what = format!("{} Perfetto, Prometheus and metrics JSON", w.name);
+        let reference = runs.agree(what, &KERNELS, |kernel| run_traced(&w, kernel));
         let events = validate_trace_event_json(&reference.0)
             .unwrap_or_else(|e| panic!("{}: schema violation: {e}", w.name));
         parse(&reference.2).expect("metrics JSON parses");
@@ -608,8 +567,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2. Instrumentation overhead: same simulated outcome, reported (not
     // asserted) wall-clock cost.
     let cycles = 3_000 * scale;
-    let (off_obs, off_secs) = overhead_run(false, cycles);
-    let (on_obs, on_secs) = overhead_run(true, cycles);
+    let (off_obs, off_secs) = overhead_run(runs, false, cycles);
+    let (on_obs, on_secs) = overhead_run(runs, true, cycles);
     assert_eq!(
         off_obs, on_obs,
         "enabling the tracer changed the simulated outcome"
@@ -692,12 +651,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 4. Combined system export, again identical across kernels — now
     // including the causal service spans and their flow arrows.
-    let system = system_run(KernelMode::Active);
-    let parallel = system_run(KernelMode::Parallel { threads: 2 });
-    assert_eq!(
-        system, parallel,
-        "system-level exports diverged between kernels"
-    );
+    let system = runs.agree("system-level exports", &KERNELS, system_run);
     let events = validate_trace_event_json(&system.perfetto)?;
     assert!(
         system.perfetto.contains("\"ph\":\"X\"") && system.perfetto.contains("\"ph\":\"i\""),
@@ -733,26 +687,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nE25: interval telemetry across kernels x run chunk lengths");
     table_row!("workload", "frames", "raised", "cleared", "runs", "verdict");
     let mut hotspot_series: Option<(TelemetryRun, NocConfig)> = None;
+    let variants: Vec<(KernelMode, u64)> = KERNELS
+        .iter()
+        .flat_map(|&kernel| CHUNKS.map(|chunk| (kernel, chunk)))
+        .collect();
     for w in telemetry_workloads(scale) {
-        let mut runs = Vec::new();
-        for &kernel in &KERNELS {
-            for &chunk in &CHUNKS {
-                runs.push((kernel, chunk, run_telemetry(&w, kernel, chunk)));
-            }
-        }
-        let (_, _, reference) = &runs[0];
-        for (kernel, chunk, got) in &runs[1..] {
-            assert_eq!(
-                reference.json, got.json,
-                "{}: time-series JSON diverged ({kernel:?}, chunk {chunk})",
-                w.name
-            );
-            assert_eq!(
-                reference.prom, got.prom,
-                "{}: time-series Prometheus diverged ({kernel:?}, chunk {chunk})",
-                w.name
-            );
-        }
+        let what = format!("{} time series (kernel, chunk)", w.name);
+        let reference = runs.agree(what, &variants, |(kernel, chunk)| {
+            run_telemetry(&w, kernel, chunk)
+        });
         let retained = validate_time_series_json(&reference.json)
             .unwrap_or_else(|e| panic!("{}: time-series schema violation: {e}", w.name));
         assert_eq!(
@@ -766,7 +709,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             reference.frames,
             reference.alerts_raised,
             reference.alerts_cleared,
-            runs.len(),
+            variants.len(),
             "identical"
         );
         if w.name == "hotspot" {
@@ -774,7 +717,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 reference.alerts_raised > 0,
                 "the hotspot workload must trip the sustained-congestion alarm"
             );
-            hotspot_series = Some((runs.swap_remove(0).2, w.config));
+            hotspot_series = Some((reference, w.config));
         }
     }
     let (hotspot, hotspot_config) = hotspot_series.expect("hotspot workload ran");

@@ -14,23 +14,23 @@
 //! interrupted, under every NoC kernel and thread count, with
 //! checkpoints taken under one kernel restored under another.
 //!
-//! The whole sweep runs **twice** and must reproduce byte-identically
-//! before anything is printed. `BENCH_recovery.json` records checkpoint
-//! size, save/restore latency, and the overhead evidence: enabling the
-//! auto-checkpoint policy does not change the simulated outcome, and a
-//! run with checkpointing disabled pays nothing for the feature.
-//!
-//! Run with `cargo run -p multinoc-bench --bin exp_recovery` (set
-//! `EXP_RECOVERY_SMOKE=1` for the fast CI variant).
+//! `BENCH_recovery.json` records checkpoint size, save/restore latency,
+//! and the overhead evidence: enabling the auto-checkpoint policy does
+//! not change the simulated outcome, and a run with checkpointing
+//! disabled pays nothing for the feature.
 
-use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::Path;
 use std::process::Command;
 use std::time::Instant;
 
 use hermes_noc::{CycleWindow, FaultPlan, KernelMode, NocConfig, Port, RouterAddr, Routing};
 use multinoc::{NodeId, System};
+use multinoc_bench::json::Doc;
+use multinoc_bench::obj;
+use multinoc_bench::suite::{Runs, KERNELS};
 use r8::asm::assemble;
+
+use crate::Outcome;
 
 /// Seed for the injected fault stream.
 const SEED: u64 = 0xC4A0_5E23;
@@ -38,7 +38,7 @@ const SEED: u64 = 0xC4A0_5E23;
 const BUDGET: u64 = 4_000_000;
 /// Environment variable carrying the checkpoint path to a child that
 /// plays the freshly-booted, post-crash process image.
-const CHILD_ENV: &str = "EXP_RECOVERY_RESTORE";
+pub const CHILD_ENV: &str = "EXP_RECOVERY_RESTORE";
 /// Optional kernel override for the child's restore.
 const CHILD_KERNEL_ENV: &str = "EXP_RECOVERY_KERNEL";
 
@@ -145,17 +145,16 @@ fn build(kernel: KernelMode) -> System {
     sys
 }
 
-/// The post-crash process image: restore the checkpoint named by the
-/// environment, resume to completion, print the fingerprint, exit.
-fn run_child(path: &str) {
-    let path = PathBuf::from(path);
+/// The post-crash process image: restore the checkpoint at `path`,
+/// resume to completion, print the fingerprint.
+pub fn run_child(path: &str) {
     let mut sys = match std::env::var(CHILD_KERNEL_ENV) {
         Ok(label) => {
-            let bytes = std::fs::read(&path).expect("read checkpoint");
+            let bytes = std::fs::read(path).expect("read checkpoint");
             System::restore_with_kernel(&bytes, kernel_from_label(&label))
                 .expect("restore checkpoint")
         }
-        Err(_) => System::restore_from_file(&path).expect("restore checkpoint"),
+        Err(_) => System::restore_from_file(Path::new(path)).expect("restore checkpoint"),
     };
     sys.run_until_halted(BUDGET).expect("resumed run halts");
     assert_eq!(sys.memory(P2).expect("p2").read(0x40), 0x5A5A);
@@ -168,7 +167,7 @@ fn run_child(path: &str) {
 
 /// Spawns a fresh process image that restores `path` and returns the
 /// fingerprint it reports.
-fn recover_in_fresh_process(path: &std::path::Path, kernel: Option<KernelMode>) -> u64 {
+fn recover_in_fresh_process(path: &Path, kernel: Option<KernelMode>) -> u64 {
     let exe = std::env::current_exe().expect("own path");
     let mut cmd = Command::new(exe);
     cmd.env(CHILD_ENV, path);
@@ -192,36 +191,15 @@ fn recover_in_fresh_process(path: &std::path::Path, kernel: Option<KernelMode>) 
     u64::from_str_radix(word.trim_start_matches("0x"), 16).expect("fingerprint parses")
 }
 
-fn kernels(smoke: bool) -> Vec<KernelMode> {
-    if smoke {
-        vec![KernelMode::Reference, KernelMode::Parallel { threads: 2 }]
-    } else {
-        vec![
-            KernelMode::Reference,
-            KernelMode::Active,
-            KernelMode::Parallel { threads: 1 },
-            KernelMode::Parallel { threads: 2 },
-            KernelMode::Parallel { threads: 8 },
-        ]
-    }
-}
-
-/// One kernel's deterministic results (timings live elsewhere: they can
-/// never be part of the reproducibility comparison).
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Point {
-    kernel: String,
-    elapsed: u64,
-    cut: u64,
-    checkpoint_bytes: usize,
-    fingerprint: u64,
-    cross_kernel: String,
-}
-
-fn run_sweep(smoke: bool, dir: &std::path::Path) -> Vec<Point> {
-    let kernel_set = kernels(smoke);
+/// Crashes and recovers the workload under every kernel, printing one
+/// row per kernel; returns the rows for `BENCH_recovery.json`.
+fn run_sweep(runs: &mut Runs, dir: &Path) -> Vec<Doc> {
+    println!(
+        "{:<12} {:>8} {:>8} {:>10} {:>20} {:<12}",
+        "kernel", "cycles", "cut", "ckpt B", "fingerprint", "also via"
+    );
     let mut points = Vec::new();
-    for (i, &kernel) in kernel_set.iter().enumerate() {
+    runs.agree("uninterrupted run", &KERNELS, |kernel| {
         // The world that never crashes.
         let mut reference = build(kernel);
         let elapsed = reference.run_until_halted(BUDGET).expect("run halts");
@@ -236,9 +214,10 @@ fn run_sweep(smoke: bool, dir: &std::path::Path) -> Vec<Point> {
         let cut = elapsed / 2;
         let mut doomed = build(kernel);
         doomed.run(cut).expect("run to the cut");
-        let path = dir.join(format!("ckpt-{}.mnsp", kernel_label(kernel)));
+        let (label, other) = (kernel_label(kernel), next_kernel(kernel));
+        let path = dir.join(format!("ckpt-{label}.mnsp"));
         doomed.checkpoint_to_file(&path).expect("write checkpoint");
-        let checkpoint_bytes = std::fs::metadata(&path).expect("checkpoint exists").len() as usize;
+        let checkpoint_bytes = std::fs::metadata(&path).expect("checkpoint exists").len();
         drop(doomed); // the hard kill: only the file survives
 
         // A fresh process image restores and must land on the exact
@@ -246,167 +225,100 @@ fn run_sweep(smoke: bool, dir: &std::path::Path) -> Vec<Point> {
         // kernel and must land there too.
         let recovered = recover_in_fresh_process(&path, None);
         assert_eq!(
-            recovered,
-            want,
-            "fresh-process recovery diverged under {}",
-            kernel_label(kernel)
+            recovered, want,
+            "fresh-process recovery diverged under {label}"
         );
-        let other = kernel_set[(i + 1) % kernel_set.len()];
         let cross = recover_in_fresh_process(&path, Some(other));
+        let other = kernel_label(other);
         assert_eq!(
-            cross,
-            want,
-            "cross-kernel recovery ({} -> {}) diverged",
-            kernel_label(kernel),
-            kernel_label(other)
+            cross, want,
+            "cross-kernel recovery ({label} -> {other}) diverged"
         );
-        points.push(Point {
-            kernel: kernel_label(kernel),
-            elapsed,
-            cut,
-            checkpoint_bytes,
-            fingerprint: want,
-            cross_kernel: kernel_label(other),
+        println!(
+            "{label:<12} {elapsed:>8} {cut:>8} {checkpoint_bytes:>10} {want:>#20x} {other:<12}"
+        );
+        points.push(obj! {
+            "kernel": label,
+            "cycles": elapsed,
+            "cut": cut,
+            "checkpoint_bytes": checkpoint_bytes,
+            "fingerprint": format!("{want:#018x}"),
+            "cross_kernel": other,
+            "recovered": true,
         });
-    }
+        (want, (elapsed, cut))
+    });
     points
 }
 
-/// Non-deterministic measurements: latency of save/restore and the
-/// overhead evidence for the auto-checkpoint policy.
-struct Timings {
-    save_us: u128,
-    restore_us: u128,
-    plain_run_us: u128,
-    auto_checkpoint_run_us: u128,
-    auto_checkpoints_written: u64,
+/// The kernel after `kernel` in [`KERNELS`], cyclically: the one a
+/// checkpoint is restored under a second time.
+fn next_kernel(kernel: KernelMode) -> KernelMode {
+    let i = KERNELS.iter().position(|&k| k == kernel).expect("listed");
+    KERNELS[(i + 1) % KERNELS.len()]
 }
 
-fn measure(dir: &std::path::Path) -> Timings {
+pub fn run(runs: &mut Runs) -> Outcome {
+    println!("E23 — crash recovery: mid-flight checkpoint, hard kill, fresh-process restore");
+    println!("faulted (15% drop) + degraded (dead link) workload, seed {SEED:#x}");
+    let dir = std::env::temp_dir().join(format!("multinoc-exp-recovery-{}", std::process::id()));
+    std::fs::create_dir_all(&dir)?;
+    let points = run_sweep(runs, &dir);
+    println!(
+        "All {} kernels: fresh-process and cross-kernel restores reproduced the \
+         uninterrupted fingerprint bit-for-bit.",
+        points.len()
+    );
+
+    // Non-deterministic measurements: latency of save/restore and the
+    // overhead evidence for the auto-checkpoint policy.
     let mut sys = build(KernelMode::Active);
-    sys.run(200).expect("run");
+    sys.run(200)?;
     let path = dir.join("ckpt-timing.mnsp");
     let t0 = Instant::now();
-    sys.checkpoint_to_file(&path).expect("write checkpoint");
+    sys.checkpoint_to_file(&path)?;
     let save_us = t0.elapsed().as_micros();
     let t1 = Instant::now();
-    let restored = System::restore_from_file(&path).expect("restore");
+    let restored = System::restore_from_file(&path)?;
     let restore_us = t1.elapsed().as_micros();
     assert_eq!(restored.cycle(), sys.cycle());
 
-    // Overhead evidence. A run with checkpointing disabled is the
-    // baseline: the feature's only footprint there is one Option check
-    // per cycle. A run with the auto-checkpoint policy enabled pays for
-    // its periodic writes but must land on the identical outcome.
+    // A run with checkpointing disabled is the baseline: the feature's
+    // only footprint there is one Option check per cycle. A run with the
+    // auto-checkpoint policy enabled pays for its periodic writes but
+    // must land on the identical outcome.
     let mut plain = build(KernelMode::Active);
     let t2 = Instant::now();
-    plain.run_until_halted(BUDGET).expect("plain run halts");
+    plain.run_until_halted(BUDGET)?;
     let plain_run_us = t2.elapsed().as_micros();
     let mut auto = build(KernelMode::Active);
     auto.enable_auto_checkpoint(dir.join("ckpt-auto.mnsp"), 100);
     let t3 = Instant::now();
-    auto.run_until_halted(BUDGET).expect("auto run halts");
-    let auto_checkpoint_run_us = t3.elapsed().as_micros();
-    assert_eq!(
-        plain.fingerprint(),
-        auto.fingerprint(),
-        "the auto-checkpoint policy must not change the simulated outcome"
-    );
-    Timings {
-        save_us,
-        restore_us,
-        plain_run_us,
-        auto_checkpoint_run_us,
-        auto_checkpoints_written: auto.auto_checkpoints_written(),
-    }
-}
-
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    if let Ok(path) = std::env::var(CHILD_ENV) {
-        run_child(&path);
-        return Ok(());
-    }
-    let smoke = std::env::var_os("EXP_RECOVERY_SMOKE").is_some();
-    let dir = std::env::temp_dir().join(format!("multinoc-exp-recovery-{}", std::process::id()));
-    std::fs::create_dir_all(&dir)?;
-    let first = run_sweep(smoke, &dir);
-    let second = run_sweep(smoke, &dir);
-    assert_eq!(
-        first, second,
-        "same seed must reproduce the identical sweep"
-    );
-    let timings = measure(&dir);
+    auto.run_until_halted(BUDGET)?;
+    let auto_run_us = t3.elapsed().as_micros();
+    runs.agree("auto-checkpoint policy", &[false, true], |auto_on| {
+        let sys = if auto_on { &auto } else { &plain };
+        (sys.fingerprint(), ())
+    });
     std::fs::remove_dir_all(&dir).ok();
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "E23 — crash recovery: mid-flight checkpoint, hard kill, fresh-process restore"
-    );
-    let _ = writeln!(
-        out,
-        "faulted (15% drop) + degraded (dead link) workload, seed {SEED:#x}"
-    );
-    let _ = writeln!(
-        out,
-        "{:<12} {:>8} {:>8} {:>10} {:>20} {:<12}",
-        "kernel", "cycles", "cut", "ckpt B", "fingerprint", "also via"
-    );
-    for p in &first {
-        let _ = writeln!(
-            out,
-            "{:<12} {:>8} {:>8} {:>10} {:>#20x} {:<12}",
-            p.kernel, p.elapsed, p.cut, p.checkpoint_bytes, p.fingerprint, p.cross_kernel
-        );
-    }
-    let _ = writeln!(
-        out,
-        "All {} kernels: fresh-process and cross-kernel restores reproduced the \
-         uninterrupted fingerprint bit-for-bit.",
-        first.len()
-    );
-    let _ = writeln!(
-        out,
-        "save {} us, restore {} us; run {} us plain vs {} us with {} auto-checkpoints",
-        timings.save_us,
-        timings.restore_us,
-        timings.plain_run_us,
-        timings.auto_checkpoint_run_us,
-        timings.auto_checkpoints_written
+    let autos = auto.auto_checkpoints_written();
+    println!(
+        "save {save_us} us, restore {restore_us} us; run {plain_run_us} us plain vs \
+         {auto_run_us} us with {autos} auto-checkpoints"
     );
 
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"experiment\": \"E23 crash recovery\",");
-    let _ = writeln!(json, "  \"seed\": {SEED},");
-    let _ = writeln!(json, "  \"smoke\": {smoke},");
-    let _ = writeln!(json, "  \"save_us\": {},", timings.save_us);
-    let _ = writeln!(json, "  \"restore_us\": {},", timings.restore_us);
-    let _ = writeln!(json, "  \"plain_run_us\": {},", timings.plain_run_us);
-    let _ = writeln!(
-        json,
-        "  \"auto_checkpoint_run_us\": {},",
-        timings.auto_checkpoint_run_us
-    );
-    let _ = writeln!(
-        json,
-        "  \"auto_checkpoints_written\": {},",
-        timings.auto_checkpoints_written
-    );
-    let _ = writeln!(json, "  \"points\": [");
-    for (i, p) in first.iter().enumerate() {
-        let comma = if i + 1 == first.len() { "" } else { "," };
-        let _ = writeln!(
-            json,
-            "    {{\"kernel\": \"{}\", \"cycles\": {}, \"cut\": {}, \
-             \"checkpoint_bytes\": {}, \"fingerprint\": \"{:#018x}\", \
-             \"cross_kernel\": \"{}\", \"recovered\": true}}{comma}",
-            p.kernel, p.elapsed, p.cut, p.checkpoint_bytes, p.fingerprint, p.cross_kernel
-        );
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_recovery.json", &json)?;
-    print!("{out}");
-    println!("Determinism check: two same-seed sweeps produced identical reports.");
+    let json = obj! {
+        "experiment": "E23 crash recovery",
+        "seed": SEED,
+        "smoke": runs.smoke,
+        "save_us": save_us,
+        "restore_us": restore_us,
+        "plain_run_us": plain_run_us,
+        "auto_checkpoint_run_us": auto_run_us,
+        "auto_checkpoints_written": autos,
+        "points": points,
+    };
+    std::fs::write("BENCH_recovery.json", json.render())?;
     println!("Machine-readable summary written to BENCH_recovery.json");
     Ok(())
 }

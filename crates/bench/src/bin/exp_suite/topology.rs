@@ -19,32 +19,22 @@
 //!    8-thread batched parallel kernel must reach the same
 //!    `Noc::fingerprint`, so they agree on every counter.
 //!
-//! Everything is seeded; the sweep runs twice and the report must be
-//! byte-identical before anything prints. The machine-readable summary
-//! lands in `BENCH_topology.json`. `EXP_TOPOLOGY_SMOKE=1` shrinks the
-//! cycle counts for CI.
-//!
-//! Run with `cargo run -p multinoc-bench --bin exp_topology`.
-
-use std::fmt::Write as _;
+//! The machine-readable summary lands in `BENCH_topology.json`.
 
 use hermes_noc::traffic::{Pattern, TrafficGen};
 use hermes_noc::{D2dChannel, KernelMode, Noc, NocConfig, Packet, RouterAddr};
+use multinoc_bench::json::Fixed;
+use multinoc_bench::obj;
+use multinoc_bench::suite::Runs;
+
+use crate::Outcome;
 
 /// Seed shared by every configuration of the sweep.
 const SEED: u64 = 0xE240_7090;
 /// Flits of payload per generated packet.
 const PAYLOAD: usize = 4;
 
-/// Cycle scale: 1 for the CI smoke run, 4 for the full measurement.
-fn scale() -> u64 {
-    if std::env::var_os("EXP_TOPOLOGY_SMOKE").is_some() {
-        1
-    } else {
-        4
-    }
-}
-
+#[derive(Debug, PartialEq)]
 struct Point {
     name: String,
     routers: usize,
@@ -54,13 +44,12 @@ struct Point {
     mean_latency: f64,
     p95_latency: u64,
     peak_utilization: f64,
-    /// [`Noc::fingerprint`] of the drained network.
-    fingerprint: u64,
 }
 
 /// Drives seeded uniform traffic over `config` for `cycles`, drains,
-/// and reads every number off the stats the topology exported.
-fn measure(config: NocConfig, cycles: u64, rate: f64) -> Point {
+/// and reads every number off the stats the topology exported; returns
+/// the drained network's [`Noc::fingerprint`] with them.
+fn measure(config: NocConfig, cycles: u64, rate: f64) -> (u64, Point) {
     let name = config.topology.to_string();
     let routers = config.router_count();
     let cadence = config.cycles_per_flit;
@@ -68,7 +57,7 @@ fn measure(config: NocConfig, cycles: u64, rate: f64) -> Point {
     let mut gen = TrafficGen::new(Pattern::Uniform, rate, PAYLOAD, SEED);
     gen.drive(&mut noc, cycles, 4_000_000).expect("drains");
     let s = noc.stats();
-    Point {
+    let point = Point {
         name,
         routers,
         cycles: s.cycles,
@@ -77,12 +66,12 @@ fn measure(config: NocConfig, cycles: u64, rate: f64) -> Point {
         mean_latency: s.mean_latency().unwrap_or(0.0),
         p95_latency: s.latency_quantile(0.95).unwrap_or(0),
         peak_utilization: s.peak_link_utilization(cadence),
-        fingerprint: noc.fingerprint(),
-    }
+    };
+    (noc.fingerprint(), point)
 }
 
 /// Latency of one corner-to-corner packet on an otherwise idle network.
-fn corner_latency(config: NocConfig) -> u64 {
+fn corner_latency(runs: &mut Runs, config: NocConfig) -> u64 {
     let (w, h) = (config.width(), config.height());
     let mut noc = Noc::new(config).expect("valid config");
     let id = noc
@@ -92,25 +81,24 @@ fn corner_latency(config: NocConfig) -> u64 {
         )
         .expect("send");
     noc.run_until_idle(1_000_000).expect("drains");
+    runs.record(noc.fingerprint());
     noc.stats().record(id).expect("recorded").latency()
 }
 
-fn run_sweep(scale: u64) -> (String, String) {
-    let mut out = String::new();
-    let mut points: Vec<Point> = Vec::new();
-    let _ = writeln!(
-        out,
+pub fn run(runs: &mut Runs) -> Outcome {
+    let scale = if runs.smoke { 1 } else { 4 };
+    println!(
         "E24: topology sweep (seed {SEED:#x}, scale {scale}x)\n\
          uniform traffic, {PAYLOAD}-flit payloads, same seed on every topology\n"
     );
 
     // 1. Matched router counts: mesh vs torus vs chiplet of the same size.
     let cycles = 2_000 * scale;
-    let _ = writeln!(
-        out,
+    println!(
         "{:<34} {:>8} {:>6} {:>10} {:>9} {:>8} {:>7}",
         "topology", "routers", "sent", "delivered", "mean lat", "p95 lat", "peak u"
     );
+    let mut matched = Vec::new();
     for side in [4u8, 6] {
         let k_chip = side / 2;
         let trio = [
@@ -119,9 +107,9 @@ fn run_sweep(scale: u64) -> (String, String) {
             NocConfig::chiplet(k_chip, 2, D2dChannel::OffChipParallel),
         ];
         for config in trio {
-            let p = measure(config, cycles, 0.05);
-            let _ = writeln!(
-                out,
+            let (fingerprint, p) = measure(config, cycles, 0.05);
+            runs.record(fingerprint);
+            println!(
                 "{:<34} {:>8} {:>6} {:>10} {:>9.1} {:>8} {:>6.2}%",
                 p.name,
                 p.routers,
@@ -132,12 +120,20 @@ fn run_sweep(scale: u64) -> (String, String) {
                 p.peak_utilization * 100.0
             );
             assert_eq!(p.sent, p.delivered, "{}: healthy runs deliver all", p.name);
-            points.push(p);
+            matched.push(obj! {
+                "topology": p.name,
+                "routers": p.routers,
+                "cycles": p.cycles,
+                "sent": p.sent,
+                "delivered": p.delivered,
+                "mean_latency": Fixed(p.mean_latency, 2),
+                "p95_latency": p.p95_latency,
+                "peak_utilization": Fixed(p.peak_utilization, 4),
+            });
         }
-        let _ = writeln!(out);
+        println!();
     }
-    let _ = writeln!(
-        out,
+    println!(
         "The chiplet grid routes like the mesh plus the die-to-die crossings.\n\
          The torus pays for VC-free deadlock freedom: its turn-restricted\n\
          up*/down* table concentrates traffic near the spanning-tree root,\n\
@@ -146,52 +142,49 @@ fn run_sweep(scale: u64) -> (String, String) {
     );
 
     // 2. Off-chip channel model: serialized vs parallel d2d links.
-    let _ = writeln!(out, "off-chip channel separation (2x2 chiplets of 2x2):");
-    let mut d2d_points: Vec<(String, u64, Point)> = Vec::new();
+    println!("off-chip channel separation (2x2 chiplets of 2x2):");
+    let mut d2d_points: Vec<(D2dChannel, u64, Point)> = Vec::new();
     for d2d in [D2dChannel::OffChipParallel, D2dChannel::OffChipSerial] {
-        let corner = corner_latency(NocConfig::chiplet(2, 2, d2d));
-        let p = measure(NocConfig::chiplet(2, 2, d2d), cycles, 0.05);
-        let _ = writeln!(
-            out,
+        let corner = corner_latency(runs, NocConfig::chiplet(2, 2, d2d));
+        let (fingerprint, p) = measure(NocConfig::chiplet(2, 2, d2d), cycles, 0.05);
+        runs.record(fingerprint);
+        println!(
             "  {:<34} corner-to-corner {:>4} cycles, mean {:>7.1}, p95 {:>5}",
             p.name, corner, p.mean_latency, p.p95_latency
         );
-        d2d_points.push((format!("{d2d:?}"), corner, p));
+        d2d_points.push((d2d, corner, p));
     }
-    let mesh_corner = corner_latency(NocConfig::mesh(4, 4));
-    let _ = writeln!(
-        out,
+    let mesh_corner = corner_latency(runs, NocConfig::mesh(4, 4));
+    println!(
         "  {:<34} corner-to-corner {:>4} cycles (no off-chip hops)",
         "mesh-4x4", mesh_corner
     );
+    let [(_, parallel_corner, parallel), (_, serial_corner, serial)] = &d2d_points[..] else {
+        unreachable!("two d2d channels")
+    };
     assert!(
-        mesh_corner < d2d_points[0].1 && d2d_points[0].1 < d2d_points[1].1,
-        "expected mesh ({mesh_corner}) < parallel d2d ({}) < serial d2d ({})",
-        d2d_points[0].1,
-        d2d_points[1].1
+        mesh_corner < *parallel_corner && parallel_corner < serial_corner,
+        "expected mesh ({mesh_corner}) < parallel d2d ({parallel_corner}) < serial d2d \
+         ({serial_corner})"
     );
     assert!(
-        d2d_points[0].2.mean_latency < d2d_points[1].2.mean_latency,
+        parallel.mean_latency < serial.mean_latency,
         "serialized d2d must also cost more on the traffic mean"
     );
-    let _ = writeln!(
-        out,
+    println!(
         "  the serialized channel stretches every boundary crossing; the\n\
          parallel channel only pays its pipeline latency.\n"
     );
 
     // 3. 1024 routers end to end: 16 chiplets of 8x8, sequential vs
     // 8-thread batched parallel kernel on the same seeded traffic.
-    let big_cycles = 300 * scale;
-    let _ = writeln!(out, "1024-router chiplet system (4x4 chiplets of 8x8):");
-    let mut big_fingerprints = Vec::new();
-    let mut big_point = None;
-    for kernel in [KernelMode::Active, KernelMode::Parallel { threads: 8 }] {
+    println!("1024-router chiplet system (4x4 chiplets of 8x8):");
+    let kernels = [KernelMode::Active, KernelMode::Parallel { threads: 8 }];
+    let big = runs.agree("1024-router chiplet system", &kernels, |kernel| {
         let config = NocConfig::chiplet(4, 8, D2dChannel::OffChipParallel).with_kernel_mode(kernel);
         assert_eq!(config.router_count(), 1024);
-        let p = measure(config, big_cycles, 0.02);
-        let _ = writeln!(
-            out,
+        let (fingerprint, p) = measure(config, 300 * scale, 0.02);
+        println!(
             "  {:<26} {:>6} sent {:>6} delivered, mean lat {:>7.1}, {} cycles",
             format!("{kernel:?}"),
             p.sent,
@@ -199,81 +192,36 @@ fn run_sweep(scale: u64) -> (String, String) {
             p.mean_latency,
             p.cycles
         );
-        big_fingerprints.push(p.fingerprint);
-        big_point = Some(p);
-    }
-    assert_eq!(
-        big_fingerprints[0], big_fingerprints[1],
-        "kernels diverged on the 1024-router chiplet system"
-    );
-    let big = big_point.expect("big run happened");
+        (fingerprint, p)
+    });
     assert!(
         big.delivered > 0,
         "the big system must actually move traffic"
     );
-    let _ = writeln!(
-        out,
-        "  sequential and parallel kernels agree on every counter.\n"
-    );
+    println!("  sequential and parallel kernels agree on every counter.\n");
 
-    // Machine-readable summary.
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"experiment\": \"E24 topology sweep\",");
-    let _ = writeln!(json, "  \"seed\": {SEED},");
-    let _ = writeln!(json, "  \"matched_router_counts\": [");
-    for (i, p) in points.iter().enumerate() {
-        let comma = if i + 1 == points.len() { "" } else { "," };
-        let _ = writeln!(
-            json,
-            "    {{\"topology\": \"{}\", \"routers\": {}, \"cycles\": {}, \
-             \"sent\": {}, \"delivered\": {}, \"mean_latency\": {:.2}, \
-             \"p95_latency\": {}, \"peak_utilization\": {:.4}}}{comma}",
-            p.name,
-            p.routers,
-            p.cycles,
-            p.sent,
-            p.delivered,
-            p.mean_latency,
-            p.p95_latency,
-            p.peak_utilization
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"d2d_channels\": [");
-    for (i, (channel, corner, p)) in d2d_points.iter().enumerate() {
-        let comma = if i + 1 == d2d_points.len() { "" } else { "," };
-        let _ = writeln!(
-            json,
-            "    {{\"channel\": \"{channel}\", \"corner_latency\": {corner}, \
-             \"mean_latency\": {:.2}, \"p95_latency\": {}}}{comma}",
-            p.mean_latency, p.p95_latency
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"mesh_corner_latency\": {mesh_corner},");
-    let _ = writeln!(
-        json,
-        "  \"chiplet_1024\": {{\"topology\": \"{}\", \"routers\": {}, \
-         \"cycles\": {}, \"sent\": {}, \"delivered\": {}, \
-         \"mean_latency\": {:.2}, \"kernels_agree\": true}}",
-        big.name, big.routers, big.cycles, big.sent, big.delivered, big.mean_latency
-    );
-    json.push_str("}\n");
-    (out, json)
-}
-
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let scale = scale();
-    let first = run_sweep(scale);
-    let second = run_sweep(scale);
-    assert_eq!(
-        first, second,
-        "same seed must reproduce the identical sweep"
-    );
-    let (report, json) = first;
-    std::fs::write("BENCH_topology.json", &json)?;
-    print!("{report}");
-    println!("Determinism check: two same-seed sweeps produced identical reports.");
+    let json = obj! {
+        "experiment": "E24 topology sweep",
+        "seed": SEED,
+        "matched_router_counts": matched,
+        "d2d_channels": d2d_points.iter().map(|(channel, corner, p)| obj! {
+            "channel": format!("{channel:?}"),
+            "corner_latency": *corner,
+            "mean_latency": Fixed(p.mean_latency, 2),
+            "p95_latency": p.p95_latency,
+        }).collect::<Vec<_>>(),
+        "mesh_corner_latency": mesh_corner,
+        "chiplet_1024": obj! {
+            "topology": big.name,
+            "routers": big.routers,
+            "cycles": big.cycles,
+            "sent": big.sent,
+            "delivered": big.delivered,
+            "mean_latency": Fixed(big.mean_latency, 2),
+            "kernels_agree": true,
+        },
+    };
+    std::fs::write("BENCH_topology.json", json.render())?;
     println!("Machine-readable summary written to BENCH_topology.json");
     Ok(())
 }

@@ -1,11 +1,12 @@
 //! A minimal recursive-descent JSON parser and a Chrome trace-event
 //! schema validator, used to check that the observability exporters emit
-//! well-formed documents. Dependency-free by design: the repository
-//! hand-rolls all JSON, so the validator must not rely on the same code
-//! paths it is checking.
+//! well-formed documents, plus the small writer ([`Doc`]) behind every
+//! `BENCH_*.json`. Dependency-free by design: the repository hand-rolls
+//! all JSON, so the validator must not rely on the same code paths it is
+//! checking.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -489,6 +490,139 @@ pub fn validate_time_series_json(text: &str) -> Result<usize, JsonError> {
     Ok(frames.len())
 }
 
+/// A JSON document to write. Object keys keep their insertion order and
+/// numbers keep the formatting the caller gave them, so a `BENCH_*.json`
+/// reads the same however it was built.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Doc {
+    /// A preformatted number, `true`, `false` or `null`.
+    Lit(String),
+    /// A string, quoted on output with `"` and `\\` escaped (the
+    /// artifacts' strings are labels without control characters).
+    Str(String),
+    /// An array.
+    Arr(Vec<Doc>),
+    /// An object, in key order.
+    Obj(Vec<(&'static str, Doc)>),
+}
+
+/// Builds a [`Doc::Obj`] from `"key": value` pairs, converting each value
+/// with `Doc::from`.
+#[macro_export]
+macro_rules! obj {
+    ($($key:literal: $value:expr),* $(,)?) => {
+        $crate::json::Doc::Obj(vec![$(($key, $crate::json::Doc::from($value))),*])
+    };
+}
+
+/// A float written with a fixed number of decimals.
+#[derive(Debug, Clone, Copy)]
+pub struct Fixed(pub f64, pub usize);
+
+impl From<Fixed> for Doc {
+    fn from(Fixed(value, decimals): Fixed) -> Self {
+        Doc::Lit(format!("{value:.decimals$}"))
+    }
+}
+
+macro_rules! lit_from {
+    ($($ty:ty),*) => {$(
+        impl From<$ty> for Doc {
+            fn from(value: $ty) -> Self {
+                Doc::Lit(value.to_string())
+            }
+        }
+    )*};
+}
+lit_from!(u16, u64, u128, usize, bool);
+
+impl<T: Into<Doc>> From<Option<T>> for Doc {
+    fn from(value: Option<T>) -> Self {
+        value.map_or_else(|| Doc::Lit("null".into()), Into::into)
+    }
+}
+
+impl From<&str> for Doc {
+    fn from(value: &str) -> Self {
+        Doc::Str(value.into())
+    }
+}
+
+impl From<String> for Doc {
+    fn from(value: String) -> Self {
+        Doc::Str(value)
+    }
+}
+
+impl From<Vec<Doc>> for Doc {
+    fn from(items: Vec<Doc>) -> Self {
+        Doc::Arr(items)
+    }
+}
+
+impl Doc {
+    fn inline(&self, out: &mut String) {
+        match self {
+            Doc::Lit(text) => out.push_str(text),
+            Doc::Str(text) => {
+                out.push('"');
+                for c in text.chars() {
+                    if matches!(c, '"' | '\\') {
+                        out.push('\\');
+                    }
+                    out.push(c);
+                }
+                out.push('"');
+            }
+            Doc::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    out.push_str(if i == 0 { "" } else { ", " });
+                    item.inline(out);
+                }
+                out.push(']');
+            }
+            Doc::Obj(fields) => {
+                out.push('{');
+                for (i, (key, value)) in fields.iter().enumerate() {
+                    let _ = write!(out, "{}\"{key}\": ", if i == 0 { "" } else { ", " });
+                    value.inline(out);
+                }
+                out.push('}');
+            }
+        }
+    }
+
+    /// Renders the document the way the `BENCH_*.json` files lay it out:
+    /// one top-level key per line, each element of a top-level array on a
+    /// line of its own, everything deeper inline; newline-terminated.
+    pub fn render(&self) -> String {
+        let Doc::Obj(fields) = self else {
+            let mut out = String::new();
+            self.inline(&mut out);
+            return out + "\n";
+        };
+        let mut out = String::from("{\n");
+        for (i, (key, value)) in fields.iter().enumerate() {
+            let _ = write!(out, "  \"{key}\": ");
+            match value {
+                Doc::Arr(items) if !items.is_empty() => {
+                    out.push_str("[\n");
+                    for (j, item) in items.iter().enumerate() {
+                        out.push_str("    ");
+                        item.inline(&mut out);
+                        out.push_str(if j + 1 < items.len() { ",\n" } else { "\n" });
+                    }
+                    out.push_str("  ]");
+                }
+                _ => value.inline(&mut out),
+            }
+            out.push_str(if i + 1 < fields.len() { ",\n" } else { "\n" });
+        }
+        out + "}\n"
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -542,5 +676,33 @@ mod tests {
         assert!(validate_trace_event_json(bad_scope).is_err());
         let bad_ph = r#"{"traceEvents":[{"name":"x","ph":"??","ts":1,"pid":0,"tid":0}]}"#;
         assert!(validate_trace_event_json(bad_ph).is_err());
+    }
+
+    #[test]
+    fn writer_lays_out_bench_documents_and_parses_back() {
+        let doc = crate::obj! {
+            "experiment": "E0 \"quoted\"",
+            "seed": 7u64,
+            "points": vec![
+                crate::obj! { "mesh": "2x2", "mean": Fixed(1.0 / 3.0, 2), "p99": None::<u64> },
+                crate::obj! { "mesh": "3x3", "mean": Fixed(2.5, 1), "p99": Some(9u64) },
+            ],
+            "summary": crate::obj! { "ok": true, "tags": vec![Doc::from(1u64)] },
+        };
+        let text = doc.render();
+        assert_eq!(
+            text,
+            "{\n  \"experiment\": \"E0 \\\"quoted\\\"\",\n  \"seed\": 7,\n  \"points\": [\n    \
+             {\"mesh\": \"2x2\", \"mean\": 0.33, \"p99\": null},\n    \
+             {\"mesh\": \"3x3\", \"mean\": 2.5, \"p99\": 9}\n  ],\n  \
+             \"summary\": {\"ok\": true, \"tags\": [1]}\n}\n"
+        );
+        let parsed = parse(&text).unwrap();
+        assert_eq!(
+            parsed.get("experiment").and_then(Json::as_str),
+            Some("E0 \"quoted\"")
+        );
+        let points = parsed.get("points").and_then(Json::as_arr).unwrap();
+        assert_eq!(points[1].get("p99").and_then(Json::as_num), Some(9.0));
     }
 }

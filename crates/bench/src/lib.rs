@@ -1,17 +1,19 @@
 //! Shared infrastructure for the MultiNoC experiment harness.
 //!
 //! Each `exp_*` binary in `src/bin/` regenerates one evaluation artifact
-//! of the paper (see the experiment index in `DESIGN.md`); the Criterion
-//! benches in `benches/` measure the simulator itself. This library
-//! holds the small shared pieces: a fixed-width table printer, the
-//! saturation workload used by the throughput experiments, and a small
-//! JSON parser ([`json`]) used to validate exported artifacts (Chrome
-//! trace-event documents, metrics snapshots) without external
-//! dependencies.
+//! of the paper (E1–E17), and `exp_suite` runs the E18–E25 extension
+//! experiments against pinned result digests (see the experiment index
+//! in `DESIGN.md`). This library holds the small shared pieces: a
+//! fixed-width table printer, the saturation workload used by the
+//! throughput experiments, the runner's gates ([`suite`]), and a small
+//! JSON parser and writer ([`json`]) that validates exported artifacts
+//! (Chrome trace-event documents, metrics snapshots) and lays out the
+//! `BENCH_*.json` files, without external dependencies.
 
 use hermes_noc::{Noc, Packet, RouterAddr};
 
 pub mod json;
+pub mod suite;
 
 /// Prints a row of fixed-width columns (16 characters each, first column
 /// 24) so experiment output lines up like the paper's tables.

@@ -1528,7 +1528,7 @@ impl Noc {
                 .map_err(|_| SnapshotError::Malformed("fault plan fails validation"))?;
         }
         if let Some(telemetry) = &noc.telemetry {
-            telemetry.check_restored(noc.routers.len())?;
+            telemetry.check_restored(noc.routers.len(), &noc.stats)?;
         }
         let topology = noc.config.topology;
         noc.epochs = (epochs.into_iter())
@@ -2360,6 +2360,30 @@ mod tests {
         assert_eq!(
             Noc::restore_state(&bytes).unwrap_err(),
             SnapshotError::Malformed("record ids disagree with next id")
+        );
+    }
+
+    #[test]
+    fn restore_rejects_a_telemetry_baseline_above_its_counter() {
+        let mut noc = noc_2x2();
+        noc.enable_telemetry(crate::TelemetryConfig::default());
+        noc.send(
+            RouterAddr::new(0, 0),
+            Packet::new(RouterAddr::new(1, 1), vec![7]),
+        )
+        .unwrap();
+        noc.run(10);
+        // With no frames, links, alerts or latency buckets yet, the
+        // sampler's flit-hop baseline is the u64 145 bytes before the
+        // payload's end. A baseline above the live count would
+        // underflow at the next sample.
+        let bytes = resealed(noc.save_state(), |p| {
+            let at = p.len() - 145;
+            p[at..at + 8].copy_from_slice(&1_000_000u64.to_le_bytes());
+        });
+        assert_eq!(
+            Noc::restore_state(&bytes).unwrap_err(),
+            SnapshotError::Malformed("telemetry baseline above its counter")
         );
     }
 

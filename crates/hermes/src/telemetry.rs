@@ -789,9 +789,15 @@ impl Telemetry {
     }
 
     /// The checks a decoded sampler must pass for a network of
-    /// `router_count` routers: a validated configuration, rings within
-    /// capacity, router indices and grant baselines that fit the mesh.
-    pub(crate) fn check_restored(&self, router_count: usize) -> Result<(), SnapshotError> {
+    /// `router_count` routers with the restored `stats`: a validated
+    /// configuration, rings within capacity, router indices and grant
+    /// baselines that fit the mesh, and no baseline above the counter
+    /// the next sample subtracts it from.
+    pub(crate) fn check_restored(
+        &self,
+        router_count: usize,
+        stats: &NocStats,
+    ) -> Result<(), SnapshotError> {
         let config = &self.config;
         // Enabling telemetry validates its configuration, so a snapshot
         // only ever holds one that validation leaves unchanged.
@@ -813,6 +819,23 @@ impl Telemetry {
         }
         if self.base_grants.len() != router_count {
             return Err(SnapshotError::Malformed("telemetry baseline grants"));
+        }
+        let hist = stats.latency_histogram();
+        let bucket = |idx: usize| hist.buckets().get(idx).copied().unwrap_or(0);
+        let base_buckets = self.base_latency_buckets.as_deref().map_or(&[][..], |b| b);
+        if self.base_flit_hops > stats.flit_hops
+            || self.base_flits_delivered > stats.flits_delivered
+            || self.base_packets_sent > stats.packets_sent
+            || self.base_packets_delivered > stats.packets_delivered
+            || (self.base_grants.iter().zip(&stats.routers)).any(|(&base, c)| base > c.grants)
+            || self.base_latency_count > hist.count()
+            || self.base_latency_sum > hist.sum()
+            || self.base_latency_overflow > hist.overflow()
+            || (base_buckets.iter().enumerate()).any(|(idx, &base)| base > bucket(idx))
+        {
+            return Err(SnapshotError::Malformed(
+                "telemetry baseline above its counter",
+            ));
         }
         Ok(())
     }

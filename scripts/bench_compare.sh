@@ -4,8 +4,8 @@
 # diffed against the baselines committed at HEAD and the numeric deltas
 # printed as a table. Never fails the build —
 # benchmark rates are wall-clock observations of the host, so a delta is
-# a prompt for a human, not a gate. Determinism is asserted inside the
-# experiments themselves.
+# a prompt for a human, not a gate. Simulated results are gated exactly
+# by the result digests exp_suite pins for each experiment.
 # Usage: scripts/bench_compare.sh [BENCH_file.json ...]
 #        (defaults to every BENCH_*.json in the repo root)
 set -euo pipefail

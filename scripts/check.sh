@@ -36,59 +36,26 @@ echo "=== benchmark self-tests (perfbench) ==="
 # repeat exactly per seed and across 1 and 2 NoC threads.
 cargo test --release -q --offline --manifest-path perfbench/Cargo.toml
 
-# The experiment binaries write their artifacts (BENCH_*.json and the
-# observability exports) to the working directory; run them from a
-# scratch directory so the committed files stay untouched.
+echo "=== E18-E25 experiment smoke runs (pinned result digests) ==="
+# exp_suite runs the seven extension experiments, each in its own child
+# process, and fails unless every experiment's result digest (Fletcher-64
+# over the Noc/System::fingerprint of each simulated run, one entry per
+# kernel-agreed outcome) equals its pinned --smoke value. Inside, the
+# experiments assert their own invariants: agreement across the five
+# kernels, chaos's exactly-once semantics, the trace-event and
+# time-series schemas, fresh-process and cross-kernel restores,
+# fast-forward equality and, on hosts with at least 2 CPUs, the 2-thread
+# gate (saturated 32x32 at threads=2 above 0.8x threads=1, each side the
+# median of three alternating runs). The runner writes
+# its artifacts (BENCH_*.json and the observability exports) to the
+# working directory, so it runs in a scratch directory and the committed
+# files stay untouched.
 cargo build --release -q --offline -p multinoc-bench --bins
-bins="$PWD/target/release"
+suite="$PWD/target/release/exp_suite"
 out="$(mktemp -d)"
 trap 'rm -rf "$out"' EXIT
-run() { (cd "$out" && env "$@" > /dev/null); }
-
-echo "=== fault-injection smoke checks (fixed seed) ==="
-run "$bins/exp_fault_sweep"
-run "$bins/exp_degradation"
-echo "exp_fault_sweep and exp_degradation deterministic and green"
-
-echo "=== kernel-performance smoke check (differential, fixed seed) ==="
-# Sweeps the parallel kernel over powers-of-two thread counts clamped to
-# the host's parallelism (plus one flagged oversubscribed point) and
-# asserts equal Noc::fingerprints before any rate is recorded.
-# On hosts with at least 2 CPUs it additionally asserts the saturated
-# 32x32 batched-window run at threads=2 is not slower than threads=1
-# (EXP_PERF_NO_SPEEDUP_CHECK=1 disables that gate on pathological hosts).
-run EXP_PERF_SMOKE=1 "$bins/exp_perf"
-echo "exp_perf kernels (sequential and parallel) agree on all workloads"
-
-echo "=== observability smoke check (byte-identical exports, fixed seed) ==="
-# Exports (Perfetto trace with span flow arrows, Prometheus exposition,
-# metrics JSON, the E25 time-series JSON/Prometheus pair and the run
-# report) must be byte-identical across kernels and run chunk lengths
-# and pass the trace-event and time-series schema validators.
-run EXP_OBS_SMOKE=1 "$bins/exp_observability"
-echo "exp_observability exports identical across kernels and schema-valid"
-
-echo "=== topology smoke check (mesh vs torus vs chiplet, fixed seed) ==="
-# Matched-router-count sweep across the three topologies, serialized vs
-# parallel off-chip d2d channel separation, and a 1024-router chiplet
-# system on which the sequential and 8-thread parallel kernels must
-# reach the same Noc::fingerprint.
-run EXP_TOPOLOGY_SMOKE=1 "$bins/exp_topology"
-echo "exp_topology deterministic, d2d channels separated, 1024 routers green"
-
-echo "=== chaos smoke check (node death + failover, fixed seed) ==="
-# Randomized (but seeded) router/IP-core deaths against replicated
-# memory: pre-death writes must survive, post-failover writes must land
-# exactly once, and every kernel must produce the identical run.
-run EXP_CHAOS_SMOKE=1 "$bins/exp_chaos"
-echo "exp_chaos survived every node death with exactly-once semantics"
-
-echo "=== crash-recovery smoke check (checkpoint, hard kill, fresh-process restore) ==="
-# A faulted + degraded run is checkpointed mid-flight, the process image
-# discarded, and a fresh process must resume bit-identically to the run
-# that was never interrupted — including cross-kernel restores.
-run EXP_RECOVERY_SMOKE=1 "$bins/exp_recovery"
-echo "exp_recovery resumed bit-identically from a hard kill"
+(cd "$out" && "$suite" --smoke > /dev/null)
+echo "exp_suite --smoke: every experiment matches its pin"
 
 echo "=== benchmark baseline comparison (warn-only) ==="
 # Diffs the regenerated BENCH_*.json files against the baselines

@@ -1,10 +1,14 @@
 #!/usr/bin/env bash
-# Regenerates every evaluation artifact of the paper (DESIGN.md, E1-E21).
+# Regenerates every evaluation artifact of the paper and its extensions
+# (DESIGN.md, E1-E25): the E1-E17 binaries, then a full exp_suite run for
+# E18-E25, which also writes its BENCH_*.json and observability exports
+# into the output directory and checks each experiment's pinned digest.
 # Usage: scripts/run_experiments.sh [output-directory]
 set -euo pipefail
 
 out="${1:-experiment-results}"
 mkdir -p "$out"
+out="$(cd "$out" && pwd)"
 cd "$(dirname "$0")/.."
 
 experiments=(
@@ -25,12 +29,6 @@ experiments=(
     exp_reconfig
     exp_utilization
     exp_routing
-    exp_fault_sweep
-    exp_degradation
-    exp_perf
-    exp_observability
-    exp_chaos
-    exp_recovery
 )
 
 cargo build --release -p multinoc-bench --bins
@@ -40,5 +38,10 @@ for exp in "${experiments[@]}"; do
     cargo run --release -q -p multinoc-bench --bin "$exp" | tee "$out/$exp.txt"
     echo
 done
+
+echo "=== exp_suite (E18-E25) ==="
+suite="$PWD/target/release/exp_suite"
+(cd "$out" && "$suite" | tee exp_suite.txt)
+echo
 
 echo "all experiments written to $out/"
