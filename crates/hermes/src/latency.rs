@@ -50,6 +50,23 @@ pub fn packet_latency(config: &NocConfig, src: RouterAddr, packet: &Packet) -> u
     )
 }
 
+/// The fewest cycles after [`Noc::send`](crate::Noc::send) at which any
+/// packet can become visible to [`Noc::try_recv`](crate::Noc::try_recv)
+/// under `config`: the paper's formula for the smallest packet there is
+/// (header and size flits, no payload) addressed to its own router, one
+/// router on the path. Every other packet crosses more routers or
+/// carries more flits, so a network that holds no traffic at cycle `t`
+/// delivers nothing anywhere before `t + min_delivery_latency(config)` —
+/// the lookahead bound a co-simulator may run its IP cores ahead by.
+///
+/// ```rust
+/// use hermes_noc::{latency::min_delivery_latency, NocConfig};
+/// assert_eq!(min_delivery_latency(&NocConfig::multinoc()), 18);
+/// ```
+pub fn min_delivery_latency(config: &NocConfig) -> u64 {
+    minimal_latency(1, 2, config.routing_cycles, config.cycles_per_flit)
+}
+
 /// Latency in microseconds at a given clock frequency.
 pub fn cycles_to_us(cycles: u64, clock_hz: f64) -> f64 {
     cycles as f64 / clock_hz * 1.0e6

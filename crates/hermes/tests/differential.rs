@@ -15,6 +15,7 @@
 //! snapshots that did not restore close the file.
 
 use hermes_noc::fault::{CycleWindow, FaultPlan};
+use hermes_noc::latency::{min_delivery_latency, minimal_latency};
 use hermes_noc::{
     D2dChannel, KernelMode, Noc, NocConfig, Packet, Port, RouterAddr, Routing, TelemetryConfig,
 };
@@ -165,6 +166,16 @@ fn drive(
         }
     }
     noc.run_until_idle(BUDGET).expect("the network drains");
+    // No packet of any schedule became visible sooner after its send
+    // than the lookahead bound a system may run its cores ahead by.
+    let bound = min_delivery_latency(&row.config);
+    let fastest = noc.stats().latency_histogram().min();
+    assert!(
+        fastest.is_none_or(|l| l >= bound),
+        "{} {kernel:?}: a packet arrived {fastest:?} cycles after its send, under the \
+         {bound}-cycle bound",
+        row.config.topology,
+    );
     seen.push((noc.cycle(), noc.fingerprint()));
     seen
 }
@@ -273,6 +284,45 @@ fn chiplet_off_chip_serial() {
 fn chiplet_off_chip_parallel() {
     let config = NocConfig::chiplet(2, 2, D2dChannel::OffChipParallel);
     check(row(config, None, 40, 9));
+}
+
+/// Cycles from `send` until `try_recv` at `dest` first returns the
+/// packet, stepping one cycle at a time on an otherwise empty network.
+fn visible_after(config: &NocConfig, src: RouterAddr, dest: RouterAddr) -> u64 {
+    let mut noc = Noc::new(config.clone()).expect("valid config");
+    noc.run(5);
+    let sent = noc.cycle();
+    noc.send(src, Packet::new(dest, Vec::new())).expect("send");
+    while noc.try_recv(dest).is_none() {
+        noc.step();
+        assert!(noc.cycle() - sent < 1_000, "the packet never arrived");
+    }
+    noc.cycle() - sent
+}
+
+#[test]
+fn minimal_packets_arrive_exactly_at_the_formula() {
+    // The lookahead bound is tight: a minimal self-addressed packet is
+    // collected exactly `min_delivery_latency` cycles after its send, and
+    // a minimal one-hop packet exactly at the two-router formula, on
+    // every kernel and at several (routing, per-flit) timings.
+    let here = RouterAddr::new(1, 1);
+    let east = RouterAddr::new(2, 1);
+    for (routing, per_flit) in [(7, 2), (1, 1), (3, 1)] {
+        for kernel in KERNELS {
+            let mut config = NocConfig::mesh(3, 3)
+                .with_routing_cycles(routing)
+                .with_kernel_mode(kernel);
+            config.cycles_per_flit = per_flit;
+            let bound = min_delivery_latency(&config);
+            assert_eq!(visible_after(&config, here, here), bound, "{kernel:?}");
+            assert_eq!(
+                visible_after(&config, here, east),
+                minimal_latency(2, 2, routing, per_flit),
+                "{kernel:?}"
+            );
+        }
+    }
 }
 
 #[test]

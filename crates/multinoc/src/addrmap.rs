@@ -94,6 +94,10 @@ impl AddressMap {
             NOTIFY_ADDR => return Target::NotifyCmd,
             _ => {}
         }
+        if addr < self.window_words {
+            // Local memory, the common case: no division.
+            return Target::Local { offset: addr };
+        }
         let window = usize::from(addr / self.window_words);
         let offset = addr % self.window_words;
         if window == 0 {

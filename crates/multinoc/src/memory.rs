@@ -58,11 +58,21 @@ impl MemoryCore {
         self.words
     }
 
+    /// The bank index of `addr`. Out-of-range addresses wrap (the
+    /// hardware simply ignores the upper address bits); in-range ones
+    /// skip the division.
+    fn index(&self, addr: u16) -> usize {
+        usize::from(if addr < self.words {
+            addr
+        } else {
+            addr % self.words
+        })
+    }
+
     /// Reads the word at `addr` by assembling the four 4-bit bank
-    /// outputs. Out-of-range addresses wrap (the hardware simply ignores
-    /// the upper address bits).
+    /// outputs. Out-of-range addresses wrap.
     pub fn read(&self, addr: u16) -> u16 {
-        let i = usize::from(addr % self.words);
+        let i = self.index(addr);
         (0..4).fold(0u16, |acc, bank| {
             acc | (u16::from(self.banks[bank].nibbles[i]) << (4 * bank))
         })
@@ -70,7 +80,7 @@ impl MemoryCore {
 
     /// Writes `value` at `addr`, splitting it over the four banks.
     pub fn write(&mut self, addr: u16, value: u16) {
-        let i = usize::from(addr % self.words);
+        let i = self.index(addr);
         for bank in 0..4 {
             self.banks[bank].nibbles[i] = ((value >> (4 * bank)) & 0xF) as u8;
         }
@@ -410,10 +420,15 @@ impl MemoryIp {
         Ok(())
     }
 
-    /// The earliest cycle at which [`step`](Self::step) has retransmission
-    /// work to do; `None` when the replication stream is quiet. Drives
-    /// the system's idle fast-forward.
-    pub(crate) fn next_deadline(&self) -> Option<u64> {
+    /// The earliest cycle at which stepping this IP can change its state
+    /// without a delivery at its router, under network epoch `epoch`:
+    /// `now` while that epoch is not yet noted, else the replication
+    /// stream's next retransmission deadline. `None` when only a
+    /// delivery can wake it.
+    pub(crate) fn wake(&self, now: u64, epoch: u64) -> Option<u64> {
+        if !self.reliable.noted(epoch) {
+            return Some(now);
+        }
         self.reliable.next_deadline()
     }
 

@@ -171,6 +171,21 @@ pub struct ProcessorIp {
     reliable: ReliableSender,
     /// Duplicate suppression for sequenced messages this IP receives.
     dedup: DedupReceiver,
+    /// The core's latest [run-ahead](Self::run_ahead) stretch, so an
+    /// error exit can [rewind](Self::rewind) it. Never serialized:
+    /// outside a run loop every entry starts at or before the clock.
+    journal: RunAheadJournal,
+}
+
+/// Undo log of one run-ahead stretch: the core and its start cycle
+/// before each instruction it ran ahead through, and the local words
+/// those instructions overwrote, in order.
+#[derive(Debug, Default)]
+struct RunAheadJournal {
+    /// `(core before, start cycle, writes logged before)` per instruction.
+    steps: Vec<(Cpu, u64, usize)>,
+    /// `(local offset, old value)` per local write.
+    writes: Vec<(u16, u16)>,
 }
 
 impl ProcessorIp {
@@ -202,6 +217,7 @@ impl ProcessorIp {
             utilization: UtilizationCounters::default(),
             reliable: ReliableSender::new(node),
             dedup: DedupReceiver::new(),
+            journal: RunAheadJournal::default(),
         }
     }
 
@@ -331,55 +347,53 @@ impl ProcessorIp {
         self.dedup.duplicates()
     }
 
-    /// The earliest future cycle at which this IP has work to do without
-    /// receiving anything — the soonest retransmission deadline of its
-    /// reliability layer or pending request. `Some(now)` means it is
-    /// busy right now; `None` means only external input (a delivered
-    /// packet) can wake it. Drives the system's idle fast-forward.
-    pub(crate) fn next_deadline(&self, now: u64) -> Option<u64> {
-        if self.status() == ProcessorStatus::Running {
+    /// The earliest cycle at which stepping this IP can change its state
+    /// without a delivery at its router, under network epoch `epoch`:
+    /// `now` for a satisfied wait, a completed read or scanf, or an
+    /// epoch its reliability layer has not noted yet; otherwise the
+    /// soonest of `next_ready` (a running core's next instruction) and
+    /// the retransmission deadlines. `None` when only a delivery can
+    /// wake it. A core that cannot execute (inactive, halted, faulted)
+    /// and owes nothing sleeps through epoch changes too: the lockstep
+    /// loop never visited it for them.
+    pub(crate) fn wake(&self, now: u64, epoch: u64) -> Option<u64> {
+        let released = match self.wait {
+            WaitState::Internal(n) | WaitState::External(n) => {
+                self.notifies.get(&n).is_some_and(|&count| count > 0)
+            }
+            WaitState::None => false,
+        };
+        let collected = matches!(
+            self.pending,
+            NetPending::RemoteReadDone { .. } | NetPending::ScanfDone(_)
+        );
+        if released || collected {
             return Some(now);
         }
-        // A satisfied wait releases the core on its very next step.
-        match self.wait {
-            WaitState::Internal(n) | WaitState::External(n) => {
-                if self.notifies.get(&n).copied().unwrap_or(0) > 0 {
-                    return Some(now);
-                }
-            }
-            WaitState::None => {}
+        let mut wake = self.reliable.next_deadline();
+        let mut note = |d: u64| wake = Some(wake.map_or(d, |w: u64| w.min(d)));
+        if let NetPending::RemoteRead(req) | NetPending::Scanf(req) = &self.pending {
+            note(self.reliable.request_deadline(req));
         }
-        let mut deadline = self.reliable.next_deadline();
-        match &self.pending {
-            NetPending::RemoteRead(req) | NetPending::Scanf(req) => {
-                let d = self.reliable.request_deadline(req);
-                deadline = Some(deadline.map_or(d, |cur| cur.min(d)));
-            }
-            // A completed read or scanf is collected by the core on its
-            // next retry: work right now.
-            NetPending::RemoteReadDone { .. } | NetPending::ScanfDone(_) => return Some(now),
-            NetPending::Idle => {}
+        let status = self.status();
+        if status == ProcessorStatus::Running {
+            note(self.next_ready);
         }
-        deadline
+        if wake.is_none() && status != ProcessorStatus::Blocked {
+            return None;
+        }
+        if !self.reliable.noted(epoch) {
+            return Some(now);
+        }
+        wake
     }
 
-    /// Whether stepping this IP this cycle can have any effect: only
-    /// false for cores that cannot execute (inactive, halted, faulted)
-    /// with a quiet reliability layer. The caller must separately ensure
-    /// no packet is waiting at this IP's router.
-    pub(crate) fn can_skip_cycle(&self, now: u64) -> bool {
-        matches!(
-            self.status(),
-            ProcessorStatus::Inactive | ProcessorStatus::Halted | ProcessorStatus::Faulted
-        ) && self.next_deadline(now).is_none()
-    }
-
-    /// Books `cycles` the kernel skipped over into the utilization
-    /// category the processor currently occupies, and charges a core
-    /// stalled on a bus access the retries it would have made — exactly
-    /// what per-cycle stepping would have recorded, since a skipped
-    /// processor cannot change state otherwise.
-    pub(crate) fn credit_skipped(&mut self, cycles: u64) {
+    /// Books `cycles` the system skipped this IP over, the last of them
+    /// `through`, into the utilization category the processor currently
+    /// occupies, and charges a core stalled on a bus access the retries
+    /// it would have made — exactly what per-cycle stepping would have
+    /// recorded, since a skipped processor cannot change state otherwise.
+    pub(crate) fn credit_skipped(&mut self, cycles: u64, through: u64) {
         match self.status() {
             ProcessorStatus::Running => self.utilization.running += cycles,
             ProcessorStatus::Blocked => self.utilization.blocked += cycles,
@@ -389,7 +403,8 @@ impl ProcessorIp {
             }
         }
         // A core stalled on a remote read or scanf retries the access
-        // every cycle, and every retry costs a core cycle.
+        // every cycle, and every retry costs a core cycle and re-arms
+        // the next retry for the following cycle.
         if self.status() == ProcessorStatus::Blocked
             && self.wait == WaitState::None
             && matches!(
@@ -400,7 +415,67 @@ impl ProcessorIp {
             let cycles = u32::try_from(cycles).unwrap_or(u32::MAX);
             self.cpu.stall_for(cycles);
             self.stalled_cycles = self.stalled_cycles.saturating_add(cycles);
+            self.next_ready = through + 1;
         }
+    }
+
+    /// Runs a running core ahead of the global clock through every
+    /// instruction that starts at or before `horizon` (clamped below
+    /// its own next retransmission deadline) and touches local memory
+    /// only. The caller guarantees nothing reaches this IP's router
+    /// before `horizon + 1`, so each instruction does exactly what the
+    /// lockstep visit at its start cycle would. An instruction that
+    /// reaches past local memory, executes `HALT` or faults is rolled
+    /// back and left for that lockstep visit. The stretch is journaled
+    /// for [`rewind`](Self::rewind).
+    pub(crate) fn run_ahead(&mut self, horizon: u64) {
+        self.journal.steps.clear();
+        self.journal.writes.clear();
+        if self.status() != ProcessorStatus::Running {
+            return;
+        }
+        let horizon = self
+            .reliable
+            .next_deadline()
+            .map_or(horizon, |d| horizon.min(d.saturating_sub(1)));
+        while self.next_ready <= horizon {
+            let start = self.next_ready;
+            let mark = self.journal.writes.len();
+            self.journal.steps.push((self.cpu.clone(), start, mark));
+            let mut bus = LocalBus {
+                local: &mut self.local,
+                map: &self.map,
+                writes: &mut self.journal.writes,
+            };
+            match self.cpu.step(&mut bus) {
+                Ok(StepOutcome::Retired { cycles, .. }) if !self.cpu.is_halted() => {
+                    self.next_ready = start + u64::from(cycles.max(1));
+                }
+                // A refused access wrote nothing; restoring the core
+                // undoes the fetch, decode and stall.
+                _ => {
+                    let (before, _, _) = self.journal.steps.pop().expect("pushed above");
+                    self.cpu = before;
+                    break;
+                }
+            }
+        }
+    }
+
+    /// Undoes the journaled run-ahead instructions that start after
+    /// `cycle`, leaving the core exactly where lockstep stepping
+    /// through `cycle` would have.
+    pub(crate) fn rewind(&mut self, cycle: u64) {
+        let Some(first) = self.journal.steps.iter().position(|&(_, s, _)| s > cycle) else {
+            return;
+        };
+        self.journal.steps.truncate(first + 1);
+        let (cpu, start, mark) = self.journal.steps.pop().expect("found above");
+        for (offset, old) in self.journal.writes.drain(mark..).rev() {
+            self.local.write(offset, old);
+        }
+        self.cpu = cpu;
+        self.next_ready = start;
     }
 
     /// One clock step: service the network, then (at the pace set by
@@ -636,6 +711,7 @@ impl ProcessorIp {
             utilization: r.take()?,
             reliable: ReliableSender::snapshot_read(r, node)?,
             dedup: r.take()?,
+            journal: RunAheadJournal::default(),
         };
         let pending: Vec<RouterAddr> = match &ip.pending {
             NetPending::RemoteRead(req) | NetPending::Scanf(req) => req.addrs().collect(),
@@ -766,6 +842,37 @@ hermes_noc::snap_struct!(UtilizationCounters {
     halted,
     idle
 });
+
+/// The bus a core [runs ahead](ProcessorIp::run_ahead) on: local memory
+/// only, every overwritten word logged. Any other access — a remote
+/// window, I/O, the wait/notify command words, an unmapped address — is
+/// refused with a wait state before it has any effect.
+#[derive(Debug)]
+struct LocalBus<'a> {
+    local: &'a mut MemoryCore,
+    map: &'a AddressMap,
+    writes: &'a mut Vec<(u16, u16)>,
+}
+
+impl Bus for LocalBus<'_> {
+    fn read(&mut self, addr: u16) -> BusResponse {
+        match self.map.decode(addr) {
+            Target::Local { offset } => BusResponse::Data(self.local.read(offset)),
+            _ => BusResponse::Wait,
+        }
+    }
+
+    fn write(&mut self, addr: u16, value: u16) -> BusResponse {
+        match self.map.decode(addr) {
+            Target::Local { offset } => {
+                self.writes.push((offset, self.local.read(offset)));
+                self.local.write(offset, value);
+                BusResponse::Data(0)
+            }
+            _ => BusResponse::Wait,
+        }
+    }
+}
 
 /// The bus the control logic presents to the R8 core: decodes the NUMA
 /// address map and turns non-local accesses into service packets and

@@ -314,8 +314,7 @@ impl ReliableSender {
     /// The earliest cycle at which [`poll`](Self::poll) has work to do —
     /// the soonest retransmission deadline among in-flight messages.
     /// `None` when nothing is in flight, so the sender can sleep until
-    /// something external wakes it. Drives the system's idle
-    /// fast-forward.
+    /// something external wakes it. Feeds the owning IP's wake cycle.
     pub fn next_deadline(&self) -> Option<u64> {
         self.queues
             .iter()
@@ -327,13 +326,22 @@ impl ReliableSender {
             .min()
     }
 
-    /// The cycle at which `pending` times out and will be retransmitted
-    /// by [`poll_request`](Self::poll_request) under this sender's
-    /// policy.
+    /// The cycle at which [`poll_request`](Self::poll_request) next acts
+    /// on `pending` under this sender's policy: the epoch change that
+    /// still has to restart its retry clock, else its timeout.
     pub fn request_deadline(&self, pending: &PendingRequest) -> u64 {
-        pending
-            .sent_at
-            .saturating_add(self.policy.timeout_for(pending.attempt.saturating_sub(1)))
+        match self.epoch_reset_at {
+            Some(reset_at) if pending.sent_at < reset_at => reset_at,
+            _ => pending
+                .sent_at
+                .saturating_add(self.policy.timeout_for(pending.attempt.saturating_sub(1))),
+        }
+    }
+
+    /// Whether this sender has already observed reconfiguration epoch
+    /// `epoch` (its next poll would not react to it).
+    pub(crate) fn noted(&self, epoch: u64) -> bool {
+        self.last_epoch == epoch
     }
 
     /// Observes the network's reconfiguration epoch. On a change, every

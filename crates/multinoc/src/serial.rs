@@ -117,30 +117,26 @@ impl SerialLink {
         self.to_device.ready.pop_front()
     }
 
+    /// Whether received bytes await the device's next
+    /// [`device_recv`](Self::device_recv).
+    pub(crate) fn device_ready(&self) -> bool {
+        !self.to_device.ready.is_empty()
+    }
+
     /// Whether no byte is queued or in flight in either direction.
     pub fn is_idle(&self) -> bool {
         self.to_device.is_idle() && self.to_host.is_idle()
     }
 
-    /// The earliest cycle at which this link does clocked work: `now`
-    /// when received bytes already await the serial IP, otherwise the
+    /// The earliest cycle at which this link does clocked work: the
     /// soonest baud tick that moves a byte in flight. `None` when the
-    /// link needs no simulation cycles — bytes already delivered to the
-    /// host side wait on the host program, not on the clock. Drives the
-    /// system's idle fast-forward.
-    pub(crate) fn next_deadline(&self, now: u64) -> Option<u64> {
-        let mut deadline = None;
-        let mut note = |c: u64| deadline = Some(deadline.map_or(c, |cur: u64| cur.min(c)));
-        if !self.to_device.ready.is_empty() {
-            note(now); // the serial IP drains these on its next step
-        }
-        if !self.to_device.in_flight.is_empty() {
-            note(self.to_device.next_deliver);
-        }
-        if !self.to_host.in_flight.is_empty() {
-            note(self.to_host.next_deliver);
-        }
-        deadline
+    /// link needs no simulation cycles — bytes already delivered wait on
+    /// the serial IP (its wake) or the host program, not on the clock.
+    /// Drives the system's idle fast-forward.
+    pub(crate) fn next_deadline(&self) -> Option<u64> {
+        let channels = [&self.to_device, &self.to_host].into_iter();
+        let busy = channels.filter(|c| !c.in_flight.is_empty());
+        busy.map(|c| c.next_deliver).min()
     }
 }
 
@@ -353,25 +349,10 @@ impl FrameBuffer {
     /// [`FrameError`] if the first byte is not a host command opcode
     /// (the buffer is left untouched; the caller decides how to resync).
     pub fn parse_host_command(&mut self) -> Result<Option<HostCommand>, FrameError> {
-        let Some(&op) = self.bytes.first() else {
+        let Some(need) = self.host_command_len()? else {
             return Ok(None);
         };
-        let need = match op {
-            opcode::READ => 5,
-            opcode::WRITE => {
-                if self.bytes.len() < 3 {
-                    return Ok(None);
-                }
-                5 + 2 * usize::from(self.bytes[2])
-            }
-            opcode::ACTIVATE => 2,
-            opcode::SCANF_RETURN => 4,
-            other => return Err(FrameError { opcode: other }),
-        };
-        if self.bytes.len() < need {
-            return Ok(None);
-        }
-        let cmd = match op {
+        let cmd = match self.bytes[0] {
             opcode::READ => HostCommand::ReadMemory {
                 node: self.bytes[1],
                 count: self.bytes[2],
@@ -393,6 +374,33 @@ impl FrameBuffer {
         };
         self.consume(need);
         Ok(Some(cmd))
+    }
+
+    /// The length of the complete host command at the front of the
+    /// buffer, `None` while it is still partial.
+    fn host_command_len(&self) -> Result<Option<usize>, FrameError> {
+        let Some(&op) = self.bytes.first() else {
+            return Ok(None);
+        };
+        let need = match op {
+            opcode::READ => 5,
+            opcode::WRITE => {
+                if self.bytes.len() < 3 {
+                    return Ok(None);
+                }
+                5 + 2 * usize::from(self.bytes[2])
+            }
+            opcode::ACTIVATE => 2,
+            opcode::SCANF_RETURN => 4,
+            other => return Err(FrameError { opcode: other }),
+        };
+        Ok((self.bytes.len() >= need).then_some(need))
+    }
+
+    /// Whether [`parse_host_command`](Self::parse_host_command) would
+    /// return a command or an error rather than wait for more bytes.
+    pub(crate) fn host_command_ready(&self) -> bool {
+        !matches!(self.host_command_len(), Ok(None))
     }
 
     /// Tries to parse one complete [`DeviceFrame`] from the buffered

@@ -103,18 +103,19 @@ impl SerialIp {
         self.reliable.counters()
     }
 
-    /// The earliest future cycle this IP's reliability timers fire, or
-    /// `None` when nothing is in flight. Scanfs pending at the host have
-    /// no deadline — only host bytes can answer them, and those wake the
-    /// system through the serial link. Drives the system's idle
-    /// fast-forward.
-    pub(crate) fn next_deadline(&self) -> Option<u64> {
-        let mut deadline = self.reliable.next_deadline();
-        for req in &self.pending_reads {
-            let d = self.reliable.request_deadline(req);
-            deadline = Some(deadline.map_or(d, |cur| cur.min(d)));
+    /// The earliest cycle at which stepping this IP can change its state
+    /// without a delivery at its router, under network epoch `epoch`:
+    /// `now` while `link` holds received bytes, a host command is ready
+    /// to parse or an epoch is not yet noted; otherwise the soonest
+    /// retransmission deadline. `None` when only a delivery or host
+    /// bytes can wake it — scanfs pending at the host have no deadline.
+    pub(crate) fn wake(&self, now: u64, epoch: u64, link: &SerialLink) -> Option<u64> {
+        if link.device_ready() || self.rx.host_command_ready() || !self.reliable.noted(epoch) {
+            return Some(now);
         }
-        deadline
+        let requests = self.pending_reads.iter();
+        let deadlines = requests.map(|req| self.reliable.request_deadline(req));
+        deadlines.chain(self.reliable.next_deadline()).min()
     }
 
     /// One clock step: disassemble NoC packets into host frames and

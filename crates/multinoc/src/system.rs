@@ -5,8 +5,8 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 use hermes_noc::{
-    snapshot, FaultPlan, KernelMode, Noc, NocConfig, NocStats, Port, RouterAddr, SnapshotError,
-    SnapshotReader, SnapshotWriter,
+    latency, snapshot, FaultPlan, KernelMode, Noc, NocConfig, NocStats, Port, RouterAddr,
+    SnapshotError, SnapshotReader, SnapshotWriter,
 };
 use r8::core::Cpu;
 
@@ -73,6 +73,19 @@ enum Ip {
     Memory(MemoryIp),
     Serial(SerialIp),
     Vacant,
+}
+
+impl Ip {
+    /// The IP's wake cycle under network epoch `epoch` (see
+    /// [`ProcessorIp::wake`]); a vacant slot only drains deliveries.
+    fn wake(&self, now: u64, epoch: u64, link: &SerialLink) -> Option<u64> {
+        match self {
+            Ip::Processor(p) => p.wake(now, epoch),
+            Ip::Serial(s) => s.wake(now, epoch, link),
+            Ip::Memory(m) => m.wake(now, epoch),
+            Ip::Vacant => None,
+        }
+    }
 }
 
 hermes_noc::snap_struct!(Watchdog {
@@ -847,10 +860,61 @@ impl System {
     ///
     /// [`SystemError::Protocol`] if an IP received malformed traffic.
     pub fn step(&mut self) -> Result<(), SystemError> {
-        self.noc.step();
+        self.step_through(self.cycle() + 1)
+    }
+
+    /// Advances the whole system by one clock cycle, visiting only the
+    /// IPs that can act in it: those with a delivery waiting at their
+    /// router or a [wake](ProcessorIp::wake) cycle that has come; every
+    /// other processor is credited the cycle. An idle network advances
+    /// its clock without being stepped.
+    ///
+    /// When the cycle starts on a silent network — no traffic, nothing
+    /// undelivered, no fault plan and no reconfiguration epoch — nothing
+    /// sent from this cycle on can reach any router within the next
+    /// [`min_delivery_latency`](hermes_noc::latency::min_delivery_latency)
+    /// cycles, and no epoch can appear. Every running core visited this
+    /// cycle then [runs ahead](ProcessorIp::run_ahead) through its
+    /// local-only instructions up to that horizon, clamped to `last` (the
+    /// final cycle of the calling run) and to the next auto-checkpoint.
+    /// With `last` equal to the cycle being stepped this is plain
+    /// lockstep, as [`step`](Self::step) uses it. On an error exit every
+    /// core is [rewound](Self::rewind_run_ahead) to where lockstep
+    /// stepping leaves it.
+    fn step_through(&mut self, last: u64) -> Result<(), SystemError> {
+        let idle = self.noc.is_idle();
+        let silent = last > self.noc.cycle() + 1
+            && idle
+            && self.noc.delivered_empty()
+            && self.noc.fault_plan().is_none()
+            && self.noc.current_epoch() == 0;
+        // An idle network is a pure clock tick, unless a plan-stalled
+        // router must be charged its stall cycle.
+        if idle
+            && !self
+                .noc
+                .fault_plan()
+                .is_some_and(FaultPlan::has_router_stalls)
+        {
+            self.noc.advance_idle(1);
+        } else {
+            self.noc.step();
+        }
         let now = self.noc.cycle();
-        self.react_to_deaths(now)?;
+        let mut horizon = now;
+        if silent {
+            let lookahead = latency::min_delivery_latency(self.noc.config());
+            horizon = last.min(now + lookahead - 1);
+            if let Some(due) = self.next_auto_checkpoint() {
+                horizon = horizon.min(due.max(now));
+            }
+        }
+        if let Err(e) = self.react_to_deaths(now) {
+            self.rewind_run_ahead(now, 0);
+            return Err(e);
+        }
         self.link.step(now);
+        let epoch = self.noc.current_epoch();
         for idx in 0..self.ips.len() {
             let node = NodeId(idx as u8);
             let Some(addr) = self.table.router_of(node) else {
@@ -863,14 +927,12 @@ impl System {
                 while self.noc.try_recv(addr).is_some() {}
                 continue;
             }
-            // A core that cannot execute (inactive, halted, faulted) with
-            // a quiet reliability layer and nothing delivered at its
-            // router has nothing to do: book the cycle and move on.
-            if let Ip::Processor(p) = &mut self.ips[idx] {
-                if p.can_skip_cycle(now) && self.noc.pending_recv(addr) == 0 {
-                    p.credit_skipped(1);
-                    continue;
+            let wake = self.ips[idx].wake(now, epoch, &self.link);
+            if wake.is_none_or(|w| w > now) && self.noc.pending_recv(addr) == 0 {
+                if let Ip::Processor(p) = &mut self.ips[idx] {
+                    p.credit_skipped(1, now);
                 }
+                continue;
             }
             let observer = crate::net::Observer {
                 node,
@@ -881,7 +943,11 @@ impl System {
             };
             let mut net = NetPort::observed(&mut self.noc, addr, observer);
             let stepped = match &mut self.ips[idx] {
-                Ip::Processor(p) => p.step(now, &mut net),
+                Ip::Processor(p) => p.step(now, &mut net).inspect(|()| {
+                    if horizon > now {
+                        p.run_ahead(horizon);
+                    }
+                }),
                 Ip::Serial(s) => s.step(now, &mut self.link, &mut net),
                 Ip::Memory(m) => m.step(now, &mut net),
                 Ip::Vacant => {
@@ -890,15 +956,36 @@ impl System {
                     Ok(())
                 }
             };
-            stepped.map_err(|e| self.promote_node_down(e))?;
+            if let Err(e) = stepped {
+                self.rewind_run_ahead(now, idx + 1);
+                return Err(self.promote_node_down(e));
+            }
         }
         // Drain stray deliveries at routers whose IP was removed.
         for i in 0..self.vacated_routers.len() {
             let addr = self.vacated_routers[i];
             while self.noc.try_recv(addr).is_some() {}
         }
+        // The horizon never passes the checkpoint cycle, so a checkpoint
+        // written here holds exactly the lockstep state.
         self.auto_checkpoint_due()?;
         Ok(())
+    }
+
+    /// Undoes every run-ahead instruction lockstep stepping had not
+    /// reached when the run stopped in cycle `now`, after visiting the
+    /// IP slots below `visited`: instructions that start after `now`,
+    /// and those starting at `now` on cores the cycle never visited.
+    fn rewind_run_ahead(&mut self, now: u64, visited: usize) {
+        for (idx, ip) in self.ips.iter_mut().enumerate() {
+            if let Ip::Processor(p) = ip {
+                p.rewind(if idx < visited {
+                    now
+                } else {
+                    now.saturating_sub(1)
+                });
+            }
+        }
     }
 
     /// Upgrades a transport-level partition error to the node-level
@@ -1051,13 +1138,12 @@ impl System {
     }
 
     /// Cycles the whole system can provably sleep through: the network
-    /// holds no traffic, the serial link no due byte, and every IP is
-    /// parked on a timer (retransmission backoff, a pending request, a
-    /// baud tick) or waiting for input that cannot arrive on its own.
-    /// Returns the length of the gap up to (but excluding) the earliest
-    /// deadline, or `None` when something has work right now — or when
-    /// no deadline exists at all, in which case only the run loops'
-    /// exit conditions can end the wait.
+    /// holds no traffic and nothing undelivered, and no live IP or the
+    /// serial link can act before the earliest of their wake cycles.
+    /// Returns the length of the gap up to (but excluding) that cycle,
+    /// or `None` when something can act in the very next cycle — or
+    /// when nothing has a wake cycle at all, in which case only the run
+    /// loops' exit conditions can end the wait.
     fn skippable_gap(&self) -> Option<u64> {
         if !self.noc.is_idle() || !self.noc.delivered_empty() {
             return None;
@@ -1072,47 +1158,37 @@ impl System {
             return None;
         }
         let now = self.noc.cycle();
-        let mut deadline: Option<u64> = None;
-        let mut note = |d: u64| deadline = Some(deadline.map_or(d, |cur: u64| cur.min(d)));
-        if let Some(d) = self.link.next_deadline(now) {
-            note(d);
-        }
-        for ip in &self.ips {
-            match ip {
-                Ip::Processor(p) => {
-                    if let Some(d) = p.next_deadline(now) {
-                        note(d);
-                    }
+        let epoch = self.noc.current_epoch();
+        let mut wake = self.link.next_deadline();
+        for (idx, ip) in self.ips.iter().enumerate() {
+            if self.dead_nodes.contains(&NodeId(idx as u8)) {
+                continue;
+            }
+            if let Some(w) = ip.wake(now, epoch, &self.link) {
+                if w <= now + 1 {
+                    return None;
                 }
-                Ip::Serial(s) => {
-                    if let Some(d) = s.next_deadline() {
-                        note(d);
-                    }
-                }
-                Ip::Memory(m) => {
-                    // Reactive but for the replication stream's timers.
-                    if let Some(d) = m.next_deadline() {
-                        note(d);
-                    }
-                }
-                Ip::Vacant => {}
+                wake = Some(wake.map_or(w, |cur| cur.min(w)));
             }
         }
-        // The step that observes cycle `d` begins by advancing the NoC
-        // clock, so the clock parks at `d - 1`.
-        deadline?
-            .saturating_sub(1)
-            .checked_sub(now)
-            .filter(|&g| g > 0)
+        // The step that observes cycle `w` begins by advancing the NoC
+        // clock, so the clock parks at `w - 1`.
+        wake?.checked_sub(now + 1).filter(|&g| g > 0)
     }
 
-    /// When nothing observable can happen before the next timer deadline,
-    /// jumps the clock to just before it instead of burning the cycles
-    /// one by one, crediting every processor's utilization as per-cycle
-    /// sampling would have. Bounded by `limit` so cycle budgets keep
-    /// their meaning. The observable simulation is unchanged — only the
-    /// wall-clock cost of crossing the gap.
-    fn fast_forward_idle_gap(&mut self, limit: u64) {
+    /// When nothing can act before the next wake cycle, jumps the clock
+    /// to just before it instead of burning the cycles one by one,
+    /// crediting every live processor's utilization as per-cycle
+    /// stepping would have. Never jumps past the run's `last` cycle, so
+    /// cycle budgets keep their meaning. The observable simulation is
+    /// unchanged — only the wall-clock cost of crossing the gap.
+    fn fast_forward_idle_gap(&mut self, last: u64) {
+        // The step of the next periodic checkpoint is not jumped either,
+        // so it is written at the cycle stepping writes it.
+        let last = self
+            .next_auto_checkpoint()
+            .map_or(last, |due| last.min(due));
+        let limit = last.saturating_sub(self.noc.cycle());
         if limit <= 1 {
             return;
         }
@@ -1121,24 +1197,27 @@ impl System {
         };
         let gap = gap.min(limit - 1);
         self.noc.advance_idle(gap);
-        for ip in &mut self.ips {
+        let through = self.noc.cycle();
+        for (idx, ip) in self.ips.iter_mut().enumerate() {
             if let Ip::Processor(p) = ip {
-                p.credit_skipped(gap);
+                if !self.dead_nodes.contains(&NodeId(idx as u8)) {
+                    p.credit_skipped(gap, through);
+                }
             }
         }
     }
 
-    /// Runs for exactly `cycles` clock cycles, fast-forwarding
-    /// timer-bound idle gaps.
+    /// Runs for exactly `cycles` clock cycles, fast-forwarding idle gaps
+    /// and letting running cores run ahead through local-only work.
     ///
     /// # Errors
     ///
     /// Propagates the first [`SystemError`] from [`step`](Self::step).
     pub fn run(&mut self, cycles: u64) -> Result<(), SystemError> {
-        let start = self.cycle();
-        while self.cycle() - start < cycles {
-            self.fast_forward_idle_gap(cycles - (self.cycle() - start));
-            self.step()?;
+        let last = self.cycle() + cycles;
+        while self.cycle() < last {
+            self.fast_forward_idle_gap(last);
+            self.step_through(last)?;
         }
         Ok(())
     }
@@ -1185,6 +1264,9 @@ impl System {
     /// notifies can never arrive) and flits in flight that stopped
     /// moving (a wedged wormhole on a dead link).
     fn watchdog_check(&mut self) -> Result<(), SystemError> {
+        if self.watchdog.is_none() {
+            return Ok(());
+        }
         let now = self.noc.cycle();
         let hops = self.noc.stats().flit_hops;
         let epoch = self.noc.current_epoch();
@@ -1268,25 +1350,28 @@ impl System {
     /// armed, or a protocol error.
     pub fn run_until_halted(&mut self, budget: u64) -> Result<u64, SystemError> {
         let start = self.cycle();
+        let last = start.saturating_add(budget);
         loop {
             if let Some((node, fault)) = self.faulted_processor() {
-                return Err(SystemError::Cpu {
+                let error = SystemError::Cpu {
                     node,
                     message: fault.to_string(),
-                });
+                };
+                self.rewind_run_ahead(self.cycle(), self.ips.len());
+                return Err(error);
             }
             if self.all_halted() && self.noc.is_idle() && self.link.is_idle() && self.net_quiet() {
                 return Ok(self.cycle() - start);
             }
             self.watchdog_verdict()?;
-            if self.cycle() - start >= budget {
+            if self.cycle() >= last {
                 return Err(SystemError::BudgetExhausted {
                     budget,
                     waiting_for: "all processors to halt",
                 });
             }
-            self.fast_forward_idle_gap(budget - (self.cycle() - start));
-            self.step()?;
+            self.fast_forward_idle_gap(last);
+            self.step_through(last)?;
         }
     }
 
@@ -1510,21 +1595,22 @@ impl System {
     /// propagated step error.
     pub fn run_until_idle(&mut self, budget: u64) -> Result<u64, SystemError> {
         let start = self.cycle();
+        let last = start.saturating_add(budget).max(start + 1);
         // Always make at least one step so freshly queued traffic starts.
-        self.step()?;
+        self.step_through(last)?;
         loop {
             if self.is_idle() {
                 return Ok(self.cycle() - start);
             }
             self.watchdog_verdict()?;
-            if self.cycle() - start >= budget {
+            if self.cycle() >= last {
                 return Err(SystemError::BudgetExhausted {
                     budget,
                     waiting_for: "system to go idle",
                 });
             }
-            self.fast_forward_idle_gap(budget - (self.cycle() - start));
-            self.step()?;
+            self.fast_forward_idle_gap(last);
+            self.step_through(last)?;
         }
     }
 
@@ -1774,6 +1860,13 @@ impl System {
         self.auto_checkpoint.as_ref().map_or(0, |a| a.written)
     }
 
+    /// The cycle whose step writes the next periodic auto-checkpoint, if
+    /// the policy is armed.
+    fn next_auto_checkpoint(&self) -> Option<u64> {
+        let ac = self.auto_checkpoint.as_ref()?;
+        Some(ac.last.saturating_add(ac.every))
+    }
+
     /// Periodic auto-checkpoint hook: writes when the interval elapsed.
     fn auto_checkpoint_due(&mut self) -> Result<(), SystemError> {
         let Some(ac) = &self.auto_checkpoint else {
@@ -1809,6 +1902,7 @@ impl System {
             Err(e) => {
                 // The verdict is the error to surface; a failed
                 // checkpoint write must not mask it.
+                self.rewind_run_ahead(self.cycle(), self.ips.len());
                 let _ = self.auto_checkpoint_now();
                 Err(e)
             }

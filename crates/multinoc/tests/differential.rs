@@ -18,7 +18,9 @@
 
 use hermes_noc::fault::{CycleWindow, FaultPlan};
 use hermes_noc::{D2dChannel, KernelMode, NocConfig, Port, RouterAddr, Routing, TelemetryConfig};
-use multinoc::{NodeId, System};
+use multinoc::processor::ProcessorStatus;
+use multinoc::serial::{SerialConfig, SYNC_BYTE};
+use multinoc::{NodeId, System, SystemBuilder};
 use r8::asm::assemble;
 
 mod common;
@@ -68,12 +70,22 @@ const REMOTE_WALK: &str = "LIW R2, 0x800\n\
 /// cycles and then run to halt.
 struct Row {
     config: NocConfig,
-    /// Replicated memory on (1,1)/(2,2) instead of the paper's second
-    /// processor and memory.
-    replicated: bool,
+    layout: Layout,
     plan: Option<FaultPlan>,
     load: fn(&mut System),
     horizon: u64,
+}
+
+/// Where the IPs sit. Every layout has the serial IP at (0,0).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Layout {
+    /// The paper's: processors at (0,1) and (1,0), memory at (1,1).
+    Paper,
+    /// One processor at (0,1) and a replicated memory on (1,1)/(2,2).
+    Replicated,
+    /// Four processors at (1,0), (2,0), (0,1), (1,1) — nodes 1 to 4 —
+    /// and a memory at (2,2), node 5.
+    Quad,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,23 +157,36 @@ fn replicated_stores(sys: &mut System) {
     );
 }
 
+/// A builder for `layout` over `config` under `kernel`.
+fn layout_builder(config: NocConfig, layout: Layout, kernel: KernelMode) -> SystemBuilder {
+    let builder = System::builder()
+        .noc(config)
+        .kernel(kernel)
+        .serial_at(RouterAddr::new(0, 0));
+    match layout {
+        Layout::Paper => builder
+            .processor_at(RouterAddr::new(0, 1))
+            .processor_at(RouterAddr::new(1, 0))
+            .memory_at(RouterAddr::new(1, 1)),
+        Layout::Replicated => builder
+            .processor_at(RouterAddr::new(0, 1))
+            .replicated_memory_at(RouterAddr::new(1, 1), RouterAddr::new(2, 2)),
+        Layout::Quad => builder
+            .processor_at(RouterAddr::new(1, 0))
+            .processor_at(RouterAddr::new(2, 0))
+            .processor_at(RouterAddr::new(0, 1))
+            .processor_at(RouterAddr::new(1, 1))
+            .memory_at(RouterAddr::new(2, 2)),
+    }
+}
+
 /// Builds the row's system under `kernel`, with every observer on if
 /// `observed`: trace log, packet tracer, service spans, interval
 /// telemetry and the phase profiler.
 fn build(row: &Row, kernel: KernelMode, observed: bool) -> System {
-    let builder = System::builder()
-        .noc(row.config.clone())
-        .kernel(kernel)
-        .serial_at(RouterAddr::new(0, 0))
-        .processor_at(RouterAddr::new(0, 1));
-    let builder = if row.replicated {
-        builder.replicated_memory_at(RouterAddr::new(1, 1), RouterAddr::new(2, 2))
-    } else {
-        builder
-            .processor_at(RouterAddr::new(1, 0))
-            .memory_at(RouterAddr::new(1, 1))
-    };
-    let mut sys = builder.build().expect("valid layout");
+    let mut sys = layout_builder(row.config.clone(), row.layout, kernel)
+        .build()
+        .expect("valid layout");
     if observed {
         sys.enable_trace(256);
         sys.enable_packet_trace(128);
@@ -253,7 +278,7 @@ fn check(row: Row) {
 fn paper(config: NocConfig, plan: Option<FaultPlan>, load: fn(&mut System), horizon: u64) -> Row {
     Row {
         config,
-        replicated: false,
+        layout: Layout::Paper,
         plan,
         load,
         horizon,
@@ -264,10 +289,68 @@ fn paper(config: NocConfig, plan: Option<FaultPlan>, load: fn(&mut System), hori
 fn replicated(plan: FaultPlan, load: fn(&mut System), horizon: u64) -> Row {
     Row {
         config: fault_tolerant(NocConfig::mesh(3, 3)),
-        replicated: true,
+        layout: Layout::Replicated,
         plan: Some(plan),
         load,
         horizon,
+    }
+}
+
+/// The processors of [`Layout::Quad`], in node order.
+const QUAD_CORES: [NodeId; 4] = [NodeId(1), NodeId(2), NodeId(3), NodeId(4)];
+/// The memory of [`Layout::Quad`].
+const QUAD_MEM: NodeId = NodeId(5);
+
+/// A local loop labelled `label` that adds its down-counter R1 into the
+/// word at R4 until R1 reaches zero, then jumps to `exit`.
+fn local_loop(label: &str, exit: &str) -> String {
+    format!(
+        "{label}: LD R2, R4, R0\nADD R2, R2, R1\nST R2, R4, R0\nSUBI R1, 1\n\
+         JMPZD {exit}\nJMPD {label}\n"
+    )
+}
+
+/// One long local loop accumulating into the word at 0x200, then HALT.
+fn long_loop(iterations: usize) -> String {
+    format!(
+        "LIW R1, {iterations}\nXOR R0, R0, R0\nLIW R4, 0x200\n{}done: HALT",
+        local_loop("one", "done")
+    )
+}
+
+/// A long local loop accumulating into the word at 0x200; in the middle
+/// a remote round trip (a read of `word`) and a notify to `next`; then
+/// `rounds` more local loops. After each loop the core stores its sum
+/// into `peer`, the next core's accumulator. Run-ahead windows open on
+/// the local stretches and must close before each delivery: a peer
+/// store often leaves a silent network and lands while its target is
+/// mid-loop, so the cycle it lands at decides that core's sums.
+fn compute_program(first: usize, word: u16, peer: u16, next: NodeId, rounds: usize) -> String {
+    format!(
+        "LIW R1, {first}\nXOR R0, R0, R0\nLIW R4, 0x200\nLIW R8, {peer}\n{}\
+         mid: ST R2, R8, R0\nLIW R5, {word}\nLD R3, R5, R0\n\
+         LIW R6, 0xFFFD\nLIW R7, {}\nST R7, R0, R6\nLIW R9, {rounds}\n\
+         round: LIW R1, {}\n{}\
+         sent: ST R2, R8, R0\nSUBI R9, 1\nJMPZD done\nJMPD round\ndone: HALT",
+        local_loop("one", "mid"),
+        next.as_u16(),
+        first / 2,
+        local_loop("two", "sent"),
+    )
+}
+
+/// Loads every core of [`Layout::Quad`] with [`compute_program`] —
+/// loops of different lengths, each core touching its own word of the
+/// memory and storing into and notifying the next core — and activates
+/// them.
+fn quad_compute(sys: &mut System) {
+    for (k, &core) in QUAD_CORES.iter().enumerate() {
+        let map = sys.address_map(core).expect("map");
+        let next = QUAD_CORES[(k + 1) % QUAD_CORES.len()];
+        let word = map.window_base(QUAD_MEM).expect("memory window") + k as u16;
+        let peer = map.window_base(next).expect("peer window") + 0x200;
+        let source = compute_program(30 + 12 * k, word, peer, next, 3);
+        load_program(sys, core, &source);
     }
 }
 
@@ -360,6 +443,156 @@ fn span_redirect() {
     // Open spans follow their traffic to the survivor of a failover.
     let plan = FaultPlan::new(0x0B5_D1E).with_router_down(RouterAddr::new(1, 1), 500);
     check(replicated(plan, replicated_stores, 1_000));
+}
+
+#[test]
+fn compute_bound_quad() {
+    // Four cores on a healthy mesh spend most cycles in local loops, so
+    // `run` lets them run ahead of the clock; the peer stores, remote
+    // reads and notifies close those windows around real traffic.
+    check(Row {
+        config: NocConfig::mesh(3, 3),
+        layout: Layout::Quad,
+        plan: None,
+        load: quad_compute,
+        horizon: 1_500,
+    });
+}
+
+/// The quad layout under `kernel` with a serial link of `cycles_per_byte`,
+/// loaded by `load`.
+fn quad(kernel: KernelMode, cycles_per_byte: u64, load: fn(&mut System)) -> System {
+    let mut sys = layout_builder(NocConfig::mesh(3, 3), Layout::Quad, kernel)
+        .serial(SerialConfig { cycles_per_byte })
+        .build()
+        .expect("valid layout");
+    load(&mut sys);
+    sys
+}
+
+/// Node 1 runs a long local loop; node 2 spins briefly and then fetches
+/// an illegal word, faulting while node 1 is ahead of the clock.
+fn fault_beside_a_loop(sys: &mut System) {
+    load_program(sys, QUAD_CORES[0], &long_loop(400));
+    let mut spin = assemble("LIW R1, 90\nspin: SUBI R1, 1\nJMPZD bad\nJMPD spin\nbad: HALT")
+        .expect("assembles")
+        .words()
+        .to_vec();
+    *spin.last_mut().expect("a HALT to replace") = 0x00B0; // not an instruction
+    let p2 = QUAD_CORES[1];
+    sys.memory_mut(p2).expect("memory").write_block(0, &spin);
+    sys.activate_directly(p2).expect("activates");
+}
+
+/// Node 1 runs a long local loop while the host's second byte, an
+/// unknown opcode, reaches the serial IP.
+fn bad_opcode_beside_a_loop(sys: &mut System) {
+    load_program(sys, QUAD_CORES[0], &long_loop(400));
+    sys.link_mut().host_send(&[SYNC_BYTE, 0x99]);
+}
+
+/// Steps `sys` one cycle at a time until a step fails or a processor
+/// faults — the two ways `run_until_halted` stops early — and returns
+/// the cycle and fingerprint there.
+fn lockstep_exit(mut sys: System) -> (u64, u64) {
+    for _ in 0..BUDGET {
+        let failed = sys.step().is_err();
+        let faulted = QUAD_CORES
+            .iter()
+            .any(|&p| sys.processor_status(p).expect("processor") == ProcessorStatus::Faulted);
+        if failed || faulted {
+            return (sys.cycle(), sys.fingerprint());
+        }
+    }
+    panic!("the run never stopped");
+}
+
+/// `run_until_halted` after a prefix of `prefix` cycles driven by
+/// `driving`: the error text, cycle and fingerprint it stops at.
+fn run_exit(mut sys: System, driving: Driving, prefix: u64) -> (String, u64, u64) {
+    match driving {
+        Driving::Step => (0..prefix).for_each(|_| sys.step().expect("steps")),
+        Driving::Run => {
+            for &chunk in CHUNKS.iter().cycle() {
+                let chunk = chunk.min(prefix - sys.cycle());
+                sys.run(chunk).expect("runs");
+                if sys.cycle() == prefix {
+                    break;
+                }
+            }
+        }
+    }
+    let error = sys.run_until_halted(BUDGET).expect_err("the run fails");
+    (error.to_string(), sys.cycle(), sys.fingerprint())
+}
+
+/// Every core that ran ahead of the clock must be wound back to where
+/// lockstep stepping stops: each exit surfaces the same error at the
+/// same cycle with the same fingerprint as the lockstep run, whether
+/// `run_until_halted` starts fresh or after a prefix driven by `step`
+/// or by `run` chunks.
+fn check_exit(cycles_per_byte: u64, load: fn(&mut System), want: &str) {
+    for kernel in KERNELS {
+        let (cycle, fingerprint) = lockstep_exit(quad(kernel, cycles_per_byte, load));
+        for (driving, prefix) in [(Driving::Run, 0), (Driving::Step, 200), (Driving::Run, 200)] {
+            let (error, at, got) = run_exit(quad(kernel, cycles_per_byte, load), driving, prefix);
+            assert!(error.contains(want), "{kernel:?}: unexpected error {error}");
+            assert_eq!(
+                (at, got),
+                (cycle, fingerprint),
+                "{kernel:?} after {prefix} cycles by {driving:?}: the exit differs from lockstep \
+                 stepping"
+            );
+        }
+    }
+}
+
+#[test]
+fn cpu_fault_exit_rewinds_cores_ahead_of_the_clock() {
+    check_exit(4, fault_beside_a_loop, "illegal instruction");
+}
+
+#[test]
+fn protocol_error_exit_rewinds_cores_ahead_of_the_clock() {
+    // The serial IP is visited first, so the error stops its cycle
+    // before any core was: lockstep leaves every core one cycle short,
+    // an instruction starting in the error cycle included. Four baud
+    // rates move the error cycle across the core's instruction starts.
+    for cycles_per_byte in 700..704 {
+        check_exit(
+            cycles_per_byte,
+            bad_opcode_beside_a_loop,
+            "unknown frame opcode",
+        );
+    }
+}
+
+#[test]
+fn auto_checkpoint_mid_run_ahead_holds_the_lockstep_bytes() {
+    // The cores are deep in their loops at cycle 500, where `run(700)`
+    // writes an auto-checkpoint: its bytes must be the stepped run's.
+    let dir = std::env::temp_dir().join(format!("multinoc-ahead-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let written = |driving: Driving| {
+        let mut sys = quad(KernelMode::Active, 4, quad_compute);
+        let path = dir.join(format!("{driving:?}.ckpt"));
+        sys.enable_auto_checkpoint(&path, 500);
+        match driving {
+            Driving::Step => (0..700).for_each(|_| sys.step().expect("steps")),
+            Driving::Run => sys.run(700).expect("runs"),
+        }
+        assert_eq!(sys.auto_checkpoints_written(), 1);
+        std::fs::read(&path).expect("checkpoint written")
+    };
+    let stepped = written(Driving::Step);
+    assert!(
+        written(Driving::Run) == stepped,
+        "the run-ahead checkpoint differs from the stepped one"
+    );
+    let mut lockstep = quad(KernelMode::Active, 4, quad_compute);
+    (0..500).for_each(|_| lockstep.step().expect("steps"));
+    assert!(lockstep.checkpoint() == stepped, "not the cycle-500 state");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -15,6 +15,7 @@ use std::io::BufRead;
 use std::process::ExitCode;
 
 use r8::core::{Bus, BusResponse, Cpu, RamBus};
+use r8::objfile::ParseObjErrorKind;
 
 /// RAM plus console-mapped I/O at 0xFFFF.
 struct ConsoleBus {
@@ -79,9 +80,14 @@ fn main() -> ExitCode {
         }
     };
     // Object text contains only hex words / @ / comments; try it first,
-    // fall back to the assembler.
+    // fall back to the assembler. Well-formed object text that overflows
+    // the address space is an error of its own, not assembly source.
     let words = match r8::objfile::from_text(&text) {
         Ok(words) => words,
+        Err(e) if e.kind == ParseObjErrorKind::PastAddressSpace => {
+            eprintln!("r8sim: {input}: {e}");
+            return ExitCode::FAILURE;
+        }
         Err(_) => match r8::asm::assemble(&text) {
             Ok(program) => program.words().to_vec(),
             Err(e) => {

@@ -26,15 +26,26 @@ pub struct ParseObjError {
     pub line: usize,
     /// The offending text.
     pub text: String,
+    /// What is wrong with the line.
+    pub kind: ParseObjErrorKind,
+}
+
+/// Why an object-text line was rejected.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ParseObjErrorKind {
+    /// The line is neither a hex word nor an `@xxxx` marker.
+    Syntax,
+    /// A well-formed word would load past address `0xFFFF`.
+    PastAddressSpace,
 }
 
 impl fmt::Display for ParseObjError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "line {}: `{}` is not a hex word or @addr",
-            self.line, self.text
-        )
+        let problem = match self.kind {
+            ParseObjErrorKind::Syntax => "is not a hex word or @addr",
+            ParseObjErrorKind::PastAddressSpace => "would load past address 0xFFFF",
+        };
+        write!(f, "line {}: `{}` {problem}", self.line, self.text)
     }
 }
 
@@ -61,7 +72,8 @@ pub fn program_to_text(program: &Program) -> String {
 /// # Errors
 ///
 /// [`ParseObjError`] on any line that is neither a comment, a blank, a
-/// 1–4 digit hex word, nor an `@xxxx` address marker.
+/// 1–4 digit hex word, nor an `@xxxx` address marker, and on a word
+/// that would land past the 64K-word address space.
 pub fn from_text(text: &str) -> Result<Vec<u16>, ParseObjError> {
     let mut image: Vec<u16> = Vec::new();
     let mut cursor = 0usize;
@@ -71,17 +83,22 @@ pub fn from_text(text: &str) -> Result<Vec<u16>, ParseObjError> {
         if trimmed.is_empty() {
             continue;
         }
-        if let Some(addr) = trimmed.strip_prefix('@') {
-            cursor = usize::from(u16::from_str_radix(addr, 16).map_err(|_| ParseObjError {
-                line,
-                text: trimmed.to_string(),
-            })?);
-            continue;
-        }
-        let word = u16::from_str_radix(trimmed, 16).map_err(|_| ParseObjError {
+        let error = |kind| ParseObjError {
             line,
             text: trimmed.to_string(),
-        })?;
+            kind,
+        };
+        if let Some(addr) = trimmed.strip_prefix('@') {
+            cursor = usize::from(
+                u16::from_str_radix(addr, 16).map_err(|_| error(ParseObjErrorKind::Syntax))?,
+            );
+            continue;
+        }
+        let word =
+            u16::from_str_radix(trimmed, 16).map_err(|_| error(ParseObjErrorKind::Syntax))?;
+        if cursor > usize::from(u16::MAX) {
+            return Err(error(ParseObjErrorKind::PastAddressSpace));
+        }
         if cursor >= image.len() {
             image.resize(cursor + 1, 0);
         }
@@ -123,6 +140,17 @@ mod tests {
         assert_eq!(e.text, "what");
         let e = from_text("@zz\n").unwrap_err();
         assert_eq!(e.line, 1);
+    }
+
+    #[test]
+    fn words_past_the_address_space_are_rejected() {
+        // The last address takes a word; the next one has nowhere to go
+        // (it used to grow the image to 65,537 words).
+        let e = from_text("@ffff\n1\n2\n").unwrap_err();
+        assert_eq!((e.line, e.kind), (3, ParseObjErrorKind::PastAddressSpace));
+        assert_eq!(e.to_string(), "line 3: `2` would load past address 0xFFFF");
+        let image = from_text("@ffff\n1\n").unwrap();
+        assert_eq!((image.len(), image[0xFFFF]), (0x1_0000, 1));
     }
 
     #[test]

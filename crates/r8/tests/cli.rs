@@ -98,3 +98,20 @@ fn r8sim_scanf_reads_stdin() {
     assert!(output.status.success());
     assert_eq!(String::from_utf8(output.stdout).unwrap().trim(), "42");
 }
+
+#[test]
+fn r8sim_rejects_object_text_past_the_address_space() {
+    // The second word after @ffff has no address; it used to wrap to 0
+    // and fault there as an illegal instruction.
+    let obj = write_temp("wrap.obj", "@ffff\n1\n2\n");
+    let output = Command::new(env!("CARGO_BIN_EXE_r8sim"))
+        .arg(&obj)
+        .output()
+        .expect("run r8sim");
+    assert!(!output.status.success(), "{output:?}");
+    let err = String::from_utf8(output.stderr).unwrap();
+    assert!(
+        err.contains("line 3: `2` would load past address 0xFFFF"),
+        "{err}"
+    );
+}

@@ -36,6 +36,12 @@ echo "=== benchmark self-tests (perfbench) ==="
 # repeat exactly per seed and across 1 and 2 NoC threads.
 cargo test --release -q --offline --manifest-path perfbench/Cargo.toml
 
+echo "=== perfbench makespan gate (pinned simulated results) ==="
+# Every perfbench workload at seeds 1 and 9001 must verify its outputs,
+# fail no operation and end at its pinned makespan_cycles: a change to
+# simulator speed must not move what the benchmark simulates.
+scripts/makespan_gate.sh
+
 echo "=== E18-E25 experiment smoke runs (pinned result digests) ==="
 # exp_suite runs the seven extension experiments, each in its own child
 # process, and fails unless every experiment's result digest (Fletcher-64
