@@ -1179,10 +1179,11 @@ impl System {
     /// When nothing can act before the next wake cycle, jumps the clock
     /// to just before it instead of burning the cycles one by one,
     /// crediting every live processor's utilization as per-cycle
-    /// stepping would have. Never jumps past the run's `last` cycle, so
-    /// cycle budgets keep their meaning. The observable simulation is
-    /// unchanged — only the wall-clock cost of crossing the gap.
-    fn fast_forward_idle_gap(&mut self, last: u64) {
+    /// stepping would have, and returns the cycle it parked at. Never
+    /// jumps past the run's `last` cycle, so cycle budgets keep their
+    /// meaning. The observable simulation is unchanged — only the
+    /// wall-clock cost of crossing the gap.
+    fn fast_forward_idle_gap(&mut self, last: u64) -> Option<u64> {
         // The step of the next periodic checkpoint is not jumped either,
         // so it is written at the cycle stepping writes it.
         let last = self
@@ -1190,12 +1191,9 @@ impl System {
             .map_or(last, |due| last.min(due));
         let limit = last.saturating_sub(self.noc.cycle());
         if limit <= 1 {
-            return;
+            return None;
         }
-        let Some(gap) = self.skippable_gap() else {
-            return;
-        };
-        let gap = gap.min(limit - 1);
+        let gap = self.skippable_gap()?.min(limit - 1);
         self.noc.advance_idle(gap);
         let through = self.noc.cycle();
         for (idx, ip) in self.ips.iter_mut().enumerate() {
@@ -1203,6 +1201,20 @@ impl System {
                 if !self.dead_nodes.contains(&NodeId(idx as u8)) {
                     p.credit_skipped(gap, through);
                 }
+            }
+        }
+        Some(through)
+    }
+
+    /// [`fast_forward_idle_gap`](Self::fast_forward_idle_gap) for the
+    /// loops that poll the watchdog every iteration: the network stayed
+    /// idle through the jumped gap, so the dead-link window restarts at
+    /// its end, exactly as a poll in each of its cycles would have left
+    /// it — however long the gap.
+    fn fast_forward_polled(&mut self, last: u64) {
+        if let Some(through) = self.fast_forward_idle_gap(last) {
+            if let Some(w) = &mut self.watchdog {
+                w.last_change = through;
             }
         }
     }
@@ -1370,7 +1382,7 @@ impl System {
                     waiting_for: "all processors to halt",
                 });
             }
-            self.fast_forward_idle_gap(last);
+            self.fast_forward_polled(last);
             self.step_through(last)?;
         }
     }
@@ -1609,7 +1621,7 @@ impl System {
                     waiting_for: "system to go idle",
                 });
             }
-            self.fast_forward_idle_gap(last);
+            self.fast_forward_polled(last);
             self.step_through(last)?;
         }
     }
@@ -2446,6 +2458,85 @@ mod tests {
             .host_send(&HostCommand::Activate { node: 1 }.to_bytes());
         sys.run_until_halted(1_000_000)
             .expect("a slow serial link is idle time, not a dead link");
+    }
+
+    /// `run_until_halted` without the fast-forward or run-ahead: the
+    /// same checks, with the watchdog polled in every cycle.
+    fn polled_until_halted(sys: &mut System, budget: u64) -> Result<u64, SystemError> {
+        let start = sys.cycle();
+        loop {
+            if let Some((node, fault)) = sys.faulted_processor() {
+                let message = fault.to_string();
+                return Err(SystemError::Cpu { node, message });
+            }
+            if sys.all_halted() && sys.noc.is_idle() && sys.link.is_idle() && sys.net_quiet() {
+                return Ok(sys.cycle() - start);
+            }
+            sys.watchdog_check()?;
+            if sys.cycle() - start >= budget {
+                return Err(SystemError::BudgetExhausted {
+                    budget,
+                    waiting_for: "all processors to halt",
+                });
+            }
+            sys.step()?;
+        }
+    }
+
+    #[test]
+    fn jumped_gaps_leave_the_watchdog_as_per_cycle_polls() {
+        // Under a fault plan `run_until_halted` polls the watchdog once
+        // per loop iteration. Jumped idle gaps — CPI pacing, retransmission
+        // backoff — must leave it where a poll in every cycle would, or
+        // the outcome would depend on the gaps: at seed 9 a backoff gap
+        // used to count toward the dead-link window and end the run with
+        // a DeadLink verdict for a network that had been idle.
+        let build = |seed: u64, drop_rate: f64, p1: &str, p2: &str| {
+            let mut sys = System::builder()
+                .noc(NocConfig::multinoc().with_routing(hermes_noc::Routing::FaultTolerantXy))
+                .serial_at(RouterAddr::new(0, 0))
+                .processor_at(RouterAddr::new(0, 1))
+                .processor_at(RouterAddr::new(1, 0))
+                .memory_at(RouterAddr::new(1, 1))
+                .build()
+                .unwrap();
+            sys.set_fault_plan(FaultPlan::new(seed).with_drop_rate(drop_rate))
+                .unwrap();
+            for (node, source) in [(PROCESSOR_1, p1), (PROCESSOR_2, p2)] {
+                let program = assemble(source).unwrap();
+                sys.memory_mut(node)
+                    .unwrap()
+                    .write_block(0, program.words());
+                sys.activate_directly(node).unwrap();
+            }
+            sys
+        };
+        let spin = "LIW R1, 300\nl: SUBI R1, 1\nJMPZD d\nJMPD l\nd: HALT";
+        let write_read = "LIW R2, 2048\nXOR R0, R0, R0\nLIW R3, 5\nST R3, R2, R0\n\
+                          LD R4, R2, R0\nHALT";
+        let handshake = "LIW R2, 2048\nXOR R0, R0, R0\nLIW R3, 5\nST R3, R2, R0\n\
+                         LD R4, R2, R0\nLIW R5, 1152\nST R4, R5, R0\nLIW R7, 0xFFFD\n\
+                         LIW R6, 2\nST R6, R0, R7\nLIW R1, 200\nl: SUBI R1, 1\nJMPZD d\n\
+                         JMPD l\nd: HALT";
+        let waiter = "LIW R2, 0xFFFE\nXOR R0, R0, R0\nLIW R3, 1\nST R3, R0, R2\n\
+                      LIW R1, 150\nl: SUBI R1, 1\nJMPZD d\nJMPD l\nd: HALT";
+        let cases = [
+            (4, 0.2, write_read, spin),
+            (5, 0.2, write_read, spin),
+            (6, 0.2, write_read, spin),
+            (9, 0.15, handshake, waiter),
+        ];
+        for (seed, drop_rate, p1, p2) in cases {
+            let mut jumped = build(seed, drop_rate, p1, p2);
+            let mut polled = build(seed, drop_rate, p1, p2);
+            let got = jumped
+                .run_until_halted(1_000_000)
+                .map_err(|e| e.to_string());
+            let want = polled_until_halted(&mut polled, 1_000_000).map_err(|e| e.to_string());
+            assert_eq!(got, want, "seed {seed}");
+            assert_eq!(jumped.cycle(), polled.cycle(), "seed {seed}");
+            assert_eq!(jumped.fingerprint(), polled.fingerprint(), "seed {seed}");
+        }
     }
 
     #[test]
