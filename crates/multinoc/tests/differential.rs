@@ -8,8 +8,11 @@
 //! setting the checkpoint → restore → checkpoint round trip must also
 //! be byte-stable.
 //!
-//! `run` fast-forwards timer-bound idle gaps while `step` walks every
-//! cycle, so the matrix also holds the fast-forward to stepping. The
+//! `run` fast-forwards idle gaps and lets running cores run ahead of
+//! the clock while `step` advances one lockstep cycle at a time, so the
+//! matrix also holds the fast-forward and the run-ahead to stepping;
+//! the tests after the matrix hold error exits and auto-checkpoints
+//! taken while cores are ahead to lockstep stepping too. The
 //! fingerprint digests the whole checkpoint payload — CPU images,
 //! memories, reliability layers, serial link, counters, trace and span
 //! logs and the network — so one equality replaces comparing each
