@@ -391,7 +391,7 @@ fn multinoc_run(fast_forward: bool) -> (u64, u64, f64) {
         // Identical exit condition, stepped one cycle at a time.
         let from = sys.cycle();
         loop {
-            if sys.all_halted() && sys.noc().is_idle() && sys.link().is_idle() && sys.net_quiet() {
+            if sys.halted_and_drained() {
                 break sys.cycle() - from;
             }
             assert!(sys.cycle() - from < budget, "budget exhausted");

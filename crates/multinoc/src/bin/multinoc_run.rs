@@ -15,7 +15,7 @@ use std::io::BufRead;
 use std::process::ExitCode;
 
 use multinoc::host::Host;
-use multinoc::{NodeId, System, PROCESSOR_1, PROCESSOR_2};
+use multinoc::{NodeId, System, SystemError, PROCESSOR_1, PROCESSOR_2};
 
 fn main() -> ExitCode {
     match run() {
@@ -89,41 +89,41 @@ fn run() -> Result<(), String> {
     }
     eprintln!("processors activated; running…");
 
+    // Print printf words and answer scanf requests as they arrive,
+    // until the system is idle: every core halted with its traffic
+    // drained, or blocked for good.
     let mut printed = [0usize; 2];
-    let start = system.cycle();
-    loop {
-        host.poll(&mut system).map_err(|e| e.to_string())?;
-        for (i, &node) in nodes.iter().enumerate().take(images.len()) {
-            let output = host.printf_output(node);
-            for value in &output[printed[i]..] {
-                println!("P{}: {value}", node.0);
+    system
+        .run_until(budget, "all processors to halt", |sys| {
+            host.poll(sys)?;
+            for (i, &node) in nodes.iter().enumerate().take(images.len()) {
+                let output = host.printf_output(node);
+                for value in &output[printed[i]..] {
+                    println!("P{}: {value}", node.0);
+                }
+                printed[i] = output.len();
             }
-            printed[i] = output.len();
-        }
-        let pending = host.pending_scanf().next();
-        if let Some(node) = pending {
-            eprint!("{node} scanf> ");
-            let mut line = String::new();
-            std::io::stdin()
-                .lock()
-                .read_line(&mut line)
-                .map_err(|e| e.to_string())?;
-            let value = line.trim().parse::<u16>().unwrap_or(0);
-            host.answer_scanf(&mut system, node, value)
-                .map_err(|e| e.to_string())?;
-        }
-        if system.all_halted() && system.noc().is_idle() && system.link().is_idle() {
-            break;
-        }
-        if system.is_idle() && !system.all_halted() {
-            let report = multinoc::debug::analyze_deadlock(&system);
-            eprintln!("system blocked without progress:\n{report}");
-            return Err("blocked".into());
-        }
-        if system.cycle() - start >= budget {
-            return Err(format!("budget of {budget} cycles exhausted"));
-        }
-        system.step().map_err(|e| e.to_string())?;
+            let pending = host.pending_scanf().next();
+            if let Some(node) = pending {
+                eprint!("{node} scanf> ");
+                let mut line = String::new();
+                std::io::stdin()
+                    .lock()
+                    .read_line(&mut line)
+                    .map_err(|e| SystemError::Protocol(format!("stdin: {e}")))?;
+                let value = line.trim().parse::<u16>().unwrap_or(0);
+                host.answer_scanf(sys, node, value)?;
+            }
+            Ok(sys.is_idle())
+        })
+        .map_err(|e| match e {
+            SystemError::BudgetExhausted { .. } => format!("budget of {budget} cycles exhausted"),
+            e => e.to_string(),
+        })?;
+    if !system.halted_and_drained() {
+        let report = multinoc::debug::analyze_deadlock(&system);
+        eprintln!("system blocked without progress:\n{report}");
+        return Err("blocked".into());
     }
     eprintln!(
         "all processors halted after {} cycles ({:.2} ms at 25 MHz)",

@@ -39,7 +39,7 @@ pub enum StopReason {
         /// Value after the change.
         new: u16,
     },
-    /// Every activated processor halted.
+    /// Every activated processor halted and the network drained.
     AllHalted,
     /// The system went idle with processors still blocked — run
     /// [`analyze_deadlock`] next.
@@ -138,8 +138,10 @@ impl Debugger {
     }
 
     /// Runs the system until a breakpoint or watchpoint fires, all
-    /// activated processors halt, the system idles with blocked
-    /// processors, or `budget` cycles pass.
+    /// activated processors halt and the network drains, the system
+    /// idles with blocked processors, or `budget` cycles pass. It steps
+    /// cycle by cycle, not through [`System::run_until`]: breakpoints
+    /// read every cycle's PC, which a core running ahead would skip.
     ///
     /// # Errors
     ///
@@ -153,10 +155,10 @@ impl Debugger {
             if let Some(reason) = self.check(system)? {
                 return Ok(reason);
             }
-            if system.all_halted() && system.noc().is_idle() && system.link().is_idle() {
+            if system.halted_and_drained() {
                 return Ok(StopReason::AllHalted);
             }
-            if system.is_idle() && !system.all_halted() {
+            if system.is_idle() {
                 return Ok(StopReason::IdleBlocked);
             }
         }

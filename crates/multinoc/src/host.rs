@@ -75,7 +75,7 @@ impl Host {
         }
     }
 
-    /// Steps the system until `done` holds, polling frames along the way.
+    /// Runs the system until `done` holds, polling frames along the way.
     fn pump<F>(
         &mut self,
         system: &mut System,
@@ -85,21 +85,12 @@ impl Host {
     where
         F: FnMut(&System, &[DeviceFrame]) -> bool,
     {
-        let start = system.cycle();
         let mut collected = Vec::new();
-        loop {
-            collected.extend(self.poll(system)?);
-            if done(system, &collected) {
-                return Ok(collected);
-            }
-            if system.cycle() - start >= self.budget {
-                return Err(SystemError::BudgetExhausted {
-                    budget: self.budget,
-                    waiting_for: what,
-                });
-            }
-            system.step()?;
-        }
+        system.run_until(self.budget, what, |sys| {
+            collected.extend(self.poll(sys)?);
+            Ok(done(sys, &collected))
+        })?;
+        Ok(collected)
     }
 
     /// Sends the 0x55 synchronization byte and waits until the serial IP
@@ -315,23 +306,17 @@ impl Host {
         node: NodeId,
         count: usize,
     ) -> Result<(), SystemError> {
-        if self.printf_output(node).len() >= count {
+        let have = self.printf_output(node).len();
+        if have >= count {
             return Ok(());
         }
-        let start = system.cycle();
-        loop {
-            self.poll(system)?;
-            if self.printf_output(node).len() >= count {
-                return Ok(());
-            }
-            if system.cycle() - start >= self.budget {
-                return Err(SystemError::BudgetExhausted {
-                    budget: self.budget,
-                    waiting_for: "printf output",
-                });
-            }
-            system.step()?;
-        }
+        self.pump(system, "printf output", |_, frames| {
+            let printed = frames
+                .iter()
+                .filter(|f| matches!(f, DeviceFrame::Printf { node: n, .. } if *n == node.0));
+            have + printed.count() >= count
+        })?;
+        Ok(())
     }
 
     /// Runs the system until a scanf request from any node arrives
@@ -341,18 +326,16 @@ impl Host {
     ///
     /// Budget/protocol errors from pumping.
     pub fn wait_for_scanf(&mut self, system: &mut System) -> Result<NodeId, SystemError> {
-        if let Some(&n) = self.scanf_requests.front() {
-            return Ok(NodeId(n));
+        if self.scanf_requests.is_empty() {
+            self.pump(system, "a scanf request", |_, frames| {
+                frames
+                    .iter()
+                    .any(|f| matches!(f, DeviceFrame::ScanfRequest { .. }))
+            })?;
         }
-        self.pump(system, "a scanf request", |_, frames| {
-            frames
-                .iter()
-                .any(|f| matches!(f, DeviceFrame::ScanfRequest { .. }))
-        })?;
-        let n = *self.scanf_requests.front().ok_or_else(|| {
+        self.pending_scanf().next().ok_or_else(|| {
             SystemError::Protocol("pump returned on a scanf frame but none was queued".into())
-        })?;
-        Ok(NodeId(n))
+        })
     }
 }
 

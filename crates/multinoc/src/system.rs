@@ -882,20 +882,12 @@ impl System {
     /// core is [rewound](Self::rewind_run_ahead) to where lockstep
     /// stepping leaves it.
     fn step_through(&mut self, last: u64) -> Result<(), SystemError> {
-        let idle = self.noc.is_idle();
         let silent = last > self.noc.cycle() + 1
-            && idle
+            && self.noc.is_idle()
             && self.noc.delivered_empty()
             && self.noc.fault_plan().is_none()
             && self.noc.current_epoch() == 0;
-        // An idle network is a pure clock tick, unless a plan-stalled
-        // router must be charged its stall cycle.
-        if idle
-            && !self
-                .noc
-                .fault_plan()
-                .is_some_and(FaultPlan::has_router_stalls)
-        {
+        if self.noc_ticks_idly() {
             self.noc.advance_idle(1);
         } else {
             self.noc.step();
@@ -1137,24 +1129,22 @@ impl System {
         Ok(())
     }
 
+    /// Whether the network advances a cycle as a pure clock tick: it is
+    /// idle, and no plan-stalled router must be charged its stall cycle.
+    fn noc_ticks_idly(&self) -> bool {
+        let plan = self.noc.fault_plan();
+        self.noc.is_idle() && !plan.is_some_and(FaultPlan::has_router_stalls)
+    }
+
     /// Cycles the whole system can provably sleep through: the network
     /// holds no traffic and nothing undelivered, and no live IP or the
     /// serial link can act before the earliest of their wake cycles.
     /// Returns the length of the gap up to (but excluding) that cycle,
     /// or `None` when something can act in the very next cycle — or
     /// when nothing has a wake cycle at all, in which case only the run
-    /// loops' exit conditions can end the wait.
+    /// loop's stop condition can end the wait.
     fn skippable_gap(&self) -> Option<u64> {
-        if !self.noc.is_idle() || !self.noc.delivered_empty() {
-            return None;
-        }
-        // A plan-stalled router is charged stall cycles every cycle of
-        // its window; jumping over them would miss that accounting.
-        if self
-            .noc
-            .fault_plan()
-            .is_some_and(hermes_noc::FaultPlan::has_router_stalls)
-        {
+        if !self.noc_ticks_idly() || !self.noc.delivered_empty() {
             return None;
         }
         let now = self.noc.cycle();
@@ -1206,32 +1196,67 @@ impl System {
         Some(through)
     }
 
-    /// [`fast_forward_idle_gap`](Self::fast_forward_idle_gap) for the
-    /// loops that poll the watchdog every iteration: the network stayed
-    /// idle through the jumped gap, so the dead-link window restarts at
-    /// its end, exactly as a poll in each of its cycles would have left
-    /// it — however long the gap.
-    fn fast_forward_polled(&mut self, last: u64) {
-        if let Some(through) = self.fast_forward_idle_gap(last) {
-            if let Some(w) = &mut self.watchdog {
-                w.last_change = through;
+    /// Drives the clock until `done` holds and returns the cycles run:
+    /// the one loop behind [`run`](Self::run), the other `run_until_*`
+    /// methods and every blocking [`Host`](crate::host::Host) call. It
+    /// jumps idle gaps and lets running cores run ahead of the clock
+    /// through local-only work.
+    ///
+    /// `done` is asked now and at every cycle the clock lands on: each
+    /// stepped cycle and the end of each jumped gap, inside which nothing
+    /// changes. So it must read the simulated state, not the clock, which
+    /// `budget` bounds; it may also drive the system itself, and the loop
+    /// goes on from there. It may see running cores ahead of the clock in
+    /// their registers and local memory, never in their status, the
+    /// network, the link or anything the host sees. Every exit rewinds
+    /// them to where per-cycle [`step`](Self::step)s leave them.
+    ///
+    /// # Errors
+    ///
+    /// [`SystemError::BudgetExhausted`], naming `waiting_for`, after
+    /// `budget` cycles; the first error of `done` or of a step.
+    pub fn run_until(
+        &mut self,
+        budget: u64,
+        waiting_for: &'static str,
+        mut done: impl FnMut(&mut System) -> Result<bool, SystemError>,
+    ) -> Result<u64, SystemError> {
+        let start = self.cycle();
+        let last = start.saturating_add(budget);
+        let mut drive = || -> Result<bool, SystemError> {
+            while !done(self)? {
+                if self.cycle() >= last {
+                    return Ok(false);
+                }
+                if self.fast_forward_idle_gap(last).is_some() && done(self)? {
+                    break;
+                }
+                self.step_through(last)?;
             }
+            Ok(true)
+        };
+        let finished = drive();
+        self.rewind_run_ahead(self.cycle(), self.ips.len());
+        if !finished? {
+            return Err(SystemError::BudgetExhausted {
+                budget,
+                waiting_for,
+            });
         }
+        Ok(self.cycle() - start)
     }
 
-    /// Runs for exactly `cycles` clock cycles, fast-forwarding idle gaps
-    /// and letting running cores run ahead through local-only work.
+    /// Runs for exactly `cycles` clock cycles.
     ///
     /// # Errors
     ///
     /// Propagates the first [`SystemError`] from [`step`](Self::step).
     pub fn run(&mut self, cycles: u64) -> Result<(), SystemError> {
-        let last = self.cycle() + cycles;
-        while self.cycle() < last {
-            self.fast_forward_idle_gap(last);
-            self.step_through(last)?;
+        // Nothing but the budget ends the run.
+        match self.run_until(cycles, "the cycle count", |_| Ok(false)) {
+            Err(SystemError::BudgetExhausted { .. }) => Ok(()),
+            other => other.map(drop),
         }
-        Ok(())
     }
 
     fn faulted_processor(&self) -> Option<(NodeId, &str)> {
@@ -1249,6 +1274,13 @@ impl System {
         })
     }
 
+    /// Whether every activated processor has halted and the network,
+    /// link and reliability layer have drained: nothing the programs
+    /// wrote is still on its way.
+    pub fn halted_and_drained(&self) -> bool {
+        self.all_halted() && self.is_idle()
+    }
+
     /// Whether nothing can make progress any more: network and link
     /// drained, no retransmission owed, and every processor inactive,
     /// halted or blocked.
@@ -1257,15 +1289,7 @@ impl System {
             && self.link.is_idle()
             && self.net_quiet()
             && self.ips.iter().all(|ip| match ip {
-                Ip::Processor(p) => {
-                    matches!(
-                        p.status(),
-                        ProcessorStatus::Inactive
-                            | ProcessorStatus::Halted
-                            | ProcessorStatus::Blocked
-                            | ProcessorStatus::Faulted
-                    )
-                }
+                Ip::Processor(p) => p.status() != ProcessorStatus::Running,
                 _ => true,
             })
     }
@@ -1361,30 +1385,17 @@ impl System {
     /// ([`SystemError::Deadlock`] / [`SystemError::DeadLink`]) if one is
     /// armed, or a protocol error.
     pub fn run_until_halted(&mut self, budget: u64) -> Result<u64, SystemError> {
-        let start = self.cycle();
-        let last = start.saturating_add(budget);
-        loop {
-            if let Some((node, fault)) = self.faulted_processor() {
-                let error = SystemError::Cpu {
-                    node,
-                    message: fault.to_string(),
-                };
-                self.rewind_run_ahead(self.cycle(), self.ips.len());
-                return Err(error);
+        self.run_until(budget, "all processors to halt", |sys| {
+            if let Some((node, fault)) = sys.faulted_processor() {
+                let message = fault.to_string();
+                return Err(SystemError::Cpu { node, message });
             }
-            if self.all_halted() && self.noc.is_idle() && self.link.is_idle() && self.net_quiet() {
-                return Ok(self.cycle() - start);
+            if sys.halted_and_drained() {
+                return Ok(true);
             }
-            self.watchdog_verdict()?;
-            if self.cycle() >= last {
-                return Err(SystemError::BudgetExhausted {
-                    budget,
-                    waiting_for: "all processors to halt",
-                });
-            }
-            self.fast_forward_polled(last);
-            self.step_through(last)?;
-        }
+            sys.watchdog_verdict()?;
+            Ok(false)
+        })
     }
 
     // ------------------------------------------------------------------
@@ -1606,23 +1617,24 @@ impl System {
     /// [`SystemError::BudgetExhausted`] after `budget` cycles, or a
     /// propagated step error.
     pub fn run_until_idle(&mut self, budget: u64) -> Result<u64, SystemError> {
-        let start = self.cycle();
-        let last = start.saturating_add(budget).max(start + 1);
         // Always make at least one step so freshly queued traffic starts.
-        self.step_through(last)?;
-        loop {
-            if self.is_idle() {
-                return Ok(self.cycle() - start);
+        self.step()?;
+        let rest = self.run_until(budget.saturating_sub(1), "system to go idle", |sys| {
+            if sys.is_idle() {
+                return Ok(true);
             }
-            self.watchdog_verdict()?;
-            if self.cycle() >= last {
-                return Err(SystemError::BudgetExhausted {
+            sys.watchdog_verdict()?;
+            Ok(false)
+        });
+        match rest {
+            Ok(cycles) => Ok(cycles + 1),
+            Err(SystemError::BudgetExhausted { waiting_for, .. }) => {
+                Err(SystemError::BudgetExhausted {
                     budget,
-                    waiting_for: "system to go idle",
-                });
+                    waiting_for,
+                })
             }
-            self.fast_forward_polled(last);
-            self.step_through(last)?;
+            Err(e) => Err(e),
         }
     }
 

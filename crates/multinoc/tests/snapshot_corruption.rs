@@ -9,7 +9,7 @@
 use std::sync::OnceLock;
 
 use hermes_noc::snapshot::{fletcher64, HEADER_LEN, SNAPSHOT_VERSION};
-use hermes_noc::{FaultPlan, NocConfig, RouterAddr, Routing, SnapshotError};
+use hermes_noc::{FaultPlan, NocConfig, RouterAddr, Routing, SnapshotError, TelemetryConfig};
 use multinoc::{NodeId, System};
 use proptest::prelude::*;
 use r8::asm::assemble;
@@ -17,45 +17,70 @@ use r8::asm::assemble;
 const P1: NodeId = NodeId(1);
 const MEM: NodeId = NodeId(3);
 
-/// One sealed checkpoint of a busy mid-flight system, built once and
-/// shared by every tamper case.
+/// A sealed checkpoint of a busy mid-flight system with the service
+/// trace and spans on; `noc_observers` also turns on the network's
+/// packet trace and telemetry, sampled often enough to hold frames.
+fn checkpoint(noc_observers: bool) -> Vec<u8> {
+    let mut config = NocConfig::multinoc();
+    config.routing = Routing::FaultTolerantXy;
+    let mut sys = System::builder()
+        .noc(config)
+        .serial_at(RouterAddr::new(0, 0))
+        .processor_at(RouterAddr::new(0, 1))
+        .processor_at(RouterAddr::new(1, 0))
+        .memory_at(RouterAddr::new(1, 1))
+        .build()
+        .expect("paper layout");
+    sys.set_fault_plan(FaultPlan::new(0xC0).with_drop_rate(0.2))
+        .expect("plan");
+    let base = sys
+        .address_map(P1)
+        .expect("map")
+        .window_base(MEM)
+        .expect("window");
+    let program = assemble(&format!(
+        "LIW R1, {base}\n\
+         XOR R0, R0, R0\n\
+         LIW R2, 777\n\
+         ST  R2, R1, R0\n\
+         LD  R3, R1, R0\n\
+         HALT"
+    ))
+    .expect("assembles");
+    sys.memory_mut(P1)
+        .expect("p1 memory")
+        .write_block(0, program.words());
+    sys.activate_directly(P1).expect("activate");
+    sys.enable_trace(256);
+    sys.enable_service_spans(256);
+    if noc_observers {
+        sys.enable_packet_trace(128);
+        sys.enable_telemetry(TelemetryConfig {
+            sample_interval: 8,
+            ..TelemetryConfig::default()
+        });
+    }
+    // Stop mid remote read, with flits in flight and timers armed.
+    sys.run(60).expect("run");
+    sys.checkpoint()
+}
+
+/// The checkpoint with every observer on, built once and shared by every
+/// tamper case.
 fn base_checkpoint() -> &'static [u8] {
     static SNAP: OnceLock<Vec<u8>> = OnceLock::new();
-    SNAP.get_or_init(|| {
-        let mut config = NocConfig::multinoc();
-        config.routing = Routing::FaultTolerantXy;
-        let mut sys = System::builder()
-            .noc(config)
-            .serial_at(RouterAddr::new(0, 0))
-            .processor_at(RouterAddr::new(0, 1))
-            .processor_at(RouterAddr::new(1, 0))
-            .memory_at(RouterAddr::new(1, 1))
-            .build()
-            .expect("paper layout");
-        sys.set_fault_plan(FaultPlan::new(0xC0).with_drop_rate(0.2))
-            .expect("plan");
-        let base = sys
-            .address_map(P1)
-            .expect("map")
-            .window_base(MEM)
-            .expect("window");
-        let program = assemble(&format!(
-            "LIW R1, {base}\n\
-             XOR R0, R0, R0\n\
-             LIW R2, 777\n\
-             ST  R2, R1, R0\n\
-             LD  R3, R1, R0\n\
-             HALT"
-        ))
-        .expect("assembles");
-        sys.memory_mut(P1)
-            .expect("p1 memory")
-            .write_block(0, program.words());
-        sys.activate_directly(P1).expect("activate");
-        sys.enable_trace(256);
-        // Stop mid remote read, with flits in flight and timers armed.
-        sys.run(60).expect("run");
-        sys.checkpoint()
+    SNAP.get_or_init(|| checkpoint(true))
+}
+
+/// Length of the end of the base checkpoint's NoC payload that holds the
+/// packet trace, the profiler flag and the telemetry: what turning the
+/// two observers on adds, plus the three bytes the sections take when
+/// they are off.
+fn noc_observer_tail() -> usize {
+    static TAIL: OnceLock<usize> = OnceLock::new();
+    *TAIL.get_or_init(|| {
+        let bare = checkpoint(false);
+        inner_container(base_checkpoint()).len() - inner_container(&bare).len() + 3
     })
 }
 
@@ -184,21 +209,21 @@ fn inner_container(bytes: &[u8]) -> std::ops::Range<usize> {
     start..start + len
 }
 
-/// Maps `pos` onto the bytes whose damage reaches a decoder: the first
-/// 4 KB of the NoC payload, then the system section after it. The rest
-/// of the NoC payload is mostly the dense latency histogram, where any
-/// value decodes.
+/// Maps `pos` onto the bytes whose damage reaches a decoder, a third of
+/// the cases each: the first 4 KB of the NoC payload, its observer tail
+/// (packet trace and telemetry), and the system section after it
+/// (service trace and spans included). The middle of the NoC payload is
+/// mostly the dense latency histogram, where any value decodes.
 fn damage_site(bytes: &[u8], pos: usize) -> usize {
     let inner = inner_container(bytes);
     let noc_payload = inner.start + HEADER_LEN..inner.end - 8;
-    let noc_len = noc_payload.len().min(4096);
-    let system_len = bytes.len() - 8 - inner.end;
-    let pos = pos % (noc_len + system_len);
-    if pos < noc_len {
-        noc_payload.start + pos
-    } else {
-        inner.end + pos - noc_len
-    }
+    let sites = [
+        noc_payload.start..noc_payload.start + noc_payload.len().min(4096),
+        noc_payload.end - noc_observer_tail()..noc_payload.end,
+        inner.end..bytes.len() - 8,
+    ];
+    let site = &sites[pos % sites.len()];
+    site.start + pos / sites.len() % site.len()
 }
 
 /// Re-seals the embedded NoC container, then the outer one, so the

@@ -29,6 +29,11 @@ echo "=== cargo test ==="
 # resume to the same fingerprints.
 cargo test -q --offline --workspace
 
+echo "=== examples (release, stdin closed) ==="
+# The examples drive Host, Debugger and reconfiguration end to end and
+# assert their own results.
+scripts/run_examples.sh
+
 echo "=== benchmark self-tests (perfbench) ==="
 # perfbench is a cargo package of its own that builds against the
 # workspace crates by path: its metric names must match BENCHMARK.json,
