@@ -1,12 +1,14 @@
 //! The Memory IP core (§2.3 of the paper).
 //!
-//! A 1K × 16-bit storage built from **four BlockRAM banks of 1024 × 4-bit
-//! words** accessed in parallel — bank 3 holds bits 15:12 down to bank 0
-//! holding bits 3:0, exactly the organization of Fig. 4. The banked
-//! structure is modelled faithfully (it matters for the FPGA area model
-//! and it keeps the read/write datapath honest), and the IP carries the
-//! paper's two interfaces: the processor port (which has priority) and
-//! the NoC port, with the `busyNoC*` mutual-exclusion flags.
+//! A 1K × 16-bit storage. The paper builds it from four BlockRAM banks of
+//! 1024 × 4-bit words accessed in parallel — bank 3 holds bits 15:12 down
+//! to bank 0 holding bits 3:0 (Fig. 4). The four banks are always read and
+//! written together, so the model stores whole words in one array and
+//! shows the banked organization as a view
+//! ([`MemoryCore::bank_nibble`]); the FPGA area model counts the banks on
+//! its own. The IP carries the paper's two interfaces: the processor port
+//! (which has priority) and the NoC port, with the `busyNoC*`
+//! mutual-exclusion flags.
 
 use hermes_noc::snapshot::{check_mesh, Snap};
 use hermes_noc::{RouterAddr, SnapshotError, SnapshotReader, SnapshotWriter};
@@ -17,26 +19,11 @@ use crate::node::NodeId;
 use crate::reliable::{DedupReceiver, ReliableSender, RetryCounters};
 use crate::service::{Message, Service};
 
-/// One 1024 × 4-bit BlockRAM bank.
-#[derive(Debug, Clone)]
-struct Bank {
-    nibbles: Vec<u8>,
-}
-
-impl Bank {
-    fn new(words: usize) -> Self {
-        Self {
-            nibbles: vec![0; words],
-        }
-    }
-}
-
-/// The banked storage core shared by the remote Memory IP and each
-/// processor's local memory.
+/// The storage core shared by the remote Memory IP and each processor's
+/// local memory: one array of 16-bit words.
 #[derive(Debug, Clone)]
 pub struct MemoryCore {
-    banks: [Bank; 4],
-    words: u16,
+    words: Vec<u16>,
 }
 
 impl MemoryCore {
@@ -48,42 +35,48 @@ impl MemoryCore {
     pub fn new(words: u16) -> Self {
         assert!(words > 0, "memory must hold at least one word");
         Self {
-            banks: std::array::from_fn(|_| Bank::new(usize::from(words))),
-            words,
+            words: vec![0; usize::from(words)],
         }
     }
 
     /// Capacity in 16-bit words.
     pub fn words(&self) -> u16 {
-        self.words
+        // `new` takes the capacity as a u16.
+        self.words.len() as u16
     }
 
-    /// The bank index of `addr`. Out-of-range addresses wrap (the
+    /// The array index of `addr`. Out-of-range addresses wrap (the
     /// hardware simply ignores the upper address bits); in-range ones
     /// skip the division.
     fn index(&self, addr: u16) -> usize {
-        usize::from(if addr < self.words {
+        let addr = usize::from(addr);
+        if addr < self.words.len() {
             addr
         } else {
-            addr % self.words
-        })
+            addr % self.words.len()
+        }
     }
 
-    /// Reads the word at `addr` by assembling the four 4-bit bank
-    /// outputs. Out-of-range addresses wrap.
+    /// Reads the word at `addr`. Out-of-range addresses wrap.
     pub fn read(&self, addr: u16) -> u16 {
-        let i = self.index(addr);
-        (0..4).fold(0u16, |acc, bank| {
-            acc | (u16::from(self.banks[bank].nibbles[i]) << (4 * bank))
-        })
+        self.words[self.index(addr)]
     }
 
-    /// Writes `value` at `addr`, splitting it over the four banks.
+    /// Writes `value` at `addr`. Out-of-range addresses wrap.
     pub fn write(&mut self, addr: u16, value: u16) {
         let i = self.index(addr);
-        for bank in 0..4 {
-            self.banks[bank].nibbles[i] = ((value >> (4 * bank)) & 0xF) as u8;
-        }
+        self.words[i] = value;
+    }
+
+    /// The 4-bit word BlockRAM bank `bank` (0–3) of Fig. 4 holds at
+    /// `addr`: bits `4·bank + 3 : 4·bank` of the stored word.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bank > 3`.
+    pub fn bank_nibble(&self, bank: u8, addr: u16) -> u8 {
+        assert!(bank < 4, "the memory has four banks");
+        ((self.read(addr) >> (4 * bank)) & 0xF) as u8
     }
 
     /// Reads `count` consecutive words starting at `addr` (wrapping).
@@ -99,15 +92,19 @@ impl MemoryCore {
             self.write(addr.wrapping_add(i as u16), value);
         }
     }
+
+    /// Makes this memory a copy of `other`, reusing its allocation.
+    pub(crate) fn copy_from(&mut self, other: &MemoryCore) {
+        self.words.clone_from(&other.words);
+    }
 }
 
-/// Capacity followed by every word (the four-bank nibble split is
-/// recomputed on restore; a word round-trips the banks exactly).
+/// Capacity followed by every word.
 impl Snap for MemoryCore {
     fn put(&self, w: &mut SnapshotWriter) {
-        w.put(&self.words);
-        for addr in 0..self.words {
-            w.put(&self.read(addr));
+        w.put(&self.words());
+        for word in &self.words {
+            w.put(word);
         }
     }
 
@@ -120,8 +117,8 @@ impl Snap for MemoryCore {
             return Err(SnapshotError::Malformed("memory contents exceed payload"));
         }
         let mut core = Self::new(words);
-        for addr in 0..words {
-            core.write(addr, r.take()?);
+        for word in &mut core.words {
+            *word = r.take()?;
         }
         Ok(core)
     }
@@ -497,10 +494,10 @@ mod tests {
     fn banks_hold_their_nibbles() {
         let mut m = MemoryCore::new(16);
         m.write(5, 0xABCD);
-        assert_eq!(m.banks[3].nibbles[5], 0xA);
-        assert_eq!(m.banks[2].nibbles[5], 0xB);
-        assert_eq!(m.banks[1].nibbles[5], 0xC);
-        assert_eq!(m.banks[0].nibbles[5], 0xD);
+        assert_eq!(m.bank_nibble(3, 5), 0xA);
+        assert_eq!(m.bank_nibble(2, 5), 0xB);
+        assert_eq!(m.bank_nibble(1, 5), 0xC);
+        assert_eq!(m.bank_nibble(0, 5), 0xD);
     }
 
     #[test]

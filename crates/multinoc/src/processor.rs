@@ -171,21 +171,44 @@ pub struct ProcessorIp {
     reliable: ReliableSender,
     /// Duplicate suppression for sequenced messages this IP receives.
     dedup: DedupReceiver,
-    /// The core's latest [run-ahead](Self::run_ahead) stretch, so an
-    /// error exit can [rewind](Self::rewind) it. Never serialized:
-    /// outside a run loop every entry starts at or before the clock.
-    journal: RunAheadJournal,
+    /// Where the core stands ahead of the clock, so an exit can
+    /// [rewind](Self::rewind) it. Never serialized: every run loop exit
+    /// leaves the core at its lockstep state.
+    ahead: RunAhead,
 }
 
-/// Undo log of one run-ahead stretch: the core and its start cycle
-/// before each instruction it ran ahead through, and the local words
-/// those instructions overwrote, in order.
-#[derive(Debug, Default)]
-struct RunAheadJournal {
-    /// `(core before, start cycle, writes logged before)` per instruction.
-    steps: Vec<(Cpu, u64, usize)>,
-    /// `(local offset, old value)` per local write.
-    writes: Vec<(u16, u16)>,
+/// A core's [run-ahead](ProcessorIp::run_ahead) state: one lockstep
+/// image — the core as it stood before the first instruction it ran
+/// ahead through since its last lockstep visit — which
+/// [`rewind`](ProcessorIp::rewind) restores and replays from, so the
+/// cost stays one core and one local memory however far the core runs.
+#[derive(Debug)]
+struct RunAhead {
+    /// Start cycle of the last instruction run ahead through since the
+    /// image was taken; `None` while the core is at its lockstep state
+    /// and the image holds nothing.
+    to: Option<u64>,
+    /// The core, its `next_ready` and its local memory at the image.
+    cpu: Cpu,
+    next_ready: u64,
+    local: MemoryCore,
+    /// Start cycle of the core's next instruction once run-ahead has
+    /// found it reaches past local memory: the core's first send. Kept
+    /// until the core's next lockstep visit, since its local run is a
+    /// function of its own state.
+    send: Option<u64>,
+}
+
+impl RunAhead {
+    fn new(local_words: u16) -> Self {
+        Self {
+            to: None,
+            cpu: Cpu::new(),
+            next_ready: 0,
+            local: MemoryCore::new(local_words),
+            send: None,
+        }
+    }
 }
 
 impl ProcessorIp {
@@ -217,7 +240,7 @@ impl ProcessorIp {
             utilization: UtilizationCounters::default(),
             reliable: ReliableSender::new(node),
             dedup: DedupReceiver::new(),
-            journal: RunAheadJournal::default(),
+            ahead: RunAhead::new(local_words),
         }
     }
 
@@ -388,6 +411,26 @@ impl ProcessorIp {
         wake
     }
 
+    /// The earliest cycle at which this IP can send without a delivery at
+    /// its router: its [wake](Self::wake), except that a running core's
+    /// next instruction does not count — its retransmission deadlines
+    /// do, and so does its next instruction once
+    /// [`run_ahead`](Self::run_ahead) has found it reaches past local
+    /// memory.
+    pub(crate) fn send_wake(&self, now: u64, epoch: u64) -> Option<u64> {
+        if self.status() != ProcessorStatus::Running {
+            return self.wake(now, epoch);
+        }
+        if !self.reliable.noted(epoch) {
+            return Some(now);
+        }
+        self.reliable
+            .next_deadline()
+            .into_iter()
+            .chain(self.ahead.send)
+            .min()
+    }
+
     /// Books `cycles` the system skipped this IP over, the last of them
     /// `through`, into the utilization category the processor currently
     /// occupies, and charges a core stalled on a bus access the retries
@@ -420,62 +463,93 @@ impl ProcessorIp {
     }
 
     /// Runs a running core ahead of the global clock through every
-    /// instruction that starts at or before `horizon` (clamped below
-    /// its own next retransmission deadline) and touches local memory
-    /// only. The caller guarantees nothing reaches this IP's router
-    /// before `horizon + 1`, so each instruction does exactly what the
-    /// lockstep visit at its start cycle would. An instruction that
+    /// instruction that starts at or before `horizon` and touches local
+    /// memory only, and returns the start cycle of its next instruction
+    /// if that one reaches past local memory: the earliest cycle this
+    /// core can send. The caller guarantees nothing reaches this IP's
+    /// router before `horizon + 1`, so each instruction does exactly what
+    /// the lockstep visit at its start cycle would. An instruction that
     /// reaches past local memory, executes `HALT` or faults is rolled
-    /// back and left for that lockstep visit. The stretch is journaled
-    /// for [`rewind`](Self::rewind).
-    pub(crate) fn run_ahead(&mut self, horizon: u64) {
-        self.journal.steps.clear();
-        self.journal.writes.clear();
+    /// back and left for that lockstep visit. The core may run ahead
+    /// this way until its next send, across any number of calls; the
+    /// first instruction since its last lockstep visit takes the image
+    /// [`rewind`](Self::rewind) replays from.
+    pub(crate) fn run_ahead(&mut self, horizon: u64) -> Option<u64> {
         if self.status() != ProcessorStatus::Running {
-            return;
+            return None;
         }
-        let horizon = self
-            .reliable
-            .next_deadline()
-            .map_or(horizon, |d| horizon.min(d.saturating_sub(1)));
-        while self.next_ready <= horizon {
+        while self.next_ready <= horizon && self.ahead.send != Some(self.next_ready) {
             let start = self.next_ready;
-            let mark = self.journal.writes.len();
-            self.journal.steps.push((self.cpu.clone(), start, mark));
-            let mut bus = LocalBus {
-                local: &mut self.local,
-                map: &self.map,
-                writes: &mut self.journal.writes,
-            };
-            match self.cpu.step(&mut bus) {
-                Ok(StepOutcome::Retired { cycles, .. }) if !self.cpu.is_halted() => {
-                    self.next_ready = start + u64::from(cycles.max(1));
-                }
-                // A refused access wrote nothing; restoring the core
-                // undoes the fetch, decode and stall.
-                _ => {
-                    let (before, _, _) = self.journal.steps.pop().expect("pushed above");
-                    self.cpu = before;
+            if self.ahead.to.is_none() {
+                self.ahead.cpu.clone_from(&self.cpu);
+                self.ahead.next_ready = start;
+                self.ahead.local.copy_from(&self.local);
+            }
+            match self.step_local() {
+                Ok(()) => self.ahead.to = Some(start),
+                Err(sends) => {
+                    self.ahead.send = sends.then_some(start);
                     break;
                 }
             }
         }
+        self.ahead.send
     }
 
-    /// Undoes the journaled run-ahead instructions that start after
-    /// `cycle`, leaving the core exactly where lockstep stepping
-    /// through `cycle` would have.
-    pub(crate) fn rewind(&mut self, cycle: u64) {
-        let Some(first) = self.journal.steps.iter().position(|&(_, s, _)| s > cycle) else {
-            return;
+    /// Executes the core's next instruction on a local-only bus at its
+    /// start cycle `next_ready`. On `Err` the core is as it was and the
+    /// instruction is left for the lockstep visit; the flag says whether
+    /// it reaches past local memory (else it executes `HALT` or faults).
+    fn step_local(&mut self) -> Result<(), bool> {
+        let before = self.cpu.clone();
+        let mut bus = LocalBus {
+            local: &mut self.local,
+            map: &self.map,
         };
-        self.journal.steps.truncate(first + 1);
-        let (cpu, start, mark) = self.journal.steps.pop().expect("found above");
-        for (offset, old) in self.journal.writes.drain(mark..).rev() {
-            self.local.write(offset, old);
+        match self.cpu.step(&mut bus) {
+            Ok(StepOutcome::Retired { cycles, .. }) if !self.cpu.is_halted() => {
+                self.next_ready += u64::from(cycles.max(1));
+                Ok(())
+            }
+            // A refused access wrote nothing; restoring the core undoes
+            // the fetch, decode and stall.
+            outcome => {
+                self.cpu = before;
+                Err(outcome == Ok(StepOutcome::Stalled))
+            }
         }
-        self.cpu = cpu;
-        self.next_ready = start;
+    }
+
+    /// Undoes the run-ahead instructions that start after `cycle`,
+    /// leaving the core exactly where lockstep stepping through `cycle`
+    /// would have: the lockstep image is restored and the instructions
+    /// up to `cycle` are replayed. The core stays ahead up to `cycle`.
+    pub(crate) fn rewind(&mut self, cycle: u64) {
+        if self.ahead.to.is_none_or(|to| to <= cycle) {
+            return;
+        }
+        self.cpu.clone_from(&self.ahead.cpu);
+        self.next_ready = self.ahead.next_ready;
+        self.local.copy_from(&self.ahead.local);
+        self.ahead.to = None;
+        while self.next_ready <= cycle {
+            let start = self.next_ready;
+            let replayed = self.step_local();
+            debug_assert!(replayed.is_ok(), "a replayed instruction ran before");
+            if replayed.is_err() {
+                break;
+            }
+            self.ahead.to = Some(start);
+        }
+    }
+
+    /// [Rewinds](Self::rewind) to `cycle` and ends the run-ahead: the
+    /// core is at its lockstep state, which the host may change before
+    /// the next run.
+    pub(crate) fn settle(&mut self, cycle: u64) {
+        self.rewind(cycle);
+        self.ahead.to = None;
+        self.ahead.send = None;
     }
 
     /// One clock step: service the network, then (at the pace set by
@@ -489,6 +563,13 @@ impl ProcessorIp {
     /// rest of the system keeps running, and is surfaced by the system's
     /// run methods.
     pub fn step(&mut self, now: u64, net: &mut NetPort<'_>) -> Result<(), SystemError> {
+        // Once the clock has passed everything the core ran ahead
+        // through, that is its lockstep state. A visit before then only
+        // retransmits: nothing reaches a core ahead of the clock.
+        if self.ahead.to.is_none_or(|to| to < now) {
+            self.ahead.to = None;
+            self.ahead.send = None;
+        }
         match self.status() {
             ProcessorStatus::Running => self.utilization.running += 1,
             ProcessorStatus::Blocked => self.utilization.blocked += 1,
@@ -498,6 +579,7 @@ impl ProcessorIp {
         // Network side first: the paper gives the processor priority on
         // the memory banks, but the NoC interface is independent logic.
         while let Some(msg) = net.recv()? {
+            debug_assert!(self.ahead.to.is_none(), "a delivery reached a core ahead");
             match msg.service {
                 Service::ReadFromMemory { addr, count } => {
                     let data = self.local.read_block(addr, count);
@@ -692,11 +774,13 @@ impl ProcessorIp {
     ) -> Result<Self, SnapshotError> {
         let cpu = Cpu::from_image(take_cpu_image(r)?)
             .map_err(|_| SnapshotError::Malformed("decoded instruction slot"))?;
+        let local: MemoryCore = r.take()?;
+        let ahead = RunAhead::new(local.words());
         let ip = Self {
             node,
             addr,
             cpu,
-            local: r.take()?,
+            local,
             map: r.take()?,
             table,
             directory,
@@ -711,7 +795,7 @@ impl ProcessorIp {
             utilization: r.take()?,
             reliable: ReliableSender::snapshot_read(r, node)?,
             dedup: r.take()?,
-            journal: RunAheadJournal::default(),
+            ahead,
         };
         let pending: Vec<RouterAddr> = match &ip.pending {
             NetPending::RemoteRead(req) | NetPending::Scanf(req) => req.addrs().collect(),
@@ -844,14 +928,13 @@ hermes_noc::snap_struct!(UtilizationCounters {
 });
 
 /// The bus a core [runs ahead](ProcessorIp::run_ahead) on: local memory
-/// only, every overwritten word logged. Any other access — a remote
-/// window, I/O, the wait/notify command words, an unmapped address — is
-/// refused with a wait state before it has any effect.
+/// only. Any other access — a remote window, I/O, the wait/notify
+/// command words, an unmapped address — is refused with a wait state
+/// before it has any effect.
 #[derive(Debug)]
 struct LocalBus<'a> {
     local: &'a mut MemoryCore,
     map: &'a AddressMap,
-    writes: &'a mut Vec<(u16, u16)>,
 }
 
 impl Bus for LocalBus<'_> {
@@ -865,7 +948,6 @@ impl Bus for LocalBus<'_> {
     fn write(&mut self, addr: u16, value: u16) -> BusResponse {
         match self.map.decode(addr) {
             Target::Local { offset } => {
-                self.writes.push((offset, self.local.read(offset)));
                 self.local.write(offset, value);
                 BusResponse::Data(0)
             }

@@ -138,6 +138,18 @@ impl SerialLink {
         let busy = channels.filter(|c| !c.in_flight.is_empty());
         busy.map(|c| c.next_deliver).min()
     }
+
+    /// The soonest baud tick that hands the device a byte in flight: the
+    /// earliest cycle the link can make the serial IP act.
+    pub(crate) fn next_device_byte(&self) -> Option<u64> {
+        (!self.to_device.in_flight.is_empty()).then_some(self.to_device.next_deliver)
+    }
+
+    /// Bytes in flight towards the device. Only [`step`](Self::step)
+    /// takes from them and only [`host_send`](Self::host_send) adds.
+    pub(crate) fn bytes_to_device(&self) -> usize {
+        self.to_device.in_flight.len()
+    }
 }
 
 /// The synchronization byte the host sends first so the prototype can

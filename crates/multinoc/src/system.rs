@@ -148,6 +148,9 @@ pub struct System {
     /// Armed by [`enable_auto_checkpoint`](Self::enable_auto_checkpoint);
     /// off by default and never serialized.
     auto_checkpoint: Option<AutoCheckpoint>,
+    /// [`send_count`](Self::send_count) when the last stepped cycle
+    /// ended; never serialized.
+    sends_seen: u64,
 }
 
 impl System {
@@ -869,19 +872,26 @@ impl System {
     /// other processor is credited the cycle. An idle network advances
     /// its clock without being stepped.
     ///
-    /// When the cycle starts on a silent network — no traffic, nothing
-    /// undelivered, no fault plan and no reconfiguration epoch — nothing
-    /// sent from this cycle on can reach any router within the next
-    /// [`min_delivery_latency`](hermes_noc::latency::min_delivery_latency)
-    /// cycles, and no epoch can appear. Every running core visited this
-    /// cycle then [runs ahead](ProcessorIp::run_ahead) through its
-    /// local-only instructions up to that horizon, clamped to `last` (the
-    /// final cycle of the calling run) and to the next auto-checkpoint.
+    /// After the visits of a cycle that started on a silent network, every
+    /// running core [runs ahead](Self::run_ahead) up to `last` (the
+    /// final cycle of the calling run) or its next possible delivery.
     /// With `last` equal to the cycle being stepped this is plain
     /// lockstep, as [`step`](Self::step) uses it. On an error exit every
     /// core is [rewound](Self::rewind_run_ahead) to where lockstep
     /// stepping leaves it.
     fn step_through(&mut self, last: u64) -> Result<(), SystemError> {
+        // A packet or host bytes queued from outside the loop since its
+        // last cycle — by `done`, a host call or a test — went out at the
+        // clock and can reach a router Q cycles later: no core may stay
+        // further ahead than that.
+        if self.send_count() != self.sends_seen {
+            let reach = self.cycle() + latency::min_delivery_latency(self.noc.config()) - 1;
+            for ip in &mut self.ips {
+                if let Ip::Processor(p) = ip {
+                    p.rewind(reach);
+                }
+            }
+        }
         let silent = last > self.noc.cycle() + 1
             && self.noc.is_idle()
             && self.noc.delivered_empty()
@@ -893,14 +903,6 @@ impl System {
             self.noc.step();
         }
         let now = self.noc.cycle();
-        let mut horizon = now;
-        if silent {
-            let lookahead = latency::min_delivery_latency(self.noc.config());
-            horizon = last.min(now + lookahead - 1);
-            if let Some(due) = self.next_auto_checkpoint() {
-                horizon = horizon.min(due.max(now));
-            }
-        }
         if let Err(e) = self.react_to_deaths(now) {
             self.rewind_run_ahead(now, 0);
             return Err(e);
@@ -935,11 +937,7 @@ impl System {
             };
             let mut net = NetPort::observed(&mut self.noc, addr, observer);
             let stepped = match &mut self.ips[idx] {
-                Ip::Processor(p) => p.step(now, &mut net).inspect(|()| {
-                    if horizon > now {
-                        p.run_ahead(horizon);
-                    }
-                }),
+                Ip::Processor(p) => p.step(now, &mut net),
                 Ip::Serial(s) => s.step(now, &mut self.link, &mut net),
                 Ip::Memory(m) => m.step(now, &mut net),
                 Ip::Vacant => {
@@ -958,20 +956,99 @@ impl System {
             let addr = self.vacated_routers[i];
             while self.noc.try_recv(addr).is_some() {}
         }
-        // The horizon never passes the checkpoint cycle, so a checkpoint
-        // written here holds exactly the lockstep state.
+        if silent {
+            self.run_ahead(now, last);
+        }
+        self.sends_seen = self.send_count();
+        // The run-ahead never passes the checkpoint cycle, so a
+        // checkpoint written here holds exactly the lockstep state.
         self.auto_checkpoint_due()?;
         Ok(())
+    }
+
+    /// Packets sent into the network so far plus bytes in flight towards
+    /// the serial IP. Between two cycles neither can shrink, so a change
+    /// means something outside the loop sent.
+    fn send_count(&self) -> u64 {
+        self.noc.stats().packets_sent + self.link.bytes_to_device() as u64
+    }
+
+    /// Runs every running core ahead of the clock after the visits of a
+    /// cycle `now` that started on a silent network, through every
+    /// local-only instruction starting at or before `min(last, the next
+    /// auto-checkpoint cycle, E + Q − 1)`. E is the earliest cycle
+    /// anything can send: `now` if this cycle sent a packet; else the
+    /// soonest of the link's next byte towards the serial IP, every live
+    /// IP's [send wake](ProcessorIp::send_wake) and, found by running
+    /// each core ahead, each core's first access past local memory. Q is
+    /// [`min_delivery_latency`](hermes_noc::latency::min_delivery_latency):
+    /// a packet sent at E reaches no router before E + Q, and nothing is
+    /// in flight, so no delivery can reach a core inside its stretch.
+    ///
+    /// Cores this pass ran before a later core lowered E are rewound to
+    /// the final horizon. Cores ahead from an earlier pass already are
+    /// within it: every send since was at or after that pass's E, and its
+    /// deliveries, the only way a core's first send can move, land after
+    /// that pass's horizon. Sends from outside the loop are clamped at
+    /// the top of [`step_through`](Self::step_through).
+    fn run_ahead(&mut self, now: u64, last: u64) {
+        let lookahead = latency::min_delivery_latency(self.noc.config());
+        let mut cap = last;
+        if let Some(due) = self.next_auto_checkpoint() {
+            cap = cap.min(due.max(now));
+        }
+        let mut send = if self.noc.is_idle() {
+            self.earliest_send(now)
+        } else {
+            Some(now)
+        };
+        let horizon =
+            |send: Option<u64>| send.map_or(cap, |e| cap.min(e.saturating_add(lookahead - 1)));
+        // The slots below `overshot` ran with a horizon above the final one.
+        let mut overshot = 0;
+        for (idx, ip) in self.ips.iter_mut().enumerate() {
+            if let Ip::Processor(p) = ip {
+                if !self.dead_nodes.contains(&NodeId(idx as u8)) {
+                    let first = p.run_ahead(horizon(send));
+                    if first.is_some_and(|first| send.is_none_or(|e| first < e)) {
+                        send = first;
+                        overshot = idx;
+                    }
+                }
+            }
+        }
+        let horizon = horizon(send);
+        for ip in &mut self.ips[..overshot] {
+            if let Ip::Processor(p) = ip {
+                p.rewind(horizon);
+            }
+        }
+    }
+
+    /// The earliest cycle at which anything but a running core's next
+    /// instruction can send: the link's next byte towards the serial IP,
+    /// every live processor's [send wake](ProcessorIp::send_wake) and
+    /// every other live IP's wake.
+    fn earliest_send(&self, now: u64) -> Option<u64> {
+        let epoch = self.noc.current_epoch();
+        let live = (self.ips.iter().enumerate())
+            .filter(|&(idx, _)| !self.dead_nodes.contains(&NodeId(idx as u8)));
+        let wakes = live.filter_map(|(_, ip)| match ip {
+            Ip::Processor(p) => p.send_wake(now, epoch),
+            ip => ip.wake(now, epoch, &self.link),
+        });
+        wakes.chain(self.link.next_device_byte()).min()
     }
 
     /// Undoes every run-ahead instruction lockstep stepping had not
     /// reached when the run stopped in cycle `now`, after visiting the
     /// IP slots below `visited`: instructions that start after `now`,
     /// and those starting at `now` on cores the cycle never visited.
+    /// Every core is then at its lockstep state.
     fn rewind_run_ahead(&mut self, now: u64, visited: usize) {
         for (idx, ip) in self.ips.iter_mut().enumerate() {
             if let Ip::Processor(p) = ip {
-                p.rewind(if idx < visited {
+                p.settle(if idx < visited {
                     now
                 } else {
                     now.saturating_sub(1)
@@ -1200,16 +1277,20 @@ impl System {
     /// the one loop behind [`run`](Self::run), the other `run_until_*`
     /// methods and every blocking [`Host`](crate::host::Host) call. It
     /// jumps idle gaps and lets running cores run ahead of the clock
-    /// through local-only work.
+    /// through local-only work, each up to the system's next possible
+    /// send (plus the network's minimum delivery latency), not a fixed
+    /// number of cycles.
     ///
     /// `done` is asked now and at every cycle the clock lands on: each
     /// stepped cycle and the end of each jumped gap, inside which nothing
     /// changes. So it must read the simulated state, not the clock, which
-    /// `budget` bounds; it may also drive the system itself, and the loop
-    /// goes on from there. It may see running cores ahead of the clock in
-    /// their registers and local memory, never in their status, the
-    /// network, the link or anything the host sees. Every exit rewinds
-    /// them to where per-cycle [`step`](Self::step)s leave them.
+    /// `budget` bounds; it may also drive the system itself — send a
+    /// packet, queue host bytes, run a nested loop — and the loop goes on
+    /// from there, first pulling every core back within reach of what
+    /// `done` sent. It may see running cores ahead of the clock in their
+    /// registers and local memory, never in their status, the network,
+    /// the link or anything the host sees. Every exit rewinds them to
+    /// where per-cycle [`step`](Self::step)s leave them.
     ///
     /// # Errors
     ///
@@ -1855,6 +1936,7 @@ impl System {
             processed_dead,
             failover_log,
             auto_checkpoint: None,
+            sends_seen: 0,
         })
     }
 
@@ -2140,6 +2222,7 @@ impl SystemBuilder {
             processed_dead: BTreeSet::new(),
             failover_log: Vec::new(),
             auto_checkpoint: None,
+            sends_seen: 0,
         };
         // Every client starts with the (identity) directory view.
         system.refresh_tables();

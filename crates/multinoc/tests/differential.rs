@@ -12,7 +12,8 @@
 //! the clock while `step` advances one lockstep cycle at a time, so the
 //! matrix also holds the fast-forward and the run-ahead to stepping;
 //! the tests after the matrix hold error exits and auto-checkpoints
-//! taken while cores are ahead to lockstep stepping too. The
+//! taken while cores are ahead, stop conditions that send, and seeded
+//! random programs to lockstep stepping too. The
 //! fingerprint digests the whole checkpoint payload — CPU images,
 //! memories, reliability layers, serial link, counters, trace and span
 //! logs and the network — so one equality replaces comparing each
@@ -22,8 +23,9 @@
 use hermes_noc::fault::{CycleWindow, FaultPlan};
 use hermes_noc::{D2dChannel, KernelMode, NocConfig, Port, RouterAddr, Routing, TelemetryConfig};
 use multinoc::processor::ProcessorStatus;
-use multinoc::serial::{SerialConfig, SYNC_BYTE};
+use multinoc::serial::{HostCommand, SerialConfig, SYNC_BYTE};
 use multinoc::{NodeId, System, SystemBuilder};
+use proptest::prelude::*;
 use r8::asm::assemble;
 
 mod common;
@@ -632,5 +634,217 @@ fn traced_checkpoints_restore_at_every_fifth_cycle() {
         let restored = System::restore(&sys.checkpoint())
             .unwrap_or_else(|e| panic!("checkpoint at cycle {} failed: {e}", sys.cycle()));
         assert_eq!(restored.fingerprint(), sys.fingerprint());
+    }
+}
+
+const P2: NodeId = NodeId(2);
+
+/// P1 adds 1 to its local word 0x300 2,000 times and halts.
+const INCREMENTS: &str = "LIW R1, 2000\nXOR R0, R0, R0\nLIW R4, 0x300\n\
+     inc: LD R2, R4, R0\nADDI R2, 1\nST R2, R4, R0\nSUBI R1, 1\nJMPZD done\nJMPD inc\n\
+     done: HALT";
+
+/// The paper layout with P1 running [`INCREMENTS`] and P2 counting `n`
+/// down, then storing into the memory IP if `store`, then halting.
+fn increments_beside_a_countdown(n: u16, store: bool) -> System {
+    let mut sys = layout_builder(NocConfig::multinoc(), Layout::Paper, KernelMode::Active)
+        .build()
+        .expect("valid layout");
+    let mem = sys
+        .address_map(P2)
+        .expect("map")
+        .window_base(MEM)
+        .expect("window");
+    let store = if store {
+        format!("LIW R5, {mem}\nST R1, R5, R0\n")
+    } else {
+        String::new()
+    };
+    load_program(&mut sys, P1, INCREMENTS);
+    let countdown = format!(
+        "XOR R0, R0, R0\nLIW R1, {n}\nspin: SUBI R1, 1\nJMPZD out\nJMPD spin\nout: {store}HALT"
+    );
+    load_program(&mut sys, P2, &countdown);
+    sys
+}
+
+/// Runs `sys` until every core halts and the system drains, with a
+/// `done` that calls `react` the first time it sees P2 halted — once by
+/// `run_until`, once asking the same condition before each lockstep
+/// `step` — and returns both `(cycle, fingerprint, P1's word 0x300)`.
+fn react_to_p2_halting(build: impl Fn() -> System, react: fn(&mut System)) -> [(u64, u64, u16); 2] {
+    let finish = |lockstep: bool| {
+        let mut sys = build();
+        let mut reacted = false;
+        let mut done = |sys: &mut System| {
+            if !reacted && sys.processor_status(P2)? == ProcessorStatus::Halted {
+                react(sys);
+                reacted = true;
+            }
+            Ok(reacted && sys.halted_and_drained())
+        };
+        if lockstep {
+            while !done(&mut sys).expect("condition holds") {
+                sys.step().expect("steps");
+            }
+        } else {
+            sys.run_until(BUDGET, "the reaction to drain", done)
+                .expect("drains");
+        }
+        let word = sys.memory(P1).expect("memory").read(0x300);
+        (sys.cycle(), sys.fingerprint(), word)
+    };
+    [finish(true), finish(false)]
+}
+
+#[test]
+fn done_that_activates_a_core_matches_lockstep() {
+    // `done` may drive the system: its packet goes out at the clock, so
+    // the loop must pull P1, which ran far ahead through its increments,
+    // back within reach before the activation lands mid-loop.
+    for n in [50, 300, 1000] {
+        let [stepped, run] = react_to_p2_halting(
+            || increments_beside_a_countdown(n, false),
+            |sys| sys.activate_directly(P1).expect("activates"),
+        );
+        assert_eq!(
+            run, stepped,
+            "n = {n}: the run differs from lockstep stepping"
+        );
+        assert!((2001..4000).contains(&stepped.2), "n = {n}: {stepped:?}");
+    }
+}
+
+#[test]
+fn done_that_queues_host_bytes_matches_lockstep() {
+    // P2's store is still crossing the network when it halts and `done`
+    // asks the serial IP, byte by byte, to activate P1 again.
+    let react: fn(&mut System) = |sys| {
+        assert!(!sys.noc().is_idle(), "the store is still in flight");
+        let activate = HostCommand::Activate { node: P1.0 }.to_bytes();
+        sys.link_mut().host_send(&[SYNC_BYTE]);
+        sys.link_mut().host_send(&activate);
+    };
+    for n in [50, 300, 1000] {
+        let [stepped, run] = react_to_p2_halting(|| increments_beside_a_countdown(n, true), react);
+        assert_eq!(
+            run, stepped,
+            "n = {n}: the run differs from lockstep stepping"
+        );
+        assert!((2001..4000).contains(&stepped.2), "n = {n}: {stepped:?}");
+    }
+}
+
+/// What a random quad program does after one of its local loops.
+#[derive(Debug, Clone, Copy)]
+enum Then {
+    Nothing,
+    /// Stores its running sum into the next core's accumulator.
+    PeerStore,
+    /// Notifies the next core (nobody waits, so notifies pile up).
+    Notify,
+    /// Prints its running sum to the host.
+    Printf,
+}
+
+/// Per core, the local loops of a random quad program: `(iterations,
+/// what follows)` each.
+fn quad_programs() -> impl Strategy<Value = Vec<Vec<(usize, Then)>>> {
+    let then = prop_oneof![
+        Just(Then::Nothing),
+        Just(Then::PeerStore),
+        Just(Then::Notify),
+        Just(Then::Printf),
+    ];
+    let segment = (1usize..120, then);
+    proptest::collection::vec(proptest::collection::vec(segment, 1..4), 4..=4)
+}
+
+/// Loads every core of [`Layout::Quad`] with its random program — local
+/// loops accumulating into 0x200, each followed by its action towards
+/// the next core or the host — and activates them.
+fn load_quad_programs(sys: &mut System, programs: &[Vec<(usize, Then)>]) {
+    for (k, (&core, segments)) in QUAD_CORES.iter().zip(programs).enumerate() {
+        let next = QUAD_CORES[(k + 1) % QUAD_CORES.len()];
+        let map = sys.address_map(core).expect("map");
+        let peer = map.window_base(next).expect("peer window") + 0x200;
+        let mut source = format!(
+            "XOR R0, R0, R0\nLIW R4, 0x200\nLIW R8, {peer}\nLIW R6, 0xFFFD\nLIW R7, {}\n\
+             LIW R10, 0xFFFF\n",
+            next.as_u16()
+        );
+        for (i, &(iterations, then)) in segments.iter().enumerate() {
+            source += &format!("LIW R1, {iterations}\n");
+            source += &local_loop(&format!("l{i}"), &format!("t{i}"));
+            source += &format!("t{i}: ");
+            source += match then {
+                Then::Nothing => "NOP\n",
+                Then::PeerStore => "ST R2, R8, R0\n",
+                Then::Notify => "ST R7, R0, R6\n",
+                Then::Printf => "ST R2, R0, R10\n",
+            };
+        }
+        source += "HALT";
+        load_program(sys, core, &source);
+    }
+}
+
+/// Reads every byte the system has sent the host, as a console would.
+fn drain_host(sys: &mut System) {
+    while sys.link_mut().host_recv().is_some() {}
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Random local stretches with sends at random points: on every
+    /// kernel, a run to halt from the start, and `run` over the irregular
+    /// chunks followed by a run to halt, reach lockstep stepping's
+    /// `(cycle, fingerprint)` at every chunk boundary and at the end. The
+    /// host reads its printf bytes at each boundary and, in the run to
+    /// halt, at every cycle the clock lands on (`run_until_halted`'s stop
+    /// condition, with the console that lets the link drain).
+    #[test]
+    fn random_quad_programs_match_lockstep(programs in quad_programs()) {
+        let build = |kernel| {
+            let mut sys = quad(kernel, 4, |_| {});
+            load_quad_programs(&mut sys, &programs);
+            sys
+        };
+        let halted = |sys: &mut System| {
+            drain_host(sys);
+            Ok(sys.halted_and_drained())
+        };
+        let horizon = 1_200;
+        let chunked = |mut sys: System, driving: Driving| {
+            let mut seen = Vec::new();
+            for &chunk in CHUNKS.iter().cycle() {
+                let chunk = chunk.min(horizon - sys.cycle());
+                match driving {
+                    Driving::Step => (0..chunk).for_each(|_| sys.step().expect("steps")),
+                    Driving::Run => sys.run(chunk).expect("runs"),
+                }
+                seen.push((sys.cycle(), sys.fingerprint()));
+                drain_host(&mut sys);
+                if sys.cycle() == horizon {
+                    break;
+                }
+            }
+            (seen, sys)
+        };
+        let (boundaries, mut stepped) = chunked(build(KernelMode::Reference), Driving::Step);
+        while !halted(&mut stepped).expect("condition holds") {
+            stepped.step().expect("steps");
+        }
+        let end = (stepped.cycle(), stepped.fingerprint());
+        for kernel in KERNELS {
+            let mut fresh = build(kernel);
+            fresh.run_until(BUDGET, "halt", halted).expect("halts");
+            prop_assert_eq!((fresh.cycle(), fresh.fingerprint()), end, "{:?} fresh", kernel);
+            let (seen, mut sys) = chunked(build(kernel), Driving::Run);
+            prop_assert_eq!(&seen, &boundaries, "{:?} in chunks", kernel);
+            sys.run_until(BUDGET, "halt", halted).expect("halts");
+            prop_assert_eq!((sys.cycle(), sys.fingerprint()), end, "{:?} after chunks", kernel);
+        }
     }
 }

@@ -48,6 +48,9 @@ pub enum ErrorKind {
     /// `return` outside a function body (unreachable via the grammar but
     /// kept for completeness).
     StrayReturn,
+    /// Statements, expressions or operators nested deeper than
+    /// [`MAX_NESTING`](crate::parser::MAX_NESTING) levels.
+    TooDeep,
 }
 
 impl fmt::Display for CompileError {
@@ -72,6 +75,11 @@ impl fmt::Display for CompileError {
             }
             ErrorKind::NoMain => write!(f, "program has no `main` function"),
             ErrorKind::StrayReturn => write!(f, "`return` outside a function"),
+            ErrorKind::TooDeep => write!(
+                f,
+                "nested deeper than {} levels",
+                crate::parser::MAX_NESTING
+            ),
         }
     }
 }

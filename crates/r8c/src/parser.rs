@@ -4,19 +4,34 @@ use crate::ast::{BinOp, Expr, Func, Global, Program, Stmt, UnOp};
 use crate::error::{CompileError, ErrorKind};
 use crate::lexer::{Token, TokenKind};
 
+/// The deepest nesting a program may have. Each statement, expression
+/// (a parenthesised one, an argument, an index), unary operator and
+/// binary operator of a chain nests one level, so the syntax tree is
+/// never deeper than this and the recursive parser, folder and code
+/// generator fit a 2 MiB thread stack even in a debug build, where
+/// parentheses cost the most: about 100 levels of them fit.
+pub const MAX_NESTING: usize = 64;
+
 /// Parses a token stream into a [`Program`].
 ///
 /// # Errors
 ///
-/// [`CompileError`] with the offending line on any syntax error.
+/// [`CompileError`] with the offending line on any syntax error, and
+/// [`ErrorKind::TooDeep`] where the nesting passes [`MAX_NESTING`].
 pub fn parse(tokens: &[Token]) -> Result<Program, CompileError> {
-    let mut parser = Parser { tokens, pos: 0 };
+    let mut parser = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     parser.program()
 }
 
 struct Parser<'a> {
     tokens: &'a [Token],
     pos: usize,
+    /// Levels of nesting open at `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -44,6 +59,19 @@ impl Parser<'_> {
                 found: self.peek().to_string(),
             },
         }
+    }
+
+    /// Opens one level of nesting; the caller closes it with
+    /// `self.depth -= 1` once the nested construct is parsed.
+    fn nest(&mut self) -> Result<(), CompileError> {
+        if self.depth == MAX_NESTING {
+            return Err(CompileError {
+                line: self.line(),
+                kind: ErrorKind::TooDeep,
+            });
+        }
+        self.depth += 1;
+        Ok(())
     }
 
     fn expect(&mut self, kind: TokenKind, what: &'static str) -> Result<(), CompileError> {
@@ -163,6 +191,13 @@ impl Parser<'_> {
     }
 
     fn stmt(&mut self) -> Result<Stmt, CompileError> {
+        self.nest()?;
+        let stmt = self.stmt_body();
+        self.depth -= 1;
+        stmt
+    }
+
+    fn stmt_body(&mut self) -> Result<Stmt, CompileError> {
         let line = self.line();
         match self.peek().clone() {
             TokenKind::Var => {
@@ -318,7 +353,10 @@ impl Parser<'_> {
     }
 
     fn expr(&mut self) -> Result<Expr, CompileError> {
-        self.logic_or()
+        self.nest()?;
+        let expr = self.logic_or();
+        self.depth -= 1;
+        expr
     }
 
     fn binary_level<F>(
@@ -330,9 +368,13 @@ impl Parser<'_> {
         F: Fn(&mut Self) -> Result<Expr, CompileError>,
     {
         let mut lhs = next(self)?;
+        // Each operator of a chain nests the tree built so far one level.
+        let mut chain = 0;
         'outer: loop {
             for (kind, op) in table {
                 if self.peek() == kind {
+                    self.nest()?;
+                    chain += 1;
                     self.advance();
                     let rhs = next(self)?;
                     lhs = Expr::Binary {
@@ -343,6 +385,7 @@ impl Parser<'_> {
                     continue 'outer;
                 }
             }
+            self.depth -= chain;
             return Ok(lhs);
         }
     }
@@ -422,8 +465,10 @@ impl Parser<'_> {
             _ => None,
         };
         if let Some(op) = op {
+            self.nest()?;
             self.advance();
             let expr = self.unary()?;
+            self.depth -= 1;
             return Ok(Expr::Unary {
                 op,
                 expr: Box::new(expr),
@@ -583,5 +628,71 @@ mod tests {
     #[test]
     fn unterminated_block_is_an_error() {
         assert!(parse(&lex("func main() { var a = 1;").unwrap()).is_err());
+    }
+
+    /// One program per kind of nesting whose deepest point is `depth`
+    /// levels down: `k` parentheses, unary minuses, chained additions,
+    /// nested `if` blocks or `else if`s, where `main`'s outermost
+    /// statement and expression take the other two levels.
+    fn nested(depth: usize) -> [String; 5] {
+        let k = depth - 2;
+        [
+            format!(
+                "func main() {{ return {}1{}; }}",
+                "(".repeat(k),
+                ")".repeat(k)
+            ),
+            format!("func main() {{ return {}1; }}", "-".repeat(k)),
+            format!("func main() {{ return 1{}; }}", "+1".repeat(k)),
+            format!(
+                "func main() {{ {} return 1; {} }}",
+                "if (1) {".repeat(k),
+                "}".repeat(k)
+            ),
+            format!(
+                "func main() {{ if (1) {{ }} {} }}",
+                "else if (1) { } ".repeat(k)
+            ),
+        ]
+    }
+
+    #[test]
+    fn nesting_up_to_the_limit_compiles() {
+        // In a debug build on the default 2 MiB test thread stack.
+        for source in nested(MAX_NESTING) {
+            crate::compile(&source).expect("nesting at the limit compiles");
+        }
+        for source in nested(MAX_NESTING + 1) {
+            let e = crate::compile(&source).expect_err("one level more is refused");
+            assert_eq!((e.line, e.kind), (1, ErrorKind::TooDeep));
+        }
+    }
+
+    #[test]
+    fn deep_nesting_is_a_typed_error_not_a_stack_overflow() {
+        // Each of these overflowed the stack and aborted the compiler.
+        let sources = [
+            format!(
+                "func main() {{ return {}1{}; }}",
+                "(".repeat(20_000),
+                ")".repeat(20_000)
+            ),
+            format!("func main() {{ return {}1; }}", "-".repeat(100_000)),
+            format!(
+                "func main() {{\n{} }}",
+                "if (1) {\n".repeat(60_000) + &"}".repeat(60_000)
+            ),
+        ];
+        // Line 1 holds `func main() {`, so the 64th `if`, whose condition is
+        // the first level too deep, sits on line 65.
+        for (source, line) in sources.iter().zip([1, 1, MAX_NESTING + 1]) {
+            let e = crate::compile(source).expect_err("too deep");
+            assert_eq!(e.kind, ErrorKind::TooDeep);
+            assert_eq!(e.line, line);
+            assert_eq!(
+                e.to_string(),
+                format!("line {line}: nested deeper than {MAX_NESTING} levels")
+            );
+        }
     }
 }

@@ -47,3 +47,26 @@ fn reports_compile_errors() {
     let err = String::from_utf8(output.stderr).unwrap();
     assert!(err.contains("line 2") && err.contains("undefined"), "{err}");
 }
+
+#[test]
+fn refuses_deep_nesting_with_a_message() {
+    // 20,000 nested parentheses overflowed the compiler's stack.
+    let depth = 20_000;
+    let source = format!(
+        "func main() {{ printf({}1{}); }}",
+        "(".repeat(depth),
+        ")".repeat(depth)
+    );
+    let src = write_temp("deep.r8c", &source);
+    let output = Command::new(env!("CARGO_BIN_EXE_r8cc"))
+        .arg(&src)
+        .output()
+        .expect("run r8cc");
+    assert_eq!(output.status.code(), Some(1), "{output:?}");
+    let err = String::from_utf8(output.stderr).unwrap();
+    let want = format!(
+        "line 1: nested deeper than {} levels",
+        r8c::parser::MAX_NESTING
+    );
+    assert!(err.contains(&want), "{err}");
+}
