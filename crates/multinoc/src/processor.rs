@@ -380,6 +380,12 @@ impl ProcessorIp {
     /// and owes nothing sleeps through epoch changes too: the lockstep
     /// loop never visited it for them.
     pub(crate) fn wake(&self, now: u64, epoch: u64) -> Option<u64> {
+        let status = self.status();
+        if status == ProcessorStatus::Running {
+            // A known first send is never before the next instruction.
+            let send = self.send_wake(now, epoch);
+            return Some(send.map_or(self.next_ready, |s| s.min(self.next_ready)));
+        }
         let released = match self.wait {
             WaitState::Internal(n) | WaitState::External(n) => {
                 self.notifies.get(&n).is_some_and(|&count| count > 0)
@@ -397,10 +403,6 @@ impl ProcessorIp {
         let mut note = |d: u64| wake = Some(wake.map_or(d, |w: u64| w.min(d)));
         if let NetPending::RemoteRead(req) | NetPending::Scanf(req) = &self.pending {
             note(self.reliable.request_deadline(req));
-        }
-        let status = self.status();
-        if status == ProcessorStatus::Running {
-            note(self.next_ready);
         }
         if wake.is_none() && status != ProcessorStatus::Blocked {
             return None;
@@ -494,6 +496,14 @@ impl ProcessorIp {
             }
         }
         self.ahead.send
+    }
+
+    /// Whether [`run_ahead`](Self::run_ahead) to `horizon` left the core
+    /// at the horizon, so that a later horizon would take it further.
+    pub(crate) fn held_at(&self, horizon: u64) -> bool {
+        self.next_ready > horizon
+            && self.ahead.send != Some(self.next_ready)
+            && self.status() == ProcessorStatus::Running
     }
 
     /// Executes the core's next instruction on a local-only bus at its

@@ -985,12 +985,22 @@ impl System {
     /// a packet sent at E reaches no router before E + Q, and nothing is
     /// in flight, so no delivery can reach a core inside its stretch.
     ///
-    /// Cores this pass ran before a later core lowered E are rewound to
-    /// the final horizon. Cores ahead from an earlier pass already are
-    /// within it: every send since was at or after that pass's E, and its
-    /// deliveries, the only way a core's first send can move, land after
-    /// that pass's horizon. Sends from outside the loop are clamped at
-    /// the top of [`step_through`](Self::step_through).
+    /// The pass runs in rounds that reach `now + Q`, `now + 2Q`,
+    /// `now + 4Q` and so on, each taking every core to the round's reach
+    /// or the horizon, whichever is lower. It ends with the first round
+    /// that reaches the horizon or leaves no core held at its reach: a
+    /// core that stops at its send, a `HALT` or a fault stays there until
+    /// its lockstep visit. So before a core's send lowers E, no core runs
+    /// more than about twice as far past the clock as the horizon it is
+    /// held to.
+    ///
+    /// Cores the final round ran before a later core lowered E are
+    /// rewound to the final horizon; earlier rounds stopped below it.
+    /// Cores ahead from an earlier pass already are within it: every
+    /// send since was at or after that pass's E, and its deliveries, the
+    /// only way a core's first send can move, land after that pass's
+    /// horizon. Sends from outside the loop are clamped at the top of
+    /// [`step_through`](Self::step_through).
     fn run_ahead(&mut self, now: u64, last: u64) {
         let lookahead = latency::min_delivery_latency(self.noc.config());
         let mut cap = last;
@@ -1004,24 +1014,36 @@ impl System {
         };
         let horizon =
             |send: Option<u64>| send.map_or(cap, |e| cap.min(e.saturating_add(lookahead - 1)));
-        // The slots below `overshot` ran with a horizon above the final one.
-        let mut overshot = 0;
-        for (idx, ip) in self.ips.iter_mut().enumerate() {
-            if let Ip::Processor(p) = ip {
-                if !self.dead_nodes.contains(&NodeId(idx as u8)) {
-                    let first = p.run_ahead(horizon(send));
-                    if first.is_some_and(|first| send.is_none_or(|e| first < e)) {
-                        send = first;
-                        overshot = idx;
+        let mut span = lookahead;
+        loop {
+            let reach = cap.min(now.saturating_add(span));
+            // The slots below `overshot` ran with a horizon above the
+            // final one.
+            let mut overshot = 0;
+            let mut held = false;
+            for (idx, ip) in self.ips.iter_mut().enumerate() {
+                if let Ip::Processor(p) = ip {
+                    if !self.dead_nodes.contains(&NodeId(idx as u8)) {
+                        let limit = reach.min(horizon(send));
+                        let first = p.run_ahead(limit);
+                        if first.is_some_and(|first| send.is_none_or(|e| first < e)) {
+                            send = first;
+                            overshot = idx;
+                        }
+                        held |= p.held_at(limit);
                     }
                 }
             }
-        }
-        let horizon = horizon(send);
-        for ip in &mut self.ips[..overshot] {
-            if let Ip::Processor(p) = ip {
-                p.rewind(horizon);
+            let horizon = horizon(send);
+            if horizon <= reach || !held {
+                for ip in &mut self.ips[..overshot] {
+                    if let Ip::Processor(p) = ip {
+                        p.rewind(horizon);
+                    }
+                }
+                return;
             }
+            span = span.saturating_mul(2);
         }
     }
 

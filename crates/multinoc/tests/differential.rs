@@ -715,23 +715,40 @@ fn done_that_activates_a_core_matches_lockstep() {
     }
 }
 
+/// Asks the serial IP, byte by byte, to activate P1 again.
+fn queue_activate_p1(sys: &mut System) {
+    let activate = HostCommand::Activate { node: P1.0 }.to_bytes();
+    sys.link_mut().host_send(&[SYNC_BYTE]);
+    sys.link_mut().host_send(&activate);
+}
+
 #[test]
 fn done_that_queues_host_bytes_matches_lockstep() {
-    // P2's store is still crossing the network when it halts and `done`
-    // asks the serial IP, byte by byte, to activate P1 again.
-    let react: fn(&mut System) = |sys| {
+    // With `store`, P2's store is still crossing the network when `done`
+    // queues the bytes, so the link is not all that holds P1 back.
+    // Without it the network is quiet and no send bounds P1, which has
+    // run far ahead through its increments: only the bytes can pull it
+    // back before the activation lands.
+    let in_flight: fn(&mut System) = |sys| {
         assert!(!sys.noc().is_idle(), "the store is still in flight");
-        let activate = HostCommand::Activate { node: P1.0 }.to_bytes();
-        sys.link_mut().host_send(&[SYNC_BYTE]);
-        sys.link_mut().host_send(&activate);
+        queue_activate_p1(sys);
     };
-    for n in [50, 300, 1000] {
-        let [stepped, run] = react_to_p2_halting(|| increments_beside_a_countdown(n, true), react);
-        assert_eq!(
-            run, stepped,
-            "n = {n}: the run differs from lockstep stepping"
-        );
-        assert!((2001..4000).contains(&stepped.2), "n = {n}: {stepped:?}");
+    for (store, react) in [
+        (true, in_flight),
+        (false, queue_activate_p1 as fn(&mut System)),
+    ] {
+        for n in [50, 300, 1000] {
+            let [stepped, run] =
+                react_to_p2_halting(|| increments_beside_a_countdown(n, store), react);
+            assert_eq!(
+                run, stepped,
+                "store = {store}, n = {n}: the run differs from lockstep stepping"
+            );
+            assert!(
+                (2001..4000).contains(&stepped.2),
+                "store = {store}, n = {n}: {stepped:?}"
+            );
+        }
     }
 }
 

@@ -95,6 +95,43 @@ pub enum Expr {
     Peek(Box<Expr>),
 }
 
+impl Expr {
+    /// An operator chain `((a op1 b) op2 c) …` as its leftmost operand
+    /// and each operator with its right operand, in the order they
+    /// apply: `(a, [(op1, b), (op2, c)])`. Any other expression is its
+    /// own leftmost operand. Passes walk a chain this way, in a loop, so
+    /// its length costs no stack.
+    pub fn left_spine(&self) -> (&Expr, Vec<(BinOp, &Expr)>) {
+        let mut spine = Vec::new();
+        let mut lhs = self;
+        while let Expr::Binary {
+            op,
+            lhs: inner,
+            rhs,
+        } = lhs
+        {
+            spine.push((*op, &**rhs));
+            lhs = inner;
+        }
+        spine.reverse();
+        (lhs, spine)
+    }
+}
+
+impl Drop for Expr {
+    /// Takes an operator chain apart along its left spine in a loop,
+    /// where the derived drop would recurse once per operator.
+    fn drop(&mut self) {
+        let Expr::Binary { lhs, .. } = self else {
+            return;
+        };
+        let mut spine = std::mem::replace(&mut **lhs, Expr::Number(0));
+        while let Expr::Binary { lhs, .. } = &mut spine {
+            spine = std::mem::replace(&mut **lhs, Expr::Number(0));
+        }
+    }
+}
+
 /// A statement.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Stmt {
@@ -156,6 +193,49 @@ pub enum Stmt {
     },
     /// An expression evaluated for its side effects (a call).
     Expr(Expr),
+}
+
+/// The arms of one `if`: `(condition, then branch)` each.
+pub type IfArms<'a> = Vec<(&'a Expr, &'a [Stmt])>;
+
+impl Stmt {
+    /// The arms of `if (cond) { then_body } else { else_body }` and of
+    /// every `else if` chained to it, outermost first, with the chain's
+    /// final else branch: `if (a) { A } else if (b) { B } else { C }`
+    /// gives `([(a, A), (b, B)], C)`. Passes walk a chain this way, in a
+    /// loop, so its length costs no stack.
+    pub fn if_chain<'a>(
+        cond: &'a Expr,
+        then_body: &'a [Stmt],
+        else_body: &'a [Stmt],
+    ) -> (IfArms<'a>, &'a [Stmt]) {
+        let mut arms = vec![(cond, then_body)];
+        let mut tail = else_body;
+        while let [Stmt::If {
+            cond,
+            then_body,
+            else_body,
+        }] = tail
+        {
+            arms.push((cond, then_body.as_slice()));
+            tail = else_body;
+        }
+        (arms, tail)
+    }
+}
+
+impl Drop for Stmt {
+    /// Takes an else-if chain apart in a loop, where the derived drop
+    /// would recurse once per `else if`.
+    fn drop(&mut self) {
+        let Stmt::If { else_body, .. } = self else {
+            return;
+        };
+        let mut tail = std::mem::take(else_body);
+        while let [Stmt::If { else_body, .. }] = tail.as_mut_slice() {
+            tail = std::mem::take(else_body);
+        }
+    }
 }
 
 /// A global variable.

@@ -301,15 +301,24 @@ impl<'a> Codegen<'a> {
                 then_body,
                 else_body,
             } => {
-                let l_else = self.fresh("else");
-                let l_end = self.fresh("endif");
-                self.expr(cond, 0)?;
-                self.branch_if_zero(&l_else);
-                self.block(then_body)?;
-                self.jump(&l_end);
-                self.label(&l_else);
-                self.block(else_body)?;
-                self.label(&l_end);
+                // An else-if chain is generated in a loop; each arm's end
+                // label follows everything its else branch holds.
+                let (arms, tail) = Stmt::if_chain(cond, then_body, else_body);
+                let mut ends = Vec::new();
+                for (cond, then_body) in arms {
+                    let l_else = self.fresh("else");
+                    let l_end = self.fresh("endif");
+                    self.expr(cond, 0)?;
+                    self.branch_if_zero(&l_else);
+                    self.block(then_body)?;
+                    self.jump(&l_end);
+                    self.label(&l_else);
+                    ends.push(l_end);
+                }
+                self.block(tail)?;
+                for l_end in ends.iter().rev() {
+                    self.label(l_end);
+                }
             }
             Stmt::While { cond, body } => {
                 let l_head = self.fresh("while");
@@ -391,7 +400,23 @@ impl<'a> Codegen<'a> {
                     }
                 }
             }
-            Expr::Binary { op, lhs, rhs } => self.binary(*op, lhs, rhs, line)?,
+            Expr::Binary { .. } => {
+                // An operator chain is generated along its left spine in
+                // a loop. A short-circuit operator takes its labels before
+                // its left operand's code, outermost operator first.
+                let (first, spine) = expr.left_spine();
+                let mut labels: Vec<_> = (spine.iter().rev())
+                    .map(|&(op, _)| {
+                        matches!(op, BinOp::LogicAnd | BinOp::LogicOr)
+                            .then(|| (self.fresh("short"), self.fresh("lend")))
+                    })
+                    .collect();
+                self.expr(first, line)?;
+                for (op, rhs) in spine {
+                    let labels = labels.pop().expect("one entry per operator");
+                    self.binary(op, rhs, labels, line)?;
+                }
+            }
             Expr::Call { name, args } => {
                 let func = self
                     .funcs
@@ -453,51 +478,48 @@ impl<'a> Codegen<'a> {
         self.label(&l_end);
     }
 
+    /// Applies `op` to the left operand, already in R1, and `rhs`, leaving
+    /// the result in R1. A short-circuit operator comes with the labels
+    /// it took before its left operand's code.
     fn binary(
         &mut self,
         op: BinOp,
-        lhs: &Expr,
         rhs: &Expr,
+        labels: Option<(String, String)>,
         line: usize,
     ) -> Result<(), CompileError> {
         // Short-circuit forms first (they must not evaluate rhs eagerly).
-        match op {
-            BinOp::LogicAnd | BinOp::LogicOr => {
-                let l_short = self.fresh("short");
-                let l_end = self.fresh("lend");
-                self.expr(lhs, line)?;
-                if op == BinOp::LogicAnd {
-                    // lhs == 0 → 0 without evaluating rhs.
-                    self.branch_if_zero(&l_short);
-                } else {
-                    // lhs != 0 → 1 without evaluating rhs.
-                    let l_rhs = self.fresh("rhs");
-                    self.branch_if_zero(&l_rhs);
-                    self.jump(&l_short);
-                    self.label(&l_rhs);
-                }
-                self.expr(rhs, line)?;
-                // Normalize rhs to 0/1.
-                let l_one = self.fresh("one");
-                let l_norm_end = self.fresh("nend");
-                self.emit("SUB  R3, R1, R0");
-                self.emit(format!("JMPZD {l_one}"));
-                self.emit("LIW  R1, 1");
-                self.emit(format!("JMPD {l_norm_end}"));
-                self.label(&l_one);
-                self.emit("XOR  R1, R1, R1");
-                self.label(&l_norm_end);
-                self.jump(&l_end);
-                self.label(&l_short);
-                if op == BinOp::LogicAnd {
-                    self.emit("XOR  R1, R1, R1");
-                } else {
-                    self.emit("LIW  R1, 1");
-                }
-                self.label(&l_end);
-                return Ok(());
+        if let Some((l_short, l_end)) = labels {
+            if op == BinOp::LogicAnd {
+                // lhs == 0 → 0 without evaluating rhs.
+                self.branch_if_zero(&l_short);
+            } else {
+                // lhs != 0 → 1 without evaluating rhs.
+                let l_rhs = self.fresh("rhs");
+                self.branch_if_zero(&l_rhs);
+                self.jump(&l_short);
+                self.label(&l_rhs);
             }
-            _ => {}
+            self.expr(rhs, line)?;
+            // Normalize rhs to 0/1.
+            let l_one = self.fresh("one");
+            let l_norm_end = self.fresh("nend");
+            self.emit("SUB  R3, R1, R0");
+            self.emit(format!("JMPZD {l_one}"));
+            self.emit("LIW  R1, 1");
+            self.emit(format!("JMPD {l_norm_end}"));
+            self.label(&l_one);
+            self.emit("XOR  R1, R1, R1");
+            self.label(&l_norm_end);
+            self.jump(&l_end);
+            self.label(&l_short);
+            if op == BinOp::LogicAnd {
+                self.emit("XOR  R1, R1, R1");
+            } else {
+                self.emit("LIW  R1, 1");
+            }
+            self.label(&l_end);
+            return Ok(());
         }
 
         // Strict operators: lhs in R1, rhs in R2. Simple right operands
@@ -505,7 +527,6 @@ impl<'a> Codegen<'a> {
         // the PUSH/POP round trip.
         match rhs {
             Expr::Number(value) if self.fast_operands => {
-                self.expr(lhs, line)?;
                 self.emit(format!("LIW  R2, {value}"));
             }
             Expr::Var(name)
@@ -515,12 +536,10 @@ impl<'a> Codegen<'a> {
                 let Place::Scalar(label) = self.resolve(name, line)? else {
                     unreachable!("guarded by the match arm");
                 };
-                self.expr(lhs, line)?;
                 self.emit(format!("LIW  R12, {label}"));
                 self.emit("LD   R2, R12, R0");
             }
             _ => {
-                self.expr(lhs, line)?;
                 self.emit("PUSH R1");
                 self.expr(rhs, line)?;
                 self.emit("ADD  R2, R1, R0"); // R2 = rhs
@@ -620,58 +639,47 @@ fn check_recursion(program: &Program) -> Result<(), CompileError> {
     Ok(())
 }
 
+/// Adds the name of every function `stmts` call to `out`. Walks a work
+/// list, so no nesting or chain length costs stack.
 fn collect_calls_block(stmts: &[Stmt], out: &mut HashSet<String>) {
-    for stmt in stmts {
-        match stmt {
-            Stmt::Local { init, .. } => {
-                if let Some(e) = init {
-                    collect_calls_expr(e, out);
+    let mut blocks = vec![stmts];
+    let mut exprs: Vec<&Expr> = Vec::new();
+    while let Some(stmts) = blocks.pop() {
+        for stmt in stmts {
+            match stmt {
+                Stmt::Local { init, .. } => exprs.extend(init),
+                Stmt::Assign { value, .. } => exprs.push(value),
+                Stmt::AssignIndex { index, value, .. } => exprs.extend([index, value]),
+                Stmt::If {
+                    cond,
+                    then_body,
+                    else_body,
+                } => {
+                    exprs.push(cond);
+                    blocks.extend([then_body.as_slice(), else_body]);
                 }
+                Stmt::While { cond, body } => {
+                    exprs.push(cond);
+                    blocks.push(body);
+                }
+                Stmt::Return(Some(e)) | Stmt::Printf(e) | Stmt::Expr(e) => exprs.push(e),
+                Stmt::Poke { addr, value } => exprs.extend([addr, value]),
+                Stmt::Return(None) => {}
             }
-            Stmt::Assign { value, .. } => collect_calls_expr(value, out),
-            Stmt::AssignIndex { index, value, .. } => {
-                collect_calls_expr(index, out);
-                collect_calls_expr(value, out);
-            }
-            Stmt::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                collect_calls_expr(cond, out);
-                collect_calls_block(then_body, out);
-                collect_calls_block(else_body, out);
-            }
-            Stmt::While { cond, body } => {
-                collect_calls_expr(cond, out);
-                collect_calls_block(body, out);
-            }
-            Stmt::Return(Some(e)) | Stmt::Printf(e) | Stmt::Expr(e) => collect_calls_expr(e, out),
-            Stmt::Poke { addr, value } => {
-                collect_calls_expr(addr, out);
-                collect_calls_expr(value, out);
-            }
-            Stmt::Return(None) => {}
         }
     }
-}
-
-fn collect_calls_expr(expr: &Expr, out: &mut HashSet<String>) {
-    match expr {
-        Expr::Number(_) | Expr::Var(_) | Expr::Scanf => {}
-        Expr::Index { index, .. } => collect_calls_expr(index, out),
-        Expr::Binary { lhs, rhs, .. } => {
-            collect_calls_expr(lhs, out);
-            collect_calls_expr(rhs, out);
-        }
-        Expr::Unary { expr, .. } => collect_calls_expr(expr, out),
-        Expr::Call { name, args } => {
-            out.insert(name.clone());
-            for a in args {
-                collect_calls_expr(a, out);
+    while let Some(expr) = exprs.pop() {
+        match expr {
+            Expr::Number(_) | Expr::Var(_) | Expr::Scanf => {}
+            Expr::Index { index: e, .. } | Expr::Unary { expr: e, .. } | Expr::Peek(e) => {
+                exprs.push(e);
+            }
+            Expr::Binary { lhs, rhs, .. } => exprs.extend([&**lhs, &**rhs]),
+            Expr::Call { name, args } => {
+                out.insert(name.clone());
+                exprs.extend(args);
             }
         }
-        Expr::Peek(addr) => collect_calls_expr(addr, out),
     }
 }
 
@@ -932,6 +940,37 @@ mod tests {
         }
         assert_eq!(bus.peek(0x2000), x);
         assert_eq!(bus.peek(0x2001), y);
+    }
+
+    #[test]
+    fn long_chains_compute_what_short_ones_do() {
+        // 1,000 additions, 200 `&&`s, 200 `||`s and 300 `else if`s.
+        let sum = " + x".repeat(999);
+        let all = " && x".repeat(200);
+        let any = " || x".repeat(200);
+        let pick: String = (0..300)
+            .map(|k| format!("if (v == {k}) {{ return {}; }} else ", 1000 + k))
+            .collect();
+        let src = format!(
+            "var x = 3;
+             var zero = 0;
+             func pick(v) {{ {pick}{{ return 7; }} }}
+             func main() {{
+                 poke(0xF000, x{sum});
+                 poke(0xF001, x{all});
+                 poke(0xF002, zero{any});
+                 poke(0xF003, pick(0));
+                 poke(0xF004, pick(299));
+                 poke(0xF005, pick(300));
+             }}"
+        );
+        let program = crate::build(&src).unwrap();
+        let mut bus = RamBus::new(0x10000);
+        bus.load(0, program.words());
+        let mut cpu = Cpu::new();
+        cpu.run(&mut bus, 10_000_000).unwrap();
+        let got: Vec<u16> = (0xF000..0xF006).map(|a| bus.peek(a)).collect();
+        assert_eq!(got, [3000, 1, 1, 1000, 1299, 7]);
     }
 
     #[test]

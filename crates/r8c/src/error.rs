@@ -48,7 +48,7 @@ pub enum ErrorKind {
     /// `return` outside a function body (unreachable via the grammar but
     /// kept for completeness).
     StrayReturn,
-    /// Statements, expressions or operators nested deeper than
+    /// Statements, expressions or unary operators nested deeper than
     /// [`MAX_NESTING`](crate::parser::MAX_NESTING) levels.
     TooDeep,
 }

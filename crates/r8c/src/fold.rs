@@ -55,25 +55,13 @@ fn fold_stmt(stmt: &Stmt) -> Stmt {
             then_body,
             else_body,
         } => {
-            let cond = fold_expr(cond);
-            // A constant condition selects one branch at compile time.
-            if let Expr::Number(n) = cond {
-                let body: Vec<Stmt> = if n != 0 {
-                    then_body.iter().map(fold_stmt).collect()
-                } else {
-                    else_body.iter().map(fold_stmt).collect()
-                };
-                return Stmt::If {
-                    cond: Expr::Number(1),
-                    then_body: body,
-                    else_body: Vec::new(),
-                };
+            // An else-if chain is folded in a loop, innermost `if` first.
+            let (arms, tail) = Stmt::if_chain(cond, then_body, else_body);
+            let mut folded: Vec<Stmt> = tail.iter().map(fold_stmt).collect();
+            for (cond, then_body) in arms.into_iter().rev() {
+                folded = vec![fold_if(cond, then_body, folded)];
             }
-            Stmt::If {
-                cond,
-                then_body: then_body.iter().map(fold_stmt).collect(),
-                else_body: else_body.iter().map(fold_stmt).collect(),
-            }
+            folded.pop().expect("one arm at least")
         }
         Stmt::While { cond, body } => Stmt::While {
             cond: fold_expr(cond),
@@ -89,16 +77,38 @@ fn fold_stmt(stmt: &Stmt) -> Stmt {
     }
 }
 
+/// Folds an `if` whose else branch is folded already.
+fn fold_if(cond: &Expr, then_body: &[Stmt], else_body: Vec<Stmt>) -> Stmt {
+    let cond = fold_expr(cond);
+    let then_body = then_body.iter().map(fold_stmt).collect();
+    // A constant condition selects one branch at compile time.
+    if let Expr::Number(n) = cond {
+        return Stmt::If {
+            cond: Expr::Number(1),
+            then_body: if n != 0 { then_body } else { else_body },
+            else_body: Vec::new(),
+        };
+    }
+    Stmt::If {
+        cond,
+        then_body,
+        else_body,
+    }
+}
+
 /// Whether evaluating the expression can have side effects (calls, I/O,
 /// raw memory reads).
 fn has_effects(expr: &Expr) -> bool {
-    match expr {
-        Expr::Number(_) | Expr::Var(_) => false,
-        Expr::Index { index, .. } => has_effects(index),
-        Expr::Binary { lhs, rhs, .. } => has_effects(lhs) || has_effects(rhs),
-        Expr::Unary { expr, .. } => has_effects(expr),
-        Expr::Call { .. } | Expr::Scanf | Expr::Peek(_) => true,
+    let mut work = vec![expr];
+    while let Some(expr) = work.pop() {
+        match expr {
+            Expr::Number(_) | Expr::Var(_) => {}
+            Expr::Index { index: e, .. } | Expr::Unary { expr: e, .. } => work.push(e),
+            Expr::Binary { lhs, rhs, .. } => work.extend([&**lhs, &**rhs]),
+            Expr::Call { .. } | Expr::Scanf | Expr::Peek(_) => return true,
+        }
     }
+    false
 }
 
 /// Exact 16-bit evaluation of a binary operator, mirroring the code
@@ -173,56 +183,49 @@ fn fold_expr(expr: &Expr) -> Expr {
                 expr: Box::new(inner),
             }
         }
-        Expr::Binary { op, lhs, rhs } => {
-            let lhs = fold_expr(lhs);
-            let rhs = fold_expr(rhs);
-            if let (Expr::Number(a), Expr::Number(b)) = (&lhs, &rhs) {
-                return Expr::Number(eval_bin(*op, *a, *b));
+        Expr::Binary { .. } => {
+            // An operator chain is folded along its left spine in a loop.
+            let (first, spine) = expr.left_spine();
+            let mut folded = fold_expr(first);
+            for (op, rhs) in spine {
+                folded = fold_binary(op, folded, fold_expr(rhs));
             }
-            // Short-circuit with a constant lhs.
-            match (op, &lhs) {
-                (BinOp::LogicAnd, Expr::Number(0)) => return Expr::Number(0),
-                (BinOp::LogicOr, Expr::Number(n)) if *n != 0 => return Expr::Number(1),
-                _ => {}
-            }
-            // Algebraic identities with an effect-free discarded side.
-            let keep = |e: &Expr| e.clone();
-            match (op, &lhs, &rhs) {
-                (BinOp::Add, e, Expr::Number(0)) | (BinOp::Add, Expr::Number(0), e) => {
-                    return keep(e)
-                }
-                (BinOp::Sub, e, Expr::Number(0)) => return keep(e),
-                (BinOp::Mul, e, Expr::Number(1)) | (BinOp::Mul, Expr::Number(1), e) => {
-                    return keep(e)
-                }
-                (BinOp::Mul, e, Expr::Number(0)) | (BinOp::Mul, Expr::Number(0), e)
-                    if !has_effects(e) =>
-                {
-                    return Expr::Number(0)
-                }
-                (BinOp::Div, e, Expr::Number(1)) => return keep(e),
-                (BinOp::And, e, Expr::Number(0)) | (BinOp::And, Expr::Number(0), e)
-                    if !has_effects(e) =>
-                {
-                    return Expr::Number(0)
-                }
-                (BinOp::Or, e, Expr::Number(0)) | (BinOp::Or, Expr::Number(0), e) => {
-                    return keep(e)
-                }
-                (BinOp::Xor, e, Expr::Number(0)) | (BinOp::Xor, Expr::Number(0), e) => {
-                    return keep(e)
-                }
-                (BinOp::Shl, e, Expr::Number(0)) | (BinOp::Shr, e, Expr::Number(0)) => {
-                    return keep(e)
-                }
-                _ => {}
-            }
-            Expr::Binary {
-                op: *op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            }
+            folded
         }
+    }
+}
+
+/// Folds `lhs op rhs` with both operands folded already.
+fn fold_binary(op: BinOp, lhs: Expr, rhs: Expr) -> Expr {
+    if let (Expr::Number(a), Expr::Number(b)) = (&lhs, &rhs) {
+        return Expr::Number(eval_bin(op, *a, *b));
+    }
+    // Short-circuit with a constant lhs.
+    match (op, &lhs) {
+        (BinOp::LogicAnd, Expr::Number(0)) => return Expr::Number(0),
+        (BinOp::LogicOr, Expr::Number(n)) if *n != 0 => return Expr::Number(1),
+        _ => {}
+    }
+    // Algebraic identities with an effect-free discarded side.
+    match (op, lhs, rhs) {
+        (BinOp::Add, e, Expr::Number(0)) | (BinOp::Add, Expr::Number(0), e) => e,
+        (BinOp::Sub, e, Expr::Number(0)) => e,
+        (BinOp::Mul, e, Expr::Number(1)) | (BinOp::Mul, Expr::Number(1), e) => e,
+        (BinOp::Mul, e, Expr::Number(0)) | (BinOp::Mul, Expr::Number(0), e) if !has_effects(&e) => {
+            Expr::Number(0)
+        }
+        (BinOp::Div, e, Expr::Number(1)) => e,
+        (BinOp::And, e, Expr::Number(0)) | (BinOp::And, Expr::Number(0), e) if !has_effects(&e) => {
+            Expr::Number(0)
+        }
+        (BinOp::Or, e, Expr::Number(0)) | (BinOp::Or, Expr::Number(0), e) => e,
+        (BinOp::Xor, e, Expr::Number(0)) | (BinOp::Xor, Expr::Number(0), e) => e,
+        (BinOp::Shl, e, Expr::Number(0)) | (BinOp::Shr, e, Expr::Number(0)) => e,
+        (op, lhs, rhs) => Expr::Binary {
+            op,
+            lhs: Box::new(lhs),
+            rhs: Box::new(rhs),
+        },
     }
 }
 
@@ -319,7 +322,7 @@ mod tests {
             cond: Expr::Number(1),
             then_body,
             else_body,
-        } = folded
+        } = &folded
         else {
             panic!("expected selected branch");
         };

@@ -5,11 +5,12 @@ use crate::error::{CompileError, ErrorKind};
 use crate::lexer::{Token, TokenKind};
 
 /// The deepest nesting a program may have. Each statement, expression
-/// (a parenthesised one, an argument, an index), unary operator and
-/// binary operator of a chain nests one level, so the syntax tree is
-/// never deeper than this and the recursive parser, folder and code
-/// generator fit a 2 MiB thread stack even in a debug build, where
-/// parentheses cost the most: about 100 levels of them fit.
+/// (a parenthesised one, an argument, an index) and unary operator
+/// nests one level, so the recursive parser, folder and code generator
+/// fit a 2 MiB thread stack even in a debug build, where parentheses
+/// cost the most: about 100 levels of them fit. Operator chains
+/// (`a + b + c`) and `else if` chains nest nothing: every pass walks
+/// them in a loop, so they may be as long as memory allows.
 pub const MAX_NESTING: usize = 64;
 
 /// Parses a token stream into a [`Program`].
@@ -212,25 +213,32 @@ impl Parser<'_> {
                 Ok(Stmt::Local { name, init, line })
             }
             TokenKind::If => {
-                self.advance();
-                self.expect(TokenKind::LParen, "`(`")?;
-                let cond = self.expr()?;
-                self.expect(TokenKind::RParen, "`)`")?;
-                let then_body = self.block()?;
-                let else_body = if self.eat(&TokenKind::Else) {
-                    if *self.peek() == TokenKind::If {
-                        vec![self.stmt()?] // else-if chains
-                    } else {
-                        self.block()?
+                // An else-if chain is parsed in a loop and nests each
+                // `if` in the else branch of the one before.
+                let mut arms = Vec::new();
+                let mut else_body = Vec::new();
+                loop {
+                    self.advance();
+                    self.expect(TokenKind::LParen, "`(`")?;
+                    let cond = self.expr()?;
+                    self.expect(TokenKind::RParen, "`)`")?;
+                    arms.push((cond, self.block()?));
+                    if !self.eat(&TokenKind::Else) {
+                        break;
                     }
-                } else {
-                    Vec::new()
-                };
-                Ok(Stmt::If {
-                    cond,
-                    then_body,
-                    else_body,
-                })
+                    if *self.peek() != TokenKind::If {
+                        else_body = self.block()?;
+                        break;
+                    }
+                }
+                for (cond, then_body) in arms.into_iter().rev() {
+                    else_body = vec![Stmt::If {
+                        cond,
+                        then_body,
+                        else_body,
+                    }];
+                }
+                Ok(else_body.pop().expect("one arm at least"))
             }
             TokenKind::While => {
                 self.advance();
@@ -368,13 +376,9 @@ impl Parser<'_> {
         F: Fn(&mut Self) -> Result<Expr, CompileError>,
     {
         let mut lhs = next(self)?;
-        // Each operator of a chain nests the tree built so far one level.
-        let mut chain = 0;
         'outer: loop {
             for (kind, op) in table {
                 if self.peek() == kind {
-                    self.nest()?;
-                    chain += 1;
                     self.advance();
                     let rhs = next(self)?;
                     lhs = Expr::Binary {
@@ -385,7 +389,6 @@ impl Parser<'_> {
                     continue 'outer;
                 }
             }
-            self.depth -= chain;
             return Ok(lhs);
         }
     }
@@ -631,10 +634,10 @@ mod tests {
     }
 
     /// One program per kind of nesting whose deepest point is `depth`
-    /// levels down: `k` parentheses, unary minuses, chained additions,
-    /// nested `if` blocks or `else if`s, where `main`'s outermost
-    /// statement and expression take the other two levels.
-    fn nested(depth: usize) -> [String; 5] {
+    /// levels down: `k` parentheses, unary minuses or nested `if`
+    /// blocks, where `main`'s outermost statement and expression take the
+    /// other two levels.
+    fn nested(depth: usize) -> [String; 3] {
         let k = depth - 2;
         [
             format!(
@@ -643,15 +646,10 @@ mod tests {
                 ")".repeat(k)
             ),
             format!("func main() {{ return {}1; }}", "-".repeat(k)),
-            format!("func main() {{ return 1{}; }}", "+1".repeat(k)),
             format!(
                 "func main() {{ {} return 1; {} }}",
                 "if (1) {".repeat(k),
                 "}".repeat(k)
-            ),
-            format!(
-                "func main() {{ if (1) {{ }} {} }}",
-                "else if (1) { } ".repeat(k)
             ),
         ]
     }
@@ -666,6 +664,29 @@ mod tests {
             let e = crate::compile(&source).expect_err("one level more is refused");
             assert_eq!((e.line, e.kind), (1, ErrorKind::TooDeep));
         }
+    }
+
+    #[test]
+    fn chains_nest_nothing() {
+        // An operator chain and an else-if chain of 100,000 terms each,
+        // both at the deepest nesting point, on the default test thread.
+        let k = MAX_NESTING - 2;
+        let terms = 100_000;
+        let sum = format!(
+            "func main() {{ return {}1{}{}; }}",
+            "(".repeat(k),
+            "+1".repeat(terms - 1),
+            ")".repeat(k)
+        );
+        let asm = crate::compile(&sum).expect("a long sum compiles");
+        assert!(asm.contains(&format!("LIW  R1, {}", terms % 65_536)));
+        let arms = format!(
+            "func main() {{ var x = 1; {} if (x) {{ }} {}else {{ x = 2; }} {} }}",
+            "if (1) {".repeat(k - 1),
+            "else if (x) { } ".repeat(terms - 1),
+            "}".repeat(k - 1)
+        );
+        crate::compile(&arms).expect("a long else-if chain compiles");
     }
 
     #[test]

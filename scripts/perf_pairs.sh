@@ -40,7 +40,10 @@ build=.bench_build
 base_src=$build/base-src
 rm -rf "$base_src"
 mkdir -p "$base_src"
-git archive "$(git rev-parse --verify "$base_rev^{commit}")" | tar -x -C "$base_src"
+# `-m` stamps the files with the extraction time: with the commit's own
+# times, cargo would take a build of a later base revision in the same
+# target directory as up to date and run it for this one.
+git archive "$(git rev-parse --verify "$base_rev^{commit}")" | tar -x -m -C "$base_src"
 
 # side name -> perfbench binary
 declare -A bin
