@@ -101,7 +101,7 @@ impl Expr {
     /// apply: `(a, [(op1, b), (op2, c)])`. Any other expression is its
     /// own leftmost operand. Passes walk a chain this way, in a loop, so
     /// its length costs no stack.
-    pub fn left_spine(&self) -> (&Expr, Vec<(BinOp, &Expr)>) {
+    pub(crate) fn left_spine(&self) -> (&Expr, Vec<(BinOp, &Expr)>) {
         let mut spine = Vec::new();
         let mut lhs = self;
         while let Expr::Binary {
@@ -195,20 +195,17 @@ pub enum Stmt {
     Expr(Expr),
 }
 
-/// The arms of one `if`: `(condition, then branch)` each.
-pub type IfArms<'a> = Vec<(&'a Expr, &'a [Stmt])>;
-
 impl Stmt {
     /// The arms of `if (cond) { then_body } else { else_body }` and of
     /// every `else if` chained to it, outermost first, with the chain's
     /// final else branch: `if (a) { A } else if (b) { B } else { C }`
     /// gives `([(a, A), (b, B)], C)`. Passes walk a chain this way, in a
     /// loop, so its length costs no stack.
-    pub fn if_chain<'a>(
+    pub(crate) fn if_chain<'a>(
         cond: &'a Expr,
         then_body: &'a [Stmt],
         else_body: &'a [Stmt],
-    ) -> (IfArms<'a>, &'a [Stmt]) {
+    ) -> (Vec<(&'a Expr, &'a [Stmt])>, &'a [Stmt]) {
         let mut arms = vec![(cond, then_body)];
         let mut tail = else_body;
         while let [Stmt::If {
