@@ -100,6 +100,16 @@ done:   HALT
         format!("{:.2}  <- includes NoC wait states", cpu.cpi())
     );
     assert!(cpu.cpi() > 4.0);
+    // The core counts each wait state once: one core cycle per cycle
+    // its processor spent running or blocked on the NoC, plus HALT's 2.
+    let util = system.processor_utilization(PROCESSOR_1)?;
+    assert_eq!(
+        cpu.cycles(),
+        util.running + util.blocked + 2,
+        "core cycles against running {} + blocked {} + HALT",
+        util.running,
+        util.blocked
+    );
     println!("\nconclusion: core CPI stays in the paper's 2..4 band; only NoC wait\nstates (remote loads, I/O, wait) push the effective CPI beyond it.");
     Ok(())
 }

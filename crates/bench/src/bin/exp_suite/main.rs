@@ -44,9 +44,9 @@ const EXPERIMENTS: [Experiment; 7] = [
     ("fault_sweep", fault_sweep::run, 0x1318_67c3_fdf9_42c6, 0x1318_67c3_fdf9_42c6),
     ("degradation", degradation::run, 0x836d_7fa6_3fcf_936f, 0x836d_7fa6_3fcf_936f),
     ("perf", perf::run, 0x3439_04a9_a7fa_34f0, 0x3695_bf4a_669b_0935),
-    ("observability", observability::run, 0xdcf6_e088_43e2_914c, 0xfe76_a326_89f7_d6b7),
-    ("chaos", chaos::run, 0x46d4_16fa_b435_eb73, 0xd85e_fa74_b92d_14a5),
-    ("recovery", recovery::run, 0x0b83_0bb6_66a2_bd8e, 0x0b83_0bb6_66a2_bd8e),
+    ("observability", observability::run, 0xdfcf_0887_1fb8_ca4c, 0x014e_cb26_65ce_0fb7),
+    ("chaos", chaos::run, 0xdf8b_b6f9_a2fe_1b73, 0x1302_a667_00d9_d6a5),
+    ("recovery", recovery::run, 0x1bfc_967f_eee6_84f3, 0x1bfc_967f_eee6_84f3),
     ("topology", topology::run, 0x351c_ae8a_c82a_7a31, 0x334d_861a_b95c_066a),
 ];
 

@@ -28,7 +28,7 @@ const KERNELS: [KernelMode; 5] = [
 /// Digest of flow (a)'s record.
 const EDGE_PIN: u64 = 13_739_844_649_451_577_722;
 /// Digest of flow (b)'s record.
-const SLOW_LINK_PIN: u64 = 2_246_292_706_252_317_841;
+const SLOW_LINK_PIN: u64 = 4_436_038_957_294_974_741;
 
 const WIDTH: usize = 32;
 const HEIGHT: usize = 12;

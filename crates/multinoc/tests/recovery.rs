@@ -471,6 +471,6 @@ fn snapshot_byte_format_is_pinned() {
     );
     assert_eq!(
         (sys.len(), fletcher64(&sys)),
-        (145_012, 0xd55a_c395_eaad_61ca)
+        (145_012, 0xaf6b_2395_d7b5_91ca)
     );
 }

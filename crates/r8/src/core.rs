@@ -310,7 +310,8 @@ impl Cpu {
         self.flags
     }
 
-    /// Total clock cycles consumed, including wait states.
+    /// Total clock cycles consumed: each retired instruction's cost
+    /// (plus one for a taken branch) and each wait state, once.
     pub fn cycles(&self) -> u64 {
         self.cycles
     }
@@ -320,8 +321,8 @@ impl Cpu {
         self.retired
     }
 
-    /// Cycles per instruction so far (the paper quotes 2–4 without wait
-    /// states).
+    /// Cycles per instruction so far, wait states included (the paper
+    /// quotes 2–4 without them).
     pub fn cpi(&self) -> f64 {
         if self.retired == 0 {
             0.0
@@ -657,11 +658,11 @@ impl Cpu {
                 self.set(rt, v);
             }
         }
-        let mut cycles = self.inflight_cycles;
-        if taken {
-            cycles += 1; // taken branches refill the fetch stage
-        }
-        self.cycles += u64::from(cycles);
+        // Taken branches refill the fetch stage. The wait states are in
+        // `cycles` already: `stall` charged each as it happened.
+        let cost = instr.base_cycles() + u32::from(taken);
+        let cycles = self.inflight_cycles + u32::from(taken);
+        self.cycles += u64::from(cost);
         self.retired += 1;
         self.inflight_cycles = 0;
         self.pending = Pending::Fetch;
@@ -929,6 +930,49 @@ mod tests {
         assert_eq!(bus.ram.peek(0x80), 99);
         // Wait states must have raised the effective CPI above the base.
         assert!(cpu.cpi() > 4.0);
+    }
+
+    #[test]
+    fn wait_states_are_counted_once() {
+        /// A bus that answers Wait `left` times to the first access of
+        /// `addr`.
+        #[derive(Debug)]
+        struct WaitAt {
+            ram: RamBus,
+            addr: u16,
+            left: u32,
+        }
+        impl Bus for WaitAt {
+            fn read(&mut self, addr: u16) -> BusResponse {
+                if addr == self.addr && self.left > 0 {
+                    self.left -= 1;
+                    return BusResponse::Wait;
+                }
+                self.ram.read(addr)
+            }
+            fn write(&mut self, addr: u16, value: u16) -> BusResponse {
+                self.ram.write(addr, value)
+            }
+        }
+        let program = assemble("LIW R2, 0x100\nLD R1, R2, R0\nHALT").unwrap();
+        let mut ram = RamBus::new(512);
+        ram.load(0, program.words());
+        let mut bus = WaitAt {
+            ram,
+            addr: 0x100,
+            left: 3,
+        };
+        let mut cpu = Cpu::new();
+        let mut retired = Vec::new();
+        while !cpu.is_halted() {
+            if let StepOutcome::Retired { cycles, .. } = cpu.step(&mut bus).unwrap() {
+                retired.push(cycles);
+            }
+        }
+        // LDL, LDH and HALT take 2 cycles, LD 4 plus its 3 wait states.
+        assert_eq!(retired, [2, 2, 7, 2]);
+        assert_eq!(cpu.cycles(), 13);
+        assert_eq!(cpu.retired(), 4);
     }
 
     #[test]
