@@ -25,7 +25,7 @@ use std::collections::HashMap;
 
 use hermes_noc::snapshot::{check_mesh, Snap};
 use hermes_noc::{RouterAddr, SnapshotError, SnapshotReader, SnapshotWriter};
-use r8::core::{Bus, BusResponse, Cpu, CpuImage, CpuState, Flags, Pending, StepOutcome};
+use r8::core::{BatchStop, Bus, BusResponse, Cpu, CpuImage, CpuState, Flags, Pending, StepOutcome};
 
 use crate::addrmap::{AddressMap, Target};
 use crate::directory::ServiceDirectory;
@@ -470,30 +470,29 @@ impl ProcessorIp {
     /// if that one reaches past local memory: the earliest cycle this
     /// core can send. The caller guarantees nothing reaches this IP's
     /// router before `horizon + 1`, so each instruction does exactly what
-    /// the lockstep visit at its start cycle would. An instruction that
-    /// reaches past local memory, executes `HALT` or faults is rolled
-    /// back and left for that lockstep visit. The core may run ahead
-    /// this way until its next send, across any number of calls; the
-    /// first instruction since its last lockstep visit takes the image
-    /// [`rewind`](Self::rewind) replays from.
+    /// the lockstep visit at its start cycle would. The core's
+    /// [batched run](Cpu::run_batch) stops before an instruction that
+    /// reaches past local memory, executes `HALT` or faults, and leaves
+    /// it for that lockstep visit. The core may run ahead this way until
+    /// its next send, across any number of calls; the first call since
+    /// its last lockstep visit takes the image [`rewind`](Self::rewind)
+    /// replays from.
     pub(crate) fn run_ahead(&mut self, horizon: u64) -> Option<u64> {
         if self.status() != ProcessorStatus::Running {
             return None;
         }
-        while self.next_ready <= horizon && self.ahead.send != Some(self.next_ready) {
-            let start = self.next_ready;
-            if self.ahead.to.is_none() {
-                self.ahead.cpu.clone_from(&self.cpu);
-                self.ahead.next_ready = start;
-                self.ahead.local.copy_from(&self.local);
-            }
-            match self.step_local() {
-                Ok(()) => self.ahead.to = Some(start),
-                Err(sends) => {
-                    self.ahead.send = sends.then_some(start);
-                    break;
-                }
-            }
+        if self.next_ready > horizon || self.ahead.send == Some(self.next_ready) {
+            return self.ahead.send;
+        }
+        if self.ahead.to.is_none() {
+            self.ahead.cpu.clone_from(&self.cpu);
+            self.ahead.next_ready = self.next_ready;
+            self.ahead.local.copy_from(&self.local);
+        }
+        match self.run_local(horizon) {
+            BatchStop::Limit => {}
+            BatchStop::Wait => self.ahead.send = Some(self.next_ready),
+            BatchStop::Halt | BatchStop::Illegal(_) => self.ahead.send = None,
         }
         self.ahead.send
     }
@@ -506,28 +505,26 @@ impl ProcessorIp {
             && self.status() == ProcessorStatus::Running
     }
 
-    /// Executes the core's next instruction on a local-only bus at its
-    /// start cycle `next_ready`. On `Err` the core is as it was and the
-    /// instruction is left for the lockstep visit; the flag says whether
-    /// it reaches past local memory (else it executes `HALT` or faults).
-    fn step_local(&mut self) -> Result<(), bool> {
-        let before = self.cpu.clone();
+    /// Runs the core on a local-only bus, in one batched run, through
+    /// the instructions that start at or before `horizon` (`next_ready`
+    /// is at most `horizon`), and moves `next_ready` and the start cycle
+    /// of the last instruction run ahead through with it. A batched run
+    /// charges no wait state, so each instruction advances the core's
+    /// cycle count by its cost: what lockstep pacing adds to
+    /// `next_ready`.
+    fn run_local(&mut self, horizon: u64) -> BatchStop {
+        let cycles = self.cpu.cycles();
         let mut bus = LocalBus {
             local: &mut self.local,
             map: &self.map,
         };
-        match self.cpu.step(&mut bus) {
-            Ok(StepOutcome::Retired { cycles, .. }) if !self.cpu.is_halted() => {
-                self.next_ready += u64::from(cycles.max(1));
-                Ok(())
-            }
-            // A refused access wrote nothing; restoring the core undoes
-            // the fetch, decode and stall.
-            outcome => {
-                self.cpu = before;
-                Err(outcome == Ok(StepOutcome::Stalled))
-            }
+        let budget = (horizon - self.next_ready).saturating_add(1);
+        let batch = self.cpu.run_batch(&mut bus, budget);
+        if let Some(start) = batch.last_start {
+            self.ahead.to = Some(self.next_ready + (start - cycles));
         }
+        self.next_ready += self.cpu.cycles() - cycles;
+        batch.stop
     }
 
     /// Undoes the run-ahead instructions that start after `cycle`,
@@ -542,14 +539,9 @@ impl ProcessorIp {
         self.next_ready = self.ahead.next_ready;
         self.local.copy_from(&self.ahead.local);
         self.ahead.to = None;
-        while self.next_ready <= cycle {
-            let start = self.next_ready;
-            let replayed = self.step_local();
-            debug_assert!(replayed.is_ok(), "a replayed instruction ran before");
-            if replayed.is_err() {
-                break;
-            }
-            self.ahead.to = Some(start);
+        if self.next_ready <= cycle {
+            let replayed = self.run_local(cycle);
+            debug_assert_eq!(replayed, BatchStop::Limit, "a replayed run ran before");
         }
     }
 

@@ -11,7 +11,7 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::isa::{Cond, DecodeError, Instr, Reg};
+use crate::isa::{DecodeError, Instr};
 
 /// Answer of a bus to a memory access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,18 +97,6 @@ pub struct Flags {
     pub v: bool,
 }
 
-impl Flags {
-    fn holds(self, cond: Cond) -> bool {
-        match cond {
-            Cond::Always => true,
-            Cond::Negative => self.n,
-            Cond::Zero => self.z,
-            Cond::Carry => self.c,
-            Cond::Overflow => self.v,
-        }
-    }
-}
-
 /// Execution state of the core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CpuState {
@@ -175,6 +163,32 @@ pub enum StepOutcome {
     Halted,
 }
 
+/// Why [`Cpu::run_batch`] stopped. Except at [`Limit`](Self::Limit),
+/// the core stands exactly as it stood before the instruction it
+/// stopped at: no register, flag, cycle or memory word changed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BatchStop {
+    /// The next instruction would start at or past the cycle limit.
+    Limit,
+    /// The bus answered the next instruction's fetch or data access with
+    /// [`BusResponse::Wait`].
+    Wait,
+    /// The next instruction is `HALT`, or the core is halted.
+    Halt,
+    /// The next word is not a valid instruction.
+    Illegal(DecodeError),
+}
+
+/// What one [`Cpu::run_batch`] call did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Batch {
+    /// Why it stopped.
+    pub stop: BatchStop,
+    /// The core's cycle count when the last instruction it ran started;
+    /// `None` if it ran none.
+    pub last_start: Option<u64>,
+}
+
 /// Pending memory operation being retried across wait states.
 ///
 /// Public so a [`CpuImage`] can carry the in-flight microarchitectural
@@ -215,13 +229,15 @@ pub struct CpuImage {
     pub flags: Flags,
     /// Execution state.
     pub state: CpuState,
-    /// Clock cycles consumed, including wait states.
+    /// Clock cycles consumed, each wait state once.
     pub cycles: u64,
     /// Instructions retired.
     pub retired: u64,
     /// Memory operation awaiting a non-Wait bus answer.
     pub pending: Pending,
-    /// Encoded form of the decoded-instruction slot, if occupied.
+    /// Encoded form of the decoded-instruction slot, if occupied: the
+    /// instruction parked on a wait state, else the last one retired if
+    /// it had no data access.
     pub decoded: Option<u16>,
     /// Cycles accumulated for the in-flight instruction.
     pub inflight_cycles: u32,
@@ -243,10 +259,29 @@ pub struct Cpu {
     retired: u64,
     /// Memory operation awaiting a non-Wait bus answer.
     pending: Pending,
-    /// Instruction fetched and decoded, awaiting its data access.
-    decoded: Option<Instr>,
-    /// Cycles accumulated for the in-flight instruction (wait states).
+    /// The decoded-instruction slot, as the instruction's word: the
+    /// instruction parked on a wait state, else the last one retired if
+    /// it had no data access. An instruction with a data access empties
+    /// it when it retires.
+    decoded: Option<u16>,
+    /// Cycles accumulated for the in-flight instruction: its wait states
+    /// and, once it parked, its cost.
     inflight_cycles: u32,
+}
+
+/// Base cycles of every instruction with a data access (`LD`, `ST`,
+/// `PUSH`, `POP`, `RTS`, `JSRR`, `JSRD`), wait states not included.
+const ACCESS_CYCLES: u32 = 4;
+
+/// The encoding of `HALT`.
+const HALT: u16 = 0x0010;
+
+/// Why [`Cpu::execute`] committed nothing.
+enum Refused {
+    /// The bus answered this data access with [`BusResponse::Wait`].
+    Wait(Pending),
+    /// The word does not decode.
+    Illegal(DecodeError),
 }
 
 impl Cpu {
@@ -310,8 +345,8 @@ impl Cpu {
         self.flags
     }
 
-    /// Total clock cycles consumed: each retired instruction's cost
-    /// (plus one for a taken branch) and each wait state, once.
+    /// Total clock cycles consumed: every retired instruction's base
+    /// cost, one more for each taken branch, and each wait state once.
     pub fn cycles(&self) -> u64 {
         self.cycles
     }
@@ -356,71 +391,27 @@ impl Cpu {
         if self.state == CpuState::Halted {
             return Ok(StepOutcome::Halted);
         }
-        loop {
-            match self.pending {
-                Pending::Fetch => {
-                    let word = match bus.read(self.pc) {
-                        BusResponse::Data(w) => w,
-                        BusResponse::Wait => return Ok(self.stall()),
-                    };
-                    let instr =
-                        Instr::decode(word).map_err(|source| CpuError::IllegalInstruction {
-                            pc: self.pc,
-                            source,
-                        })?;
-                    self.pc = self.pc.wrapping_add(1);
-                    self.decoded = Some(instr);
-                    self.inflight_cycles += instr.base_cycles();
-                    // Decide the data access, if the instruction has one.
-                    self.pending = match instr {
-                        Instr::Ld { rs1, rs2, .. } => Pending::Read {
-                            addr: self.r(rs1).wrapping_add(self.r(rs2)),
-                        },
-                        Instr::St { rt, rs1, rs2 } => Pending::Write {
-                            addr: self.r(rs1).wrapping_add(self.r(rs2)),
-                            value: self.r(rt),
-                        },
-                        Instr::Push { rs1 } => Pending::Write {
-                            addr: self.sp,
-                            value: self.r(rs1),
-                        },
-                        Instr::JsrR { .. } | Instr::JsrD { .. } => Pending::Write {
-                            addr: self.sp,
-                            value: self.pc,
-                        },
-                        Instr::Pop { .. } | Instr::Rts => Pending::Read {
-                            addr: self.sp.wrapping_add(1),
-                        },
-                        _ => {
-                            // Pure register instruction: retire now.
-                            return Ok(self.retire(instr, None));
-                        }
-                    };
-                }
-                Pending::Read { addr } => {
-                    let data = match bus.read(addr) {
-                        BusResponse::Data(d) => d,
-                        BusResponse::Wait => return Ok(self.stall()),
-                    };
-                    let instr = self.decoded.take().expect("read belongs to an instruction");
-                    return Ok(self.retire(instr, Some(data)));
-                }
-                Pending::Write { addr, value } => {
-                    match bus.write(addr, value) {
-                        BusResponse::Data(_) => {}
-                        BusResponse::Wait => return Ok(self.stall()),
-                    }
-                    let instr = self
-                        .decoded
-                        .take()
-                        .expect("write belongs to an instruction");
-                    return Ok(self.retire(instr, None));
-                }
-            }
+        let Some(word) = self.next_word(bus) else {
+            return Ok(self.stall());
+        };
+        let parked = self.pending != Pending::Fetch;
+        let spent = self.inflight_cycles;
+        match self.execute(word, bus) {
+            Ok(cost) => Ok(StepOutcome::Retired {
+                // A parked instruction put its cost in flight as it parked.
+                cycles: if parked { spent } else { spent + cost },
+                instr: Instr::decode(word).expect("a retired word decodes"),
+            }),
+            Err(Refused::Wait(access)) => Ok(self.wait(word, access)),
+            Err(Refused::Illegal(source)) => Err(CpuError::IllegalInstruction {
+                pc: self.pc,
+                source,
+            }),
         }
     }
 
-    /// Runs until `HALT`, an error, or `budget` cycles.
+    /// Runs until `HALT`, an error, or `budget` cycles, exactly as
+    /// calling [`step`](Self::step) until then would.
     ///
     /// # Errors
     ///
@@ -429,13 +420,72 @@ impl Cpu {
     /// (including a bus that stalls forever).
     pub fn run<B: Bus>(&mut self, bus: &mut B, budget: u64) -> Result<(), CpuError> {
         let limit = self.cycles.saturating_add(budget);
-        while self.state == CpuState::Running {
-            if self.cycles >= limit {
-                return Err(CpuError::CycleBudgetExhausted { budget });
-            }
-            self.step(bus)?;
+        match self.drive::<B, true>(bus, limit).stop {
+            BatchStop::Halt => Ok(()),
+            BatchStop::Illegal(source) => Err(CpuError::IllegalInstruction {
+                pc: self.pc,
+                source,
+            }),
+            // A lockstep run charges wait states: only the limit stops it.
+            BatchStop::Limit | BatchStop::Wait => Err(CpuError::CycleBudgetExhausted { budget }),
         }
-        Ok(())
+    }
+
+    /// Runs whole instructions that start before `budget` more cycles
+    /// have passed on the core's own count, each exactly as
+    /// [`step`](Self::step) would run it, and stops *before* the first
+    /// one whose fetch or data access `bus` answers with
+    /// [`BusResponse::Wait`], a `HALT` or an illegal word, leaving the
+    /// core as it was before that instruction. A core parked on a wait
+    /// state first retries its access; it stops there if the bus waits
+    /// again, without the stall cycle `step` would charge.
+    ///
+    /// A co-simulator whose bus refuses an access before it has any
+    /// effect thus runs a core's stretch of bus-local work in one call
+    /// and leaves the instruction it stopped at to its lockstep
+    /// `step`.
+    pub fn run_batch<B: Bus>(&mut self, bus: &mut B, budget: u64) -> Batch {
+        self.drive::<B, false>(bus, self.cycles.saturating_add(budget))
+    }
+
+    /// The loop of [`run`](Self::run) and [`run_batch`](Self::run_batch)
+    /// up to the cycle count `limit`. With `LOCKSTEP` it does what
+    /// repeated `step` does: a wait state parks the instruction and
+    /// charges a cycle, `HALT` retires. Without, it stops before either.
+    #[inline(always)]
+    fn drive<B: Bus, const LOCKSTEP: bool>(&mut self, bus: &mut B, limit: u64) -> Batch {
+        // A local copy of the core lets the compiler keep it in registers.
+        let mut core = self.clone();
+        let mut last_start = None;
+        let stop = loop {
+            if core.state == CpuState::Halted {
+                break BatchStop::Halt;
+            }
+            if core.cycles >= limit {
+                break BatchStop::Limit;
+            }
+            let start = core.cycles;
+            let Some(word) = core.next_word(bus) else {
+                if LOCKSTEP {
+                    core.stall();
+                    continue;
+                }
+                break BatchStop::Wait;
+            };
+            if !LOCKSTEP && word == HALT {
+                break BatchStop::Halt;
+            }
+            match core.execute(word, bus) {
+                Ok(_) => last_start = Some(start),
+                Err(Refused::Wait(access)) if LOCKSTEP => {
+                    core.wait(word, access);
+                }
+                Err(Refused::Wait(_)) => break BatchStop::Wait,
+                Err(Refused::Illegal(source)) => break BatchStop::Illegal(source),
+            }
+        };
+        *self = core;
+        Batch { stop, last_start }
     }
 
     /// Captures the complete core state as plain data.
@@ -449,7 +499,7 @@ impl Cpu {
             cycles: self.cycles,
             retired: self.retired,
             pending: self.pending,
-            decoded: self.decoded.map(Instr::encode),
+            decoded: self.decoded,
             inflight_cycles: self.inflight_cycles,
         }
     }
@@ -462,7 +512,9 @@ impl Cpu {
     /// [`DecodeError`] if the image's decoded-instruction slot holds a
     /// word that is not a valid instruction.
     pub fn from_image(image: CpuImage) -> Result<Self, DecodeError> {
-        let decoded = image.decoded.map(Instr::decode).transpose()?;
+        if let Some(word) = image.decoded {
+            Instr::decode(word)?;
+        }
         Ok(Self {
             regs: image.regs,
             pc: image.pc,
@@ -472,17 +524,9 @@ impl Cpu {
             cycles: image.cycles,
             retired: image.retired,
             pending: image.pending,
-            decoded,
+            decoded: image.decoded,
             inflight_cycles: image.inflight_cycles,
         })
-    }
-
-    fn r(&self, reg: Reg) -> u16 {
-        self.regs[usize::from(reg.index())]
-    }
-
-    fn set(&mut self, reg: Reg, value: u16) {
-        self.regs[usize::from(reg.index())] = value;
     }
 
     /// Charges `cycles` stalled retries at once: what calling
@@ -498,6 +542,204 @@ impl Cpu {
         self.cycles += 1;
         self.inflight_cycles += 1;
         StepOutcome::Stalled
+    }
+
+    /// The word of the instruction to execute next: the parked one, or
+    /// the one fetched at PC — `None` if the fetch was answered with
+    /// [`BusResponse::Wait`].
+    fn next_word<B: Bus>(&mut self, bus: &mut B) -> Option<u16> {
+        match self.pending {
+            Pending::Fetch => match bus.read(self.pc) {
+                BusResponse::Data(word) => Some(word),
+                BusResponse::Wait => None,
+            },
+            _ => Some(self.decoded.expect("a parked access has its instruction")),
+        }
+    }
+
+    /// Charges a wait state to the instruction `word` whose data `access`
+    /// the bus answered with [`BusResponse::Wait`], parking it first if
+    /// it is fresh: PC moves past it, the access is pending, the word
+    /// fills the decoded slot and its cost goes in flight.
+    fn wait(&mut self, word: u16, access: Pending) -> StepOutcome {
+        if self.pending == Pending::Fetch {
+            self.pc = self.pc.wrapping_add(1);
+            self.pending = access;
+            self.decoded = Some(word);
+            self.inflight_cycles += ACCESS_CYCLES;
+        }
+        self.stall()
+    }
+
+    /// The execute path of every instruction: runs `word` — fresh at PC,
+    /// or parked, retrying the access it parked with — against `bus`,
+    /// dispatching once on the major opcode, and returns its cost (base
+    /// cycles plus one for a taken branch). It commits the instruction —
+    /// registers, PC, SP, flags, state, cycles, retired count and the
+    /// decoded slot — only once its data access, if it has one, was
+    /// answered with [`BusResponse::Data`]; otherwise nothing changes.
+    #[inline(always)]
+    fn execute<B: Bus>(&mut self, word: u16, bus: &mut B) -> Result<u32, Refused> {
+        let rt = usize::from(word >> 8 & 0xF);
+        let rs1 = usize::from(word >> 4 & 0xF);
+        let rs2 = usize::from(word & 0xF);
+        let imm = word & 0xFF;
+        let illegal = Refused::Illegal(DecodeError { word });
+        // A parked instruction moved PC past itself as it parked.
+        let mut pc = match self.pending {
+            Pending::Fetch => self.pc.wrapping_add(1),
+            _ => self.pc,
+        };
+        // Only an instruction with a data access empties the slot.
+        let mut slot = Some(word);
+        let mut cost = 2;
+        match word >> 12 {
+            // Group 0: the sub-op in [7:4], the source register in [3:0].
+            0x0 => match word >> 4 & 0xF {
+                0x0 if word == 0 => {} // NOP
+                0x1 if word == HALT => self.state = CpuState::Halted,
+                0x2 => self.regs[rt] = self.logic(!self.regs[rs2]), // NOT
+                sub @ 0x3..=0x6 => {
+                    // SL0, SL1, SR0, SR1: C takes the shifted-out bit.
+                    let a = self.regs[rs2];
+                    let (v, out) = match sub {
+                        0x3 => (a << 1, a >> 15),
+                        0x4 => (a << 1 | 1, a >> 15),
+                        0x5 => (a >> 1, a & 1),
+                        _ => (a >> 1 | 0x8000, a & 1),
+                    };
+                    self.nz(v);
+                    self.flags.c = out != 0;
+                    self.flags.v = false;
+                    self.regs[rt] = v;
+                }
+                0x7 if rt == 0 => self.sp = self.regs[rs2], // LDSP
+                0x8 if rt == 0 => {
+                    // PUSH: store at SP, then decrement.
+                    self.store(bus, self.sp, self.regs[rs2])?;
+                    self.sp = self.sp.wrapping_sub(1);
+                    (slot, cost) = (None, ACCESS_CYCLES);
+                }
+                0x9 if rs2 == 0 => {
+                    // POP: increment SP, then load.
+                    self.regs[rt] = self.load(bus, self.sp.wrapping_add(1))?;
+                    self.sp = self.sp.wrapping_add(1);
+                    (slot, cost) = (None, ACCESS_CYCLES);
+                }
+                0xA if word == 0x00A0 => {
+                    // RTS: pop the return address.
+                    pc = self.load(bus, self.sp.wrapping_add(1))?;
+                    self.sp = self.sp.wrapping_add(1);
+                    (slot, cost) = (None, ACCESS_CYCLES);
+                }
+                _ => return Err(illegal),
+            },
+            0x1 => self.regs[rt] = self.alu_add(self.regs[rs1], self.regs[rs2]), // ADD
+            0x2 => self.regs[rt] = self.alu_sub(self.regs[rs1], self.regs[rs2]), // SUB
+            0x3 => self.regs[rt] = self.logic(self.regs[rs1] & self.regs[rs2]),  // AND
+            0x4 => self.regs[rt] = self.logic(self.regs[rs1] | self.regs[rs2]),  // OR
+            0x5 => self.regs[rt] = self.logic(self.regs[rs1] ^ self.regs[rs2]),  // XOR
+            0x6 => self.regs[rt] = self.alu_add(self.regs[rt], imm),             // ADDI
+            0x7 => self.regs[rt] = self.alu_sub(self.regs[rt], imm),             // SUBI
+            0x8 => self.regs[rt] = self.regs[rt] & 0xFF00 | imm,                 // LDL
+            0x9 => self.regs[rt] = imm << 8 | self.regs[rt] & 0x00FF,            // LDH
+            0xA => {
+                let addr = self.regs[rs1].wrapping_add(self.regs[rs2]);
+                self.regs[rt] = self.load(bus, addr)?; // LD
+                (slot, cost) = (None, ACCESS_CYCLES);
+            }
+            0xB => {
+                let addr = self.regs[rs1].wrapping_add(self.regs[rs2]);
+                self.store(bus, addr, self.regs[rt])?; // ST
+                (slot, cost) = (None, ACCESS_CYCLES);
+            }
+            // Jumps: the condition (5 = subroutine call) in [11:8]; the
+            // target is a register in [3:0] (0xC) or PC + disp8 (0xD).
+            op @ (0xC | 0xD) => {
+                let target = if op == 0xD {
+                    pc.wrapping_add(imm as u8 as i8 as u16)
+                } else if rs1 == 0 {
+                    self.regs[rs2]
+                } else {
+                    return Err(illegal);
+                };
+                let taken = match rt {
+                    0 => true,
+                    1 => self.flags.n,
+                    2 => self.flags.z,
+                    3 => self.flags.c,
+                    4 => self.flags.v,
+                    5 => {
+                        // JSR: push the return address, then jump.
+                        self.store(bus, self.sp, pc)?;
+                        self.sp = self.sp.wrapping_sub(1);
+                        pc = target;
+                        (slot, cost) = (None, ACCESS_CYCLES);
+                        false
+                    }
+                    _ => return Err(illegal),
+                };
+                if taken {
+                    pc = target;
+                    cost += 1; // a taken branch refills the fetch stage
+                }
+            }
+            0xE => {
+                let wide = u32::from(self.regs[rs1]) * u32::from(self.regs[rs2]);
+                let v = wide as u16; // MUL
+                self.nz(v);
+                self.flags.c = false;
+                self.flags.v = wide > 0xFFFF;
+                self.regs[rt] = v;
+                cost = 4;
+            }
+            0xF => {
+                // DIV: by zero gives 0xFFFF and raises V.
+                let quotient = self.regs[rs1].checked_div(self.regs[rs2]);
+                let v = quotient.unwrap_or(0xFFFF);
+                self.nz(v);
+                self.flags.c = false;
+                self.flags.v = quotient.is_none();
+                self.regs[rt] = v;
+                cost = 4;
+            }
+            _ => unreachable!("the major opcode is a nibble"),
+        }
+        self.pc = pc;
+        self.cycles += u64::from(cost);
+        self.retired += 1;
+        self.inflight_cycles = 0;
+        self.pending = Pending::Fetch;
+        self.decoded = slot;
+        Ok(cost)
+    }
+
+    /// The data read of the instruction being executed, at `addr` — or,
+    /// for a parked one, at the address it parked with.
+    #[inline(always)]
+    fn load<B: Bus>(&self, bus: &mut B, addr: u16) -> Result<u16, Refused> {
+        let addr = match self.pending {
+            Pending::Read { addr } => addr,
+            _ => addr,
+        };
+        match bus.read(addr) {
+            BusResponse::Data(data) => Ok(data),
+            BusResponse::Wait => Err(Refused::Wait(Pending::Read { addr })),
+        }
+    }
+
+    /// The data write of the instruction being executed, of `value` at
+    /// `addr` — or, for a parked one, the write it parked with.
+    #[inline(always)]
+    fn store<B: Bus>(&self, bus: &mut B, addr: u16, value: u16) -> Result<(), Refused> {
+        let (addr, value) = match self.pending {
+            Pending::Write { addr, value } => (addr, value),
+            _ => (addr, value),
+        };
+        match bus.write(addr, value) {
+            BusResponse::Data(_) => Ok(()),
+            BusResponse::Wait => Err(Refused::Wait(Pending::Write { addr, value })),
+        }
     }
 
     fn nz(&mut self, result: u16) {
@@ -528,146 +770,6 @@ impl Cpu {
         self.flags.v = false;
         result
     }
-
-    /// Applies the architectural effects of `instr` (memory already done;
-    /// `data` is the value a read returned) and accounts its cycles.
-    fn retire(&mut self, instr: Instr, data: Option<u16>) -> StepOutcome {
-        let mut taken = false;
-        match instr {
-            Instr::Nop => {}
-            Instr::Halt => self.state = CpuState::Halted,
-            Instr::Not { rt, rs1 } => {
-                let v = !self.r(rs1);
-                self.logic(v);
-                self.set(rt, v);
-            }
-            Instr::Sl0 { rt, rs1 } | Instr::Sl1 { rt, rs1 } => {
-                let a = self.r(rs1);
-                let fill = u16::from(matches!(instr, Instr::Sl1 { .. }));
-                let v = (a << 1) | fill;
-                self.nz(v);
-                self.flags.c = a & 0x8000 != 0;
-                self.flags.v = false;
-                self.set(rt, v);
-            }
-            Instr::Sr0 { rt, rs1 } | Instr::Sr1 { rt, rs1 } => {
-                let a = self.r(rs1);
-                let fill = if matches!(instr, Instr::Sr1 { .. }) {
-                    0x8000
-                } else {
-                    0
-                };
-                let v = (a >> 1) | fill;
-                self.nz(v);
-                self.flags.c = a & 1 != 0;
-                self.flags.v = false;
-                self.set(rt, v);
-            }
-            Instr::Ldsp { rs1 } => self.sp = self.r(rs1),
-            Instr::Push { .. } => self.sp = self.sp.wrapping_sub(1),
-            Instr::Pop { rt } => {
-                self.sp = self.sp.wrapping_add(1);
-                self.set(rt, data.expect("pop read data"));
-            }
-            Instr::Rts => {
-                self.sp = self.sp.wrapping_add(1);
-                self.pc = data.expect("rts read data");
-            }
-            Instr::Add { rt, rs1, rs2 } => {
-                let v = self.alu_add(self.r(rs1), self.r(rs2));
-                self.set(rt, v);
-            }
-            Instr::Sub { rt, rs1, rs2 } => {
-                let v = self.alu_sub(self.r(rs1), self.r(rs2));
-                self.set(rt, v);
-            }
-            Instr::And { rt, rs1, rs2 } => {
-                let v = self.logic(self.r(rs1) & self.r(rs2));
-                self.set(rt, v);
-            }
-            Instr::Or { rt, rs1, rs2 } => {
-                let v = self.logic(self.r(rs1) | self.r(rs2));
-                self.set(rt, v);
-            }
-            Instr::Xor { rt, rs1, rs2 } => {
-                let v = self.logic(self.r(rs1) ^ self.r(rs2));
-                self.set(rt, v);
-            }
-            Instr::Addi { rt, imm } => {
-                let v = self.alu_add(self.r(rt), u16::from(imm));
-                self.set(rt, v);
-            }
-            Instr::Subi { rt, imm } => {
-                let v = self.alu_sub(self.r(rt), u16::from(imm));
-                self.set(rt, v);
-            }
-            Instr::Ldl { rt, imm } => {
-                let v = (self.r(rt) & 0xFF00) | u16::from(imm);
-                self.set(rt, v);
-            }
-            Instr::Ldh { rt, imm } => {
-                let v = (u16::from(imm) << 8) | (self.r(rt) & 0x00FF);
-                self.set(rt, v);
-            }
-            Instr::Ld { rt, .. } => {
-                self.set(rt, data.expect("load read data"));
-            }
-            Instr::St { .. } => {}
-            Instr::JmpR { cond, rs1 } => {
-                if self.flags.holds(cond) {
-                    self.pc = self.r(rs1);
-                    taken = true;
-                }
-            }
-            Instr::JmpD { cond, disp } => {
-                if self.flags.holds(cond) {
-                    self.pc = self.pc.wrapping_add(disp as u16);
-                    taken = true;
-                }
-            }
-            Instr::JsrR { rs1 } => {
-                self.sp = self.sp.wrapping_sub(1);
-                self.pc = self.r(rs1);
-            }
-            Instr::JsrD { disp } => {
-                self.sp = self.sp.wrapping_sub(1);
-                self.pc = self.pc.wrapping_add(disp as u16);
-            }
-            Instr::Mul { rt, rs1, rs2 } => {
-                let wide = u32::from(self.r(rs1)) * u32::from(self.r(rs2));
-                let v = wide as u16;
-                self.nz(v);
-                self.flags.c = false;
-                self.flags.v = wide > 0xFFFF;
-                self.set(rt, v);
-            }
-            Instr::Div { rt, rs1, rs2 } => {
-                let divisor = self.r(rs2);
-                let v = match self.r(rs1).checked_div(divisor) {
-                    Some(q) => {
-                        self.flags.v = false;
-                        q
-                    }
-                    None => {
-                        self.flags.v = true;
-                        0xFFFF
-                    }
-                };
-                self.nz(v);
-                self.flags.c = false;
-                self.set(rt, v);
-            }
-        }
-        // Taken branches refill the fetch stage. The wait states are in
-        // `cycles` already: `stall` charged each as it happened.
-        let cost = instr.base_cycles() + u32::from(taken);
-        let cycles = self.inflight_cycles + u32::from(taken);
-        self.cycles += u64::from(cost);
-        self.retired += 1;
-        self.inflight_cycles = 0;
-        self.pending = Pending::Fetch;
-        StepOutcome::Retired { cycles, instr }
-    }
 }
 
 impl Default for Cpu {
@@ -680,6 +782,7 @@ impl Default for Cpu {
 mod tests {
     use super::*;
     use crate::asm::assemble;
+    use crate::isa::Cond;
 
     fn run_asm(src: &str) -> (Cpu, RamBus) {
         let program = assemble(src).expect("test program assembles");
@@ -973,6 +1076,33 @@ mod tests {
         assert_eq!(retired, [2, 2, 7, 2]);
         assert_eq!(cpu.cycles(), 13);
         assert_eq!(cpu.retired(), 4);
+    }
+
+    #[test]
+    fn every_instruction_costs_its_base_cycles() {
+        for instr in crate::isa::all_instructions() {
+            let mut bus = RamBus::new(1024);
+            bus.load(0, &[instr.encode()]);
+            let mut cpu = Cpu::new();
+            // All flags are clear: only the unconditional jumps are taken.
+            let taken = matches!(
+                instr,
+                Instr::JmpR {
+                    cond: Cond::Always,
+                    ..
+                } | Instr::JmpD {
+                    cond: Cond::Always,
+                    ..
+                }
+            );
+            let cycles = instr.base_cycles() + u32::from(taken);
+            assert_eq!(
+                cpu.step(&mut bus),
+                Ok(StepOutcome::Retired { cycles, instr }),
+                "{instr}"
+            );
+            assert_eq!(cpu.cycles(), u64::from(cycles), "{instr}");
+        }
     }
 
     #[test]
