@@ -5,9 +5,13 @@
 # CARGO_TARGET_DIR under .bench_build/, then runs <pairs> pairs of
 # `perfbench --workload <workload> --trace 0`, swapping which side runs
 # first in every pair. Prints each pair's calibrated sim_cycles_per_s,
-# then each side's median and q1-q3 and how often the working tree won.
-# Fails if a run is incorrect or fails an operation, or if the two sides
-# (or two runs) end at different makespans.
+# then, for every end-to-end metric BENCHMARK.json lists, each side's
+# median and q1-q3 and a verdict: the change median against the base
+# median, within the metric's relative `bound` in its `better`
+# direction. Also prints how often the working tree's rate won.
+# Fails if a run is incorrect or fails an operation, if the two sides
+# (or two runs) end at different makespans, or if any metric's change
+# median is past its bound.
 # Usage: scripts/perf_pairs.sh <base-rev> <workload> [--seed N] [--pairs N] [--seconds S]
 #   (defaults: seed 1, 10 pairs, 50 s per run as in BENCHMARK.json)
 set -euo pipefail
@@ -57,7 +61,7 @@ done
 results=$(mktemp)
 trap 'rm -f "$results"' EXIT
 
-# Runs one side and appends "side rate makespan correct failed".
+# Runs one side and appends "side correct failed <metric values as JSON>".
 run() {
     local line
     line=$("${bin[$1]}" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 |
@@ -66,9 +70,8 @@ run() {
 import json, sys
 side, line = sys.argv[1], sys.argv[2]
 d = json.loads(line)
-m = d["metrics"]
-print(side, m["sim_cycles_per_s"]["value"], m["makespan_cycles"]["value"],
-      int(d["correct"]), d["failed"])
+values = {name: m["value"] for name, m in d["metrics"].items()}
+print(side, int(d["correct"]), d["failed"], json.dumps(values, separators=(",", ":")))
 ' "$1" "$line" >>"$results"
 }
 
@@ -78,36 +81,62 @@ for ((i = 1; i <= pairs; i++)); do
         run "$side"
     done
     tail -n 2 "$results" | python3 -c '
-import sys
+import json, sys
 i, first = sys.argv[1], sys.argv[2]
-rows = {r.split()[0]: float(r.split()[1]) for r in sys.stdin}
+rows = {r.split()[0]: json.loads(r.split()[3])["sim_cycles_per_s"] for r in sys.stdin}
 base, change = rows["base"], rows["change"]
 print(f"pair {i:>2} ({first} first): base {base / 1e6:.3f} M  "
       f"change {change / 1e6:.3f} M  ratio {change / base:.3f}")
 ' "$i" "${order%% *}"
 done
 
-python3 - "$results" "$workload" "$seed" <<'EOF'
-import statistics, sys
+python3 - "$results" "$workload" "$seed" BENCHMARK.json <<'EOF'
+import json, statistics, sys
 
-path, workload, seed = sys.argv[1], sys.argv[2], sys.argv[3]
-rows = [line.split() for line in open(path)]
-rate = {"base": [], "change": []}
-makespans, bad = set(), 0
-for side, value, makespan, correct, failed in rows:
-    rate[side].append(float(value))
-    makespans.add(makespan)
+path, workload, seed, spec = sys.argv[1:5]
+metrics = json.load(open(spec))["end_to_end"]
+values = {"base": [], "change": []}
+bad = 0
+for line in open(path):
+    side, correct, failed, row = line.split()
+    values[side].append(json.loads(row))
     bad += correct != "1" or failed != "0"
-print(f"{workload} seed {seed}, sim_cycles_per_s over {len(rate['base'])} pairs:")
-for side, values in rate.items():
-    q = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
-    print(f"  {side:<6} median {statistics.median(values) / 1e6:.3f} M"
-          f"  q1-q3 {q[0] / 1e6:.3f}-{q[2] / 1e6:.3f} M")
-wins = sum(c > b for b, c in zip(rate["base"], rate["change"]))
-print(f"  change faster in {wins}/{len(rate['base'])} pairs")
+pairs = len(values["base"])
+print(f"{workload} seed {seed}, medians over {pairs} pairs (q1-q3):")
+past = []
+for m in metrics:
+    name, bound, better = m["name"], m["bound"], m["better"]
+    stats = {}
+    for side, rows in values.items():
+        v = [row[name] for row in rows]
+        q = statistics.quantiles(v, n=4, method="inclusive") if len(v) > 1 else v * 3
+        stats[side] = (statistics.median(v), q[0], q[2])
+    base, change = stats["base"][0], stats["change"][0]
+    # Relative change in the metric's good direction; below -bound is
+    # past the bound.
+    if base == change:
+        gain = 0.0
+    elif base == 0:
+        gain = float("inf") if change > base else float("-inf")
+    else:
+        gain = (change - base) / abs(base)
+    if better == "lower" and gain:
+        gain = -gain
+    verdict = "ok" if gain >= -bound else "PAST BOUND"
+    if verdict != "ok":
+        past.append(name)
+    (b, b1, b3), (c, c1, c3) = stats["base"], stats["change"]
+    print(f"  {name:<18} base {b:.6g} ({b1:.6g}-{b3:.6g})  change {c:.6g} ({c1:.6g}-{c3:.6g})"
+          f"  {gain:+.1%} ({better} is better, bound {bound:.0%}) {verdict}")
+rate = [(b["sim_cycles_per_s"], c["sim_cycles_per_s"])
+        for b, c in zip(values["base"], values["change"])]
+print(f"  change faster in {sum(c > b for b, c in rate)}/{pairs} pairs")
+makespans = {row["makespan_cycles"] for rows in values.values() for row in rows}
 if bad:
     sys.exit(f"{bad} run(s) incorrect or failed an operation")
 if len(makespans) != 1:
     sys.exit(f"makespans differ: {sorted(makespans)}")
-print(f"  makespan_cycles {makespans.pop()} on both sides")
+print(f"  makespan_cycles {makespans.pop():.0f} on both sides")
+if past:
+    sys.exit(f"past the bound: {', '.join(past)}")
 EOF
