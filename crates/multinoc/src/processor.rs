@@ -721,7 +721,7 @@ impl ProcessorIp {
             return Err(e);
         }
         match outcome {
-            Ok(StepOutcome::Retired { cycles, .. }) => {
+            Ok(StepOutcome::Retired { cycles }) => {
                 // Stall cycles were already spent in real time while the
                 // bus answered Wait; only the base cost remains.
                 let remaining = cycles.saturating_sub(self.stalled_cycles);

@@ -153,8 +153,6 @@ pub enum StepOutcome {
     Retired {
         /// Cycles consumed, including wait states.
         cycles: u32,
-        /// The retired instruction.
-        instr: Instr,
     },
     /// The bus answered [`BusResponse::Wait`]; one cycle passed, the
     /// instruction will be retried.
@@ -400,7 +398,6 @@ impl Cpu {
             Ok(cost) => Ok(StepOutcome::Retired {
                 // A parked instruction put its cost in flight as it parked.
                 cycles: if parked { spent } else { spent + cost },
-                instr: Instr::decode(word).expect("a retired word decodes"),
             }),
             Err(Refused::Wait(access)) => Ok(self.wait(word, access)),
             Err(Refused::Illegal(source)) => Err(CpuError::IllegalInstruction {
@@ -410,8 +407,7 @@ impl Cpu {
         }
     }
 
-    /// Runs until `HALT`, an error, or `budget` cycles, exactly as
-    /// calling [`step`](Self::step) until then would.
+    /// Runs until `HALT`, an error, or `budget` cycles.
     ///
     /// # Errors
     ///
@@ -420,15 +416,13 @@ impl Cpu {
     /// (including a bus that stalls forever).
     pub fn run<B: Bus>(&mut self, bus: &mut B, budget: u64) -> Result<(), CpuError> {
         let limit = self.cycles.saturating_add(budget);
-        match self.drive::<B, true>(bus, limit).stop {
-            BatchStop::Halt => Ok(()),
-            BatchStop::Illegal(source) => Err(CpuError::IllegalInstruction {
-                pc: self.pc,
-                source,
-            }),
-            // A lockstep run charges wait states: only the limit stops it.
-            BatchStop::Limit | BatchStop::Wait => Err(CpuError::CycleBudgetExhausted { budget }),
+        while self.state == CpuState::Running {
+            if self.cycles >= limit {
+                return Err(CpuError::CycleBudgetExhausted { budget });
+            }
+            self.step(bus)?;
         }
+        Ok(())
     }
 
     /// Runs whole instructions that start before `budget` more cycles
@@ -445,15 +439,7 @@ impl Cpu {
     /// and leaves the instruction it stopped at to its lockstep
     /// `step`.
     pub fn run_batch<B: Bus>(&mut self, bus: &mut B, budget: u64) -> Batch {
-        self.drive::<B, false>(bus, self.cycles.saturating_add(budget))
-    }
-
-    /// The loop of [`run`](Self::run) and [`run_batch`](Self::run_batch)
-    /// up to the cycle count `limit`. With `LOCKSTEP` it does what
-    /// repeated `step` does: a wait state parks the instruction and
-    /// charges a cycle, `HALT` retires. Without, it stops before either.
-    #[inline(always)]
-    fn drive<B: Bus, const LOCKSTEP: bool>(&mut self, bus: &mut B, limit: u64) -> Batch {
+        let limit = self.cycles.saturating_add(budget);
         // A local copy of the core lets the compiler keep it in registers.
         let mut core = self.clone();
         let mut last_start = None;
@@ -466,20 +452,13 @@ impl Cpu {
             }
             let start = core.cycles;
             let Some(word) = core.next_word(bus) else {
-                if LOCKSTEP {
-                    core.stall();
-                    continue;
-                }
                 break BatchStop::Wait;
             };
-            if !LOCKSTEP && word == HALT {
+            if word == HALT {
                 break BatchStop::Halt;
             }
             match core.execute(word, bus) {
                 Ok(_) => last_start = Some(start),
-                Err(Refused::Wait(access)) if LOCKSTEP => {
-                    core.wait(word, access);
-                }
                 Err(Refused::Wait(_)) => break BatchStop::Wait,
                 Err(Refused::Illegal(source)) => break BatchStop::Illegal(source),
             }
@@ -1068,7 +1047,7 @@ mod tests {
         let mut cpu = Cpu::new();
         let mut retired = Vec::new();
         while !cpu.is_halted() {
-            if let StepOutcome::Retired { cycles, .. } = cpu.step(&mut bus).unwrap() {
+            if let StepOutcome::Retired { cycles } = cpu.step(&mut bus).unwrap() {
                 retired.push(cycles);
             }
         }
@@ -1079,29 +1058,38 @@ mod tests {
     }
 
     #[test]
-    fn every_instruction_costs_its_base_cycles() {
-        for instr in crate::isa::all_instructions() {
-            let mut bus = RamBus::new(1024);
-            bus.load(0, &[instr.encode()]);
+    fn step_runs_exactly_the_decodable_words_at_their_base_cost() {
+        let mut bus = RamBus::new(16);
+        for word in 0..=u16::MAX {
+            bus.load(0, &[word]);
             let mut cpu = Cpu::new();
-            // All flags are clear: only the unconditional jumps are taken.
-            let taken = matches!(
-                instr,
-                Instr::JmpR {
-                    cond: Cond::Always,
-                    ..
-                } | Instr::JmpD {
-                    cond: Cond::Always,
-                    ..
+            match (Instr::decode(word), cpu.step(&mut bus)) {
+                (Ok(instr), Ok(StepOutcome::Retired { cycles })) => {
+                    // All flags are clear: only the unconditional jumps
+                    // are taken.
+                    let taken = matches!(
+                        instr,
+                        Instr::JmpR {
+                            cond: Cond::Always,
+                            ..
+                        } | Instr::JmpD {
+                            cond: Cond::Always,
+                            ..
+                        }
+                    );
+                    let cost = instr.base_cycles() + u32::from(taken);
+                    assert_eq!(cycles, cost, "{instr}");
+                    assert_eq!(cpu.cycles(), u64::from(cost), "{instr}");
+                    assert_eq!(cpu.is_halted(), instr == Instr::Halt, "{instr}");
                 }
-            );
-            let cycles = instr.base_cycles() + u32::from(taken);
-            assert_eq!(
-                cpu.step(&mut bus),
-                Ok(StepOutcome::Retired { cycles, instr }),
-                "{instr}"
-            );
-            assert_eq!(cpu.cycles(), u64::from(cycles), "{instr}");
+                (Err(expected), Err(CpuError::IllegalInstruction { pc: 0, source })) => {
+                    assert_eq!(source, expected);
+                    assert_eq!(cpu.image(), Cpu::new().image(), "{word:#06x}");
+                }
+                (decoded, stepped) => {
+                    panic!("{word:#06x}: decode gives {decoded:?}, step gives {stepped:?}")
+                }
+            }
         }
     }
 

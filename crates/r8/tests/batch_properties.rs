@@ -11,7 +11,6 @@ use r8::core::{
     Batch, BatchStop, Bus, BusResponse, Cpu, CpuError, CpuImage, CpuState, Flags, Pending, RamBus,
     StepOutcome,
 };
-use r8::isa::Instr;
 
 /// Memory size; every address wraps into it.
 const WORDS: u16 = 64;
@@ -68,9 +67,7 @@ fn stepped(cpu: &mut Cpu, bus: &mut RefusingBus, budget: u64) -> Batch {
         let (before, saved) = (cpu.clone(), bus.clone());
         let start = cpu.cycles();
         let stop = match cpu.step(bus) {
-            Ok(StepOutcome::Retired {
-                instr: Instr::Halt, ..
-            }) => BatchStop::Halt,
+            Ok(StepOutcome::Retired { .. }) if cpu.is_halted() => BatchStop::Halt,
             Ok(StepOutcome::Retired { .. }) => {
                 last_start = Some(start);
                 continue;
