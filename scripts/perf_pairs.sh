@@ -8,10 +8,14 @@
 # then, for every end-to-end metric BENCHMARK.json lists, each side's
 # median and q1-q3 and a verdict: the change median against the base
 # median, within the metric's relative `bound` in its `better`
-# direction. Also prints how often the working tree's rate won.
+# direction. The verdict is `unresolved` instead when either side's
+# q1-q3 spread is wider than the bound and the two q1-q3 ranges
+# overlap, unless every change run beats every base run: noise that
+# wide can put either median past the bound. Also prints how often the
+# working tree's rate won.
 # Fails if a run is incorrect or fails an operation, if the two sides
-# (or two runs) end at different makespans, or if any metric's change
-# median is past its bound.
+# (or two runs) end at different makespans, or if any metric is clearly
+# past its bound; an unresolved metric is listed but does not fail.
 # Usage: scripts/perf_pairs.sh <base-rev> <workload> [--seed N] [--pairs N] [--seconds S]
 #   (defaults: seed 1, 10 pairs, 50 s per run as in BENCHMARK.json)
 set -euo pipefail
@@ -103,29 +107,41 @@ for line in open(path):
     bad += correct != "1" or failed != "0"
 pairs = len(values["base"])
 print(f"{workload} seed {seed}, medians over {pairs} pairs (q1-q3):")
-past = []
+
+
+def relative(delta, base):
+    """`delta` as a fraction of `base`; a nonzero delta from 0 is infinite."""
+    if delta == 0:
+        return 0.0
+    if base == 0:
+        return float("inf") if delta > 0 else float("-inf")
+    return delta / abs(base)
+
+
+past, unresolved = [], []
 for m in metrics:
     name, bound, better = m["name"], m["bound"], m["better"]
-    stats = {}
+    sign = 1 if better == "higher" else -1
+    runs, stats = {}, {}
     for side, rows in values.items():
-        v = [row[name] for row in rows]
+        v = runs[side] = [row[name] for row in rows]
         q = statistics.quantiles(v, n=4, method="inclusive") if len(v) > 1 else v * 3
         stats[side] = (statistics.median(v), q[0], q[2])
-    base, change = stats["base"][0], stats["change"][0]
+    (b, b1, b3), (c, c1, c3) = stats["base"], stats["change"]
     # Relative change in the metric's good direction; below -bound is
     # past the bound.
-    if base == change:
-        gain = 0.0
-    elif base == 0:
-        gain = float("inf") if change > base else float("-inf")
+    gain = relative(sign * (c - b), b)
+    spread = max(relative(b3 - b1, b), relative(c3 - c1, b))
+    overlap = b1 <= c3 and c1 <= b3
+    dominates = min(sign * x for x in runs["change"]) > max(sign * x for x in runs["base"])
+    if spread > bound and overlap and not dominates:
+        verdict = "unresolved"
+        unresolved.append(name)
+    elif gain >= -bound:
+        verdict = "ok"
     else:
-        gain = (change - base) / abs(base)
-    if better == "lower" and gain:
-        gain = -gain
-    verdict = "ok" if gain >= -bound else "PAST BOUND"
-    if verdict != "ok":
+        verdict = "PAST BOUND"
         past.append(name)
-    (b, b1, b3), (c, c1, c3) = stats["base"], stats["change"]
     print(f"  {name:<18} base {b:.6g} ({b1:.6g}-{b3:.6g})  change {c:.6g} ({c1:.6g}-{c3:.6g})"
           f"  {gain:+.1%} ({better} is better, bound {bound:.0%}) {verdict}")
 rate = [(b["sim_cycles_per_s"], c["sim_cycles_per_s"])
@@ -137,6 +153,8 @@ if bad:
 if len(makespans) != 1:
     sys.exit(f"makespans differ: {sorted(makespans)}")
 print(f"  makespan_cycles {makespans.pop():.0f} on both sides")
+if unresolved:
+    print(f"  unresolved (q1-q3 spread wider than the bound): {', '.join(unresolved)}")
 if past:
     sys.exit(f"past the bound: {', '.join(past)}")
 EOF
