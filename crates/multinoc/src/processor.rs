@@ -603,6 +603,7 @@ impl ProcessorIp {
                         self.cpu.reset();
                         self.active = true;
                         self.fault = None;
+                        self.stalled_cycles = 0;
                         self.pending = NetPending::Idle;
                         self.wait = WaitState::None;
                     }

@@ -2311,6 +2311,43 @@ mod tests {
     }
 
     #[test]
+    fn reactivation_while_stalled_paces_the_first_instruction_in_full() {
+        // Running cycles from activation to HALT of a short program, on a
+        // fresh core or on one re-activated after 2,000 cycles stalled on
+        // a scanf nobody answers: the stall must not discount the first
+        // instruction of the new program.
+        let running_to_halt = |stalled_first: bool| {
+            let mut sys = System::paper_config().unwrap();
+            if stalled_first {
+                let scanf = assemble("XOR R0, R0, R0\nLIW R1, 0xFFFF\nLD R2, R1, R0\nHALT");
+                let scanf = scanf.unwrap();
+                sys.memory_mut(PROCESSOR_1)
+                    .unwrap()
+                    .write_block(0, scanf.words());
+                sys.activate_directly(PROCESSOR_1).unwrap();
+                sys.run(2_000).unwrap();
+                assert_eq!(
+                    sys.block_reason(PROCESSOR_1).unwrap(),
+                    Some(BlockReason::Scanf)
+                );
+            }
+            let program = assemble("LIW R1, 5\nADDI R1, 1\nHALT").unwrap();
+            sys.memory_mut(PROCESSOR_1)
+                .unwrap()
+                .write_block(0, program.words());
+            let before = sys.processor_utilization(PROCESSOR_1).unwrap().running;
+            sys.activate_directly(PROCESSOR_1).unwrap();
+            sys.run_until(1_000, "P1 to halt", |sys| {
+                Ok(sys.processor_status(PROCESSOR_1)? == ProcessorStatus::Halted)
+            })
+            .unwrap();
+            assert_eq!(sys.cpu(PROCESSOR_1).unwrap().reg(1), 6);
+            sys.processor_utilization(PROCESSOR_1).unwrap().running - before
+        };
+        assert_eq!(running_to_halt(true), running_to_halt(false));
+    }
+
+    #[test]
     fn remote_memory_access_via_the_network() {
         // P1 stores to the remote memory window and reads it back.
         let mut sys = System::paper_config().unwrap();
