@@ -81,6 +81,11 @@ pub(crate) struct LocalEndpoint {
     /// the router that injected it (carried on every flit, so the source
     /// stays correct even after the packet's stats record is evicted).
     pub delivered: VecDeque<(PacketId, RouterAddr, Packet)>,
+    /// Packets completed here since the network last resynchronised its
+    /// in-flight counts (see [`Noc::delivery_bound`]); never serialized.
+    ///
+    /// [`Noc::delivery_bound`]: crate::Noc::delivery_bound
+    pub completed: u64,
     flit_bits: u8,
 }
 
@@ -91,6 +96,7 @@ impl LocalEndpoint {
             next_inject_ok: 0,
             rx: RxState::Header,
             delivered: VecDeque::new(),
+            completed: 0,
             flit_bits,
         }
     }
@@ -147,6 +153,7 @@ impl LocalEndpoint {
                 if remaining == 0 {
                     self.delivered
                         .push_back((id, src, Packet::new(dest, Vec::new())));
+                    self.completed += 1;
                     RxEvent::Completed(id)
                 } else {
                     self.rx = RxState::Payload {
@@ -171,6 +178,7 @@ impl LocalEndpoint {
                 if remaining == 1 {
                     self.delivered
                         .push_back((id, src, Packet::new(dest, payload)));
+                    self.completed += 1;
                     RxEvent::Completed(id)
                 } else {
                     self.rx = RxState::Payload {
@@ -183,6 +191,18 @@ impl LocalEndpoint {
                     RxEvent::Progress
                 }
             }
+        }
+    }
+
+    /// The fewest flits that must still arrive here before a packet
+    /// completes: the payload flits left of the packet being reassembled,
+    /// 1 once a header has arrived without its size flit, else 2 (a
+    /// header and a size flit).
+    pub fn flits_to_completion(&self) -> u64 {
+        match &self.rx {
+            RxState::Header => 2,
+            RxState::Size { .. } => 1,
+            RxState::Payload { remaining, .. } => *remaining as u64,
         }
     }
 

@@ -159,6 +159,15 @@ pub struct Noc {
     /// stall, and retired once router and endpoint are both quiescent
     /// (the reference full walk wakes nodes but never retires them).
     active: Vec<bool>,
+    /// Packets sent to each router since the in-flight counts were last
+    /// resynchronised; less that router's endpoint's completions, the
+    /// packets still on their way there (see
+    /// [`delivery_bound`](Self::delivery_bound)). Never serialized.
+    sent_to: Vec<u64>,
+    /// Whether `sent_to` and the endpoints' completion counts describe
+    /// the traffic in flight: false after restoring a busy network, until
+    /// a send into an idle network resynchronises them.
+    inflight_known: bool,
     /// Per-shard merge buffers of the cycle engine, one per shard.
     /// Allocations persist across windows.
     deltas: Vec<ShardDelta>,
@@ -201,6 +210,7 @@ impl Noc {
         let stats = NocStats::new(routers.len(), config.stats_window);
         let health = HealthMonitor::new(config.fault_threshold);
         let active = vec![false; routers.len()];
+        let sent_to = vec![0; routers.len()];
         Ok(Self {
             config,
             base_table,
@@ -215,6 +225,8 @@ impl Noc {
             dead_routers: BTreeSet::new(),
             dead_endpoints: BTreeSet::new(),
             active,
+            sent_to,
+            inflight_known: true,
             deltas: Vec::new(),
             pool: None,
             tracer: None,
@@ -645,8 +657,8 @@ impl Noc {
     /// overflows a flit.
     pub fn send(&mut self, src: RouterAddr, packet: Packet) -> Result<PacketId, NocError> {
         let src_idx = self.index(src).ok_or(SendError::UnknownSource(src))?;
-        self.index(packet.dest())
-            .ok_or(SendError::UnknownDestination(packet.dest()))?;
+        let dest_idx =
+            (self.index(packet.dest())).ok_or(SendError::UnknownDestination(packet.dest()))?;
         packet.validate(&self.config)?;
         if self.config.routing == Routing::FaultTolerantXy {
             // A declared-dead node no longer acks its network interface:
@@ -677,6 +689,17 @@ impl Noc {
                 }
             }
         }
+        if self.is_idle() {
+            // Nothing is in flight, so the counts restart from zero:
+            // packets dropped on the way stop holding the bound down, and
+            // a restored network's counts become known.
+            self.sent_to.fill(0);
+            for endpoint in &mut self.endpoints {
+                endpoint.completed = 0;
+            }
+            self.inflight_known = true;
+        }
+        self.sent_to[dest_idx] += 1;
         let id = PacketId(self.next_id);
         self.next_id += 1;
         self.stats.add_record(PacketRecord {
@@ -733,6 +756,63 @@ impl Noc {
     /// [`is_idle`]: Self::is_idle
     pub fn delivered_empty(&self) -> bool {
         self.endpoints.iter().all(|e| e.delivered.is_empty())
+    }
+
+    /// A lower bound on the cycle of the next packet completion at router
+    /// `at`: no packet lands in its delivery queue before that cycle.
+    /// `None` when nothing is on its way there.
+    ///
+    /// The bound is `max(now + 1, next_free) + (f − 1) × cycles_per_flit`.
+    /// `next_free` is the first cycle `at`'s Local output may pass a flit,
+    /// and `f` the fewest flits that must still pass it before a packet
+    /// completes: the payload flits left of the packet being reassembled,
+    /// 1 once its header arrived without its size flit, else 2 (a header
+    /// and a size flit). The Local output carries one worm at a time and
+    /// passes at most one flit per `cycles_per_flit` cycles; contention,
+    /// faults, detours and off-chip links only add cycles. A dead link's
+    /// flush can abandon a reassembly, after which a fresh packet needs
+    /// only its header and size flit, so under a fault plan or a
+    /// reconfiguration epoch `f` is at most 2.
+    ///
+    /// Packets on their way are counted, sent to `at` less completed
+    /// there. A packet dropped on the way leaves the bound finite (valid,
+    /// only weaker) until the next send into an idle network
+    /// resynchronises the counts. They are not part of a snapshot: a
+    /// network restored with traffic in flight answers `now + 1` for every
+    /// router until then.
+    pub fn delivery_bound(&self, at: RouterAddr) -> Option<u64> {
+        let idx = self.index(at)?;
+        if !self.inflight_known {
+            return (!self.is_idle()).then_some(self.cycle + 1);
+        }
+        self.bound_at(idx)
+    }
+
+    /// The earliest [`delivery_bound`](Self::delivery_bound) of any
+    /// router: no packet completes anywhere before it.
+    pub fn next_delivery_bound(&self) -> Option<u64> {
+        if !self.inflight_known {
+            return (!self.is_idle()).then_some(self.cycle + 1);
+        }
+        (0..self.routers.len())
+            .filter_map(|idx| self.bound_at(idx))
+            .min()
+    }
+
+    /// [`delivery_bound`](Self::delivery_bound) of router `idx` from known
+    /// in-flight counts.
+    fn bound_at(&self, idx: usize) -> Option<u64> {
+        let endpoint = &self.endpoints[idx];
+        if self.sent_to[idx] == endpoint.completed {
+            return None;
+        }
+        let mut flits = endpoint.flits_to_completion();
+        if self.injector.is_some() || !self.epochs.is_empty() {
+            flits = flits.min(2);
+        }
+        let next_free = self.routers[idx].outputs[Port::Local.index()].next_free;
+        let first = (self.cycle + 1).max(next_free);
+        Some(first + (flits - 1) * u64::from(self.config.cycles_per_flit))
     }
 
     /// Flits still queued at the source interface of `at`, waiting to
@@ -1511,6 +1591,8 @@ impl Noc {
             noc.telemetry = r.take()?;
         }
 
+        // The in-flight counts start from zero: exact only if nothing is.
+        noc.inflight_known = noc.is_idle();
         noc.stats.check_restored(noc.next_id, noc.cycle, mesh)?;
         let epoch_addrs = epochs.iter().flat_map(|(_, origin, dead)| {
             std::iter::once(*origin).chain(dead.iter().map(|link| link.0))
@@ -1916,6 +1998,43 @@ mod tests {
         assert_eq!(from, src);
         assert_eq!(packet.payload(), &[1, 2, 3]);
         assert!(noc.stats().health.rerouted_grants > 0);
+    }
+
+    #[test]
+    fn a_flushed_reassembly_keeps_the_delivery_bound() {
+        // A long worm streaming into (2,1) is cut mid-payload by a dead
+        // link and flushed there; a short packet queued behind it then
+        // completes long before the cut worm's remaining payload could
+        // have. Under a fault plan the bound allows for that.
+        use crate::fault::{CycleWindow, FaultPlan};
+        let mut noc = noc_ft(3, 3);
+        let cut = CycleWindow::open_ended(120);
+        let plan = FaultPlan::new(5).with_link_down(RouterAddr::new(1, 1), Port::East, cut);
+        noc.set_fault_plan(plan).unwrap();
+        let dest = RouterAddr::new(2, 1);
+        noc.send(RouterAddr::new(0, 1), Packet::new(dest, vec![5; 100]))
+            .unwrap();
+        let mut floor = 0;
+        while noc.cycle() < 1_000 {
+            if noc.cycle() == 60 {
+                noc.send(RouterAddr::new(2, 0), Packet::new(dest, vec![7]))
+                    .unwrap();
+            }
+            if let Some(bound) = noc.delivery_bound(dest) {
+                floor = floor.max(bound);
+            }
+            let waiting = noc.pending_recv(dest);
+            noc.step();
+            assert!(
+                noc.pending_recv(dest) == waiting || noc.cycle() >= floor,
+                "a packet completed in cycle {}, before the bound {floor}",
+                noc.cycle()
+            );
+        }
+        assert_eq!(noc.stats().health.wedged_packets_dropped, 1);
+        let (_, packet) = noc.try_recv(dest).expect("the short packet lands");
+        assert_eq!(packet.payload(), &[7]);
+        assert!(noc.try_recv(dest).is_none(), "the cut worm never completes");
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! every schedule below × observers {off, all on} × kernels {Reference,
 //! Active, Parallel 1/2/8} × driving {`step`, `run`} must reach the same
 //! [`Noc::fingerprint`] at every boundary of an irregular chunk
-//! sequence and after the final `run_until_idle`. At one boundary per
+//! sequence and after the final `run_until_idle`. Stepped runs also
+//! check every completion against the per-router delivery bounds
+//! reported before it, and every run the minimum delivery latency. At one boundary per
 //! run the network is saved, restored under the next kernel and resumed
 //! from there; once per row and observer setting the save → restore →
 //! save round trip must also be byte-stable.
@@ -107,9 +109,42 @@ fn build(row: &Row, kernel: KernelMode, observed: bool) -> Noc {
     noc
 }
 
-fn advance(noc: &mut Noc, cycles: u64, driving: Driving) {
+/// Every router address of `noc`'s grid, in index order.
+fn routers(noc: &Noc) -> Vec<RouterAddr> {
+    let (w, h) = (noc.config().width(), noc.config().height());
+    (0..h)
+        .flat_map(|y| (0..w).map(move |x| RouterAddr::new(x, y)))
+        .collect()
+}
+
+/// Advances `noc` by `cycles`. Stepping also holds the network to its
+/// [`Noc::delivery_bound`]s: `floor` keeps, per router, the highest bound
+/// reported in any earlier cycle, and no packet may complete there
+/// before it.
+fn advance(noc: &mut Noc, cycles: u64, driving: Driving, floor: &mut [u64]) {
     match driving {
-        Driving::Step => (0..cycles).for_each(|_| noc.step()),
+        Driving::Step => {
+            let routers = routers(noc);
+            for _ in 0..cycles {
+                let mut waiting = Vec::with_capacity(routers.len());
+                for (i, &at) in routers.iter().enumerate() {
+                    if let Some(bound) = noc.delivery_bound(at) {
+                        floor[i] = floor[i].max(bound);
+                    }
+                    waiting.push(noc.pending_recv(at));
+                }
+                noc.step();
+                for (i, &at) in routers.iter().enumerate() {
+                    assert!(
+                        noc.pending_recv(at) == waiting[i] || noc.cycle() >= floor[i],
+                        "{}: a packet completed at {at} in cycle {}, before the bound {}",
+                        noc.config().topology,
+                        noc.cycle(),
+                        floor[i]
+                    );
+                }
+            }
+        }
         Driving::Run => {
             let stalls = noc.fault_plan().is_some_and(FaultPlan::has_router_stalls);
             if noc.is_idle() && !stalls {
@@ -135,6 +170,7 @@ fn drive(
     let mut noc = build(row, kernel, observed);
     let mut resume_under = resume_under;
     let mut sends = row.sends.iter().peekable();
+    let mut floor = vec![0; row.config.router_count()];
     let mut seen = Vec::new();
     for &chunk in CHUNKS.iter().cycle() {
         let end = (noc.cycle() + chunk).min(row.horizon);
@@ -144,7 +180,7 @@ fn drive(
             }
             let next = sends.peek().map_or(end, |s| s.cycle.min(end));
             let cycles = next - noc.cycle();
-            advance(&mut noc, cycles, driving);
+            advance(&mut noc, cycles, driving, &mut floor);
         }
         seen.push((noc.cycle(), noc.fingerprint()));
         if let Some(other) = resume_under.filter(|_| 2 * noc.cycle() >= row.horizon) {

@@ -64,6 +64,17 @@ struct AutoCheckpoint {
     written: u64,
 }
 
+/// How a [`jump`](System::jump) ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Jump {
+    /// The clock did not move.
+    Refused,
+    /// The clock parked just before a cycle that must be visited.
+    Parked,
+    /// A packet landed inside the jump, and its cycle was visited.
+    Landed,
+}
+
 /// One IP core instance. `Vacant` marks a node removed by dynamic
 /// reconfiguration: its id is never reused and stray packets addressed
 /// to it are dropped, as a de-configured FPGA region would.
@@ -866,19 +877,11 @@ impl System {
         self.step_through(self.cycle() + 1)
     }
 
-    /// Advances the whole system by one clock cycle, visiting only the
-    /// IPs that can act in it: those with a delivery waiting at their
-    /// router or a [wake](ProcessorIp::wake) cycle that has come; every
-    /// other processor is credited the cycle. An idle network advances
-    /// its clock without being stepped.
-    ///
-    /// After the visits of a cycle that started on a silent network, every
-    /// running core [runs ahead](Self::run_ahead) up to `last` (the
-    /// final cycle of the calling run) or its next possible delivery.
-    /// With `last` equal to the cycle being stepped this is plain
-    /// lockstep, as [`step`](Self::step) uses it. On an error exit every
-    /// core is [rewound](Self::rewind_run_ahead) to where lockstep
-    /// stepping leaves it.
+    /// Advances the whole system by one clock cycle: the network advance,
+    /// then the [visits](Self::visit) of the cycle it advanced to. An
+    /// idle network advances its clock without being stepped. With `last`
+    /// (the final cycle of the calling run) equal to the cycle being
+    /// stepped this is plain lockstep, as [`step`](Self::step) uses it.
     fn step_through(&mut self, last: u64) -> Result<(), SystemError> {
         // A packet or host bytes queued from outside the loop since its
         // last cycle — by `done`, a host call or a test — went out at the
@@ -892,16 +895,26 @@ impl System {
                 }
             }
         }
-        let silent = last > self.noc.cycle() + 1
-            && self.noc.is_idle()
-            && self.noc.delivered_empty()
-            && self.noc.fault_plan().is_none()
-            && self.noc.current_epoch() == 0;
         if self.noc_ticks_idly() {
             self.noc.advance_idle(1);
         } else {
             self.noc.step();
         }
+        self.visit(last)
+    }
+
+    /// The visits of the cycle the network just advanced to, visiting only
+    /// the IPs that can act in it: those with a delivery waiting at their
+    /// router or a [wake](ProcessorIp::wake) cycle that has come; every
+    /// other processor is credited the cycle.
+    ///
+    /// Then, with no fault plan, no epoch and nothing undelivered, every
+    /// running core [runs ahead](Self::run_ahead) up to `last` or its next
+    /// possible delivery, and a periodic auto-checkpoint that is due is
+    /// written. On an error exit every core is
+    /// [rewound](Self::rewind_run_ahead) to where lockstep stepping
+    /// leaves it.
+    fn visit(&mut self, last: u64) -> Result<(), SystemError> {
         let now = self.noc.cycle();
         if let Err(e) = self.react_to_deaths(now) {
             self.rewind_run_ahead(now, 0);
@@ -956,7 +969,7 @@ impl System {
             let addr = self.vacated_routers[i];
             while self.noc.try_recv(addr).is_some() {}
         }
-        if silent {
+        if last > now && self.unperturbed() && self.noc.delivered_empty() {
             self.run_ahead(now, last);
         }
         self.sends_seen = self.send_count();
@@ -964,6 +977,13 @@ impl System {
         // checkpoint written here holds exactly the lockstep state.
         self.auto_checkpoint_due()?;
         Ok(())
+    }
+
+    /// No fault plan and no reconfiguration epoch: the network reaches the
+    /// IPs only through deliveries, which its
+    /// [delivery bound](Noc::delivery_bound) covers.
+    fn unperturbed(&self) -> bool {
+        self.noc.fault_plan().is_none() && self.noc.current_epoch() == 0
     }
 
     /// Packets sent into the network so far plus bytes in flight towards
@@ -974,44 +994,47 @@ impl System {
     }
 
     /// Runs every running core ahead of the clock after the visits of a
-    /// cycle `now` that started on a silent network, through every
-    /// local-only instruction starting at or before `min(last, the next
-    /// auto-checkpoint cycle, E + Q − 1)`. E is the earliest cycle
-    /// anything can send: `now` if this cycle sent a packet; else the
-    /// soonest of the link's next byte towards the serial IP, every live
-    /// IP's [send wake](ProcessorIp::send_wake) and, found by running
+    /// cycle `now` with no fault plan, no epoch and nothing undelivered,
+    /// through every local-only instruction starting at or before
+    /// `min(last, the next auto-checkpoint cycle, E + Q − 1, B − 1)`.
+    ///
+    /// E is the earliest cycle anything can send: the soonest of the
+    /// link's next byte towards the serial IP, every live IP's
+    /// [send wake](ProcessorIp::send_wake), the network's
+    /// [next delivery bound](Noc::next_delivery_bound) (a delivery can
+    /// make its receiver send in that same cycle) and, found by running
     /// each core ahead, each core's first access past local memory. Q is
     /// [`min_delivery_latency`](hermes_noc::latency::min_delivery_latency):
-    /// a packet sent at E reaches no router before E + Q, and nothing is
-    /// in flight, so no delivery can reach a core inside its stretch.
+    /// a packet sent at E reaches no router before E + Q. B is the core's
+    /// own router's [delivery bound](Noc::delivery_bound): nothing already
+    /// on its way there lands before it. So no delivery can reach a core
+    /// inside its stretch.
     ///
     /// The pass runs in rounds that reach `now + Q`, `now + 2Q`,
     /// `now + 4Q` and so on, each taking every core to the round's reach
-    /// or the horizon, whichever is lower. It ends with the first round
+    /// or its limit, whichever is lower. It ends with the first round
     /// that reaches the horizon or leaves no core held at its reach: a
-    /// core that stops at its send, a `HALT` or a fault stays there until
-    /// its lockstep visit. So before a core's send lowers E, no core runs
-    /// more than about twice as far past the clock as the horizon it is
-    /// held to.
+    /// core that stops at its send, a `HALT`, a fault or B − 1 stays
+    /// there until its lockstep visit. So before a core's send lowers E,
+    /// no core runs more than about twice as far past the clock as the
+    /// horizon it is held to.
     ///
     /// Cores the final round ran before a later core lowered E are
     /// rewound to the final horizon; earlier rounds stopped below it.
     /// Cores ahead from an earlier pass already are within it: every
-    /// send since was at or after that pass's E, and its deliveries, the
-    /// only way a core's first send can move, land after that pass's
-    /// horizon. Sends from outside the loop are clamped at the top of
-    /// [`step_through`](Self::step_through).
+    /// send since was at or after that pass's E, so reaches no router
+    /// before that pass's horizon, and what was on its way to a core's
+    /// router then lands at or after that pass's B. Deliveries are the
+    /// only way a core's first send can move. Sends from outside the loop
+    /// are clamped at the top of [`step_through`](Self::step_through).
     fn run_ahead(&mut self, now: u64, last: u64) {
         let lookahead = latency::min_delivery_latency(self.noc.config());
         let mut cap = last;
         if let Some(due) = self.next_auto_checkpoint() {
             cap = cap.min(due.max(now));
         }
-        let mut send = if self.noc.is_idle() {
-            self.earliest_send(now)
-        } else {
-            Some(now)
-        };
+        let landing = self.noc.next_delivery_bound();
+        let mut send = self.earliest_send(now).into_iter().chain(landing).min();
         let horizon =
             |send: Option<u64>| send.map_or(cap, |e| cap.min(e.saturating_add(lookahead - 1)));
         let mut span = lookahead;
@@ -1024,13 +1047,14 @@ impl System {
             for (idx, ip) in self.ips.iter_mut().enumerate() {
                 if let Ip::Processor(p) = ip {
                     if !self.dead_nodes.contains(&NodeId(idx as u8)) {
-                        let limit = reach.min(horizon(send));
+                        let own = (self.noc.delivery_bound(p.router())).map_or(u64::MAX, |b| b - 1);
+                        let limit = reach.min(horizon(send)).min(own);
                         let first = p.run_ahead(limit);
                         if first.is_some_and(|first| send.is_none_or(|e| first < e)) {
                             send = first;
                             overshot = idx;
                         }
-                        held |= p.held_at(limit);
+                        held |= limit < own && p.held_at(limit);
                     }
                 }
             }
@@ -1235,84 +1259,114 @@ impl System {
         self.noc.is_idle() && !plan.is_some_and(FaultPlan::has_router_stalls)
     }
 
-    /// Cycles the whole system can provably sleep through: the network
-    /// holds no traffic and nothing undelivered, and no live IP or the
-    /// serial link can act before the earliest of their wake cycles.
-    /// Returns the length of the gap up to (but excluding) that cycle,
-    /// or `None` when something can act in the very next cycle — or
-    /// when nothing has a wake cycle at all, in which case only the run
-    /// loop's stop condition can end the wait.
-    fn skippable_gap(&self) -> Option<u64> {
-        if !self.noc_ticks_idly() || !self.noc.delivered_empty() {
-            return None;
+    /// Advances the clock through cycles in which no IP can act, visiting
+    /// none of them: up to just before the soonest live IP's
+    /// [wake](ProcessorIp::wake) or the link's next deadline, never past
+    /// `last` or into the next periodic auto-checkpoint's cycle. It is
+    /// refused when nothing has a wake, in which case only the run loop's
+    /// stop condition can end the wait.
+    ///
+    /// An idle network ticks its clock through the gap, even under a
+    /// fault plan without router stalls and with the watchdog armed. A
+    /// busy network is stepped alone, and only with no fault plan, no
+    /// epoch and no watchdog: in [`Noc::run`] windows up to its
+    /// [next delivery bound](Noc::next_delivery_bound), recomputed as the
+    /// jump goes, then one cycle at a time until a packet lands. The IPs
+    /// are visited in that landing cycle, which ends the jump. Either way
+    /// nothing may be undelivered and nothing sent from outside the loop
+    /// since its last cycle. Every live processor is credited the cycles
+    /// it was skipped over, exactly as per-cycle stepping would have: a
+    /// skipped IP cannot change state. The observable simulation is
+    /// unchanged — only the wall-clock cost of crossing the cycles.
+    fn jump(&mut self, last: u64) -> Result<Jump, SystemError> {
+        // A busy network is stepped alone only while nothing but its
+        // deliveries reaches the IPs and no watchdog reads its progress.
+        let alone = self.unperturbed() && self.watchdog.is_none();
+        if !self.noc.delivered_empty()
+            || self.send_count() != self.sends_seen
+            || !(alone || self.noc_ticks_idly())
+        {
+            return Ok(Jump::Refused);
         }
         let now = self.noc.cycle();
         let epoch = self.noc.current_epoch();
-        let mut wake = self.link.next_deadline();
-        for (idx, ip) in self.ips.iter().enumerate() {
-            if self.dead_nodes.contains(&NodeId(idx as u8)) {
+        let live = (self.ips.iter().enumerate())
+            .filter(|&(idx, _)| !self.dead_nodes.contains(&NodeId(idx as u8)));
+        let wakes = live.filter_map(|(_, ip)| ip.wake(now, epoch, &self.link));
+        let Some(wake) = wakes.chain(self.link.next_deadline()).min() else {
+            return Ok(Jump::Refused);
+        };
+        // The step that observes cycle `stop` begins by advancing the
+        // network, so the clock parks at `stop - 1`.
+        let mut stop = wake.min(last);
+        if let Some(due) = self.next_auto_checkpoint() {
+            stop = stop.min(due);
+        }
+        let park = stop.saturating_sub(1);
+        if park <= now {
+            return Ok(Jump::Refused);
+        }
+        while self.noc.cycle() < park {
+            let from = self.noc.cycle();
+            if self.noc_ticks_idly() {
+                self.noc.advance_idle(park - from);
+                self.credit_skipped(park - from);
+                break;
+            }
+            let quiet_until = (self.noc.next_delivery_bound()).map_or(park, |b| park.min(b - 1));
+            if quiet_until > from {
+                self.noc.run(quiet_until - from);
+                self.credit_skipped(quiet_until - from);
                 continue;
             }
-            if let Some(w) = ip.wake(now, epoch, &self.link) {
-                if w <= now + 1 {
-                    return None;
-                }
-                wake = Some(wake.map_or(w, |cur| cur.min(w)));
+            self.noc.step();
+            if !self.noc.delivered_empty() {
+                self.visit(last)?;
+                return Ok(Jump::Landed);
             }
+            self.credit_skipped(1);
         }
-        // The step that observes cycle `w` begins by advancing the NoC
-        // clock, so the clock parks at `w - 1`.
-        wake?.checked_sub(now + 1).filter(|&g| g > 0)
+        Ok(Jump::Parked)
     }
 
-    /// When nothing can act before the next wake cycle, jumps the clock
-    /// to just before it instead of burning the cycles one by one,
-    /// crediting every live processor's utilization as per-cycle
-    /// stepping would have, and returns the cycle it parked at. Never
-    /// jumps past the run's `last` cycle, so cycle budgets keep their
-    /// meaning. The observable simulation is unchanged — only the
-    /// wall-clock cost of crossing the gap.
-    fn fast_forward_idle_gap(&mut self, last: u64) -> Option<u64> {
-        // The step of the next periodic checkpoint is not jumped either,
-        // so it is written at the cycle stepping writes it.
-        let last = self
-            .next_auto_checkpoint()
-            .map_or(last, |due| last.min(due));
-        let limit = last.saturating_sub(self.noc.cycle());
-        if limit <= 1 {
-            return None;
-        }
-        let gap = self.skippable_gap()?.min(limit - 1);
-        self.noc.advance_idle(gap);
+    /// Books `cycles` skipped cycles, the last of them the clock, to every
+    /// live processor (see [`ProcessorIp::credit_skipped`]).
+    fn credit_skipped(&mut self, cycles: u64) {
         let through = self.noc.cycle();
         for (idx, ip) in self.ips.iter_mut().enumerate() {
             if let Ip::Processor(p) = ip {
                 if !self.dead_nodes.contains(&NodeId(idx as u8)) {
-                    p.credit_skipped(gap, through);
+                    p.credit_skipped(cycles, through);
                 }
             }
         }
-        Some(through)
     }
 
     /// Drives the clock until `done` holds and returns the cycles run:
     /// the one loop behind [`run`](Self::run), the other `run_until_*`
     /// methods and every blocking [`Host`](crate::host::Host) call. It
-    /// jumps idle gaps and lets running cores run ahead of the clock
-    /// through local-only work, each up to the system's next possible
-    /// send (plus the network's minimum delivery latency), not a fixed
+    /// jumps the cycles in which no IP can act — idle gaps, and a busy
+    /// network stepped alone between deliveries — and lets running cores
+    /// run ahead of the clock through local-only work, each up to the
+    /// system's next possible send (plus the network's minimum delivery
+    /// latency) or its own router's next possible delivery, not a fixed
     /// number of cycles.
     ///
-    /// `done` is asked now and at every cycle the clock lands on: each
-    /// stepped cycle and the end of each jumped gap, inside which nothing
-    /// changes. So it must read the simulated state, not the clock, which
-    /// `budget` bounds; it may also drive the system itself — send a
-    /// packet, queue host bytes, run a nested loop — and the loop goes on
-    /// from there, first pulling every core back within reach of what
-    /// `done` sent. It may see running cores ahead of the clock in their
-    /// registers and local memory, never in their status, the network,
-    /// the link or anything the host sees. Every exit rewinds them to
-    /// where per-cycle [`step`](Self::step)s leave them.
+    /// `done` is asked now, at every cycle whose IPs are visited, at the
+    /// end of each jump and at each landing inside one — not at every
+    /// cycle in which a flit moves. In between, no IP, the link or
+    /// anything the host sees changes, and neither do the network's
+    /// idleness and delivery queues: without a fault plan a packet leaves
+    /// the network only by landing. Other network state, say flit hops
+    /// or link loads, moves inside a jump, so a `done` that reads it sees
+    /// it at those cycles only. So `done` must read the simulated state,
+    /// not the clock, which `budget` bounds; it may also drive the system
+    /// itself — send a packet, queue host bytes, run a nested loop — and
+    /// the loop goes on from there, first pulling every core back within
+    /// reach of what `done` sent. It may see running cores ahead of the
+    /// clock in their registers and local memory, never in their status,
+    /// the network, the link or anything the host sees. Every exit
+    /// rewinds them to where per-cycle [`step`](Self::step)s leave them.
     ///
     /// # Errors
     ///
@@ -1331,8 +1385,12 @@ impl System {
                 if self.cycle() >= last {
                     return Ok(false);
                 }
-                if self.fast_forward_idle_gap(last).is_some() && done(self)? {
-                    break;
+                match self.jump(last)? {
+                    Jump::Refused => {}
+                    // The cycle after a parked jump is due.
+                    Jump::Parked if !done(self)? => {}
+                    Jump::Parked => break,
+                    Jump::Landed => continue,
                 }
                 self.step_through(last)?;
             }

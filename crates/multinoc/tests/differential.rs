@@ -464,6 +464,128 @@ fn compute_bound_quad() {
     });
 }
 
+/// Loads `source` into P2 of the paper layout, with `{mem}` and `{p1}`
+/// standing for the bases of P2's windows onto the memory IP and P1.
+fn load_p2(sys: &mut System, source: &str) {
+    let map = sys.address_map(P2).expect("map");
+    let mem = map.window_base(MEM).expect("memory window");
+    let p1 = map.window_base(P1).expect("P1 window");
+    let source = source
+        .replace("{mem}", &mem.to_string())
+        .replace("{p1}", &p1.to_string());
+    load_program(sys, P2, &source);
+}
+
+/// P2 posts 24 stores to the memory IP back to back: a stream of
+/// packets crossing the network to another IP.
+const STORE_STREAM: &str = "LIW R5, {mem}\nLIW R1, 24\nXOR R0, R0, R0\n\
+     st: ST R1, R5, R0\nADDI R0, 1\nSUBI R1, 1\nJMPZD done\nJMPD st\ndone: HALT";
+
+/// P1 computes in a long local loop while P2 streams stores to the
+/// memory IP: the cores run ahead and the network is stepped alone while
+/// packets cross it elsewhere.
+fn loop_beside_a_store_stream(sys: &mut System) {
+    load_program(sys, P1, &long_loop(100));
+    load_p2(sys, STORE_STREAM);
+}
+
+/// P1 computes in a long local loop while the host writes a 48-word
+/// block into the memory IP: one long packet, which streams through the
+/// memory's router and lands exactly at its delivery bound.
+fn loop_beside_a_host_block(sys: &mut System) {
+    load_program(sys, P1, &long_loop(100));
+    let data = (0..48).map(|i| 1000 + i).collect();
+    let write = HostCommand::WriteMemory {
+        node: MEM.0,
+        addr: 0x40,
+        data,
+    };
+    sys.link_mut().host_send(&[SYNC_BYTE]);
+    sys.link_mut().host_send(&write.to_bytes());
+}
+
+/// P1 sums the word at 0x280 of its local memory 120 times while P2
+/// stores a countdown into that word, one store every few dozen cycles:
+/// packets to a core running ahead, whose sum depends on the exact cycle
+/// each store lands.
+fn stores_into_a_loop(sys: &mut System) {
+    load_program(
+        sys,
+        P1,
+        "LIW R1, 120\nXOR R0, R0, R0\nXOR R3, R3, R3\nLIW R4, 0x280\n\
+         acc: LD R2, R4, R0\nADD R3, R3, R2\nSUBI R1, 1\nJMPZD done\nJMPD acc\n\
+         done: ST R3, R4, R0\nHALT",
+    );
+    load_p2(
+        sys,
+        "LIW R5, {p1}\nLIW R6, 0x280\nADD R5, R5, R6\nLIW R1, 16\nXOR R0, R0, R0\n\
+         st: ST R1, R5, R0\nLIW R6, 9\nspin: SUBI R6, 1\nJMPZD next\nJMPD spin\n\
+         next: SUBI R1, 1\nJMPZD done\nJMPD st\ndone: HALT",
+    );
+}
+
+/// Steps the row's system through its horizon, holding every packet
+/// completion to the delivery bounds the network reported in earlier
+/// cycles (per router, the highest so far), and returns how many packets
+/// landed exactly at that bound.
+fn landings_at_the_bound(row: &Row) -> usize {
+    let mut sys = build(row, KernelMode::Active, false);
+    let (w, h) = (row.config.width(), row.config.height());
+    let routers: Vec<RouterAddr> = (0..h)
+        .flat_map(|y| (0..w).map(move |x| RouterAddr::new(x, y)))
+        .collect();
+    let mut floor = vec![0; routers.len()];
+    let mut exact = 0;
+    while sys.cycle() < row.horizon {
+        for (i, &at) in routers.iter().enumerate() {
+            if let Some(bound) = sys.noc().delivery_bound(at) {
+                floor[i] = floor[i].max(bound);
+            }
+        }
+        sys.step().expect("steps");
+        let now = sys.cycle();
+        for record in sys.noc().stats().records() {
+            if record.delivered == Some(now) {
+                let i = (routers.iter().position(|&r| r == record.dest)).expect("on the grid");
+                assert!(
+                    now >= floor[i],
+                    "landed at {now}, before the bound {}",
+                    floor[i]
+                );
+                exact += usize::from(now == floor[i]);
+            }
+        }
+    }
+    exact
+}
+
+#[test]
+fn core_computes_beside_a_stream_of_packets() {
+    check(paper(
+        NocConfig::multinoc(),
+        None,
+        loop_beside_a_store_stream,
+        2_000,
+    ));
+}
+
+#[test]
+fn delivery_lands_exactly_at_the_bound() {
+    let row = paper(NocConfig::multinoc(), None, loop_beside_a_host_block, 1_500);
+    assert!(
+        landings_at_the_bound(&row) > 0,
+        "no packet landed exactly at its bound"
+    );
+    check(row);
+}
+
+#[test]
+fn packets_to_a_core_running_ahead() {
+    let row = paper(NocConfig::multinoc(), None, stores_into_a_loop, 1_800);
+    landings_at_the_bound(&row);
+    check(row);
+}
+
 /// The quad layout under `kernel` with a serial link of `cycles_per_byte`,
 /// loaded by `load`.
 fn quad(kernel: KernelMode, cycles_per_byte: u64, load: fn(&mut System)) -> System {
@@ -749,6 +871,51 @@ fn done_that_queues_host_bytes_matches_lockstep() {
                 "store = {store}, n = {n}: {stepped:?}"
             );
         }
+    }
+}
+
+#[test]
+fn done_that_reads_the_network_sees_it_where_the_loop_stops() {
+    // `run_until` asks `done` at visited cycles, at jump ends and at each
+    // landing, not at every cycle in which a flit moves. The delivery
+    // count changes only at a landing, so a stop on it is where per-cycle
+    // stepping stops. Flit hops move inside a jump, so a stop on them can
+    // come later than stepping's, at the first cycle `done` is asked
+    // past the threshold; the system there is the stepped system at that
+    // cycle.
+    for kernel in KERNELS {
+        let build = || {
+            let mut sys = layout_builder(NocConfig::multinoc(), Layout::Paper, kernel)
+                .build()
+                .expect("valid layout");
+            loop_beside_a_store_stream(&mut sys);
+            sys
+        };
+        let stepped_until = |stop: &dyn Fn(&System) -> bool| {
+            let mut sys = build();
+            while !stop(&sys) {
+                sys.step().expect("steps");
+            }
+            (sys.cycle(), sys.fingerprint())
+        };
+        let run_until = |stop: &dyn Fn(&System) -> bool| {
+            let mut sys = build();
+            sys.run_until(BUDGET, "the stop", |sys| Ok(stop(sys)))
+                .expect("stops");
+            (sys.cycle(), sys.fingerprint())
+        };
+        let delivered = |sys: &System| sys.noc().stats().packets_delivered >= 12;
+        assert_eq!(
+            run_until(&delivered),
+            stepped_until(&delivered),
+            "{kernel:?}"
+        );
+        let hops = |sys: &System| sys.noc().stats().flit_hops >= 250;
+        let (at, fingerprint) = run_until(&hops);
+        let (first, _) = stepped_until(&hops);
+        assert!(at > first, "{kernel:?}: {at} vs {first}");
+        let there = stepped_until(&|sys: &System| sys.cycle() >= at);
+        assert_eq!((at, fingerprint), there, "{kernel:?}");
     }
 }
 

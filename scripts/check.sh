@@ -68,6 +68,19 @@ trap 'rm -rf "$out"' EXIT
 (cd "$out" && "$suite" --smoke > /dev/null)
 echo "exp_suite --smoke: every experiment matches its pin"
 
+echo "=== committed observability exports (byte for byte) ==="
+# A full `exp_suite observability` run (the 8x scale the committed files
+# come from; --smoke output is the 1x scale) must regenerate each of the
+# seven committed exports byte for byte.
+mkdir "$out/full"
+(cd "$out/full" && "$suite" observability > /dev/null)
+for f in TRACE_perfetto.json TIMESERIES_observability.json TIMESERIES_observability.prom \
+    METRICS_observability.json METRICS_observability.prom HEATMAP_utilization.txt \
+    RUN_REPORT_observability.md; do
+    cmp "$out/full/$f" "$f"
+done
+echo "exp_suite observability: the committed exports regenerate byte for byte"
+
 echo "=== benchmark baseline comparison (warn-only) ==="
 # Diffs the regenerated BENCH_*.json files against the baselines
 # committed at HEAD; informational only — wall-clock rates vary by host.
