@@ -1047,7 +1047,9 @@ impl System {
             for (idx, ip) in self.ips.iter_mut().enumerate() {
                 if let Ip::Processor(p) = ip {
                     if !self.dead_nodes.contains(&NodeId(idx as u8)) {
-                        let own = (self.noc.delivery_bound(p.router())).map_or(u64::MAX, |b| b - 1);
+                        // With nothing in flight anywhere, no router has a bound.
+                        let own = (landing.and_then(|_| self.noc.delivery_bound(p.router())))
+                            .map_or(u64::MAX, |b| b - 1);
                         let limit = reach.min(horizon(send)).min(own);
                         let first = p.run_ahead(limit);
                         if first.is_some_and(|first| send.is_none_or(|e| first < e)) {
@@ -1077,13 +1079,18 @@ impl System {
     /// every other live IP's wake.
     fn earliest_send(&self, now: u64) -> Option<u64> {
         let epoch = self.noc.current_epoch();
-        let live = (self.ips.iter().enumerate())
-            .filter(|&(idx, _)| !self.dead_nodes.contains(&NodeId(idx as u8)));
-        let wakes = live.filter_map(|(_, ip)| match ip {
+        let wakes = self.live_ips().filter_map(|ip| match ip {
             Ip::Processor(p) => p.send_wake(now, epoch),
             ip => ip.wake(now, epoch, &self.link),
         });
         wakes.chain(self.link.next_device_byte()).min()
+    }
+
+    /// The IPs of every node the diagnosis has not declared dead.
+    fn live_ips(&self) -> impl Iterator<Item = &Ip> {
+        (self.ips.iter().enumerate())
+            .filter(|&(idx, _)| !self.dead_nodes.contains(&NodeId(idx as u8)))
+            .map(|(_, ip)| ip)
     }
 
     /// Undoes every run-ahead instruction lockstep stepping had not
@@ -1290,9 +1297,9 @@ impl System {
         }
         let now = self.noc.cycle();
         let epoch = self.noc.current_epoch();
-        let live = (self.ips.iter().enumerate())
-            .filter(|&(idx, _)| !self.dead_nodes.contains(&NodeId(idx as u8)));
-        let wakes = live.filter_map(|(_, ip)| ip.wake(now, epoch, &self.link));
+        let wakes = self
+            .live_ips()
+            .filter_map(|ip| ip.wake(now, epoch, &self.link));
         let Some(wake) = wakes.chain(self.link.next_deadline()).min() else {
             return Ok(Jump::Refused);
         };
