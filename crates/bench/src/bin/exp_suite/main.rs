@@ -1,6 +1,6 @@
-//! The E18–E25 experiment runner: `exp_suite [--smoke] [name …]`.
+//! The experiment runner, E1–E25: `exp_suite [--smoke] [name …]`.
 //!
-//! Runs the named experiments (all seven by default) from the working
+//! Runs the named experiments (all eight by default) from the working
 //! directory, each writing its artifacts there, and fails unless each
 //! one's result digest equals the value pinned for it below. The digest
 //! is Fletcher-64 over the `Noc`/`System::fingerprint` of every
@@ -8,10 +8,13 @@
 //! one entry once they agree, so the digest does not depend on the
 //! host's CPU count. Wall-clock rates are reported, never pinned.
 //!
-//! `--smoke` selects the short CI variant of every experiment, with its
-//! own pins. Given several experiments, the runner runs each in a child
-//! process of its own (`exp_suite [--smoke] <name>`), so a process-wide
-//! reading such as `peak_rss_kib` describes that experiment alone.
+//! `paper` runs the paper's own results, E1–E17, asserts their claims
+//! and writes `RUN_REPORT_paper.md`; the other seven are the E18–E25
+//! extensions. `--smoke` selects the short CI variant of every
+//! experiment that has one, with its own pins. Given several
+//! experiments, the runner runs each in a child process of its own
+//! (`exp_suite [--smoke] <name>`), so a process-wide reading such as
+//! `peak_rss_kib` describes that experiment alone.
 //!
 //! Run with `cargo run --release -p multinoc-bench --bin exp_suite --
 //! --smoke` from a scratch directory.
@@ -20,6 +23,7 @@ mod chaos;
 mod degradation;
 mod fault_sweep;
 mod observability;
+mod paper;
 mod perf;
 mod recovery;
 mod topology;
@@ -40,7 +44,8 @@ type Experiment = (&'static str, fn(&mut Runs) -> Outcome, u64, u64);
 /// deliberate change to what an experiment simulates; `exp_suite`
 /// prints the computed digest on a mismatch.
 #[rustfmt::skip]
-const EXPERIMENTS: [Experiment; 7] = [
+const EXPERIMENTS: [Experiment; 8] = [
+    ("paper", paper::run, 0x847e_74e2_db7f_cbe5, 0x847e_74e2_db7f_cbe5),
     ("fault_sweep", fault_sweep::run, 0x1318_67c3_fdf9_42c6, 0x1318_67c3_fdf9_42c6),
     ("degradation", degradation::run, 0x836d_7fa6_3fcf_936f, 0x836d_7fa6_3fcf_936f),
     ("perf", perf::run, 0x3439_04a9_a7fa_34f0, 0x3695_bf4a_669b_0935),

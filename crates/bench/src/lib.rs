@@ -1,14 +1,15 @@
 //! Shared infrastructure for the MultiNoC experiment harness.
 //!
-//! Each `exp_*` binary in `src/bin/` regenerates one evaluation artifact
-//! of the paper (E1–E17), and `exp_suite` runs the E18–E25 extension
-//! experiments against pinned result digests (see the experiment index
-//! in `DESIGN.md`). This library holds the small shared pieces: a
-//! fixed-width table printer, the saturation workload used by the
-//! throughput experiments, the runner's gates ([`suite`]), and a small
-//! JSON parser and writer ([`json`]) that validates exported artifacts
-//! (Chrome trace-event documents, metrics snapshots) and lays out the
-//! `BENCH_*.json` files, without external dependencies.
+//! One binary, `exp_suite`, runs every experiment against a pinned
+//! result digest: `paper` regenerates the paper's own results (E1–E17)
+//! into `RUN_REPORT_paper.md`, and seven more run the E18–E25
+//! extensions (see the experiment index in `DESIGN.md`). This library
+//! holds the small shared pieces: a fixed-width table printer, the
+//! saturation workload of the throughput experiment, the runner's gates
+//! ([`suite`]), and a small JSON parser and writer ([`json`]) that
+//! validates exported artifacts (Chrome trace-event documents, metrics
+//! snapshots) and lays out the `BENCH_*.json` files, without external
+//! dependencies.
 
 use hermes_noc::{Noc, Packet, RouterAddr};
 
