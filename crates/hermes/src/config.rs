@@ -49,10 +49,10 @@ impl KernelMode {
     /// A reasonable kernel for a `width`×`height` mesh on this host:
     /// the sequential active-set kernel unless the mesh is saturated-scale
     /// (1024 routers, a 32×32 mesh) *and* the host has at least two cores.
-    /// The crossover is set from BENCH_parallel.json: below it even the
-    /// batched-window parallel kernel cannot amortise its synchronisation
-    /// against `Active`'s idle-skipping, so picking `Parallel` there would
-    /// silently select the slower kernel.
+    /// The crossover is set from `exp_suite perf`'s thread sweep (E20):
+    /// below it even the batched-window parallel kernel cannot amortise
+    /// its synchronisation against `Active`'s idle-skipping, so picking
+    /// `Parallel` there would silently select the slower kernel.
     pub fn auto(width: u8, height: u8) -> Self {
         let routers = usize::from(width) * usize::from(height);
         let cores = std::thread::available_parallelism().map_or(1, usize::from);
@@ -560,9 +560,10 @@ mod tests {
     fn auto_kernel_is_sequential_on_small_meshes() {
         assert_eq!(KernelMode::auto(2, 2), KernelMode::Active);
         assert_eq!(KernelMode::auto(4, 4), KernelMode::Active);
-        // Regression for the mis-gated crossover: BENCH_parallel showed
-        // Parallel strictly slower than Active up to 16×16, so auto must
-        // stay sequential there regardless of core count.
+        // Regression for the mis-gated crossover: `exp_suite perf`'s
+        // thread sweep (E20) showed Parallel strictly slower than Active
+        // up to 16×16, so auto must stay sequential there regardless of
+        // core count.
         assert_eq!(KernelMode::auto(16, 16), KernelMode::Active);
         // Saturated-scale meshes pick Parallel only on multi-core hosts;
         // either way the choice must validate.

@@ -12,6 +12,7 @@ use crate::addr::RouterAddr;
 use crate::flit::Flit;
 use crate::packet::Packet;
 use crate::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
+use crate::trace::SpanKind;
 
 /// Opaque identifier of a packet submitted to the network, used to look up
 /// its [`PacketRecord`](crate::stats::PacketRecord) afterwards.
@@ -56,17 +57,6 @@ enum RxState {
         remaining: usize,
         payload: Vec<u16>,
     },
-}
-
-/// Events the endpoint reports back to the NoC for statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RxEvent {
-    /// A header flit arrived (start of a packet).
-    HeaderArrived(PacketId),
-    /// The final flit arrived; the packet is complete.
-    Completed(PacketId),
-    /// Mid-packet flit; nothing to report.
-    Progress,
 }
 
 /// The local network interface of one router.
@@ -135,8 +125,10 @@ impl LocalEndpoint {
     }
 
     /// Feeds one flit delivered by the router's Local output port into the
-    /// reassembly state machine.
-    pub fn receive(&mut self, flit: Flit) -> RxEvent {
+    /// reassembly state machine, and reports the packet-lifecycle event it
+    /// makes: a header's [`Sink`](SpanKind::Sink), a last flit's
+    /// [`Delivered`](SpanKind::Delivered), nothing mid-packet.
+    pub fn receive(&mut self, flit: Flit) -> Option<(PacketId, SpanKind)> {
         match std::mem::replace(&mut self.rx, RxState::Header) {
             RxState::Header => {
                 let dest = RouterAddr::from_flit(flit.value, self.flit_bits);
@@ -145,7 +137,7 @@ impl LocalEndpoint {
                     src: flit.src,
                     dest,
                 };
-                RxEvent::HeaderArrived(flit.packet)
+                Some((flit.packet, SpanKind::Sink))
             }
             RxState::Size { id, src, dest } => {
                 debug_assert_eq!(id, flit.packet, "interleaved packets at local port");
@@ -154,7 +146,7 @@ impl LocalEndpoint {
                     self.delivered
                         .push_back((id, src, Packet::new(dest, Vec::new())));
                     self.completed += 1;
-                    RxEvent::Completed(id)
+                    Some((id, SpanKind::Delivered))
                 } else {
                     self.rx = RxState::Payload {
                         id,
@@ -163,7 +155,7 @@ impl LocalEndpoint {
                         remaining,
                         payload: Vec::with_capacity(remaining),
                     };
-                    RxEvent::Progress
+                    None
                 }
             }
             RxState::Payload {
@@ -179,7 +171,7 @@ impl LocalEndpoint {
                     self.delivered
                         .push_back((id, src, Packet::new(dest, payload)));
                     self.completed += 1;
-                    RxEvent::Completed(id)
+                    Some((id, SpanKind::Delivered))
                 } else {
                     self.rx = RxState::Payload {
                         id,
@@ -188,7 +180,7 @@ impl LocalEndpoint {
                         remaining: remaining - 1,
                         payload,
                     };
-                    RxEvent::Progress
+                    None
                 }
             }
         }
@@ -315,11 +307,12 @@ mod tests {
         let mut ep = LocalEndpoint::new(8);
         assert_eq!(
             ep.receive(flit(0x11, 3)),
-            RxEvent::HeaderArrived(PacketId(3))
+            Some((PacketId(3), SpanKind::Sink))
         );
-        assert_eq!(ep.receive(flit(2, 3)), RxEvent::Progress);
-        assert_eq!(ep.receive(flit(0xAA, 3)), RxEvent::Progress);
-        assert_eq!(ep.receive(flit(0x55, 3)), RxEvent::Completed(PacketId(3)));
+        assert_eq!(ep.receive(flit(2, 3)), None);
+        assert_eq!(ep.receive(flit(0xAA, 3)), None);
+        let delivered = Some((PacketId(3), SpanKind::Delivered));
+        assert_eq!(ep.receive(flit(0x55, 3)), delivered);
         let (id, src, packet) = ep.delivered.pop_front().unwrap();
         assert_eq!(id, PacketId(3));
         assert_eq!(src, RouterAddr::new(0, 1), "source carried on the flits");
@@ -332,7 +325,10 @@ mod tests {
     fn reassembles_zero_payload_packet() {
         let mut ep = LocalEndpoint::new(8);
         ep.receive(flit(0x00, 4));
-        assert_eq!(ep.receive(flit(0, 4)), RxEvent::Completed(PacketId(4)));
+        assert_eq!(
+            ep.receive(flit(0, 4)),
+            Some((PacketId(4), SpanKind::Delivered))
+        );
         let (_, _, packet) = ep.delivered.pop_front().unwrap();
         assert!(packet.payload().is_empty());
     }

@@ -340,8 +340,8 @@ impl FaultPlan {
 
     /// Whether the plan schedules any router control stall. A stalled
     /// router accrues its stall counter on every stepped cycle even when
-    /// idle, so idle-gap fast-forwarding must be disabled while such a
-    /// plan is installed (see [`Noc::advance_idle`](crate::Noc::advance_idle)).
+    /// idle, so an idle network is not jumped while such a plan is
+    /// installed (see [`Noc::ticks_idly`](crate::Noc::ticks_idly)).
     pub fn has_router_stalls(&self) -> bool {
         !self.stalls.is_empty()
     }

@@ -36,11 +36,11 @@
 //! failures, epoch announcements, deadlock recovery and scheduled stalls
 //! all require an installed fault plan or a non-empty epoch list, so
 //! [`Noc`](crate::Noc) collapses the window to 1 whenever either exists.
-//! Side effects that cross router ownership — statistics, packet-record
-//! updates (cycle-tagged), link-health observations, traces — are
+//! Side effects that cross router ownership — statistics, the
+//! cycle-tagged packet-event stream, link-health observations — are
 //! accumulated in per-shard [`ShardDelta`]s across the whole window and
 //! merged serially (in shard order, which is ascending router order; and
-//! in cycle order for the cycle-tagged streams) after the final barrier,
+//! in cycle order for the cycle-tagged stream) after the final barrier,
 //! so the merged observables are independent of how routers were
 //! scheduled. Combined with the counter-based fault RNG (keyed by fault
 //! site and cycle, not draw order — see [`crate::fault`]), this makes
@@ -70,7 +70,7 @@ use std::time::Instant;
 
 use crate::addr::{Port, RouterAddr};
 use crate::config::NocConfig;
-use crate::endpoint::{LocalEndpoint, PacketId, RxEvent};
+use crate::endpoint::{LocalEndpoint, PacketId};
 use crate::fault::FaultInjector;
 use crate::flit::Flit;
 use crate::metrics::PhaseProfile;
@@ -96,21 +96,6 @@ pub(crate) fn shard_range(
     let start_row = shard * base + shard.min(extra);
     let rows = base + usize::from(shard < extra);
     (start_row * width)..((start_row + rows) * width)
-}
-
-/// A deferred update to one packet's statistics record, applied at the
-/// merge with the cycle it was observed in (events are stored
-/// cycle-tagged so a whole window can merge at once). At most one event
-/// per packet per cycle can occur (flits move one hop per cycle), so
-/// application order within a cycle is irrelevant.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum RecordEvent {
-    /// A flit of the packet entered the network (sets `injected` once).
-    Injected(PacketId),
-    /// The header flit reached the destination IP.
-    Header(PacketId),
-    /// The final flit reached the destination IP.
-    Delivered(PacketId),
 }
 
 /// A deferred link-health observation. Each directed link sees at most
@@ -141,11 +126,10 @@ pub(crate) enum HealthEvent {
 }
 
 /// Everything one shard defers to the serial merge: statistics counters,
-/// record/health events and flits staged for other shards' routers. With
-/// a window larger than one cycle the delta accumulates the whole window
-/// before merging; streams whose application is cycle-sensitive
-/// (`record_events`, the trace spans via `SpanEvent::cycle`) carry their
-/// cycle explicitly.
+/// packet and health events and flits staged for other shards' routers.
+/// With a window larger than one cycle the delta accumulates the whole
+/// window before merging; the packet events, whose folds are
+/// cycle-sensitive, carry their cycle in `SpanEvent::cycle`.
 #[derive(Debug, Default)]
 pub(crate) struct ShardDelta {
     pub flit_hops: u64,
@@ -166,9 +150,14 @@ pub(crate) struct ShardDelta {
     pub local_ingress: Vec<RouterAddr>,
     /// One entry per flit transferred over a link this window.
     pub link_flits: Vec<LinkId>,
-    /// Record events tagged with the cycle they occurred in, in
-    /// ascending cycle order (cycles are walked in order).
-    pub record_events: Vec<(u64, RecordEvent)>,
+    /// Packet-lifecycle events of the local sub-phase, in ascending
+    /// cycle order (cycles are walked in order): every header's inject,
+    /// and while a tracer listens the route decisions and drops.
+    pub events_local: Vec<(PacketId, SpanEvent)>,
+    /// Packet-lifecycle events of the apply sub-phase: every header's
+    /// and last flit's arrival (sink, delivered), and while a tracer
+    /// listens the header's link hops.
+    pub events_apply: Vec<(PacketId, SpanEvent)>,
     /// Health events observed in the local sub-phase (local ingress
     /// handshakes timing out against a dead router).
     pub health_local: Vec<HealthEvent>,
@@ -176,13 +165,6 @@ pub(crate) struct ShardDelta {
     pub health_decide: Vec<HealthEvent>,
     /// Health events observed while applying transfers (garbles/successes).
     pub health_apply: Vec<HealthEvent>,
-    /// Packet-trace spans recorded in the local sub-phase (inject, route
-    /// decision, drop). Empty unless tracing is enabled; each span
-    /// carries its cycle, so the merge can interleave shards per cycle.
-    pub trace_local: Vec<(PacketId, SpanEvent)>,
-    /// Packet-trace spans recorded in the apply sub-phase (header hop,
-    /// sink, delivery). Empty unless tracing is enabled.
-    pub trace_apply: Vec<(PacketId, SpanEvent)>,
     /// Transfers decided for this shard's routers this cycle:
     /// `(router, input, output)`. Consumed and cleared every cycle.
     pub transfers: Vec<(usize, usize, usize)>,
@@ -229,12 +211,11 @@ impl ShardDelta {
         self.source_queue_drops = 0;
         self.local_ingress.clear();
         self.link_flits.clear();
-        self.record_events.clear();
+        self.events_local.clear();
+        self.events_apply.clear();
         self.health_local.clear();
         self.health_decide.clear();
         self.health_apply.clear();
-        self.trace_local.clear();
-        self.trace_apply.clear();
         self.transfers.clear();
         self.blocked_conns.clear();
         self.stuck.clear();
@@ -291,8 +272,9 @@ pub(crate) struct CycleShared {
     /// Failures cannot occur without a fault plan, and a fault plan
     /// forces a one-cycle window, so the flag cannot go stale mid-window.
     pub pristine: bool,
-    /// Whether packet-lifecycle tracing is on; when false the trace hooks
-    /// reduce to one predictable branch per site.
+    /// Whether packet-lifecycle tracing is on; when false the events
+    /// only the tracer folds (route, hop, drop) cost one predictable
+    /// branch per site.
     pub trace_enabled: bool,
     /// Whether every shard walks all of its routers every cycle and never
     /// retires one ([`KernelMode::Reference`]) instead of walking the
@@ -441,15 +423,13 @@ unsafe fn phase_local(
                 if !local_in.buffer.is_full() {
                     let pushed = local_in.buffer.push(Flit::new(value, id, here, now));
                     debug_assert!(pushed);
+                    let header = endpoint.outgoing.front().is_some_and(|p| !p.started);
                     endpoint.pop_inject();
                     endpoint.next_inject_ok = now + cadence;
-                    delta.record_events.push((now, RecordEvent::Injected(id)));
                     delta.local_ingress.push(here);
                     delta.flit_hops += 1;
-                    if sh.trace_enabled {
-                        // Fires once per flit; the tracer keeps only the
-                        // first occurrence (the header) per packet.
-                        delta.trace_local.push((
+                    if header {
+                        delta.events_local.push((
                             id,
                             SpanEvent {
                                 cycle: now,
@@ -537,7 +517,7 @@ unsafe fn phase_local(
                     delta.rerouted_grants += 1;
                 }
                 if sh.trace_enabled {
-                    delta.trace_local.push((
+                    delta.events_local.push((
                         wid,
                         SpanEvent {
                             cycle: now,
@@ -562,7 +542,7 @@ unsafe fn phase_local(
                     DropKind::Misaddressed => delta.misaddressed_drops += 1,
                 }
                 if sh.trace_enabled {
-                    delta.trace_local.push((
+                    delta.events_local.push((
                         wid,
                         SpanEvent {
                             cycle: now,
@@ -791,40 +771,22 @@ unsafe fn phase_apply_src(sh: &CycleShared, now: u64, range: Range<usize>, delta
         match out_port {
             Port::Local => {
                 delta.flits_delivered += 1;
-                match sh.endpoint_mut(idx).receive(flit) {
-                    RxEvent::HeaderArrived(id) => {
-                        delta.record_events.push((now, RecordEvent::Header(id)));
-                        if sh.trace_enabled {
-                            delta.trace_apply.push((
-                                id,
-                                SpanEvent {
-                                    cycle: now,
-                                    kind: SpanKind::Sink,
-                                    router: here,
-                                    port: Port::Local,
-                                    occupancy,
-                                },
-                            ));
-                        }
-                    }
-                    RxEvent::Completed(id) => {
-                        delta.record_events.push((now, RecordEvent::Delivered(id)));
-                        delta.packets_delivered += 1;
-                        if sh.trace_enabled {
-                            delta.trace_apply.push((
-                                id,
-                                SpanEvent {
-                                    cycle: now,
-                                    kind: SpanKind::Delivered,
-                                    router: here,
-                                    port: Port::Local,
-                                    occupancy,
-                                },
-                            ));
-                        }
-                    }
-                    RxEvent::Progress => {}
+                let Some((id, kind)) = sh.endpoint_mut(idx).receive(flit) else {
+                    continue;
+                };
+                if kind == SpanKind::Delivered {
+                    delta.packets_delivered += 1;
                 }
+                delta.events_apply.push((
+                    id,
+                    SpanEvent {
+                        cycle: now,
+                        kind,
+                        router: here,
+                        port: Port::Local,
+                        occupancy,
+                    },
+                ));
             }
             _ => {
                 // Decide already resolved these lookups; a miss here
@@ -837,7 +799,7 @@ unsafe fn phase_apply_src(sh: &CycleShared, now: u64, range: Range<usize>, delta
                     continue;
                 };
                 if sh.trace_enabled && flit_index == 1 {
-                    delta.trace_apply.push((
+                    delta.events_apply.push((
                         flit.packet,
                         SpanEvent {
                             cycle: now,

@@ -69,6 +69,7 @@ mod topology;
 pub mod fault;
 pub mod latency;
 pub mod metrics;
+pub mod ring;
 pub mod snapshot;
 pub mod stats;
 pub mod telemetry;
@@ -87,6 +88,7 @@ pub use health::LinkHealth;
 pub use metrics::{MetricKind, PhaseProfile, Registry};
 pub use noc::Noc;
 pub use packet::Packet;
+pub use ring::Ring;
 pub use routing::{RouteTable, Routing};
 pub use snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 pub use stats::{FaultCounters, HealthCounters, NocStats, PacketRecord};

@@ -8,9 +8,7 @@ use crate::endpoint::{LocalEndpoint, PacketId};
 use crate::error::{NocError, RouteError, SendError};
 use crate::fault::{FaultInjector, FaultPlan, PlanError};
 use crate::health::{HealthMonitor, LinkHealth};
-use crate::kernel::{
-    self, CycleShared, HealthEvent, PhaseProfiler, RecordEvent, ShardDelta, WorkerPool,
-};
+use crate::kernel::{self, CycleShared, HealthEvent, PhaseProfiler, ShardDelta, WorkerPool};
 use crate::metrics::{PhaseProfile, Registry};
 use crate::packet::Packet;
 use crate::router::Router;
@@ -18,7 +16,7 @@ use crate::routing::{RouteTable, Routing};
 use crate::snapshot::{self, SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::stats::{LinkId, NocStats, PacketRecord};
 use crate::telemetry::{Telemetry, TelemetryConfig};
-use crate::trace::PacketTracer;
+use crate::trace::{PacketTracer, SpanEvent};
 
 /// Cycles the engine batches per dispatch and merge inside
 /// [`Noc::run`] and [`Noc::run_until_idle`] when nothing forces one-cycle
@@ -44,12 +42,12 @@ fn table_for(epochs: &[Epoch], cycles_per_flit: u32, here: RouterAddr, now: u64)
     })
 }
 
-/// The items of the cycle-ascending stream `items` (a shard delta's
-/// cycle-tagged events) that `cycle_of` tags with `cycle`.
-fn at_cycle<T>(items: &[T], cycle: u64, cycle_of: impl Fn(&T) -> u64) -> &[T] {
-    let from = items.partition_point(|item| cycle_of(item) < cycle);
-    let len = items[from..].partition_point(|item| cycle_of(item) == cycle);
-    &items[from..from + len]
+/// The events of the cycle-ascending stream `events` (a shard delta's
+/// packet events of one sub-phase) that happened in `cycle`.
+fn at_cycle(events: &[(PacketId, SpanEvent)], cycle: u64) -> &[(PacketId, SpanEvent)] {
+    let from = events.partition_point(|(_, e)| e.cycle < cycle);
+    let len = events[from..].partition_point(|(_, e)| e.cycle == cycle);
+    &events[from..from + len]
 }
 
 /// Outcome of one routing decision at a router's control logic.
@@ -207,7 +205,7 @@ impl Noc {
             .topology
             .requires_route_table()
             .then(|| Box::new(RouteTable::build(&config.topology, &BTreeSet::new())));
-        let stats = NocStats::new(routers.len(), config.stats_window);
+        let stats = NocStats::new(config.stats_window);
         let health = HealthMonitor::new(config.fault_threshold);
         let active = vec![false; routers.len()];
         let sent_to = vec![0; routers.len()];
@@ -319,7 +317,7 @@ impl Noc {
     /// sizes. Replacing an existing sampler restarts the stream with
     /// fresh baselines.
     pub fn enable_telemetry(&mut self, config: TelemetryConfig) {
-        self.telemetry = Some(Box::new(Telemetry::new(config, &self.stats)));
+        self.telemetry = Some(Box::new(Telemetry::new(config, &self.stats, &self.routers)));
     }
 
     /// The telemetry sampler, if enabled.
@@ -351,26 +349,12 @@ impl Noc {
     /// observed state — stats deltas and buffer occupancy — is identical
     /// under every kernel.
     fn telemetry_tick(&mut self) {
-        let Some(telemetry) = self.telemetry.as_deref() else {
+        let Some(telemetry) = self.telemetry.as_deref_mut() else {
             return;
         };
-        let interval = telemetry.sample_interval();
-        if self.cycle == 0 || !self.cycle.is_multiple_of(interval) {
-            return;
-        }
-        let occupancy: Vec<(u32, u64)> = self
-            .routers
-            .iter()
-            .enumerate()
-            .filter_map(|(idx, router)| {
-                let buffered = router.buffered_flits();
-                (buffered > 0).then_some((idx as u32, buffered))
-            })
-            .collect();
-        let end = self.cycle;
-        let cycles_per_flit = self.config.cycles_per_flit;
-        if let Some(telemetry) = self.telemetry.as_deref_mut() {
-            telemetry.sample(end, &self.stats, occupancy, cycles_per_flit);
+        if self.cycle > 0 && self.cycle.is_multiple_of(telemetry.sample_interval()) {
+            let cycles_per_flit = self.config.cycles_per_flit;
+            telemetry.sample(self.cycle, &self.stats, &self.routers, cycles_per_flit);
         }
     }
 
@@ -448,9 +432,9 @@ impl Noc {
                 );
             }
         }
-        for (idx, counters) in s.routers.iter().enumerate() {
-            let addr = self.config.topology.addr_of(idx);
-            let label = addr.to_string();
+        for (idx, router) in self.routers.iter().enumerate() {
+            let counters = &router.counters;
+            let label = self.config.topology.addr_of(idx).to_string();
             reg.gauge_int(
                 "hermes_buffer_peak_flits",
                 "High-water mark of any input buffer of the router",
@@ -1006,10 +990,10 @@ impl Noc {
 
     /// Serially merges every shard's deferred side effects for the
     /// window `start..=end` into the global observables — statistics
-    /// counters, packet records, link health and reconfiguration epochs —
-    /// in shard order, which is ascending router order, so the result is
-    /// independent of how the phases were scheduled. Cycle-tagged streams
-    /// (packet records, trace spans) are additionally interleaved in
+    /// counters, packet records, traces, link health and reconfiguration
+    /// epochs — in shard order, which is ascending router order, so the
+    /// result is independent of how the phases were scheduled. The
+    /// cycle-tagged packet-event stream is additionally interleaved in
     /// cycle order, reproducing the per-cycle sequential merge exactly.
     /// Merge-time feedback into the phases (health failures, epochs,
     /// deadlock recovery) can only occur when the window is one cycle, so
@@ -1017,22 +1001,6 @@ impl Noc {
     /// in which any shard walked a node (0 if none did).
     fn merge_window(&mut self, start: u64, end: u64) -> u64 {
         let now = end;
-        // The statistics keep an exact mirror of the per-router hardware
-        // counters; the phases update only the counters of walked
-        // routers. A one-cycle window's walks name every router that can
-        // have changed; a longer window mirrors them all, once.
-        if start == end {
-            for delta in &self.deltas {
-                for &idx in &delta.walk {
-                    self.stats.routers[idx] = self.routers[idx].counters;
-                }
-            }
-        } else {
-            for (idx, router) in self.routers.iter().enumerate() {
-                self.stats.routers[idx] = router.counters;
-            }
-        }
-
         let mut deltas = std::mem::take(&mut self.deltas);
 
         // Links crossing the fault threshold this cycle: `(router, out,
@@ -1060,22 +1028,21 @@ impl Noc {
             }
         }
 
-        // Replay the window's trace stream cycle by cycle: within each
-        // cycle every local-phase span first (shard order is ascending
-        // router order), then every apply-phase span — exactly the order
-        // the one-shard sequential engine appends them in, so all kernels
-        // emit bit-identical traces for every window size.
-        if let Some(tracer) = self.tracer.as_mut() {
-            for cycle in start..=end {
-                for delta in &deltas {
-                    for &(id, event) in at_cycle(&delta.trace_local, cycle, |(_, e)| e.cycle) {
-                        tracer.record(id, event);
-                    }
-                }
-                for delta in &deltas {
-                    for &(id, event) in at_cycle(&delta.trace_apply, cycle, |(_, e)| e.cycle) {
-                        tracer.record(id, event);
-                    }
+        // Replay the window's packet events cycle by cycle into both
+        // folds, the records (with the latency histogram) and the tracer:
+        // within each cycle every local-phase event first (shard order is
+        // ascending router order), then every apply-phase event — exactly
+        // the order the one-shard sequential engine appends them in, so
+        // all kernels fold bit-identically for every window size. The
+        // record updates of one cycle commute (a packet moves one flit a
+        // cycle), so only the tracer needs that order.
+        for cycle in start..=end {
+            let local = deltas.iter().map(|d| at_cycle(&d.events_local, cycle));
+            let apply = deltas.iter().map(|d| at_cycle(&d.events_apply, cycle));
+            for &(id, event) in local.chain(apply).flatten() {
+                self.stats.observe(id, event.kind, event.cycle);
+                if let Some(tracer) = self.tracer.as_mut() {
+                    tracer.record(id, event);
                 }
             }
         }
@@ -1107,40 +1074,6 @@ impl Noc {
             }
             for &link in &delta.link_flits {
                 *self.stats.link_flits.entry(link).or_insert(0) += 1;
-            }
-        }
-
-        // Apply the window's record events cycle by cycle, stamping every
-        // event with its own cycle — bit-identical to a per-cycle merge,
-        // including the order latency observations reach the histogram.
-        for cycle in start..=end {
-            for delta in &deltas {
-                for &(at, ev) in at_cycle(&delta.record_events, cycle, |&(at, _)| at) {
-                    match ev {
-                        RecordEvent::Injected(id) => {
-                            if let Some(record) = self.stats.record_mut(id) {
-                                if record.injected.is_none() {
-                                    record.injected = Some(at);
-                                }
-                            }
-                        }
-                        RecordEvent::Header(id) => {
-                            if let Some(record) = self.stats.record_mut(id) {
-                                record.header_delivered = Some(at);
-                            }
-                        }
-                        RecordEvent::Delivered(id) => {
-                            let mut latency = None;
-                            if let Some(record) = self.stats.record_mut(id) {
-                                record.delivered = Some(at);
-                                latency = Some(at - record.sent);
-                            }
-                            if let Some(latency) = latency {
-                                self.stats.observe_latency(latency);
-                            }
-                        }
-                    }
-                }
             }
         }
 
@@ -1289,14 +1222,24 @@ impl Noc {
         endpoint.abort_rx();
     }
 
+    /// Whether advancing the clock is a pure tick: the network is idle
+    /// and no router stall is scheduled (a stalled idle router still
+    /// accrues its stall counter every stepped cycle). While it holds,
+    /// [`run`](Self::run) moves the clock without stepping any router,
+    /// and nothing but a [`send`](Self::send) ends it.
+    pub fn ticks_idly(&self) -> bool {
+        self.is_idle() && !self.fault_plan().is_some_and(FaultPlan::has_router_stalls)
+    }
+
     /// Advances the clock by `cycles` at once without stepping any router
-    /// — valid only while the network is idle, where a step is a pure
-    /// clock tick. The caller must also ensure no scheduled router-stall
-    /// window overlaps the gap (a stalled idle router still accrues its
-    /// stall counter every stepped cycle, which a jump would skip); see
-    /// [`FaultPlan::has_router_stalls`](crate::fault::FaultPlan::has_router_stalls).
-    pub fn advance_idle(&mut self, cycles: u64) {
-        debug_assert!(self.is_idle(), "advance_idle requires an idle network");
+    /// while the network [ticks idly](Self::ticks_idly), leaving what
+    /// stepping would: the active-set walk retires every node it visits
+    /// (the reference walk none).
+    fn advance_idle(&mut self, cycles: u64) {
+        debug_assert!(self.ticks_idly(), "advance_idle requires an idle network");
+        if !self.config.kernel.full_walk() {
+            self.active.fill(false);
+        }
         let target = self.cycle + cycles;
         // The jump must leave the same telemetry stream a stepped run
         // would: one (all-zero-delta) frame per crossed sample boundary,
@@ -1319,12 +1262,18 @@ impl Noc {
     /// An installed fault plan, a reconfiguration epoch or the
     /// [`Reference`](KernelMode::Reference) kernel collapses the windows
     /// to one cycle, and the final window is clamped so the run ends
-    /// exactly at `cycles`. The call returns at a fully merged cycle
-    /// boundary with observables bit-identical to stepping cycle by
-    /// cycle.
+    /// exactly at `cycles`. Once the network [ticks idly](Self::ticks_idly)
+    /// the rest of the run is one clock jump, which cuts the same
+    /// (all-zero) telemetry frames. The call returns at a fully merged
+    /// cycle boundary with observables bit-identical to stepping cycle
+    /// by cycle.
     pub fn run(&mut self, cycles: u64) {
         let mut remaining = cycles;
         while remaining > 0 {
+            if self.ticks_idly() {
+                self.advance_idle(remaining);
+                return;
+            }
             let base = self.cycle + 1;
             let w = self.next_window(base, remaining);
             self.cycle += u64::from(w);
@@ -1520,7 +1469,7 @@ impl Noc {
         for endpoint in &self.endpoints {
             endpoint.snapshot_write(w);
         }
-        self.stats.snapshot_write(w);
+        self.stats.snapshot_write(w, &self.routers);
         self.health.snapshot_write(w);
         // An epoch is its announcement and dead-link set; the detour
         // table is rebuilt from them on restore.
@@ -1574,7 +1523,7 @@ impl Noc {
         for endpoint in &mut noc.endpoints {
             endpoint.snapshot_read(r)?;
         }
-        noc.stats.snapshot_read(r)?;
+        noc.stats.snapshot_read(r, &noc.routers)?;
         noc.health.snapshot_read(r)?;
         let epochs: Vec<(u64, RouterAddr, BTreeSet<LinkId>)> = r.take()?;
         noc.dead_routers = r.take()?;
@@ -1610,7 +1559,7 @@ impl Noc {
                 .map_err(|_| SnapshotError::Malformed("fault plan fails validation"))?;
         }
         if let Some(telemetry) = &noc.telemetry {
-            telemetry.check_restored(noc.routers.len(), &noc.stats)?;
+            telemetry.check_restored(&noc.stats, &noc.routers)?;
         }
         let topology = noc.config.topology;
         noc.epochs = (epochs.into_iter())

@@ -158,9 +158,10 @@ impl OutputPort {
     }
 }
 
-/// Per-router counters exposed through [`NocStats`](crate::stats::NocStats).
+/// Per-router control-logic counters; [`Noc::metrics`](crate::Noc::metrics)
+/// exports the grants and the buffer peak.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RouterCounters {
+pub(crate) struct RouterCounters {
     /// Connections granted by the control logic.
     pub grants: u64,
     /// Cycle-samples in which a routing request waited on a busy output.

@@ -1,5 +1,5 @@
 //! Network statistics: per-packet latency records, link utilization and
-//! router counters.
+//! fault and health counters (the routers own their per-router counters).
 //!
 //! Per-packet records are kept in a **bounded window** of the most recent
 //! packets (see [`NocConfig::stats_window`](crate::NocConfig::stats_window));
@@ -16,8 +16,10 @@ use std::collections::HashMap;
 
 use crate::addr::{Port, RouterAddr};
 use crate::endpoint::PacketId;
-pub use crate::router::RouterCounters;
+use crate::ring::Ring;
+use crate::router::{Router, RouterCounters};
 use crate::snapshot::{check_mesh, SnapshotError, SnapshotReader, SnapshotWriter};
+use crate::trace::SpanKind;
 
 /// Latencies up to this many cycles land in their own one-cycle-wide
 /// histogram bucket (quantiles are exact for them); anything larger is
@@ -295,8 +297,10 @@ crate::snap_struct!(FaultCounters {
     deadlock_recoveries,
 });
 
-/// Aggregate statistics of a [`Noc`](crate::Noc) run.
-#[derive(Debug, Clone)]
+/// Aggregate statistics of a [`Noc`](crate::Noc) run. The default has an
+/// effectively unbounded record window; [`Noc::new`](crate::Noc::new)
+/// sets the configured one.
+#[derive(Debug, Clone, Default)]
 pub struct NocStats {
     /// Simulated clock cycles so far.
     pub cycles: u64,
@@ -308,18 +312,10 @@ pub struct NocStats {
     pub flit_hops: u64,
     /// Flits delivered to destination IPs.
     pub flits_delivered: u64,
-    /// Recent per-packet records in packet-id order. Ids are assigned
-    /// sequentially, so a record is found by offsetting its id against
-    /// the id of the oldest retained record — no index map needed.
-    records: Vec<PacketRecord>,
-    /// Most records to expose through [`records`](Self::records); the
-    /// backing vector is drained whenever it reaches twice this size, so
-    /// eviction is amortized O(1) per packet.
-    window: usize,
-    /// Packet id of `records[0]`.
-    base_id: u64,
-    /// Records evicted from the window so far.
-    evicted: u64,
+    /// Recent per-packet records, numbered by packet id: ids are
+    /// assigned sequentially, so a record is found by offsetting its id
+    /// against the oldest retained one — no index map needed.
+    records: Ring<PacketRecord>,
     /// Streaming latency aggregate over every delivered packet whose
     /// record was still retained at delivery time.
     latency: LatencyHistogram,
@@ -330,8 +326,6 @@ pub struct NocStats {
     /// Flits injected by each IP into its router (the IP-to-router
     /// direction of the local port).
     pub local_ingress_flits: HashMap<RouterAddr, u64>,
-    /// Per-router control-logic counters, indexed `y * width + x`.
-    pub routers: Vec<RouterCounters>,
     /// Outcomes of injected faults (see [`FaultCounters`]).
     pub faults: FaultCounters,
     /// Outcomes of online fault diagnosis and reconfiguration (see
@@ -339,87 +333,54 @@ pub struct NocStats {
     pub health: HealthCounters,
 }
 
-impl Default for NocStats {
-    /// An empty statistics object with an effectively unbounded record
-    /// window; [`Noc::new`](crate::Noc::new) always replaces the window
-    /// with the configured one.
-    fn default() -> Self {
-        Self {
-            cycles: 0,
-            packets_sent: 0,
-            packets_delivered: 0,
-            flit_hops: 0,
-            flits_delivered: 0,
-            records: Vec::new(),
-            window: usize::MAX,
-            base_id: 0,
-            evicted: 0,
-            latency: LatencyHistogram::default(),
-            link_flits: HashMap::new(),
-            local_ingress_flits: HashMap::new(),
-            routers: Vec::new(),
-            faults: FaultCounters::default(),
-            health: HealthCounters::default(),
-        }
-    }
-}
-
 impl NocStats {
-    pub(crate) fn new(router_count: usize, window: usize) -> Self {
+    pub(crate) fn new(window: usize) -> Self {
         Self {
-            routers: vec![RouterCounters::default(); router_count],
-            window: window.max(1),
+            records: Ring::new(window),
             ..Self::default()
         }
     }
 
     pub(crate) fn add_record(&mut self, record: PacketRecord) {
-        if self.records.is_empty() {
-            self.base_id = record.id.0;
-        }
-        debug_assert_eq!(
-            record.id.0,
-            self.base_id + self.records.len() as u64,
-            "packet ids must be assigned sequentially"
-        );
-        if self.records.len() >= self.window.saturating_mul(2) {
-            let excess = self.records.len() - self.window;
-            self.records.drain(..excess);
-            self.base_id += excess as u64;
-            self.evicted += excess as u64;
-        }
-        self.records.push(record);
+        self.records.push(record.id.0, record);
     }
 
-    pub(crate) fn record_mut(&mut self, id: PacketId) -> Option<&mut PacketRecord> {
-        let offset = usize::try_from(id.0.checked_sub(self.base_id)?).ok()?;
-        self.records.get_mut(offset)
-    }
-
-    /// Folds a delivered packet's end-to-end latency into the streaming
-    /// aggregate.
-    pub(crate) fn observe_latency(&mut self, latency: u64) {
-        self.latency.observe(latency);
+    /// Folds one packet-lifecycle event at `cycle` into the packet's
+    /// record: the header's injection and arrival, the last flit's
+    /// arrival. A delivery also folds the packet's end-to-end
+    /// latency into the streaming aggregate, if its record is still
+    /// held (an evicted record's latency is unknown).
+    pub(crate) fn observe(&mut self, id: PacketId, kind: SpanKind, cycle: u64) {
+        let Some(record) = self.records.get_mut(id.0) else {
+            return;
+        };
+        match kind {
+            SpanKind::Inject => record.injected = Some(cycle),
+            SpanKind::Sink => record.header_delivered = Some(cycle),
+            SpanKind::Delivered => {
+                record.delivered = Some(cycle);
+                self.latency.observe(cycle - record.sent);
+            }
+            SpanKind::Route | SpanKind::Hop | SpanKind::Drop => {}
+        }
     }
 
     /// Record of one recent packet by id; `None` once the record has been
     /// evicted from the bounded window (its latency, if it was delivered
     /// in time, lives on in [`latency_histogram`](Self::latency_histogram)).
     pub fn record(&self, id: PacketId) -> Option<&PacketRecord> {
-        let offset = usize::try_from(id.0.checked_sub(self.base_id)?).ok()?;
-        self.records.get(offset)
+        self.records.get(id.0)
     }
 
     /// The most recent packet records (at most the configured window), in
     /// submission order.
     pub fn records(&self) -> &[PacketRecord] {
-        let start = self.records.len().saturating_sub(self.window);
-        &self.records[start..]
+        self.records.visible()
     }
 
     /// Records evicted from the bounded window so far.
     pub fn evicted_records(&self) -> u64 {
-        self.evicted
+        self.records.evicted()
     }
 
     /// The streaming latency aggregate (count/sum/min/max + histogram)
@@ -471,70 +432,72 @@ impl NocStats {
     }
 
     /// Serializes all counters, the record ring and the latency
-    /// aggregate; the per-router counters are positional.
-    pub(crate) fn snapshot_write(&self, w: &mut SnapshotWriter) {
+    /// aggregate. The slot of the per-router counters, which the routers
+    /// own, is written from `routers`, positionally.
+    pub(crate) fn snapshot_write(&self, w: &mut SnapshotWriter, routers: &[Router]) {
         w.put(&(self.cycles, self.packets_sent, self.packets_delivered));
         w.put(&(self.flit_hops, self.flits_delivered));
-        w.put(&self.records);
-        w.put(&(self.base_id, self.evicted));
+        self.records.put_held(w);
+        w.put(&(self.records.first(), self.records.evicted()));
         w.put(&self.latency);
         w.put(&self.link_flits);
         w.put(&self.local_ingress_flits);
-        for counters in &self.routers {
-            w.put(counters);
+        for router in routers {
+            w.put(&router.counters);
         }
         w.put(&(self.faults, self.health));
     }
 
     /// Restores statistics written by
     /// [`snapshot_write`](Self::snapshot_write) into statistics freshly
-    /// built for the configured router count and record window.
+    /// built for the configured record window. The per-router counters
+    /// slot must repeat what the already restored `routers` hold.
     pub(crate) fn snapshot_read(
         &mut self,
         r: &mut SnapshotReader<'_>,
+        routers: &[Router],
     ) -> Result<(), SnapshotError> {
         (self.cycles, self.packets_sent, self.packets_delivered) = r.take()?;
         (self.flit_hops, self.flits_delivered) = r.take()?;
-        self.records = r.take()?;
-        (self.base_id, self.evicted) = r.take()?;
+        let records = r.take()?;
+        let (first, evicted) = r.take()?;
+        let window = self.records.window();
+        self.records = Ring::restore(window, first, evicted, records, "record ring over window")?;
         self.latency = r.take()?;
         self.link_flits = r.take()?;
         self.local_ingress_flits = r.take()?;
-        for counters in &mut self.routers {
-            *counters = r.take()?;
+        for router in routers {
+            if r.take::<RouterCounters>()? != router.counters {
+                return Err(SnapshotError::Malformed("router counters disagree"));
+            }
         }
         (self.faults, self.health) = r.take()?;
         Ok(())
     }
 
     /// The checks restored statistics need context for: the record ring
-    /// fits its window and numbers its packets sequentially up to the
-    /// network's `next_id`, no packet was sent after the snapshot's
-    /// `cycle`, and every tallied router lies on the mesh.
+    /// numbers its packets sequentially up to the network's `next_id`,
+    /// no packet was sent after the snapshot's `cycle`, and every
+    /// tallied router lies on the mesh.
     pub(crate) fn check_restored(
         &self,
         next_id: u64,
         cycle: u64,
         mesh: (u8, u8),
     ) -> Result<(), SnapshotError> {
-        if self.records.len() > self.window.saturating_mul(2) {
-            return Err(SnapshotError::Malformed("record ring over window"));
-        }
-        let mut ids = self.records.iter().enumerate();
-        if !ids.all(|(i, record)| record.id.0 == self.base_id.wrapping_add(i as u64)) {
+        if !self.records.numbered(|record| record.id.0) {
             return Err(SnapshotError::Malformed("record ids not sequential"));
         }
-        if !self.records.is_empty()
-            && Some(next_id) != self.base_id.checked_add(self.records.len() as u64)
-        {
+        if !self.records.is_empty() && next_id != self.records.end() {
             return Err(SnapshotError::Malformed("record ids disagree with next id"));
         }
-        if self.records.iter().any(|record| record.sent > cycle) {
+        let records = self.records.held();
+        if records.iter().any(|record| record.sent > cycle) {
             return Err(SnapshotError::Malformed("packet sent after snapshot cycle"));
         }
         check_mesh(
             mesh,
-            (self.records.iter().map(|record| record.src))
+            (records.iter().map(|record| record.src))
                 .chain(self.link_flits.keys().map(|link| link.0))
                 .chain(self.local_ingress_flits.keys().copied()),
         )
@@ -621,18 +584,19 @@ mod tests {
         }
     }
 
-    /// Adds the record and, if it is delivered, folds its latency into
-    /// the streaming aggregate the way the simulator does at delivery.
+    /// Adds the record and, if it is delivered, folds its delivery in
+    /// the way the simulator does.
     fn add(stats: &mut NocStats, r: PacketRecord) {
-        if r.is_delivered() {
-            stats.observe_latency(r.latency());
-        }
+        let (id, delivered) = (r.id, r.delivered);
         stats.add_record(r);
+        if let Some(cycle) = delivered {
+            stats.observe(id, SpanKind::Delivered, cycle);
+        }
     }
 
     #[test]
     fn mean_latency_ignores_undelivered() {
-        let mut stats = NocStats::new(4, 1024);
+        let mut stats = NocStats::new(1024);
         add(&mut stats, record(0, 0, Some(40)));
         add(&mut stats, record(1, 0, Some(60)));
         add(&mut stats, record(2, 0, None));
@@ -641,7 +605,7 @@ mod tests {
 
     #[test]
     fn quantiles() {
-        let mut stats = NocStats::new(4, 1024);
+        let mut stats = NocStats::new(1024);
         for i in 0..10u64 {
             add(&mut stats, record(i, 0, Some((i + 1) * 10)));
         }
@@ -657,7 +621,7 @@ mod tests {
 
     #[test]
     fn empty_stats_return_none_or_zero() {
-        let stats = NocStats::new(4, 1024);
+        let stats = NocStats::new(1024);
         assert_eq!(stats.mean_latency(), None);
         assert_eq!(stats.latency_quantile(0.5), None);
         assert_eq!(stats.accepted_flits_per_cycle_per_node(4), 0.0);
@@ -668,7 +632,7 @@ mod tests {
 
     #[test]
     fn record_lookup_by_id() {
-        let mut stats = NocStats::new(4, 1024);
+        let mut stats = NocStats::new(1024);
         stats.add_record(record(7, 3, Some(50)));
         assert_eq!(stats.record(PacketId(7)).unwrap().sent, 3);
         assert!(stats.record(PacketId(8)).is_none());
@@ -681,7 +645,7 @@ mod tests {
     #[test]
     fn window_bounds_retained_records_but_keeps_aggregates() {
         let window = 8;
-        let mut stats = NocStats::new(4, window);
+        let mut stats = NocStats::new(window);
         for i in 0..1000u64 {
             add(&mut stats, record(i, 0, Some(i + 10)));
         }

@@ -22,6 +22,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use crate::addr::RouterAddr;
+use crate::router::Router;
 use crate::snapshot::SnapshotError;
 use crate::stats::{LinkId, NocStats, LATENCY_BUCKETS};
 use crate::topology::Topology;
@@ -202,52 +203,31 @@ pub struct Telemetry {
 
 impl Telemetry {
     /// Builds a sampler with its baselines primed from the network's
-    /// current statistics, so the first frame covers only activity after
-    /// the enable point.
-    pub(crate) fn new(config: TelemetryConfig, stats: &NocStats) -> Self {
-        let config = config.validated();
-        let mut t = Self {
-            config,
+    /// current statistics and router counters, so the first frame covers
+    /// only activity after the enable point.
+    pub(crate) fn new(config: TelemetryConfig, stats: &NocStats, routers: &[Router]) -> Self {
+        let hist = stats.latency_histogram();
+        Self {
+            config: config.validated(),
             frames: VecDeque::new(),
             evicted: 0,
             next_index: 0,
-            base_flit_hops: 0,
-            base_flits_delivered: 0,
-            base_packets_sent: 0,
-            base_packets_delivered: 0,
-            base_link_flits: BTreeMap::new(),
-            base_grants: Vec::new(),
-            base_latency_count: 0,
-            base_latency_sum: 0,
-            base_latency_overflow: 0,
-            base_latency_buckets: None,
+            base_flit_hops: stats.flit_hops,
+            base_flits_delivered: stats.flits_delivered,
+            base_packets_sent: stats.packets_sent,
+            base_packets_delivered: stats.packets_delivered,
+            base_link_flits: stats.link_flits.iter().map(|(&l, &f)| (l, f)).collect(),
+            base_grants: routers.iter().map(|r| r.counters.grants).collect(),
+            base_latency_count: hist.count(),
+            base_latency_sum: hist.sum(),
+            base_latency_overflow: hist.overflow(),
+            base_latency_buckets: hist.buckets.clone(),
             links: BTreeMap::new(),
             events: VecDeque::new(),
             events_evicted: 0,
             alerts_raised: 0,
             alerts_cleared: 0,
-        };
-        t.rebase(stats);
-        t
-    }
-
-    /// Re-primes every baseline from `stats` without emitting a frame.
-    fn rebase(&mut self, stats: &NocStats) {
-        self.base_flit_hops = stats.flit_hops;
-        self.base_flits_delivered = stats.flits_delivered;
-        self.base_packets_sent = stats.packets_sent;
-        self.base_packets_delivered = stats.packets_delivered;
-        self.base_link_flits = stats
-            .link_flits
-            .iter()
-            .map(|(link, &flits)| (*link, flits))
-            .collect();
-        self.base_grants = stats.routers.iter().map(|c| c.grants).collect();
-        let hist = stats.latency_histogram();
-        self.base_latency_count = hist.count();
-        self.base_latency_sum = hist.sum();
-        self.base_latency_overflow = hist.overflow();
-        self.base_latency_buckets = hist.buckets.clone();
+        }
     }
 
     /// The configured sample interval in cycles.
@@ -326,13 +306,13 @@ impl Telemetry {
     /// Cuts the frame closing at cycle `end` (a multiple of the sample
     /// interval): computes every delta against the previous boundary,
     /// advances the baselines, appends the frame to the ring and feeds it
-    /// to the congestion analytics. `occupancy` is the sparse per-router
-    /// buffered-flit reading at the boundary.
+    /// to the congestion analytics. The frame also reads each router's
+    /// grants and buffered flits at the boundary.
     pub(crate) fn sample(
         &mut self,
         end: u64,
         stats: &NocStats,
-        occupancy: Vec<(u32, u64)>,
+        routers: &[Router],
         cycles_per_flit: u32,
     ) {
         let interval = self.config.sample_interval;
@@ -354,15 +334,20 @@ impl Telemetry {
                 .collect();
         }
 
-        if self.base_grants.len() < stats.routers.len() {
-            self.base_grants.resize(stats.routers.len(), 0);
+        if self.base_grants.len() < routers.len() {
+            self.base_grants.resize(routers.len(), 0);
         }
         let mut router_grants: Vec<(u32, u64)> = Vec::new();
-        for (idx, counters) in stats.routers.iter().enumerate() {
-            let delta = counters.grants - self.base_grants[idx];
+        let mut occupancy: Vec<(u32, u64)> = Vec::new();
+        for (idx, router) in routers.iter().enumerate() {
+            let delta = router.counters.grants - self.base_grants[idx];
             if delta > 0 {
                 router_grants.push((idx as u32, delta));
-                self.base_grants[idx] = counters.grants;
+                self.base_grants[idx] = router.counters.grants;
+            }
+            let buffered = router.buffered_flits();
+            if buffered > 0 {
+                occupancy.push((idx as u32, buffered));
             }
         }
 
@@ -788,16 +773,17 @@ impl Telemetry {
             .chain(self.events.iter().map(|e| e.link.0))
     }
 
-    /// The checks a decoded sampler must pass for a network of
-    /// `router_count` routers with the restored `stats`: a validated
-    /// configuration, rings within capacity, router indices and grant
-    /// baselines that fit the mesh, and no baseline above the counter
-    /// the next sample subtracts it from.
+    /// The checks a decoded sampler must pass for a network with the
+    /// restored `stats` and `routers`: a validated configuration, rings
+    /// within capacity, router indices and grant baselines that fit the
+    /// mesh, and no baseline above the counter the next sample subtracts
+    /// it from.
     pub(crate) fn check_restored(
         &self,
-        router_count: usize,
         stats: &NocStats,
+        routers: &[Router],
     ) -> Result<(), SnapshotError> {
+        let router_count = routers.len();
         let config = &self.config;
         // Enabling telemetry validates its configuration, so a snapshot
         // only ever holds one that validation leaves unchanged.
@@ -827,7 +813,7 @@ impl Telemetry {
             || self.base_flits_delivered > stats.flits_delivered
             || self.base_packets_sent > stats.packets_sent
             || self.base_packets_delivered > stats.packets_delivered
-            || (self.base_grants.iter().zip(&stats.routers)).any(|(&base, c)| base > c.grants)
+            || (self.base_grants.iter().zip(routers)).any(|(&base, r)| base > r.counters.grants)
             || self.base_latency_count > hist.count()
             || self.base_latency_sum > hist.sum()
             || self.base_latency_overflow > hist.overflow()

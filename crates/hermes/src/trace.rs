@@ -11,10 +11,10 @@
 //! count) emit bit-identical streams; the trace doubles as a correctness
 //! oracle for the deterministic parallel engine.
 //!
-//! Traces live in the same bounded-ring discipline as the statistics
-//! records: only the most recent `window` packet traces are visible, the
-//! backing store never exceeds twice the window, and everything older is
-//! counted by [`PacketTracer::evicted_traces`].
+//! Traces live in the same bounded [`Ring`] as the statistics records:
+//! only the most recent `window` packet traces are visible, the backing
+//! store never exceeds twice the window, and everything older is counted
+//! by [`PacketTracer::evicted_traces`].
 //!
 //! [`PacketTracer::perfetto_json`] exports the visible traces in the
 //! Chrome trace-event format (one timeline track per packet, one
@@ -25,7 +25,8 @@ use std::fmt;
 
 use crate::addr::{Port, RouterAddr};
 use crate::endpoint::PacketId;
-use crate::snapshot::SnapshotError;
+use crate::ring::Ring;
+use crate::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
 
 /// What happened at one point of a packet's lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -185,86 +186,52 @@ impl fmt::Display for PacketTrace {
     }
 }
 
-/// Bounded ring of recent packet traces, mirroring the eviction
-/// discipline of [`NocStats`](crate::stats::NocStats): the backing store
-/// holds at most twice the window and drains down to the window before it
-/// would exceed that, so long runs stay in O(window) memory with
-/// amortized O(1) bookkeeping per packet.
+/// Bounded [`Ring`] of recent packet traces, numbered by packet id like
+/// the records of [`NocStats`](crate::stats::NocStats), so long runs stay
+/// in O(window) memory with amortized O(1) bookkeeping per packet.
 #[derive(Debug, Clone, Default)]
 pub struct PacketTracer {
-    traces: Vec<PacketTrace>,
-    window: usize,
-    /// Packet id of `traces[0]`.
-    base_id: u64,
-    evicted: u64,
-    started: bool,
+    traces: Ring<PacketTrace>,
 }
 
 impl PacketTracer {
     /// Creates a tracer retaining the `window` most recent packet traces.
     pub(crate) fn new(window: usize) -> Self {
         Self {
-            traces: Vec::new(),
-            window: window.max(1),
-            base_id: 0,
-            evicted: 0,
-            started: false,
+            traces: Ring::new(window),
         }
     }
 
     /// Starts a trace for a freshly submitted packet. Ids are contiguous
     /// in submission order, which is what makes ring lookup O(1).
     pub(crate) fn register(&mut self, id: PacketId, src: RouterAddr, dest: RouterAddr, sent: u64) {
-        if !self.started {
-            self.base_id = id.as_u64();
-            self.started = true;
-        }
-        if self.traces.len() >= self.window.saturating_mul(2) {
-            let excess = self.traces.len() - self.window;
-            self.traces.drain(..excess);
-            self.base_id += excess as u64;
-            self.evicted += excess as u64;
-        }
-        self.traces.push(PacketTrace {
+        let trace = PacketTrace {
             id,
             src,
             dest,
             sent,
             events: Vec::new(),
-        });
+        };
+        self.traces.push(id.as_u64(), trace);
     }
 
     /// Appends a span event to a live trace. Events for evicted traces
     /// (or for packets submitted before tracing was enabled) are silently
-    /// discarded; `Inject` fires once per flit at the source, so only the
-    /// first occurrence (the header) is kept.
+    /// discarded.
     pub(crate) fn record(&mut self, id: PacketId, event: SpanEvent) {
-        let Some(index) = id
-            .as_u64()
-            .checked_sub(self.base_id)
-            .and_then(|i| usize::try_from(i).ok())
-        else {
-            return;
-        };
-        let Some(trace) = self.traces.get_mut(index) else {
-            return;
-        };
-        if event.kind == SpanKind::Inject && !trace.events.is_empty() {
-            return;
+        if let Some(trace) = self.traces.get_mut(id.as_u64()) {
+            trace.events.push(event);
         }
-        trace.events.push(event);
     }
 
     /// The visible traces: the most recent `window` packets, oldest first.
     pub fn traces(&self) -> &[PacketTrace] {
-        let start = self.traces.len().saturating_sub(self.window);
-        &self.traces[start..]
+        self.traces.visible()
     }
 
     /// The trace of one packet, if it is still in the backing store.
     pub fn trace(&self, id: PacketId) -> Option<&PacketTrace> {
-        let index = usize::try_from(id.as_u64().checked_sub(self.base_id)?).ok()?;
-        self.traces.get(index)
+        self.traces.get(id.as_u64())
     }
 
     /// The most recent `last` traces touching `node` as source or
@@ -283,12 +250,12 @@ impl PacketTracer {
 
     /// Number of traces evicted from the ring so far.
     pub fn evicted_traces(&self) -> u64 {
-        self.evicted
+        self.traces.evicted()
     }
 
     /// The configured window.
     pub fn window(&self) -> usize {
-        self.window
+        self.traces.window()
     }
 
     /// The visible traces as Chrome trace-event JSON objects (one string
@@ -338,21 +305,31 @@ impl PacketTracer {
     pub fn perfetto_json(&self) -> String {
         perfetto_wrap(&self.perfetto_events())
     }
+}
 
-    /// The checks a decoded tracer must pass: a nonzero window, a ring
-    /// within twice the window, trace ids sequential from `base_id`.
-    fn check_restored(&self) -> Result<(), SnapshotError> {
-        if self.window == 0 {
-            return Err(SnapshotError::Malformed("tracer window"));
+/// The ring's window, first id and eviction count, whether tracing has
+/// started (derived: the ring holds a trace) and the held traces, each
+/// checked on decode.
+impl Snap for PacketTracer {
+    fn put(&self, w: &mut SnapshotWriter) {
+        let ring = &self.traces;
+        w.put(&(
+            ring.window(),
+            ring.first(),
+            ring.evicted(),
+            !ring.is_empty(),
+        ));
+        ring.put_held(w);
+    }
+
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        let (window, first, evicted, started): (usize, u64, u64, bool) = r.take()?;
+        let traces: Ring<PacketTrace> =
+            Ring::restore(window, first, evicted, r.take()?, "trace ring")?;
+        if started == traces.is_empty() || !traces.numbered(|trace| trace.id.as_u64()) {
+            return Err(SnapshotError::Malformed("trace ring numbering"));
         }
-        if self.traces.len() > self.window.saturating_mul(2) {
-            return Err(SnapshotError::Malformed("trace ring over window"));
-        }
-        let mut ids = self.traces.iter().enumerate();
-        if !ids.all(|(i, trace)| trace.id.as_u64() == self.base_id.wrapping_add(i as u64)) {
-            return Err(SnapshotError::Malformed("trace ids not sequential"));
-        }
-        Ok(())
+        Ok(Self { traces })
     }
 }
 
@@ -377,13 +354,7 @@ crate::snap_struct!(SpanEvent {
     dest,
     sent,
     events,
-} PacketTracer {
-    window,
-    base_id,
-    evicted,
-    started,
-    traces,
-} => PacketTracer::check_restored);
+});
 
 /// Wraps pre-rendered trace-event JSON objects into a complete Chrome
 /// trace-event document (`{"traceEvents": [...]}`).
@@ -446,24 +417,11 @@ mod tests {
         assert_eq!(visible[1].id(), PacketId(4));
         assert_eq!(tracer.evicted_traces(), 2);
         // Backing store never exceeds twice the window.
-        assert!(tracer.traces.len() <= 4);
+        assert!(tracer.traces.held().len() <= 4);
         // Events for evicted packets are dropped silently.
         tracer.record(PacketId(0), event(9, SpanKind::Hop));
         assert!(tracer.trace(PacketId(0)).is_none());
         assert_eq!(tracer.trace(PacketId(4)).unwrap().events().len(), 1);
-    }
-
-    #[test]
-    fn inject_is_recorded_once() {
-        let mut tracer = PacketTracer::new(4);
-        tracer.register(PacketId(0), RouterAddr::new(0, 0), RouterAddr::new(1, 0), 0);
-        tracer.record(PacketId(0), event(3, SpanKind::Inject));
-        tracer.record(PacketId(0), event(5, SpanKind::Inject));
-        tracer.record(PacketId(0), event(7, SpanKind::Route));
-        let t = tracer.trace(PacketId(0)).unwrap();
-        assert_eq!(t.events().len(), 2);
-        assert_eq!(t.events()[0].kind, SpanKind::Inject);
-        assert_eq!(t.events()[1].kind, SpanKind::Route);
     }
 
     #[test]

@@ -61,8 +61,8 @@ struct Row {
 enum Driving {
     /// `step` every cycle of every chunk.
     Step,
-    /// `run(chunk)`, or `advance_idle(chunk)` across an idle gap the
-    /// fault plan allows jumping.
+    /// `run(chunk)`, which jumps an idle gap the fault plan allows
+    /// jumping.
     Run,
 }
 
@@ -145,14 +145,7 @@ fn advance(noc: &mut Noc, cycles: u64, driving: Driving, floor: &mut [u64]) {
                 }
             }
         }
-        Driving::Run => {
-            let stalls = noc.fault_plan().is_some_and(FaultPlan::has_router_stalls);
-            if noc.is_idle() && !stalls {
-                noc.advance_idle(cycles);
-            } else {
-                noc.run(cycles);
-            }
-        }
+        Driving::Run => noc.run(cycles),
     }
 }
 
@@ -245,7 +238,7 @@ fn check(row: Row) {
 #[test]
 fn healthy_mesh() {
     // Two bursts around a long idle gap: the busy and quiescent paths of
-    // the active set, and telemetry frames across an `advance_idle` jump.
+    // the active set, and telemetry frames across a jump of `run`.
     let mut r = row(NocConfig::mesh(4, 4), None, 40, 9);
     for (i, s) in schedule(4, 4, 10, 13).into_iter().enumerate() {
         r.sends.push(Send {

@@ -39,7 +39,7 @@ proptest! {
     /// On a healthy mesh, every delivered packet's traced hop count is
     /// exactly the Manhattan distance of its endpoints (XY is minimal),
     /// its route count is one grant per router on the path, and its span
-    /// sequence is well-formed (inject first, delivered last).
+    /// sequence is well-formed (one inject, first; delivered last).
     #[test]
     fn traced_hops_equal_xy_route_length(seed in 0u64..200) {
         let mut noc = Noc::new(NocConfig::mesh(4, 4)).unwrap();
@@ -67,6 +67,7 @@ proptest! {
             prop_assert_eq!(trace.route_count(), trace.hop_count() + 1);
             let events = trace.events();
             prop_assert_eq!(events[0].kind, SpanKind::Inject);
+            prop_assert_eq!(events.iter().filter(|e| e.kind == SpanKind::Inject).count(), 1);
             prop_assert_eq!(events[events.len() - 1].kind, SpanKind::Delivered);
             prop_assert_eq!(trace.path()[0], src);
             prop_assert_eq!(*trace.path().last().unwrap(), dst);

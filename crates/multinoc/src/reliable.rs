@@ -99,14 +99,40 @@ fn promote_unreachable(node: NodeId, dest: RouterAddr, err: SystemError) -> Syst
     }
 }
 
+/// When a message was last transmitted and how often: the one retry
+/// clock of explicit-ack messages and implicit-ack requests.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct RetryClock {
+    /// Cycle of the most recent transmission.
+    sent_at: u64,
+    /// Transmissions so far (1 after the initial send, never 0).
+    attempt: u32,
+}
+
+impl RetryClock {
+    /// The clock of a message first sent at `now` — the one start, and
+    /// the one restart when an epoch change or a redirect voids the
+    /// backoff.
+    fn at(now: u64) -> Self {
+        Self {
+            sent_at: now,
+            attempt: 1,
+        }
+    }
+
+    /// The cycle the next retransmission is due under `policy`.
+    fn due(&self, policy: &RetryPolicy) -> u64 {
+        self.sent_at
+            .saturating_add(policy.timeout_for(self.attempt - 1))
+    }
+}
+
 /// One unacknowledged message on the wire.
 #[derive(Debug, Clone)]
 struct Inflight {
     seq: u16,
     service: Service,
-    sent_at: u64,
-    /// Transmissions so far (1 after the initial send).
-    attempt: u32,
+    clock: RetryClock,
 }
 
 /// Stop-and-wait state towards one destination: at most one sequenced
@@ -231,8 +257,7 @@ impl ReliableSender {
             self.queues[i].inflight = Some(Inflight {
                 seq,
                 service,
-                sent_at: now,
-                attempt: 1,
+                clock: RetryClock::at(now),
             });
         } else {
             self.queues[i].backlog.push_back((seq, service));
@@ -270,8 +295,7 @@ impl ReliableSender {
             q.inflight = Some(Inflight {
                 seq: next_seq,
                 service,
-                sent_at: now,
-                attempt: 1,
+                clock: RetryClock::at(now),
             });
         }
         Ok(())
@@ -285,29 +309,45 @@ impl ReliableSender {
     /// retry budget; transport errors from retransmitting.
     pub fn poll(&mut self, net: &mut NetPort<'_>, now: u64) -> Result<(), SystemError> {
         self.note_epoch(net, now);
-        let node = self.node;
-        for q in &mut self.queues {
+        let mut queues = std::mem::take(&mut self.queues);
+        let polled = queues.iter_mut().try_for_each(|q| {
             let Some(inf) = q.inflight.as_mut() else {
-                continue;
+                return Ok(());
             };
-            if now.saturating_sub(inf.sent_at) < self.policy.timeout_for(inf.attempt - 1) {
-                continue;
-            }
-            if inf.attempt > self.policy.max_retries {
-                return Err(SystemError::DeliveryFailed {
-                    node,
-                    dest: q.dest,
-                    seq: inf.seq,
-                    attempts: inf.attempt,
-                });
-            }
-            let dest = q.dest;
-            net.send_seq(dest, inf.service.clone(), inf.seq)
-                .map_err(|e| promote_unreachable(node, dest, e))?;
-            inf.sent_at = now;
-            inf.attempt += 1;
-            self.counters.retransmissions += 1;
+            let message = (q.dest, inf.seq, &inf.service);
+            self.retransmit(net, message, &mut inf.clock, now, false)
+        });
+        self.queues = queues;
+        polled
+    }
+
+    /// The one retransmission: once `clock` is due, sends `service` to
+    /// `dest` again as `seq` and counts the attempt. Past the retry
+    /// budget the delivery fails typed instead, unless `patient`.
+    fn retransmit(
+        &mut self,
+        net: &mut NetPort<'_>,
+        (dest, seq, service): (RouterAddr, u16, &Service),
+        clock: &mut RetryClock,
+        now: u64,
+        patient: bool,
+    ) -> Result<(), SystemError> {
+        if now < clock.due(&self.policy) {
+            return Ok(());
         }
+        if !patient && clock.attempt > self.policy.max_retries {
+            return Err(SystemError::DeliveryFailed {
+                node: self.node,
+                dest,
+                seq,
+                attempts: clock.attempt,
+            });
+        }
+        net.send_seq(dest, service.clone(), seq)
+            .map_err(|e| promote_unreachable(self.node, dest, e))?;
+        clock.sent_at = now;
+        clock.attempt = clock.attempt.saturating_add(1);
+        self.counters.retransmissions += 1;
         Ok(())
     }
 
@@ -319,10 +359,7 @@ impl ReliableSender {
         self.queues
             .iter()
             .filter_map(|q| q.inflight.as_ref())
-            .map(|inf| {
-                inf.sent_at
-                    .saturating_add(self.policy.timeout_for(inf.attempt - 1))
-            })
+            .map(|inf| inf.clock.due(&self.policy))
             .min()
     }
 
@@ -331,10 +368,8 @@ impl ReliableSender {
     /// still has to restart its retry clock, else its timeout.
     pub fn request_deadline(&self, pending: &PendingRequest) -> u64 {
         match self.epoch_reset_at {
-            Some(reset_at) if pending.sent_at < reset_at => reset_at,
-            _ => pending
-                .sent_at
-                .saturating_add(self.policy.timeout_for(pending.attempt.saturating_sub(1))),
+            Some(reset_at) if pending.clock.sent_at < reset_at => reset_at,
+            _ => pending.clock.due(&self.policy),
         }
     }
 
@@ -358,8 +393,7 @@ impl ReliableSender {
         self.epoch_reset_at = Some(now);
         for q in &mut self.queues {
             if let Some(inf) = q.inflight.as_mut() {
-                inf.sent_at = now;
-                inf.attempt = 1;
+                inf.clock = RetryClock::at(now);
                 self.counters.reroute_resets += 1;
             }
         }
@@ -377,41 +411,54 @@ impl ReliableSender {
         pending: &mut PendingRequest,
         now: u64,
     ) -> Result<(), SystemError> {
+        self.poll_pending(net, pending, now, false)
+    }
+
+    /// Like [`poll_request`](Self::poll_request), but without a retry
+    /// budget: the request keeps retransmitting at the widest backoff
+    /// forever. For requests answered by the *host* (`Scanf`), where a
+    /// long silence means a slow human, not a lost packet.
+    ///
+    /// # Errors
+    ///
+    /// Transport errors from retransmitting.
+    pub fn poll_request_patient(
+        &mut self,
+        net: &mut NetPort<'_>,
+        pending: &mut PendingRequest,
+        now: u64,
+    ) -> Result<(), SystemError> {
+        self.poll_pending(net, pending, now, true)
+    }
+
+    /// Restarts a request last transmitted before the most recent
+    /// reconfiguration epoch change, else retransmits it once due.
+    fn poll_pending(
+        &mut self,
+        net: &mut NetPort<'_>,
+        pending: &mut PendingRequest,
+        now: u64,
+        patient: bool,
+    ) -> Result<(), SystemError> {
         self.note_epoch(net, now);
         if self.reset_for_reroute(pending, now) {
             return Ok(());
         }
-        if now.saturating_sub(pending.sent_at) < self.policy.timeout_for(pending.attempt - 1) {
-            return Ok(());
-        }
-        if pending.attempt > self.policy.max_retries {
-            return Err(SystemError::DeliveryFailed {
-                node: self.node,
-                dest: pending.dest,
-                seq: pending.seq,
-                attempts: pending.attempt,
-            });
-        }
-        net.send_seq(pending.dest, pending.request.clone(), pending.seq)
-            .map_err(|e| promote_unreachable(self.node, pending.dest, e))?;
-        pending.sent_at = now;
-        pending.attempt += 1;
-        self.counters.retransmissions += 1;
-        Ok(())
+        let message = (pending.dest, pending.seq, &pending.request);
+        self.retransmit(net, message, &mut pending.clock, now, patient)
     }
 
     /// Restarts a pending request's retry clock if it was last
     /// transmitted before the most recent reconfiguration epoch change.
-    /// Self-disarming: the reset stamps `sent_at` at or past the change.
+    /// Self-disarming: the restart stamps the clock at or past the change.
     fn reset_for_reroute(&mut self, pending: &mut PendingRequest, now: u64) -> bool {
         let Some(reset_at) = self.epoch_reset_at else {
             return false;
         };
-        if pending.sent_at >= reset_at {
+        if pending.clock.sent_at >= reset_at {
             return false;
         }
-        pending.sent_at = now;
-        pending.attempt = 1;
+        pending.clock = RetryClock::at(now);
         self.counters.reroute_resets += 1;
         true
     }
@@ -443,8 +490,7 @@ impl ReliableSender {
             }
             q.dest = new;
             if let Some(inf) = q.inflight.as_mut() {
-                inf.sent_at = now;
-                inf.attempt = 1;
+                inf.clock = RetryClock::at(now);
                 self.counters.reroute_resets += 1;
             }
         }
@@ -493,34 +539,6 @@ impl ReliableSender {
             std::iter::once(q.dest).chain(queued.filter_map(Service::peer))
         })
     }
-    /// Like [`poll_request`](Self::poll_request), but without a retry
-    /// budget: the request keeps retransmitting at the widest backoff
-    /// forever. For requests answered by the *host* (`Scanf`), where a
-    /// long silence means a slow human, not a lost packet.
-    ///
-    /// # Errors
-    ///
-    /// Transport errors from retransmitting.
-    pub fn poll_request_patient(
-        &mut self,
-        net: &mut NetPort<'_>,
-        pending: &mut PendingRequest,
-        now: u64,
-    ) -> Result<(), SystemError> {
-        self.note_epoch(net, now);
-        if self.reset_for_reroute(pending, now) {
-            return Ok(());
-        }
-        if now.saturating_sub(pending.sent_at) < self.policy.timeout_for(pending.attempt - 1) {
-            return Ok(());
-        }
-        net.send_seq(pending.dest, pending.request.clone(), pending.seq)
-            .map_err(|e| promote_unreachable(self.node, pending.dest, e))?;
-        pending.sent_at = now;
-        pending.attempt = pending.attempt.saturating_add(1);
-        self.counters.retransmissions += 1;
-        Ok(())
-    }
 }
 
 /// A request whose response acts as its acknowledgement
@@ -533,10 +551,8 @@ pub struct PendingRequest {
     pub seq: u16,
     /// The request itself, kept for retransmission.
     pub request: Service,
-    /// Cycle of the most recent transmission.
-    pub sent_at: u64,
-    /// Transmissions so far.
-    pub attempt: u32,
+    /// When it was last transmitted and how often.
+    clock: RetryClock,
 }
 
 impl PendingRequest {
@@ -546,8 +562,7 @@ impl PendingRequest {
             dest,
             seq,
             request,
-            sent_at: now,
-            attempt: 1,
+            clock: RetryClock::at(now),
         }
     }
 
@@ -564,8 +579,7 @@ impl PendingRequest {
             return;
         }
         self.dest = new;
-        self.sent_at = now;
-        self.attempt = 1;
+        self.clock = RetryClock::at(now);
     }
 
     /// The request's destination and any router its message names.
@@ -640,20 +654,21 @@ impl fmt::Display for RetryCounters {
     }
 }
 
-/// Sequence numbers and transmission counts start at 1.
-fn check_inflight(inflight: &Inflight) -> Result<(), SnapshotError> {
-    if inflight.seq == 0 || inflight.attempt == 0 {
-        return Err(SnapshotError::Malformed("in-flight message state"));
+/// Transmission counts start at 1: a retry clock at 0 would underflow
+/// its backoff.
+fn check_clock(clock: &RetryClock) -> Result<(), SnapshotError> {
+    if clock.attempt == 0 {
+        return Err(SnapshotError::Malformed("retry clock attempt is 0"));
     }
     Ok(())
 }
 
+/// Sequence numbers start at 1.
 fn check_queue(queue: &DestQueue) -> Result<(), SnapshotError> {
-    if queue.next_seq == 0 {
-        return Err(SnapshotError::Malformed("sequence counter is 0"));
-    }
-    if queue.backlog.iter().any(|&(seq, _)| seq == 0) {
-        return Err(SnapshotError::Malformed("backlog sequence is 0"));
+    let inflight = queue.inflight.iter().map(|inf| inf.seq);
+    let mut seqs = inflight.chain(queue.backlog.iter().map(|&(seq, _)| seq));
+    if queue.next_seq == 0 || seqs.any(|seq| seq == 0) {
+        return Err(SnapshotError::Malformed("sequence number is 0"));
     }
     Ok(())
 }
@@ -666,12 +681,14 @@ hermes_noc::snap_struct!(RetryPolicy {
     retransmissions,
     acked,
     reroute_resets,
-} Inflight {
-    seq,
-    service,
+} RetryClock {
     sent_at,
     attempt,
-} => check_inflight DestQueue {
+} => check_clock Inflight {
+    seq,
+    service,
+    clock,
+} DestQueue {
     dest,
     next_seq,
     inflight,
@@ -680,8 +697,7 @@ hermes_noc::snap_struct!(RetryPolicy {
     dest,
     seq,
     request,
-    sent_at,
-    attempt,
+    clock,
 } DedupReceiver { seen, duplicates });
 
 #[cfg(test)]
@@ -770,6 +786,25 @@ mod tests {
         let mut other = req.clone();
         other.redirect(RouterAddr::new(0, 1), RouterAddr::new(1, 0), 10);
         assert!(other.matches(RouterAddr::new(1, 1), 7));
+    }
+
+    #[test]
+    fn a_pending_request_with_attempt_zero_is_malformed() {
+        // Regression: a checkpointed remote read, scanf or serial-IP read
+        // with `attempt: 0` used to decode, and the next `poll_request`
+        // underflowed `attempt - 1`.
+        use hermes_noc::snapshot::KIND_SYSTEM;
+        let mut w = SnapshotWriter::new();
+        w.put(&RouterAddr::new(1, 1));
+        w.put(&7u16);
+        w.put(&Service::Scanf);
+        w.put(&(40u64, 0u32));
+        let bytes = w.finish(KIND_SYSTEM);
+        let mut r = SnapshotReader::open(&bytes, KIND_SYSTEM).expect("container");
+        assert_eq!(
+            r.take::<PendingRequest>(),
+            Err(SnapshotError::Malformed("retry clock attempt is 0"))
+        );
     }
 
     #[test]

@@ -895,11 +895,7 @@ impl System {
                 }
             }
         }
-        if self.noc_ticks_idly() {
-            self.noc.advance_idle(1);
-        } else {
-            self.noc.step();
-        }
+        self.noc.run(1);
         self.visit(last)
     }
 
@@ -1259,13 +1255,6 @@ impl System {
         Ok(())
     }
 
-    /// Whether the network advances a cycle as a pure clock tick: it is
-    /// idle, and no plan-stalled router must be charged its stall cycle.
-    fn noc_ticks_idly(&self) -> bool {
-        let plan = self.noc.fault_plan();
-        self.noc.is_idle() && !plan.is_some_and(FaultPlan::has_router_stalls)
-    }
-
     /// Advances the clock through cycles in which no IP can act, visiting
     /// none of them: up to just before the soonest live IP's
     /// [wake](ProcessorIp::wake) or the link's next deadline, never past
@@ -1291,7 +1280,7 @@ impl System {
         let alone = self.unperturbed() && self.watchdog.is_none();
         if !self.noc.delivered_empty()
             || self.send_count() != self.sends_seen
-            || !(alone || self.noc_ticks_idly())
+            || !(alone || self.noc.ticks_idly())
         {
             return Ok(Jump::Refused);
         }
@@ -1315,8 +1304,8 @@ impl System {
         }
         while self.noc.cycle() < park {
             let from = self.noc.cycle();
-            if self.noc_ticks_idly() {
-                self.noc.advance_idle(park - from);
+            if self.noc.ticks_idly() {
+                self.noc.run(park - from);
                 self.credit_skipped(park - from);
                 break;
             }

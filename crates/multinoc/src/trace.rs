@@ -11,7 +11,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use hermes_noc::{RouterAddr, SnapshotError};
+use hermes_noc::snapshot::Snap;
+use hermes_noc::{Ring, RouterAddr, SnapshotError, SnapshotReader, SnapshotWriter};
 
 use crate::node::NodeId;
 use crate::service::{Service, ServiceCode};
@@ -144,49 +145,38 @@ impl ServiceCounters {
 
 /// The opt-in event log (bounded; oldest events drop first).
 ///
-/// Uses the same amortized ring discipline as the hermes statistics
-/// window: the buffer is allowed to grow to twice the capacity before the
+/// A [`Ring`] of events numbered in push order, like the hermes
+/// statistics window: the buffer grows to twice the capacity before the
 /// oldest half is drained in one `memmove`, so a push is amortized O(1)
-/// instead of the O(n) of a front removal per event.
+/// instead of the O(n) of a front removal per event. The log drains as
+/// soon as a push fills it, not at the next push.
 #[derive(Debug, Default)]
 pub struct TraceLog {
-    events: Vec<TraceEvent>,
-    capacity: usize,
-    pushed: u64,
-    evicted: u64,
+    events: Ring<TraceEvent>,
 }
 
 impl TraceLog {
     /// A log holding up to `capacity` events (at least one).
     pub fn new(capacity: usize) -> Self {
         Self {
-            events: Vec::new(),
-            capacity: capacity.max(1),
-            pushed: 0,
-            evicted: 0,
+            events: Ring::new(capacity),
         }
     }
 
     pub(crate) fn push(&mut self, event: TraceEvent) {
-        self.events.push(event);
-        self.pushed += 1;
-        if self.events.len() >= self.capacity.saturating_mul(2) {
-            let excess = self.events.len() - self.capacity;
-            self.events.drain(..excess);
-            self.evicted += excess as u64;
-        }
+        self.events.push(self.events.end(), event);
+        self.events.compact();
     }
 
     /// The recorded events, oldest first — at most the configured
     /// capacity, always the most recent ones.
     pub fn events(&self) -> &[TraceEvent] {
-        let start = self.events.len().saturating_sub(self.capacity);
-        &self.events[start..]
+        self.events.visible()
     }
 
     /// Events no longer visible because the log was full.
     pub fn dropped(&self) -> u64 {
-        self.pushed - self.events().len() as u64
+        self.events.end() - self.events().len() as u64
     }
 
     /// Events physically evicted from the ring buffer, mirroring
@@ -194,15 +184,28 @@ impl TraceLog {
     /// Lags [`dropped`](Self::dropped) by up to one capacity's worth
     /// because eviction is amortized.
     pub fn evicted_events(&self) -> u64 {
-        self.evicted
+        self.events.evicted()
+    }
+}
+
+/// The capacity, the events pushed so far (derived: one past the newest
+/// event's number), the eviction count and the held events, each
+/// checked on decode.
+impl Snap for TraceLog {
+    fn put(&self, w: &mut SnapshotWriter) {
+        let ring = &self.events;
+        w.put(&(ring.window(), ring.end(), ring.evicted()));
+        ring.put_held(w);
     }
 
-    /// A decoded log must have room for at least one event.
-    fn check_restored(&self) -> Result<(), SnapshotError> {
-        if self.capacity == 0 {
-            return Err(SnapshotError::Malformed("trace log capacity is 0"));
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        let (capacity, pushed, evicted): (usize, u64, u64) = r.take()?;
+        let held: Vec<TraceEvent> = r.take()?;
+        if pushed.checked_sub(held.len() as u64) != Some(evicted) {
+            return Err(SnapshotError::Malformed("trace log push count"));
         }
-        Ok(())
+        let events = Ring::restore(capacity, evicted, evicted, held, "trace log capacity")?;
+        Ok(Self { events })
     }
 }
 
@@ -227,12 +230,7 @@ hermes_noc::snap_struct!(ServiceCounters {
     peer,
     code,
     summary,
-} TraceLog {
-    capacity,
-    pushed,
-    evicted,
-    events,
-} => TraceLog::check_restored);
+});
 
 #[cfg(test)]
 mod tests {
@@ -249,24 +247,6 @@ mod tests {
         assert_eq!(c.sent(NodeId(2), ServiceCode::Printf), 0);
         assert_eq!(c.total_sent(ServiceCode::Printf), 2);
         assert_eq!(c.nodes(), vec![NodeId(1), NodeId(2)]);
-    }
-
-    #[test]
-    fn log_is_bounded() {
-        let mut log = TraceLog::new(2);
-        for i in 0..5u64 {
-            log.push(TraceEvent {
-                cycle: i,
-                node: NodeId(0),
-                direction: Direction::Sent,
-                peer: RouterAddr::new(0, 0),
-                code: ServiceCode::Scanf,
-                summary: "scanf".into(),
-            });
-        }
-        assert_eq!(log.events().len(), 2);
-        assert_eq!(log.dropped(), 3);
-        assert_eq!(log.events()[0].cycle, 3);
     }
 
     #[test]
@@ -294,10 +274,10 @@ mod tests {
             "the newest events are the visible ones"
         );
         assert_eq!(log.dropped(), 96);
-        assert!(log.evicted_events() > 0);
-        assert!(
-            log.evicted_events() <= log.dropped(),
-            "amortized eviction lags logical drops"
+        assert_eq!(
+            log.evicted_events(),
+            96,
+            "the 100th push filled the buffer to twice the capacity and drained it at once"
         );
     }
 

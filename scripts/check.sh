@@ -7,16 +7,32 @@ cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=true
 
-echo "=== cargo fmt --check ==="
+# Every step closes with its wall time and the run with the total, so
+# one run shows where the gate's time goes.
+step_name=""
+step_start=$SECONDS
+lap() {
+    if [[ -n "$step_name" ]]; then
+        echo "[$step_name: $((SECONDS - step_start)) s]"
+    fi
+}
+step() {
+    lap
+    step_name="$1"
+    step_start=$SECONDS
+    echo "=== $1 ==="
+}
+
+step "cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "=== cargo clippy (deny warnings) ==="
+step "cargo clippy (deny warnings)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
-echo "=== cargo doc (deny warnings) ==="
+step "cargo doc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --quiet
 
-echo "=== cargo test ==="
+step "cargo test"
 # Includes the determinism contract as one snapshot-checked matrix per
 # crate: hermes/tests/differential.rs (every network schedule — healthy,
 # faulted, degraded, router-killed, 4-record stats window, torus, both
@@ -29,25 +45,25 @@ echo "=== cargo test ==="
 # resume to the same fingerprints.
 cargo test -q --offline --workspace
 
-echo "=== examples (release, stdin closed) ==="
+step "examples (release, stdin closed)"
 # The examples drive Host, Debugger and reconfiguration end to end and
 # assert their own results.
 scripts/run_examples.sh
 
-echo "=== benchmark self-tests (perfbench) ==="
+step "benchmark self-tests (perfbench)"
 # perfbench is a cargo package of its own that builds against the
 # workspace crates by path: its metric names must match BENCHMARK.json,
 # a corrupted result must fail its operation, and simulated results must
 # repeat exactly per seed and across 1 and 2 NoC threads.
 cargo test --release -q --offline --manifest-path perfbench/Cargo.toml
 
-echo "=== perfbench makespan gate (pinned simulated results) ==="
+step "perfbench makespan gate (pinned simulated results)"
 # Every perfbench workload at seeds 1 and 9001 must verify its outputs,
 # fail no operation and end at its pinned makespan_cycles: a change to
 # simulator speed must not move what the benchmark simulates.
 scripts/makespan_gate.sh
 
-echo "=== E1-E25 experiment smoke runs (pinned result digests) ==="
+step "E1-E25 experiment smoke runs (pinned result digests)"
 # exp_suite runs eight experiments covering E1-E25, each in its own child
 # process, and fails unless every experiment's result digest (Fletcher-64
 # over the Noc/System::fingerprint of each simulated run, one entry per
@@ -70,7 +86,7 @@ trap 'rm -rf "$out"' EXIT
 cmp "$out/RUN_REPORT_paper.md" RUN_REPORT_paper.md
 echo "exp_suite --smoke: every experiment matches its pin; RUN_REPORT_paper.md regenerates"
 
-echo "=== committed experiment exports (byte for byte) ==="
+step "committed experiment exports (byte for byte)"
 # Full runs of degradation, observability (the 8x scale the committed
 # exports come from; --smoke output is the 1x scale), chaos and topology
 # must regenerate each committed export byte for byte. Host-time files
@@ -85,4 +101,5 @@ for f in TRACE_perfetto.json TIMESERIES_observability.json TIMESERIES_observabil
 done
 echo "exp_suite: the committed exports regenerate byte for byte"
 
-echo "all checks passed"
+lap
+echo "all checks passed in $SECONDS s"
