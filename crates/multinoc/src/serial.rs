@@ -45,7 +45,7 @@ impl Default for SerialConfig {
 }
 
 /// One direction of the link: bytes in flight become available
-/// `cycles_per_byte` apart.
+/// `cycles_per_byte` apart, at most one per cycle.
 #[derive(Debug, Default)]
 struct Channel {
     in_flight: VecDeque<u8>,
@@ -58,9 +58,17 @@ impl Channel {
         if now >= self.next_deliver {
             if let Some(byte) = self.in_flight.pop_front() {
                 self.ready.push_back(byte);
-                self.next_deliver = now + cycles_per_byte;
+                self.next_deliver = now + cycles_per_byte.max(1);
             }
         }
+    }
+
+    /// The baud tick of the byte `k` places behind the next one in
+    /// flight, if that many are in flight. Exact once the burst is
+    /// clocked: a step after the last send from outside has set
+    /// `next_deliver` past that step's cycle.
+    fn tick(&self, k: usize, cycles_per_byte: u64) -> Option<u64> {
+        (k < self.in_flight.len()).then(|| self.next_deliver + k as u64 * cycles_per_byte.max(1))
     }
 
     fn is_idle(&self) -> bool {
@@ -70,6 +78,13 @@ impl Channel {
 
 /// The bidirectional RS-232 link between host computer and MultiNoC
 /// (`tx`/`rx` of Fig. 1).
+///
+/// The system steps the link at every cycle it visits. A run loop does
+/// not visit the baud ticks of bytes towards the serial IP that complete
+/// no host command: it delivers them afterwards, each at its own tick
+/// (`next_deliver + k × cycles_per_byte` within a burst), which leaves
+/// the link where stepping every cycle would. Bytes towards the host
+/// are stepped at their ticks.
 #[derive(Debug, Default)]
 pub struct SerialLink {
     config: SerialConfig,
@@ -95,6 +110,24 @@ impl SerialLink {
     pub fn step(&mut self, now: u64) {
         self.to_device.step(now, self.config.cycles_per_byte);
         self.to_host.step(now, self.config.cycles_per_byte);
+    }
+
+    /// Delivers every byte in flight towards the device whose baud tick
+    /// is at most `through`, each at its own tick, and returns how many:
+    /// the device direction of stepping the link at every cycle up to
+    /// `through`, for a burst that is already clocked. The host direction
+    /// is not moved.
+    pub(crate) fn deliver_to_device(&mut self, through: u64) -> usize {
+        let cycles_per_byte = self.config.cycles_per_byte;
+        let mut delivered = 0;
+        while let Some(tick) = self.to_device.tick(0, cycles_per_byte) {
+            if tick > through {
+                break;
+            }
+            self.to_device.step(tick, cycles_per_byte);
+            delivered += 1;
+        }
+        delivered
     }
 
     /// Host transmits bytes towards the device.
@@ -128,27 +161,25 @@ impl SerialLink {
         self.to_device.is_idle() && self.to_host.is_idle()
     }
 
-    /// The earliest cycle at which this link does clocked work: the
-    /// soonest baud tick that moves a byte in flight. `None` when the
-    /// link needs no simulation cycles — bytes already delivered wait on
-    /// the serial IP (its wake) or the host program, not on the clock.
-    /// Drives the system's idle fast-forward.
-    pub(crate) fn next_deadline(&self) -> Option<u64> {
-        let channels = [&self.to_device, &self.to_host].into_iter();
-        let busy = channels.filter(|c| !c.in_flight.is_empty());
-        busy.map(|c| c.next_deliver).min()
+    /// The soonest baud tick that hands the host a byte in flight. The
+    /// host reads its bytes between cycles, so the run loop stops there.
+    pub(crate) fn next_host_byte(&self) -> Option<u64> {
+        self.to_host.tick(0, self.config.cycles_per_byte)
     }
 
-    /// The soonest baud tick that hands the device a byte in flight: the
-    /// earliest cycle the link can make the serial IP act.
-    pub(crate) fn next_device_byte(&self) -> Option<u64> {
-        (!self.to_device.in_flight.is_empty()).then_some(self.to_device.next_deliver)
+    /// The baud tick at which byte `k` of those in flight towards the
+    /// device (0 the next) arrives, if that many are in flight and the
+    /// burst is clocked (see [`deliver_to_device`](Self::deliver_to_device)).
+    pub(crate) fn device_tick(&self, k: usize) -> Option<u64> {
+        self.to_device.tick(k, self.config.cycles_per_byte)
     }
 
-    /// Bytes in flight towards the device. Only [`step`](Self::step)
-    /// takes from them and only [`host_send`](Self::host_send) adds.
-    pub(crate) fn bytes_to_device(&self) -> usize {
-        self.to_device.in_flight.len()
+    /// The bytes in flight towards the device, next first. Only
+    /// [`step`](Self::step) and
+    /// [`deliver_to_device`](Self::deliver_to_device) take from them and
+    /// only [`host_send`](Self::host_send) adds.
+    pub(crate) fn bytes_to_device(&self) -> &VecDeque<u8> {
+        &self.to_device.in_flight
     }
 }
 
@@ -391,28 +422,29 @@ impl FrameBuffer {
     /// The length of the complete host command at the front of the
     /// buffer, `None` while it is still partial.
     fn host_command_len(&self) -> Result<Option<usize>, FrameError> {
-        let Some(&op) = self.bytes.first() else {
-            return Ok(None);
-        };
-        let need = match op {
-            opcode::READ => 5,
-            opcode::WRITE => {
-                if self.bytes.len() < 3 {
-                    return Ok(None);
-                }
-                5 + 2 * usize::from(self.bytes[2])
-            }
-            opcode::ACTIVATE => 2,
-            opcode::SCANF_RETURN => 4,
-            other => return Err(FrameError { opcode: other }),
-        };
-        Ok((self.bytes.len() >= need).then_some(need))
+        let need = host_command_need(|i| self.bytes.get(i).copied()).transpose()?;
+        Ok(need.filter(|&need| self.bytes.len() >= need))
     }
 
     /// Whether [`parse_host_command`](Self::parse_host_command) would
     /// return a command or an error rather than wait for more bytes.
-    pub(crate) fn host_command_ready(&self) -> bool {
+    #[cfg(test)]
+    fn host_command_ready(&self) -> bool {
         !matches!(self.host_command_len(), Ok(None))
+    }
+
+    /// How many bytes of `stream`, pushed one by one, make
+    /// [`parse_host_command`](Self::parse_host_command) return a command
+    /// or an error rather than wait: 0 if it would already, `None` if it
+    /// still waits after all of `stream`. The command's
+    /// length follows from its opcode and count bytes, read across the
+    /// buffer and `stream`; an unknown opcode breaks the frame as soon as
+    /// it arrives.
+    pub(crate) fn host_command_needs(&self, stream: &VecDeque<u8>) -> Option<usize> {
+        let held = self.bytes.len();
+        let at = |i: usize| (self.bytes.get(i)).or_else(|| stream.get(i - held));
+        let need = host_command_need(|i| at(i).copied())?.unwrap_or(1);
+        (need <= held + stream.len()).then(|| need.saturating_sub(held))
     }
 
     /// Tries to parse one complete [`DeviceFrame`] from the buffered
@@ -459,6 +491,19 @@ impl FrameBuffer {
     }
 }
 
+/// The length of the host command whose bytes `at` reads from the front,
+/// or the error for an unknown opcode; `None` while a byte that fixes the
+/// length is missing.
+fn host_command_need(at: impl Fn(usize) -> Option<u8>) -> Option<Result<usize, FrameError>> {
+    Some(Ok(match at(0)? {
+        opcode::READ => 5,
+        opcode::WRITE => 5 + 2 * usize::from(at(2)?),
+        opcode::ACTIVATE => 2,
+        opcode::SCANF_RETURN => 4,
+        opcode => return Some(Err(FrameError { opcode })),
+    }))
+}
+
 hermes_noc::snap_struct!(SerialConfig { cycles_per_byte } Channel {
     in_flight,
     ready,
@@ -472,6 +517,7 @@ hermes_noc::snap_struct!(SerialConfig { cycles_per_byte } Channel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn link_delivers_bytes_with_timing() {
@@ -610,5 +656,53 @@ mod tests {
             buf.parse_host_command().unwrap(),
             Some(HostCommand::Activate { node: 2 })
         );
+    }
+
+    /// One host frame of a random kind: a read, a write of 0 to 255 words,
+    /// an activate, a scanf return, or a lone unknown opcode.
+    fn host_frame() -> impl Strategy<Value = Vec<u8>> {
+        let parts = (0u8..5, any::<u8>(), any::<u8>(), any::<u16>());
+        parts.prop_map(|(kind, node, count, addr)| match kind {
+            0 => HostCommand::ReadMemory { node, count, addr }.to_bytes(),
+            1 => HostCommand::WriteMemory {
+                node,
+                addr,
+                data: (0..u16::from(count)).collect(),
+            }
+            .to_bytes(),
+            2 => HostCommand::Activate { node }.to_bytes(),
+            3 => HostCommand::ScanfReturn { node, value: addr }.to_bytes(),
+            _ => vec![opcode::SCANF_RETURN + 1 + node % 252],
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The completing-byte prediction against pushing byte by byte:
+        /// from a buffer holding a random prefix of a random frame
+        /// sequence, the stream of a random number of the bytes after it
+        /// makes the buffer ready after exactly the predicted count, or
+        /// never if none is predicted.
+        #[test]
+        fn host_command_needs_matches_pushing_byte_by_byte(
+            frames in proptest::collection::vec(host_frame(), 1..4),
+            held in any::<u16>(),
+            sent in any::<u16>(),
+        ) {
+            let bytes = frames.concat();
+            let held = usize::from(held) % (bytes.len() + 1);
+            let sent = usize::from(sent) % (bytes.len() - held + 1);
+            let buffer = FrameBuffer { bytes: bytes[..held].to_vec() };
+            let stream: VecDeque<u8> = bytes[held..held + sent].iter().copied().collect();
+            let mut pushed = FrameBuffer { bytes: buffer.bytes.clone() };
+            let first_ready = (0..=stream.len()).find(|&k| {
+                if k > 0 {
+                    pushed.push(stream[k - 1]);
+                }
+                pushed.host_command_ready()
+            });
+            prop_assert_eq!(buffer.host_command_needs(&stream), first_ready);
+        }
     }
 }

@@ -103,19 +103,55 @@ impl SerialIp {
         self.reliable.counters()
     }
 
-    /// The earliest cycle at which stepping this IP can change its state
-    /// without a delivery at its router, under network epoch `epoch`:
-    /// `now` while `link` holds received bytes, a host command is ready
-    /// to parse or an epoch is not yet noted; otherwise the soonest
-    /// retransmission deadline. `None` when only a delivery or host
-    /// bytes can wake it — scanfs pending at the host have no deadline.
+    /// The earliest cycle at which stepping this IP can change what it
+    /// or the host sees without a delivery at its router, under network
+    /// epoch `epoch`: `now` while `link` holds received bytes (the IP
+    /// buffers them in the cycle they arrive) or an epoch is not yet
+    /// noted; otherwise the soonest of the retransmission deadlines and
+    /// the [byte wake](Self::byte_wake). `None` when only a delivery or
+    /// host bytes not yet sent can wake it — scanfs pending at the host
+    /// have no deadline.
     pub(crate) fn wake(&self, now: u64, epoch: u64, link: &SerialLink) -> Option<u64> {
-        if link.device_ready() || self.rx.host_command_ready() || !self.reliable.noted(epoch) {
+        if link.device_ready() || !self.reliable.noted(epoch) {
             return Some(now);
         }
         let requests = self.pending_reads.iter();
         let deadlines = requests.map(|req| self.reliable.request_deadline(req));
-        deadlines.chain(self.reliable.next_deadline()).min()
+        let deadlines = deadlines.chain(self.reliable.next_deadline());
+        deadlines.chain(self.byte_wake(now, link)).min()
+    }
+
+    /// The baud tick of the first byte in flight on `link` that can change
+    /// what this IP or the host sees: while the IP is unsynced, the next
+    /// byte; otherwise the byte that completes or breaks the next host
+    /// command (`now` if the buffer holds one already); failing both, the
+    /// last byte in flight, which leaves the link idle. The bytes before
+    /// it only grow the frame buffer, so the run loop delivers them
+    /// without a visit (see [`buffer_received`](Self::buffer_received)).
+    fn byte_wake(&self, now: u64, link: &SerialLink) -> Option<u64> {
+        let in_flight = link.bytes_to_device();
+        let bytes = if self.synced {
+            match self.rx.host_command_needs(in_flight) {
+                Some(0) => return Some(now),
+                Some(bytes) => bytes,
+                None => in_flight.len(),
+            }
+        } else {
+            1
+        };
+        link.device_tick(bytes.checked_sub(1)?)
+    }
+
+    /// Takes every byte the link has delivered: bytes before the
+    /// [`SYNC_BYTE`] are dropped, later ones buffered for parsing.
+    pub(crate) fn buffer_received(&mut self, link: &mut SerialLink) {
+        while let Some(byte) = link.device_recv() {
+            if !self.synced {
+                self.synced = byte == SYNC_BYTE;
+                continue;
+            }
+            self.rx.push(byte);
+        }
     }
 
     /// One clock step: disassemble NoC packets into host frames and
@@ -167,15 +203,7 @@ impl SerialIp {
         }
 
         // Host → NoC direction.
-        while let Some(byte) = link.device_recv() {
-            if !self.synced {
-                if byte == SYNC_BYTE {
-                    self.synced = true;
-                }
-                continue;
-            }
-            self.rx.push(byte);
-        }
+        self.buffer_received(link);
         loop {
             match self.rx.parse_host_command() {
                 Ok(Some(cmd)) => self.execute(cmd, net, now)?,

@@ -986,7 +986,7 @@ impl System {
     /// the serial IP. Between two cycles neither can shrink, so a change
     /// means something outside the loop sent.
     fn send_count(&self) -> u64 {
-        self.noc.stats().packets_sent + self.link.bytes_to_device() as u64
+        self.noc.stats().packets_sent + self.link.bytes_to_device().len() as u64
     }
 
     /// Runs every running core ahead of the clock after the visits of a
@@ -994,12 +994,14 @@ impl System {
     /// through every local-only instruction starting at or before
     /// `min(last, the next auto-checkpoint cycle, E + Q − 1, B − 1)`.
     ///
-    /// E is the earliest cycle anything can send: the soonest of the
-    /// link's next byte towards the serial IP, every live IP's
-    /// [send wake](ProcessorIp::send_wake), the network's
-    /// [next delivery bound](Noc::next_delivery_bound) (a delivery can
-    /// make its receiver send in that same cycle) and, found by running
-    /// each core ahead, each core's first access past local memory. Q is
+    /// E is the earliest cycle anything can send: the soonest of every
+    /// live IP's [send wake](ProcessorIp::send_wake) — the serial IP's is
+    /// the baud tick of the byte that completes or breaks the next host
+    /// command, so cores run ahead across a whole command — the
+    /// network's [next delivery bound](Noc::next_delivery_bound) (a
+    /// delivery can make its receiver send in that same cycle) and, found
+    /// by running each core ahead, each core's first access past local
+    /// memory. Q is
     /// [`min_delivery_latency`](hermes_noc::latency::min_delivery_latency):
     /// a packet sent at E reaches no router before E + Q. B is the core's
     /// own router's [delivery bound](Noc::delivery_bound): nothing already
@@ -1070,16 +1072,17 @@ impl System {
     }
 
     /// The earliest cycle at which anything but a running core's next
-    /// instruction can send: the link's next byte towards the serial IP,
-    /// every live processor's [send wake](ProcessorIp::send_wake) and
-    /// every other live IP's wake.
+    /// instruction can send: every live processor's
+    /// [send wake](ProcessorIp::send_wake) and every other live IP's
+    /// wake. The serial IP's covers the link: it sends only at the byte
+    /// that completes a host command.
     fn earliest_send(&self, now: u64) -> Option<u64> {
         let epoch = self.noc.current_epoch();
         let wakes = self.live_ips().filter_map(|ip| match ip {
             Ip::Processor(p) => p.send_wake(now, epoch),
             ip => ip.wake(now, epoch, &self.link),
         });
-        wakes.chain(self.link.next_device_byte()).min()
+        wakes.min()
     }
 
     /// The IPs of every node the diagnosis has not declared dead.
@@ -1257,10 +1260,23 @@ impl System {
 
     /// Advances the clock through cycles in which no IP can act, visiting
     /// none of them: up to just before the soonest live IP's
-    /// [wake](ProcessorIp::wake) or the link's next deadline, never past
-    /// `last` or into the next periodic auto-checkpoint's cycle. It is
-    /// refused when nothing has a wake, in which case only the run loop's
-    /// stop condition can end the wait.
+    /// [wake](ProcessorIp::wake) or the link's next byte towards the
+    /// host (which `done` may read), never past `last` or into the next
+    /// periodic auto-checkpoint's cycle. It is refused when nothing has a
+    /// wake, in which case only the run loop's stop condition can end the
+    /// wait.
+    ///
+    /// The serial IP's wake is the byte that completes or breaks the next
+    /// host command, or the last byte in flight, so the jump steps over
+    /// the bytes the host streams before it. It delivers the bytes it
+    /// crossed at their own baud ticks, into the frame buffer of a live
+    /// serial IP, before it parks or visits a landing, so that the link
+    /// and the IP are in their lockstep state wherever a visit, `done` or
+    /// a checkpoint sees them (see
+    /// [`deliver_link_bytes`](Self::deliver_link_bytes)). A burst the
+    /// host queued since the loop's last cycle is not crossed: that is a
+    /// send from outside, and the visit that follows clocks its first
+    /// byte.
     ///
     /// An idle network ticks its clock through the gap, even under a
     /// fault plan without router stalls and with the watchdog armed. A
@@ -1289,7 +1305,7 @@ impl System {
         let wakes = self
             .live_ips()
             .filter_map(|ip| ip.wake(now, epoch, &self.link));
-        let Some(wake) = wakes.chain(self.link.next_deadline()).min() else {
+        let Some(wake) = wakes.chain(self.link.next_host_byte()).min() else {
             return Ok(Jump::Refused);
         };
         // The step that observes cycle `stop` begins by advancing the
@@ -1317,12 +1333,36 @@ impl System {
             }
             self.noc.step();
             if !self.noc.delivered_empty() {
+                self.deliver_link_bytes(self.noc.cycle() - 1);
                 self.visit(last)?;
                 return Ok(Jump::Landed);
             }
             self.credit_skipped(1);
         }
+        self.deliver_link_bytes(park);
         Ok(Jump::Parked)
+    }
+
+    /// Delivers the link's bytes towards the serial IP whose baud ticks
+    /// a jump crossed, through cycle `through`, each at its own tick; a
+    /// live serial IP buffers them at once. The link and the IP are then
+    /// in their lockstep state. A jump crosses no byte that completes a
+    /// host command (the IP's wake), and bytes towards a dead serial IP
+    /// stay unread in the link, as stepping leaves them.
+    fn deliver_link_bytes(&mut self, through: u64) {
+        if self.link.deliver_to_device(through) == 0 {
+            return;
+        }
+        let dead = &self.dead_nodes;
+        let mut ips = self.ips.iter_mut().enumerate();
+        let serial = ips.find_map(|(idx, ip)| match ip {
+            Ip::Serial(s) if !dead.contains(&NodeId(idx as u8)) => Some(s),
+            _ => None,
+        });
+        if let Some(serial) = serial {
+            serial.buffer_received(&mut self.link);
+        }
+        self.sends_seen = self.send_count();
     }
 
     /// Books `cycles` skipped cycles, the last of them the clock, to every
@@ -1350,19 +1390,22 @@ impl System {
     ///
     /// `done` is asked now, at every cycle whose IPs are visited, at the
     /// end of each jump and at each landing inside one — not at every
-    /// cycle in which a flit moves. In between, no IP, the link or
-    /// anything the host sees changes, and neither do the network's
-    /// idleness and delivery queues: without a fault plan a packet leaves
-    /// the network only by landing. Other network state, say flit hops
-    /// or link loads, moves inside a jump, so a `done` that reads it sees
-    /// it at those cycles only. So `done` must read the simulated state,
-    /// not the clock, which `budget` bounds; it may also drive the system
-    /// itself — send a packet, queue host bytes, run a nested loop — and
-    /// the loop goes on from there, first pulling every core back within
-    /// reach of what `done` sent. It may see running cores ahead of the
-    /// clock in their registers and local memory, never in their status,
-    /// the network, the link or anything the host sees. Every exit
-    /// rewinds them to where per-cycle [`step`](Self::step)s leave them.
+    /// cycle in which a flit moves or a host byte reaches the serial IP.
+    /// In between, nothing an IP acts on or the host sees changes: no
+    /// host command completes, no byte reaches the host and the link does
+    /// not go idle, and neither do the network's idleness and delivery
+    /// queues change: without a fault plan a packet leaves the network
+    /// only by landing. Other state moves inside a jump, so a `done` that
+    /// reads it sees it at those cycles only: flit hops and link loads,
+    /// and the host bytes that only grow the serial IP's frame buffer.
+    /// So `done` must read the simulated state, not the clock, which
+    /// `budget` bounds; it may also drive the system itself — send a
+    /// packet, queue host bytes, run a nested loop — and the loop goes on
+    /// from there, first pulling every core back within reach of what
+    /// `done` sent. It may see running cores ahead of the clock in their
+    /// registers and local memory, never in their status, the network,
+    /// the link or anything the host sees. Every exit rewinds them to
+    /// where per-cycle [`step`](Self::step)s leave them.
     ///
     /// # Errors
     ///

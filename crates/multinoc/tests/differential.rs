@@ -207,9 +207,10 @@ fn build(row: &Row, kernel: KernelMode, observed: bool) -> System {
 }
 
 /// Drives one run and returns `(cycle, fingerprint)` at every chunk
-/// boundary and after the final `run_until_halted`. With `resume_under`
-/// set, the run is checkpointed at the first boundary past half the
-/// horizon and continues as the restored copy under that kernel.
+/// boundary and after the final `run_until_halted`; the host reads what
+/// the system sent it at each boundary. With `resume_under` set, the run
+/// is checkpointed at the first boundary past half the horizon and
+/// continues as the restored copy under that kernel.
 fn drive(
     row: &Row,
     observed: bool,
@@ -227,6 +228,7 @@ fn drive(
             Driving::Run => sys.run(chunk).expect("runs"),
         }
         seen.push((sys.cycle(), sys.fingerprint()));
+        drain_host(&mut sys);
         if let Some(other) = resume_under.filter(|_| 2 * sys.cycle() >= row.horizon) {
             let saved = sys.checkpoint();
             let resumed = System::restore_with_kernel(&saved, other).expect("checkpoint restores");
@@ -494,14 +496,7 @@ fn loop_beside_a_store_stream(sys: &mut System) {
 /// memory's router and lands exactly at its delivery bound.
 fn loop_beside_a_host_block(sys: &mut System) {
     load_program(sys, P1, &long_loop(100));
-    let data = (0..48).map(|i| 1000 + i).collect();
-    let write = HostCommand::WriteMemory {
-        node: MEM.0,
-        addr: 0x40,
-        data,
-    };
-    sys.link_mut().host_send(&[SYNC_BYTE]);
-    sys.link_mut().host_send(&write.to_bytes());
+    loop_beside_a_host_block_bytes(sys);
 }
 
 /// P1 sums the word at 0x280 of its local memory 120 times while P2
@@ -586,6 +581,212 @@ fn packets_to_a_core_running_ahead() {
     check(row);
 }
 
+/// The host commands of [`loop_beside_a_host_session`], sync byte first:
+/// two 48-word writes into the memory IP, an activate of P2 and a
+/// 16-word read back.
+fn host_session() -> Vec<u8> {
+    let write = |addr: u16| HostCommand::WriteMemory {
+        node: MEM.0,
+        addr,
+        data: (0..48).map(|i| addr + 3 * i).collect(),
+    };
+    let commands = [
+        write(0x40),
+        write(0x80),
+        HostCommand::Activate { node: P2.0 },
+        HostCommand::ReadMemory {
+            node: MEM.0,
+            count: 16,
+            addr: 0x40,
+        },
+    ];
+    let mut bytes = vec![SYNC_BYTE];
+    commands.iter().for_each(|c| bytes.extend(c.to_bytes()));
+    bytes
+}
+
+/// P1 computes in a long local loop while the host queues a whole
+/// session at once; P2 holds a short loop until the host activates it.
+/// The run loop crosses the bytes of each command up to the one that
+/// completes it, so the matrix's short chunks and its checkpoint land
+/// inside commands.
+fn loop_beside_a_host_session(sys: &mut System) {
+    load_program(sys, P1, &long_loop(100));
+    let p2 = assemble(&long_loop(20)).expect("program assembles");
+    sys.memory_mut(P2)
+        .expect("P2 memory")
+        .write_block(0, p2.words());
+    sys.link_mut().host_send(&host_session());
+}
+
+#[test]
+fn host_session_beside_a_loop() {
+    check(paper(
+        NocConfig::multinoc(),
+        None,
+        loop_beside_a_host_session,
+        1_500,
+    ));
+}
+
+/// The paper layout under `kernel` with P1 in a long local loop.
+fn paper_loop(kernel: KernelMode) -> System {
+    let mut sys = layout_builder(NocConfig::multinoc(), Layout::Paper, kernel)
+        .build()
+        .expect("valid layout");
+    load_program(&mut sys, P1, &long_loop(100));
+    sys
+}
+
+#[test]
+fn run_until_the_link_is_idle_stops_where_stepping_does() {
+    // The last byte in flight is a stop of its own: whether it completes
+    // a command or leaves a truncated one in the serial IP's buffer, a
+    // `done` on the link's idleness sees it go idle at lockstep's cycle.
+    // The bytes go out once P1 runs, so the run loop jumps beside it.
+    let write = HostCommand::WriteMemory {
+        node: MEM.0,
+        addr: 0x40,
+        data: (0..8).collect(),
+    }
+    .to_bytes();
+    for bytes in [&write[..], &write[..3]] {
+        let queue = |sys: &mut System| {
+            assert_eq!(sys.processor_status(P1), Ok(ProcessorStatus::Running));
+            sys.link_mut().host_send(&[SYNC_BYTE]);
+            sys.link_mut().host_send(bytes);
+        };
+        for kernel in KERNELS {
+            let mut stepped = paper_loop(kernel);
+            (0..40).for_each(|_| stepped.step().expect("steps"));
+            queue(&mut stepped);
+            while !stepped.link().is_idle() {
+                stepped.step().expect("steps");
+            }
+            let mut run = paper_loop(kernel);
+            run.run(40).expect("runs");
+            queue(&mut run);
+            run.run_until(BUDGET, "the link to go idle", |s| Ok(s.link().is_idle()))
+                .expect("the link goes idle");
+            assert_eq!(
+                (run.cycle(), run.fingerprint()),
+                (stepped.cycle(), stepped.fingerprint()),
+                "{kernel:?}, {} bytes",
+                bytes.len()
+            );
+        }
+    }
+}
+
+#[test]
+fn checkpoint_right_after_a_host_send_resumes_as_lockstep() {
+    // The sync byte goes out at cycle 0 and the session's commands at
+    // `at`, to an IP that is synced from cycle 1 on. A restored system
+    // has seen no send yet, so a burst queued before the checkpoint is
+    // still clocked by the visit that follows it, not by the link's
+    // last tick: the restored copy, driven over the chunks or by one
+    // long run, stays on the stepped system's cycles.
+    let horizon = 2_000;
+    for at in [0, 7, 300] {
+        let queued = || {
+            let mut sys = paper_loop(KernelMode::Active);
+            let session = host_session();
+            sys.link_mut().host_send(&session[..1]);
+            (0..at).for_each(|_| sys.step().expect("steps"));
+            sys.link_mut().host_send(&session[1..]);
+            sys
+        };
+        let restored = || System::restore(&queued().checkpoint()).expect("checkpoint restores");
+        let mut stepped = queued();
+        let mut boundaries = Vec::new();
+        let mut chunked = restored();
+        for &chunk in CHUNKS.iter().cycle() {
+            let chunk = chunk.min(at + horizon - chunked.cycle());
+            (0..chunk).for_each(|_| stepped.step().expect("steps"));
+            chunked.run(chunk).expect("runs");
+            boundaries.push((stepped.cycle(), stepped.fingerprint()));
+            assert_eq!(
+                (chunked.cycle(), chunked.fingerprint()),
+                *boundaries.last().expect("a boundary"),
+                "queued at {at}: the restored run over chunks differs from lockstep"
+            );
+            if stepped.cycle() == at + horizon {
+                break;
+            }
+        }
+        let mut long = restored();
+        long.run(horizon).expect("runs");
+        assert_eq!(
+            (long.cycle(), long.fingerprint()),
+            *boundaries.last().expect("a boundary"),
+            "queued at {at}: the restored run({horizon}) differs from lockstep"
+        );
+    }
+}
+
+/// P2 prints a countdown to the host every few dozen cycles, 40 times.
+const PRINT_COUNTDOWN: &str = "LIW R10, 0xFFFF\nXOR R0, R0, R0\nLIW R1, 40\n\
+     pr: ST R1, R0, R10\nLIW R6, 9\nspin: SUBI R6, 1\nJMPZD next\nJMPD spin\n\
+     next: SUBI R1, 1\nJMPZD done\nJMPD pr\ndone: HALT";
+
+/// The serial IP's router goes down at cycle 40 with a 48-word host
+/// write still in flight, while P1 computes and P2's printfs towards it
+/// let the diagnosis declare node 0 dead.
+fn dead_serial_node(kernel: KernelMode) -> System {
+    let config = fault_tolerant(NocConfig::multinoc());
+    let mut sys = layout_builder(config, Layout::Paper, kernel)
+        .build()
+        .expect("valid layout");
+    let plan = FaultPlan::new(0x5E41).with_router_down(RouterAddr::new(0, 0), 40);
+    sys.set_fault_plan(plan).expect("valid fault plan");
+    load_program(&mut sys, P1, &long_loop(100));
+    load_program(&mut sys, P2, PRINT_COUNTDOWN);
+    loop_beside_a_host_block_bytes(&mut sys);
+    sys
+}
+
+/// Queues the sync byte and [`loop_beside_a_host_block`]'s 48-word write.
+fn loop_beside_a_host_block_bytes(sys: &mut System) {
+    let data = (0..48).map(|i| 1000 + i).collect();
+    let write = HostCommand::WriteMemory {
+        node: MEM.0,
+        addr: 0x40,
+        data,
+    };
+    sys.link_mut().host_send(&[SYNC_BYTE]);
+    sys.link_mut().host_send(&write.to_bytes());
+}
+
+#[test]
+fn bytes_towards_a_dead_serial_node_stay_in_the_link() {
+    // Once node 0 is dead its IP reads nothing: the host bytes still
+    // arriving stay unread in the link, where stepping leaves them, and
+    // a jump that crosses them must not hand them to the dead IP. Both
+    // drivings see the same boundaries up to the partition error.
+    let boundaries = |kernel: KernelMode, driving: Driving| {
+        let mut sys = dead_serial_node(kernel);
+        let mut seen = Vec::new();
+        for &chunk in CHUNKS.iter().cycle() {
+            let outcome = match driving {
+                Driving::Step => (0..chunk).try_for_each(|_| sys.step()),
+                Driving::Run => sys.run(chunk),
+            };
+            let error = outcome.err().map(|e| e.to_string());
+            seen.push((sys.cycle(), sys.fingerprint(), error.clone()));
+            if error.is_some() || sys.cycle() >= 3_000 {
+                return (sys.dead_nodes().to_vec(), seen);
+            }
+        }
+        unreachable!("the chunks cycle forever")
+    };
+    for kernel in KERNELS {
+        let (dead, stepped) = boundaries(kernel, Driving::Step);
+        assert!(dead.contains(&NodeId(0)), "{kernel:?}: node 0 never died");
+        let (_, run) = boundaries(kernel, Driving::Run);
+        assert_eq!(run, stepped, "{kernel:?}");
+    }
+}
+
 /// The quad layout under `kernel` with a serial link of `cycles_per_byte`,
 /// loaded by `load`.
 fn quad(kernel: KernelMode, cycles_per_byte: u64, load: fn(&mut System)) -> System {
@@ -616,6 +817,14 @@ fn fault_beside_a_loop(sys: &mut System) {
 fn bad_opcode_beside_a_loop(sys: &mut System) {
     load_program(sys, QUAD_CORES[0], &long_loop(400));
     sys.link_mut().host_send(&[SYNC_BYTE, 0x99]);
+}
+
+/// Like [`bad_opcode_beside_a_loop`], but the unknown opcode follows a
+/// complete activate of node 1, so it breaks the frame right after a
+/// command completed.
+fn bad_opcode_after_an_activate(sys: &mut System) {
+    load_program(sys, QUAD_CORES[0], &long_loop(400));
+    sys.link_mut().host_send(&[SYNC_BYTE, 0x02, 1, 0x99]);
 }
 
 /// Steps `sys` one cycle at a time until a step fails or a processor
@@ -685,12 +894,11 @@ fn protocol_error_exit_rewinds_cores_ahead_of_the_clock() {
     // before any core was: lockstep leaves every core one cycle short,
     // an instruction starting in the error cycle included. Four baud
     // rates move the error cycle across the core's instruction starts.
-    for cycles_per_byte in 700..704 {
-        check_exit(
-            cycles_per_byte,
-            bad_opcode_beside_a_loop,
-            "unknown frame opcode",
-        );
+    let inputs: [fn(&mut System); 2] = [bad_opcode_beside_a_loop, bad_opcode_after_an_activate];
+    for load in inputs {
+        for cycles_per_byte in 700..704 {
+            check_exit(cycles_per_byte, load, "unknown frame opcode");
+        }
     }
 }
 

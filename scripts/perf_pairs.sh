@@ -1,8 +1,12 @@
 #!/usr/bin/env bash
 # Alternating perfbench pairs: a base revision against the working tree.
 # Builds perfbench for <base-rev> (extracted with `git archive` into the
-# gitignored .bench_build/) and for the working tree, each with its own
-# CARGO_TARGET_DIR under .bench_build/, then runs <pairs> pairs of
+# gitignored .bench_build/) and for a copy of the working tree (every
+# file `git ls-files -co --exclude-standard` lists, so uncommitted edits
+# count) at a path of the same length, each with its own
+# CARGO_TARGET_DIR under .bench_build/: source paths are compiled into
+# the binaries, and paths of different lengths alone shift code layout
+# enough to move the rates. Then runs <pairs> pairs of
 # `perfbench --workload <workload> --trace 0`, swapping which side runs
 # first in every pair. Prints each pair's calibrated sim_cycles_per_s,
 # then, for every end-to-end metric BENCHMARK.json lists, each side's
@@ -45,21 +49,28 @@ done
 
 export CARGO_NET_OFFLINE=true
 build=.bench_build
-base_src=$build/base-src
-rm -rf "$base_src"
-mkdir -p "$base_src"
+# side name -> source copy and target directory, equal in length per kind
+declare -A src=([base]=$build/base-src [change]=$build/chng-src)
+declare -A target=([base]=$build/base-tgt [change]=$build/chng-tgt)
+base_commit=$(git rev-parse --verify "$base_rev^{commit}")
+for side in base change; do
+    rm -rf "${src[$side]}"
+    mkdir -p "${src[$side]}"
+done
 # `-m` stamps the files with the extraction time: with the commit's own
-# times, cargo would take a build of a later base revision in the same
-# target directory as up to date and run it for this one.
-git archive "$(git rev-parse --verify "$base_rev^{commit}")" | tar -x -m -C "$base_src"
+# times (or a copy's), cargo would take a build of another revision in
+# the same target directory as up to date and run it for this one.
+git archive "$base_commit" | tar -x -m -C "${src[base]}"
+git ls-files -z -co --exclude-standard |
+    while IFS= read -r -d '' f; do [ -e "$f" ] && printf '%s\0' "$f"; done |
+    tar --null -T - -cf - | tar -x -m -C "${src[change]}"
 
 # side name -> perfbench binary
 declare -A bin
 for side in base change; do
-    if [ "$side" = base ]; then src=$base_src; else src=.; fi
-    CARGO_TARGET_DIR="$PWD/$build/$side" cargo build --release --offline --quiet \
-        --manifest-path "$src/perfbench/Cargo.toml"
-    bin[$side]="$PWD/$build/$side/release/perfbench"
+    CARGO_TARGET_DIR="$PWD/${target[$side]}" cargo build --release --offline --quiet \
+        --manifest-path "${src[$side]}/perfbench/Cargo.toml"
+    bin[$side]="$PWD/${target[$side]}/release/perfbench"
 done
 
 results=$(mktemp)
