@@ -150,12 +150,6 @@ impl SerialLink {
         self.to_device.ready.pop_front()
     }
 
-    /// Whether received bytes await the device's next
-    /// [`device_recv`](Self::device_recv).
-    pub(crate) fn device_ready(&self) -> bool {
-        !self.to_device.ready.is_empty()
-    }
-
     /// Whether no byte is queued or in flight in either direction.
     pub fn is_idle(&self) -> bool {
         self.to_device.is_idle() && self.to_host.is_idle()

@@ -105,14 +105,13 @@ impl SerialIp {
 
     /// The earliest cycle at which stepping this IP can change what it
     /// or the host sees without a delivery at its router, under network
-    /// epoch `epoch`: `now` while `link` holds received bytes (the IP
-    /// buffers them in the cycle they arrive) or an epoch is not yet
-    /// noted; otherwise the soonest of the retransmission deadlines and
-    /// the [byte wake](Self::byte_wake). `None` when only a delivery or
-    /// host bytes not yet sent can wake it — scanfs pending at the host
-    /// have no deadline.
+    /// epoch `epoch`: `now` while an epoch is not yet noted; otherwise
+    /// the soonest of the retransmission deadlines and the
+    /// [byte wake](Self::byte_wake). `None` when only a delivery or host
+    /// bytes not yet sent can wake it — scanfs pending at the host have
+    /// no deadline.
     pub(crate) fn wake(&self, now: u64, epoch: u64, link: &SerialLink) -> Option<u64> {
-        if link.device_ready() || !self.reliable.noted(epoch) {
+        if !self.reliable.noted(epoch) {
             return Some(now);
         }
         let requests = self.pending_reads.iter();
@@ -126,8 +125,8 @@ impl SerialIp {
     /// byte; otherwise the byte that completes or breaks the next host
     /// command (`now` if the buffer holds one already); failing both, the
     /// last byte in flight, which leaves the link idle. The bytes before
-    /// it only grow the frame buffer, so the run loop delivers them
-    /// without a visit (see [`buffer_received`](Self::buffer_received)).
+    /// it only grow the frame buffer, which the system fills without a
+    /// visit (see [`buffer_received`](Self::buffer_received)).
     fn byte_wake(&self, now: u64, link: &SerialLink) -> Option<u64> {
         let in_flight = link.bytes_to_device();
         let bytes = if self.synced {
@@ -143,7 +142,9 @@ impl SerialIp {
     }
 
     /// Takes every byte the link has delivered: bytes before the
-    /// [`SYNC_BYTE`] are dropped, later ones buffered for parsing.
+    /// [`SYNC_BYTE`] are dropped, later ones buffered for
+    /// [`step`](Self::step) to parse. The system calls it in every cycle
+    /// the link delivers a byte, whether or not it visits the IP.
     pub(crate) fn buffer_received(&mut self, link: &mut SerialLink) {
         while let Some(byte) = link.device_recv() {
             if !self.synced {
@@ -155,7 +156,8 @@ impl SerialIp {
     }
 
     /// One clock step: disassemble NoC packets into host frames and
-    /// assemble complete host commands into NoC packets.
+    /// assemble the complete host commands the system buffered from the
+    /// link into NoC packets.
     ///
     /// # Errors
     ///
@@ -203,7 +205,6 @@ impl SerialIp {
         }
 
         // Host → NoC direction.
-        self.buffer_received(link);
         loop {
             match self.rx.parse_host_command() {
                 Ok(Some(cmd)) => self.execute(cmd, net, now)?,
@@ -388,6 +389,7 @@ mod tests {
             noc.step();
             let now = noc.cycle();
             link.step(now);
+            ip.buffer_received(link);
             let mut net = NetPort::new(noc, RouterAddr::new(0, 0));
             ip.step(now, link, &mut net).unwrap();
         }
@@ -468,6 +470,7 @@ mod tests {
             noc.step();
             let now = noc.cycle();
             link.step(now);
+            ip.buffer_received(&mut link);
             let mut net = NetPort::new(&mut noc, RouterAddr::new(0, 0));
             if ip.step(now, &mut link, &mut net).is_err() {
                 failed = true;

@@ -917,6 +917,7 @@ impl System {
             return Err(e);
         }
         self.link.step(now);
+        self.buffer_link_bytes();
         let epoch = self.noc.current_epoch();
         for idx in 0..self.ips.len() {
             let node = NodeId(idx as u8);
@@ -1344,15 +1345,21 @@ impl System {
     }
 
     /// Delivers the link's bytes towards the serial IP whose baud ticks
-    /// a jump crossed, through cycle `through`, each at its own tick; a
-    /// live serial IP buffers them at once. The link and the IP are then
-    /// in their lockstep state. A jump crosses no byte that completes a
-    /// host command (the IP's wake), and bytes towards a dead serial IP
-    /// stay unread in the link, as stepping leaves them.
+    /// a jump crossed, through cycle `through`, each at its own tick, and
+    /// [buffers](Self::buffer_link_bytes) them. The link and the IP are
+    /// then in their lockstep state. A jump crosses no byte that
+    /// completes a host command: that is the IP's wake.
     fn deliver_link_bytes(&mut self, through: u64) {
-        if self.link.deliver_to_device(through) == 0 {
-            return;
+        if self.link.deliver_to_device(through) > 0 {
+            self.buffer_link_bytes();
+            self.sends_seen = self.send_count();
         }
+    }
+
+    /// Hands the bytes the link delivered to a live serial IP's frame
+    /// buffer ([`SerialIp::buffer_received`]); bytes towards a dead one
+    /// stay unread in the link.
+    fn buffer_link_bytes(&mut self) {
         let dead = &self.dead_nodes;
         let mut ips = self.ips.iter_mut().enumerate();
         let serial = ips.find_map(|(idx, ip)| match ip {
@@ -1362,7 +1369,6 @@ impl System {
         if let Some(serial) = serial {
             serial.buffer_received(&mut self.link);
         }
-        self.sends_seen = self.send_count();
     }
 
     /// Books `cycles` skipped cycles, the last of them the clock, to every
