@@ -902,7 +902,9 @@ impl System {
     /// The visits of the cycle the network just advanced to, visiting only
     /// the IPs that can act in it: those with a delivery waiting at their
     /// router or a [wake](ProcessorIp::wake) cycle that has come; every
-    /// other processor is credited the cycle.
+    /// other processor is credited the cycle. The link is stepped first,
+    /// and a byte it delivers to a live serial IP goes straight into the
+    /// IP's frame buffer: only the byte that completes a command wakes it.
     ///
     /// Then, with no fault plan, no epoch and nothing undelivered, every
     /// running core [runs ahead](Self::run_ahead) up to `last` or its next
