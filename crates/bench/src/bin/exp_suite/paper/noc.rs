@@ -100,7 +100,7 @@ pub fn e2(runs: &mut Runs, report: &mut Report) -> Outcome {
         let centre = RouterAddr::new(1, 1);
         let flits: u64 = Port::ALL
             .iter()
-            .filter_map(|&p| noc.stats().link_flits.get(&(centre, p)))
+            .map(|&p| noc.stats().link_flits((centre, p)))
             .sum();
         let measured = flits as f64 * f64::from(flit_bits) * CLOCK_HZ / cycles as f64;
         if flit_bits == 8 {
@@ -325,13 +325,7 @@ pub fn e17(runs: &mut Runs, report: &mut Report) -> Outcome {
 
     let mut approach = Table::new(&["routing", "from West (row last)", "from South (col last)"]);
     for (routing, noc) in &hotspot_runs {
-        let flits = |from: RouterAddr, port: Port| {
-            noc.stats()
-                .link_flits
-                .get(&(from, port))
-                .copied()
-                .unwrap_or(0)
-        };
+        let flits = |from: RouterAddr, port: Port| noc.stats().link_flits((from, port));
         row!(
             approach,
             format!("{routing:?}"),

@@ -129,6 +129,21 @@ impl LocalEndpoint {
     /// makes: a header's [`Sink`](SpanKind::Sink), a last flit's
     /// [`Delivered`](SpanKind::Delivered), nothing mid-packet.
     pub fn receive(&mut self, flit: Flit) -> Option<(PacketId, SpanKind)> {
+        // A payload flit other than the last is appended in place.
+        if let RxState::Payload {
+            id,
+            remaining,
+            payload,
+            ..
+        } = &mut self.rx
+        {
+            debug_assert_eq!(*id, flit.packet, "interleaved packets at local port");
+            if *remaining > 1 {
+                payload.push(flit.value);
+                *remaining -= 1;
+                return None;
+            }
+        }
         match std::mem::replace(&mut self.rx, RxState::Header) {
             RxState::Header => {
                 let dest = RouterAddr::from_flit(flit.value, self.flit_bits);
@@ -162,26 +177,14 @@ impl LocalEndpoint {
                 id,
                 src,
                 dest,
-                remaining,
                 mut payload,
+                ..
             } => {
-                debug_assert_eq!(id, flit.packet, "interleaved packets at local port");
                 payload.push(flit.value);
-                if remaining == 1 {
-                    self.delivered
-                        .push_back((id, src, Packet::new(dest, payload)));
-                    self.completed += 1;
-                    Some((id, SpanKind::Delivered))
-                } else {
-                    self.rx = RxState::Payload {
-                        id,
-                        src,
-                        dest,
-                        remaining: remaining - 1,
-                        payload,
-                    };
-                    None
-                }
+                self.delivered
+                    .push_back((id, src, Packet::new(dest, payload)));
+                self.completed += 1;
+                Some((id, SpanKind::Delivered))
             }
         }
     }

@@ -146,10 +146,6 @@ pub(crate) struct ShardDelta {
     /// Packets discarded from a dead IP core's source queue before any
     /// of their flits entered the network.
     pub source_queue_drops: u64,
-    /// One entry per flit injected by a local IP this window.
-    pub local_ingress: Vec<RouterAddr>,
-    /// One entry per flit transferred over a link this window.
-    pub link_flits: Vec<LinkId>,
     /// Packet-lifecycle events of the local sub-phase, in ascending
     /// cycle order (cycles are walked in order): every header's inject,
     /// and while a tracer listens the route decisions and drops.
@@ -158,6 +154,9 @@ pub(crate) struct ShardDelta {
     /// and last flit's arrival (sink, delivered), and while a tracer
     /// listens the header's link hops.
     pub events_apply: Vec<(PacketId, SpanEvent)>,
+    /// How many of `events_local` and `events_apply` the merge has
+    /// replayed so far.
+    pub replayed: [usize; 2],
     /// Health events observed in the local sub-phase (local ingress
     /// handshakes timing out against a dead router).
     pub health_local: Vec<HealthEvent>,
@@ -209,10 +208,9 @@ impl ShardDelta {
         self.misaddressed_drops = 0;
         self.rerouted_grants = 0;
         self.source_queue_drops = 0;
-        self.local_ingress.clear();
-        self.link_flits.clear();
         self.events_local.clear();
         self.events_apply.clear();
+        self.replayed = [0; 2];
         self.health_local.clear();
         self.health_decide.clear();
         self.health_apply.clear();
@@ -246,6 +244,11 @@ pub(crate) struct CycleShared {
     /// Per-node activity flags; each shard reads and writes only the
     /// slice covering its own router range.
     pub active: *mut bool,
+    /// The statistics' per-link flit table (`router × 5 + port`) and
+    /// per-router local-ingress table; each shard counts only into the
+    /// entries of its own routers.
+    pub link_flits: *mut u64,
+    pub local_ingress: *mut u64,
     pub n_routers: usize,
     pub n_shards: usize,
     pub config: *const NocConfig,
@@ -426,7 +429,7 @@ unsafe fn phase_local(
                     let header = endpoint.outgoing.front().is_some_and(|p| !p.started);
                     endpoint.pop_inject();
                     endpoint.next_inject_ok = now + cadence;
-                    delta.local_ingress.push(here);
+                    *sh.local_ingress.add(idx) += 1;
                     delta.flit_hops += 1;
                     if header {
                         delta.events_local.push((
@@ -607,7 +610,6 @@ unsafe fn phase_decide(
     nodes: impl Iterator<Item = usize>,
     delta: &mut ShardDelta,
 ) {
-    let config = sh.config();
     let injector = sh.injector();
     for idx in nodes {
         let router = sh.router(idx);
@@ -639,18 +641,12 @@ unsafe fn phase_decide(
                 });
                 continue;
             }
-            let has_space = match out_port {
-                Port::Local => true,
-                _ => {
-                    let Some(next) = config.topology.neighbour(router.addr, out_port) else {
-                        continue;
-                    };
-                    let next_idx = config.topology.index(next);
-                    let Some(in_port) = out_port.opposite() else {
-                        continue;
-                    };
-                    !sh.router(next_idx).inputs[in_port.index()].buffer.is_full()
+            let has_space = match (out_port, router.links[out].next) {
+                (Port::Local, _) => true,
+                (_, Some((next_idx, in_port))) => {
+                    !sh.router(next_idx).inputs[in_port].buffer.is_full()
                 }
+                (_, None) => continue,
             };
             if has_space {
                 delta.transfers.push((idx, in_idx, out));
@@ -682,7 +678,6 @@ unsafe fn phase_decide(
 unsafe fn phase_apply_src(sh: &CycleShared, now: u64, range: Range<usize>, delta: &mut ShardDelta) {
     let config = sh.config();
     let injector = sh.injector();
-    let cadence = u64::from(config.cycles_per_flit);
 
     // Zero-progress bookkeeping lives on the input ports themselves, so
     // it must fold in cycle by cycle (the reset below races it only in
@@ -718,11 +713,11 @@ unsafe fn phase_apply_src(sh: &CycleShared, now: u64, range: Range<usize>, delta
         // Off-chip links (chiplet boundaries) pace slower than the on-chip
         // handshake; on-chip links keep the multiplier at 1 so the mesh is
         // byte-identical to the pre-topology kernel.
-        router.outputs[out].next_free =
-            now + cadence * u64::from(config.topology.link_cadence_mult(here, out_port));
+        let hop = router.links[out];
+        router.outputs[out].next_free = now + hop.hold;
         router.counters.flits_forwarded += 1;
         delta.flit_hops += 1;
-        delta.link_flits.push(link);
+        *sh.link_flits.add(idx * 5 + out) += 1;
 
         // Track packet boundaries on the forwarding side.
         let input = &mut router.inputs[in_idx];
@@ -766,7 +761,7 @@ unsafe fn phase_apply_src(sh: &CycleShared, now: u64, range: Range<usize>, delta
         // off-chip hops stamp a future arrival, and the `arrived < now`
         // gates keep the flit untouchable until the channel delay elapses
         // — sound under any batch window.
-        flit.arrived = now + config.topology.link_latency(here, out_port);
+        flit.arrived = now + hop.latency;
         let occupancy = occupancy_of(router.inputs[in_idx].buffer.len());
         match out_port {
             Port::Local => {
@@ -789,13 +784,9 @@ unsafe fn phase_apply_src(sh: &CycleShared, now: u64, range: Range<usize>, delta
                 ));
             }
             _ => {
-                // Decide already resolved these lookups; a miss here
-                // cannot happen for a transfer it emitted.
-                let Some(next) = config.topology.neighbour(here, out_port) else {
-                    continue;
-                };
-                let next_idx = config.topology.index(next);
-                let Some(in_port) = out_port.opposite() else {
+                // Decide only emits a transfer over a link with a
+                // downstream router.
+                let Some((next_idx, in_port)) = hop.next else {
                     continue;
                 };
                 if sh.trace_enabled && flit_index == 1 {
@@ -811,9 +802,9 @@ unsafe fn phase_apply_src(sh: &CycleShared, now: u64, range: Range<usize>, delta
                     ));
                 }
                 if range.contains(&next_idx) {
-                    delta.inbox_local.push((next_idx, in_port.index(), flit));
+                    delta.inbox_local.push((next_idx, in_port, flit));
                 } else {
-                    delta.outbox.push((next_idx, in_port.index(), flit));
+                    delta.outbox.push((next_idx, in_port, flit));
                 }
             }
         }

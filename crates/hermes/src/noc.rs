@@ -16,7 +16,7 @@ use crate::routing::{RouteTable, Routing};
 use crate::snapshot::{self, SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::stats::{LinkId, NocStats, PacketRecord};
 use crate::telemetry::{Telemetry, TelemetryConfig};
-use crate::trace::{PacketTracer, SpanEvent};
+use crate::trace::PacketTracer;
 
 /// Cycles the engine batches per dispatch and merge inside
 /// [`Noc::run`] and [`Noc::run_until_idle`] when nothing forces one-cycle
@@ -40,14 +40,6 @@ fn table_for(epochs: &[Epoch], cycles_per_flit: u32, here: RouterAddr, now: u64)
     epochs.iter().rev().find(|e| {
         now >= e.announced + u64::from(e.origin.hops_to(here)) * u64::from(cycles_per_flit)
     })
-}
-
-/// The events of the cycle-ascending stream `events` (a shard delta's
-/// packet events of one sub-phase) that happened in `cycle`.
-fn at_cycle(events: &[(PacketId, SpanEvent)], cycle: u64) -> &[(PacketId, SpanEvent)] {
-    let from = events.partition_point(|(_, e)| e.cycle < cycle);
-    let len = events[from..].partition_point(|(_, e)| e.cycle == cycle);
-    &events[from..from + len]
 }
 
 /// Outcome of one routing decision at a router's control logic.
@@ -205,7 +197,7 @@ impl Noc {
             .topology
             .requires_route_table()
             .then(|| Box::new(RouteTable::build(&config.topology, &BTreeSet::new())));
-        let stats = NocStats::new(config.stats_window);
+        let stats = NocStats::new(config.stats_window, (config.width(), config.height()));
         let health = HealthMonitor::new(config.fault_threshold);
         let active = vec![false; routers.len()];
         let sent_to = vec![0; routers.len()];
@@ -414,8 +406,8 @@ impl Noc {
                 );
             }
         }
-        for (link, &flits) in &s.link_flits {
-            let label = self.config.topology.link_label(*link);
+        for (link, flits) in s.link_flit_counts() {
+            let label = self.config.topology.link_label(link);
             reg.counter(
                 "hermes_link_flits_total",
                 "Flits transferred per directed link",
@@ -932,7 +924,7 @@ impl Noc {
             unsafe { pool.run_window(shared) };
             self.pool = Some(pool);
         }
-        self.merge_window(base, base + u64::from(window) - 1)
+        self.merge_window(base + u64::from(window) - 1)
     }
 
     /// Books `cycles` just-merged cycles once the clock sits on the
@@ -960,6 +952,8 @@ impl Noc {
             endpoints: self.endpoints.as_mut_ptr(),
             deltas: self.deltas.as_mut_ptr(),
             active: self.active.as_mut_ptr(),
+            link_flits: self.stats.link_flits.as_mut_ptr(),
+            local_ingress: self.stats.local_ingress_flits.as_mut_ptr(),
             n_routers: self.routers.len(),
             n_shards,
             config: &self.config,
@@ -989,7 +983,7 @@ impl Noc {
     }
 
     /// Serially merges every shard's deferred side effects for the
-    /// window `start..=end` into the global observables — statistics
+    /// window ending at cycle `end` into the global observables — statistics
     /// counters, packet records, traces, link health and reconfiguration
     /// epochs — in shard order, which is ascending router order, so the
     /// result is independent of how the phases were scheduled. The
@@ -999,7 +993,7 @@ impl Noc {
     /// deadlock recovery) can only occur when the window is one cycle, so
     /// applying it at `end` is always cycle-exact. Returns the last cycle
     /// in which any shard walked a node (0 if none did).
-    fn merge_window(&mut self, start: u64, end: u64) -> u64 {
+    fn merge_window(&mut self, end: u64) -> u64 {
         let now = end;
         let mut deltas = std::mem::take(&mut self.deltas);
 
@@ -1028,21 +1022,44 @@ impl Noc {
             }
         }
 
-        // Replay the window's packet events cycle by cycle into both
+        // Replay the window's packet events one at a time into both
         // folds, the records (with the latency histogram) and the tracer:
-        // within each cycle every local-phase event first (shard order is
-        // ascending router order), then every apply-phase event — exactly
-        // the order the one-shard sequential engine appends them in, so
-        // all kernels fold bit-identically for every window size. The
-        // record updates of one cycle commute (a packet moves one flit a
-        // cycle), so only the tracer needs that order.
-        for cycle in start..=end {
-            let local = deltas.iter().map(|d| at_cycle(&d.events_local, cycle));
-            let apply = deltas.iter().map(|d| at_cycle(&d.events_apply, cycle));
-            for &(id, event) in local.chain(apply).flatten() {
-                self.stats.observe(id, event.kind, event.cycle);
-                if let Some(tracer) = self.tracer.as_mut() {
-                    tracer.record(id, event);
+        // for each cycle that has events, every local-phase event first
+        // (shard order is ascending router order), then every apply-phase
+        // event — exactly the order the one-shard sequential engine
+        // appends them in, so all kernels fold bit-identically for every
+        // window size. Each stream is in cycle order, so the next cycle is
+        // the lowest unreplayed head. The record updates of one cycle
+        // commute (a packet moves one flit a cycle), so only the tracer
+        // needs that order.
+        loop {
+            let heads = (deltas.iter()).flat_map(|d| {
+                [
+                    d.events_local.get(d.replayed[0]),
+                    d.events_apply.get(d.replayed[1]),
+                ]
+            });
+            let Some(cycle) = heads.flatten().map(|(_, e)| e.cycle).min() else {
+                break;
+            };
+            for phase in 0..2 {
+                for d in &mut deltas {
+                    let events = if phase == 0 {
+                        &d.events_local
+                    } else {
+                        &d.events_apply
+                    };
+                    let replayed = &mut d.replayed[phase];
+                    while let Some(&(id, event)) = events.get(*replayed) {
+                        if event.cycle != cycle {
+                            break;
+                        }
+                        *replayed += 1;
+                        self.stats.observe(id, event.kind, event.cycle);
+                        if let Some(tracer) = self.tracer.as_mut() {
+                            tracer.record(id, event);
+                        }
+                    }
                 }
             }
         }
@@ -1069,12 +1086,6 @@ impl Noc {
             self.stats.health.misaddressed_drops += delta.misaddressed_drops;
             self.stats.health.rerouted_grants += delta.rerouted_grants;
             self.stats.health.source_queue_drops += delta.source_queue_drops;
-            for &addr in &delta.local_ingress {
-                *self.stats.local_ingress_flits.entry(addr).or_insert(0) += 1;
-            }
-            for &link in &delta.link_flits {
-                *self.stats.link_flits.entry(link).or_insert(0) += 1;
-            }
         }
 
         let mut last_busy = 0u64;
@@ -2187,8 +2198,8 @@ mod tests {
         noc.send(src, Packet::new(dst, vec![9, 9])).unwrap();
         noc.run_until_idle(10_000).unwrap();
         // 4 wire flits crossed (0,0)->East and were delivered at (1,0) Local.
-        assert_eq!(noc.stats().link_flits[&(src, Port::East)], 4);
-        assert_eq!(noc.stats().link_flits[&(dst, Port::Local)], 4);
+        assert_eq!(noc.stats().link_flits((src, Port::East)), 4);
+        assert_eq!(noc.stats().link_flits((dst, Port::Local)), 4);
         assert_eq!(noc.stats().flits_delivered, 4);
     }
 
@@ -2452,6 +2463,39 @@ mod tests {
         assert_eq!(
             Noc::restore_state(&bytes).unwrap_err(),
             SnapshotError::Malformed("telemetry baseline above its counter")
+        );
+    }
+
+    #[test]
+    fn restore_rejects_a_zero_link_count() {
+        let mut noc = noc_2x2();
+        noc.send(
+            RouterAddr::new(0, 0),
+            Packet::new(RouterAddr::new(1, 0), vec![7]),
+        )
+        .unwrap();
+        noc.run_until_idle(10_000).unwrap();
+        // The link map: two links, (00, East) and (10, Local), three
+        // wire flits each. The simulator never writes a zero count and
+        // the dense table cannot hold one.
+        let three = 3u64.to_le_bytes();
+        let map = [
+            &2u64.to_le_bytes()[..],
+            &[0, 0, 0],
+            &three,
+            &[1, 0, 4],
+            &three,
+        ]
+        .concat();
+        let bytes = resealed(noc.save_state(), |p| {
+            let at = (0..p.len() - map.len())
+                .find(|&i| p[i..i + map.len()] == map[..])
+                .unwrap();
+            p[at + 11] = 0;
+        });
+        assert_eq!(
+            Noc::restore_state(&bytes).unwrap_err(),
+            SnapshotError::Malformed("zero flit count")
         );
     }
 

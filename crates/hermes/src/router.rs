@@ -173,12 +173,30 @@ pub(crate) struct RouterCounters {
     pub buffer_peak: u64,
 }
 
+/// The link leaving one output port, resolved from the topology once when
+/// the router is built, so the kernel looks nothing up per flit.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Link {
+    /// The downstream router's index and the input port index the link
+    /// enters it by; `None` for `Local` and for a port off the grid edge.
+    pub next: Option<(usize, usize)>,
+    /// Cycles the output stays busy per flit: `cycles_per_flit` times the
+    /// link's cadence multiplier.
+    pub hold: u64,
+    /// Extra in-flight cycles before the downstream router can act on a
+    /// flit (see [`Topology::link_latency`](crate::Topology::link_latency)).
+    pub latency: u64,
+}
+
 /// A Hermes router.
 #[derive(Debug)]
 pub(crate) struct Router {
     pub addr: RouterAddr,
     pub inputs: [InputPort; 5],
     pub outputs: [OutputPort; 5],
+    /// The link behind each output port, by port index. Derived from the
+    /// configuration, never serialized.
+    pub links: [Link; 5],
     pub arbiter: Arbiter,
     /// The centralized control handles one routing decision at a time;
     /// while busy no new connection can be granted.
@@ -188,10 +206,24 @@ pub(crate) struct Router {
 
 impl Router {
     pub fn new(addr: RouterAddr, config: &NocConfig) -> Self {
+        let topology = &config.topology;
+        let link = |out: usize| {
+            let port = Port::from_index(out);
+            let next = (topology.neighbour(addr, port))
+                .zip(port.opposite())
+                .map(|(next, in_port)| (topology.index(next), in_port.index()));
+            let mult = topology.link_cadence_mult(addr, port);
+            Link {
+                next,
+                hold: u64::from(config.cycles_per_flit) * u64::from(mult),
+                latency: topology.link_latency(addr, port),
+            }
+        };
         Self {
             addr,
             inputs: std::array::from_fn(|_| InputPort::new(config.buffer_depth)),
             outputs: std::array::from_fn(|_| OutputPort::new()),
+            links: std::array::from_fn(link),
             arbiter: Arbiter::new(config.arbitration, 5),
             control_busy_until: 0,
             counters: RouterCounters::default(),

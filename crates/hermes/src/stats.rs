@@ -12,7 +12,7 @@
 //! [`mean_latency`]: NocStats::mean_latency
 //! [`latency_quantile`]: NocStats::latency_quantile
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use crate::addr::{Port, RouterAddr};
 use crate::endpoint::PacketId;
@@ -319,13 +319,17 @@ pub struct NocStats {
     /// Streaming latency aggregate over every delivered packet whose
     /// record was still retained at delivery time.
     latency: LatencyHistogram,
-    /// Flits transferred per directed link. `(router, Local)` is the
-    /// router-to-IP egress channel; IP-to-router injections are counted
-    /// separately in [`local_ingress_flits`](Self::local_ingress_flits).
-    pub link_flits: HashMap<LinkId, u64>,
+    /// Flits transferred per directed link, at `router × 5 + port`
+    /// (row-major router index, [`Port::index`]): the kernel counts each
+    /// flit in place. `(router, Local)` is the router-to-IP egress
+    /// channel; IP-to-router injections are counted in
+    /// `local_ingress_flits`.
+    pub(crate) link_flits: Vec<u64>,
     /// Flits injected by each IP into its router (the IP-to-router
-    /// direction of the local port).
-    pub local_ingress_flits: HashMap<RouterAddr, u64>,
+    /// direction of the local port), by row-major router index.
+    pub(crate) local_ingress_flits: Vec<u64>,
+    /// Columns of the grid the two tables are laid out for.
+    width: u8,
     /// Outcomes of injected faults (see [`FaultCounters`]).
     pub faults: FaultCounters,
     /// Outcomes of online fault diagnosis and reconfiguration (see
@@ -334,11 +338,71 @@ pub struct NocStats {
 }
 
 impl NocStats {
-    pub(crate) fn new(window: usize) -> Self {
+    /// Statistics with a `window`-record ring and zeroed link tables for
+    /// a `width`×`height` grid.
+    pub(crate) fn new(window: usize, (width, height): (u8, u8)) -> Self {
+        let routers = usize::from(width) * usize::from(height);
         Self {
             records: Ring::new(window),
+            link_flits: vec![0; routers * 5],
+            local_ingress_flits: vec![0; routers],
+            width,
             ..Self::default()
         }
+    }
+
+    /// The address of the router at row-major index `idx`.
+    fn addr_of(&self, idx: usize) -> RouterAddr {
+        let width = usize::from(self.width);
+        RouterAddr::new((idx % width) as u8, (idx / width) as u8)
+    }
+
+    /// The row-major index of `at`, if it lies on the grid.
+    fn index_of(&self, at: RouterAddr) -> Option<usize> {
+        let idx = usize::from(at.y()) * usize::from(self.width) + usize::from(at.x());
+        (at.x() < self.width && idx < self.local_ingress_flits.len()).then_some(idx)
+    }
+
+    /// The row-major router indices in address order (by column, then
+    /// row), the order the snapshot writes its counts in.
+    fn in_addr_order(&self) -> impl Iterator<Item = usize> {
+        let width = usize::from(self.width);
+        let height = self
+            .local_ingress_flits
+            .len()
+            .checked_div(width)
+            .unwrap_or(0);
+        (0..width).flat_map(move |x| (0..height).map(move |y| y * width + x))
+    }
+
+    /// Flits transferred over `link` so far; 0 for a link off the grid.
+    pub fn link_flits(&self, (at, port): LinkId) -> u64 {
+        self.index_of(at)
+            .map_or(0, |idx| self.link_flits[idx * 5 + port.index()])
+    }
+
+    /// Every link that has carried a flit, with its count, in link order.
+    pub fn link_flit_counts(&self) -> impl Iterator<Item = (LinkId, u64)> + '_ {
+        let links = self.in_addr_order().flat_map(move |idx| {
+            let at = self.addr_of(idx);
+            (Port::ALL.into_iter())
+                .map(move |port| ((at, port), self.link_flits[idx * 5 + port.index()]))
+        });
+        links.filter(|&(_, flits)| flits > 0)
+    }
+
+    /// Flits the IP at router `at` has injected so far.
+    pub fn local_ingress_flits(&self, at: RouterAddr) -> u64 {
+        self.index_of(at)
+            .map_or(0, |idx| self.local_ingress_flits[idx])
+    }
+
+    /// Every router whose IP has injected a flit, with its count, in
+    /// address order.
+    pub fn local_ingress_counts(&self) -> impl Iterator<Item = (RouterAddr, u64)> + '_ {
+        (self.in_addr_order())
+            .map(|idx| (self.addr_of(idx), self.local_ingress_flits[idx]))
+            .filter(|&(_, flits)| flits > 0)
     }
 
     pub(crate) fn add_record(&mut self, record: PacketRecord) {
@@ -418,7 +482,7 @@ impl NocStats {
         if self.cycles == 0 {
             return 0.0;
         }
-        let max = self.link_flits.values().copied().max().unwrap_or(0);
+        let max = self.link_flits.iter().copied().max().unwrap_or(0);
         max as f64 * f64::from(cycles_per_flit) / self.cycles as f64
     }
 
@@ -427,21 +491,22 @@ impl NocStats {
         if self.cycles == 0 {
             return 0.0;
         }
-        let max = self.link_flits.values().copied().max().unwrap_or(0);
+        let max = self.link_flits.iter().copied().max().unwrap_or(0);
         max as f64 * f64::from(flit_bits) * clock_hz / self.cycles as f64
     }
 
     /// Serializes all counters, the record ring and the latency
-    /// aggregate. The slot of the per-router counters, which the routers
-    /// own, is written from `routers`, positionally.
+    /// aggregate. The link tables are written as maps, each counted link
+    /// or router in key order. The slot of the per-router counters, which
+    /// the routers own, is written from `routers`, positionally.
     pub(crate) fn snapshot_write(&self, w: &mut SnapshotWriter, routers: &[Router]) {
         w.put(&(self.cycles, self.packets_sent, self.packets_delivered));
         w.put(&(self.flit_hops, self.flits_delivered));
         self.records.put_held(w);
         w.put(&(self.records.first(), self.records.evicted()));
         w.put(&self.latency);
-        w.put(&self.link_flits);
-        w.put(&self.local_ingress_flits);
+        w.put(&self.link_flit_counts().collect::<Vec<_>>());
+        w.put(&self.local_ingress_counts().collect::<Vec<_>>());
         for router in routers {
             w.put(&router.counters);
         }
@@ -450,8 +515,10 @@ impl NocStats {
 
     /// Restores statistics written by
     /// [`snapshot_write`](Self::snapshot_write) into statistics freshly
-    /// built for the configured record window. The per-router counters
-    /// slot must repeat what the already restored `routers` hold.
+    /// built for the configured record window and grid. Every link and
+    /// router a map names must lie on the grid and hold a positive count:
+    /// the tables cannot hold any other. The per-router counters slot
+    /// must repeat what the already restored `routers` hold.
     pub(crate) fn snapshot_read(
         &mut self,
         r: &mut SnapshotReader<'_>,
@@ -464,8 +531,14 @@ impl NocStats {
         let window = self.records.window();
         self.records = Ring::restore(window, first, evicted, records, "record ring over window")?;
         self.latency = r.take()?;
-        self.link_flits = r.take()?;
-        self.local_ingress_flits = r.take()?;
+        for ((at, port), flits) in r.take::<BTreeMap<LinkId, u64>>()? {
+            let idx = self.counted(at, flits)?;
+            self.link_flits[idx * 5 + port.index()] = flits;
+        }
+        for (at, flits) in r.take::<BTreeMap<RouterAddr, u64>>()? {
+            let idx = self.counted(at, flits)?;
+            self.local_ingress_flits[idx] = flits;
+        }
         for router in routers {
             if r.take::<RouterCounters>()? != router.counters {
                 return Err(SnapshotError::Malformed("router counters disagree"));
@@ -475,10 +548,18 @@ impl NocStats {
         Ok(())
     }
 
+    /// The table index of a decoded count of `flits` at router `at`.
+    fn counted(&self, at: RouterAddr, flits: u64) -> Result<usize, SnapshotError> {
+        if flits == 0 {
+            return Err(SnapshotError::Malformed("zero flit count"));
+        }
+        (self.index_of(at)).ok_or(SnapshotError::Malformed("router address outside mesh"))
+    }
+
     /// The checks restored statistics need context for: the record ring
     /// numbers its packets sequentially up to the network's `next_id`,
     /// no packet was sent after the snapshot's `cycle`, and every
-    /// tallied router lies on the mesh.
+    /// recorded source lies on the mesh.
     pub(crate) fn check_restored(
         &self,
         next_id: u64,
@@ -495,12 +576,7 @@ impl NocStats {
         if records.iter().any(|record| record.sent > cycle) {
             return Err(SnapshotError::Malformed("packet sent after snapshot cycle"));
         }
-        check_mesh(
-            mesh,
-            (records.iter().map(|record| record.src))
-                .chain(self.link_flits.keys().map(|link| link.0))
-                .chain(self.local_ingress_flits.keys().copied()),
-        )
+        check_mesh(mesh, records.iter().map(|record| record.src))
     }
 
     /// A multi-line human-readable summary of the run.
@@ -596,7 +672,7 @@ mod tests {
 
     #[test]
     fn mean_latency_ignores_undelivered() {
-        let mut stats = NocStats::new(1024);
+        let mut stats = NocStats::new(1024, (2, 2));
         add(&mut stats, record(0, 0, Some(40)));
         add(&mut stats, record(1, 0, Some(60)));
         add(&mut stats, record(2, 0, None));
@@ -605,7 +681,7 @@ mod tests {
 
     #[test]
     fn quantiles() {
-        let mut stats = NocStats::new(1024);
+        let mut stats = NocStats::new(1024, (2, 2));
         for i in 0..10u64 {
             add(&mut stats, record(i, 0, Some((i + 1) * 10)));
         }
@@ -621,7 +697,7 @@ mod tests {
 
     #[test]
     fn empty_stats_return_none_or_zero() {
-        let stats = NocStats::new(1024);
+        let stats = NocStats::new(1024, (2, 2));
         assert_eq!(stats.mean_latency(), None);
         assert_eq!(stats.latency_quantile(0.5), None);
         assert_eq!(stats.accepted_flits_per_cycle_per_node(4), 0.0);
@@ -632,7 +708,7 @@ mod tests {
 
     #[test]
     fn record_lookup_by_id() {
-        let mut stats = NocStats::new(1024);
+        let mut stats = NocStats::new(1024, (2, 2));
         stats.add_record(record(7, 3, Some(50)));
         assert_eq!(stats.record(PacketId(7)).unwrap().sent, 3);
         assert!(stats.record(PacketId(8)).is_none());
@@ -645,7 +721,7 @@ mod tests {
     #[test]
     fn window_bounds_retained_records_but_keeps_aggregates() {
         let window = 8;
-        let mut stats = NocStats::new(window);
+        let mut stats = NocStats::new(window, (2, 2));
         for i in 0..1000u64 {
             add(&mut stats, record(i, 0, Some(i + 10)));
         }

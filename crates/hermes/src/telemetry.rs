@@ -216,7 +216,7 @@ impl Telemetry {
             base_flits_delivered: stats.flits_delivered,
             base_packets_sent: stats.packets_sent,
             base_packets_delivered: stats.packets_delivered,
-            base_link_flits: stats.link_flits.iter().map(|(&l, &f)| (l, f)).collect(),
+            base_link_flits: stats.link_flit_counts().collect(),
             base_grants: routers.iter().map(|r| r.counters.grants).collect(),
             base_latency_count: hist.count(),
             base_latency_sum: hist.sum(),
@@ -319,19 +319,14 @@ impl Telemetry {
         let start = end.saturating_sub(interval - 1);
 
         let mut link_flits: Vec<(LinkId, u64)> = Vec::new();
-        for (link, &flits) in &stats.link_flits {
-            let base = self.base_link_flits.get(link).copied().unwrap_or(0);
+        for (link, flits) in stats.link_flit_counts() {
+            let base = self.base_link_flits.get(&link).copied().unwrap_or(0);
             if flits > base {
-                link_flits.push((*link, flits - base));
+                link_flits.push((link, flits - base));
             }
         }
-        link_flits.sort_unstable_by_key(|&(link, _)| link);
         if !link_flits.is_empty() {
-            self.base_link_flits = stats
-                .link_flits
-                .iter()
-                .map(|(link, &flits)| (*link, flits))
-                .collect();
+            self.base_link_flits = stats.link_flit_counts().collect();
         }
 
         if self.base_grants.len() < routers.len() {

@@ -1,9 +1,11 @@
 //! Crate-level property tests of the Hermes simulator: conservation
 //! invariants and deadlock freedom in hostile configurations.
 
+use std::collections::BTreeMap;
+
 use hermes_noc::fault::FaultPlan;
 use hermes_noc::traffic::{Pattern, Rng64, TrafficGen};
-use hermes_noc::{Noc, NocConfig, Packet, Port, RouterAddr, Routing};
+use hermes_noc::{D2dChannel, Noc, NocConfig, Packet, Port, RouterAddr, Routing, SpanKind};
 use proptest::prelude::*;
 
 proptest! {
@@ -53,22 +55,20 @@ proptest! {
         prop_assert_eq!(stats.flits_delivered, expected_flits);
         // Local egress flits across all routers equal delivered flits.
         let egress: u64 = stats
-            .link_flits
-            .iter()
+            .link_flit_counts()
             .filter(|((_, port), _)| *port == Port::Local)
-            .map(|(_, &count)| count)
+            .map(|(_, count)| count)
             .sum();
         prop_assert_eq!(egress, expected_flits);
         // Ingress equals delivered too (everything injected got out).
-        let ingress: u64 = stats.local_ingress_flits.values().sum();
+        let ingress: u64 = stats.local_ingress_counts().map(|(_, count)| count).sum();
         prop_assert_eq!(ingress, expected_flits);
         // Total hops = ingress + egress + inter-router hops; each packet
         // takes exactly `hops` inter-router transfers per flit.
         let inter: u64 = stats
-            .link_flits
-            .iter()
+            .link_flit_counts()
             .filter(|((_, port), _)| *port != Port::Local)
-            .map(|(_, &count)| count)
+            .map(|(_, count)| count)
             .sum();
         let expected_inter: u64 = stats
             .records()
@@ -141,6 +141,74 @@ proptest! {
         noc.run_until_idle(5_000_000).expect("post-failure mesh still drains");
         for id in ids {
             prop_assert!(noc.stats().record(id).unwrap().is_delivered());
+        }
+    }
+
+    /// Link-by-link counts against the routes the packet tracer records,
+    /// on a mesh, a torus and a chiplet mesh: every link carried the wire
+    /// flits of exactly the packets whose header hopped across it, every
+    /// Local egress those of the packets delivered there and every IP
+    /// those it injected. Sums alone would not see a count filed under the
+    /// wrong link; the corner-to-corner packets make the torus use its
+    /// wrap links and the chiplet mesh its off-chip links.
+    #[test]
+    fn link_counts_follow_the_traced_routes(seed in 0u64..500) {
+        let configs = [
+            NocConfig::mesh(3, 3),
+            NocConfig::torus(3, 3),
+            NocConfig::chiplet(2, 2, D2dChannel::OffChipSerial),
+        ];
+        for config in configs {
+            let (width, height) = (config.width(), config.height());
+            let topology = config.topology;
+            let mut noc = Noc::new(config).unwrap();
+            noc.enable_packet_trace(64);
+            let mut rng = Rng64::new(seed);
+            let far = RouterAddr::new(width - 1, height - 1);
+            let corners = [(RouterAddr::new(0, 0), far), (far, RouterAddr::new(0, 0))];
+            let random = (0..40).map(|_| {
+                let mut at = || RouterAddr::new(rng.below(u64::from(width)) as u8, rng.below(u64::from(height)) as u8);
+                (at(), at())
+            });
+            let mut wire = BTreeMap::new();
+            let mut ingress: BTreeMap<RouterAddr, u64> = BTreeMap::new();
+            for (k, (src, dst)) in corners.into_iter().chain(random.collect::<Vec<_>>()).enumerate() {
+                let len = (seed as usize + 7 * k) % 20;
+                let id = noc.send(src, Packet::new(dst, vec![0x3C; len])).unwrap();
+                wire.insert(id, len as u64 + 2);
+                *ingress.entry(src).or_default() += len as u64 + 2;
+            }
+            noc.run_until_idle(5_000_000).unwrap();
+            let mut links: BTreeMap<(RouterAddr, Port), u64> = BTreeMap::new();
+            for trace in noc.packet_trace().unwrap().traces() {
+                prop_assert!(trace.is_delivered());
+                let flits = wire[&trace.id()];
+                for hop in trace.events().iter().filter(|e| e.kind == SpanKind::Hop) {
+                    *links.entry((hop.router, hop.port)).or_default() += flits;
+                }
+                *links.entry((trace.dest(), Port::Local)).or_default() += flits;
+            }
+            let stats = noc.stats();
+            prop_assert_eq!(stats.link_flit_counts().collect::<BTreeMap<_, _>>(), links.clone());
+            prop_assert_eq!(stats.local_ingress_counts().collect::<BTreeMap<_, _>>(), ingress.clone());
+            for x in 0..width {
+                for y in 0..height {
+                    let at = RouterAddr::new(x, y);
+                    prop_assert_eq!(stats.local_ingress_flits(at), ingress.get(&at).copied().unwrap_or(0));
+                    for port in Port::ALL {
+                        let expected = links.get(&(at, port)).copied().unwrap_or(0);
+                        prop_assert_eq!(stats.link_flits((at, port)), expected);
+                    }
+                }
+            }
+            let special = |&(at, port): &(RouterAddr, Port)| {
+                topology.is_wraparound(at, port) || topology.is_off_chip(at, port)
+            };
+            prop_assert_eq!(
+                links.keys().any(special),
+                !matches!(topology, hermes_noc::Topology::Mesh { .. }),
+                "{:?}", topology
+            );
         }
     }
 
