@@ -16,6 +16,8 @@
 use std::collections::VecDeque;
 use std::fmt;
 
+use hermes_noc::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
+
 /// Serial link timing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SerialConfig {
@@ -54,13 +56,16 @@ struct Channel {
 }
 
 impl Channel {
-    fn step(&mut self, now: u64, cycles_per_byte: u64) {
-        if now >= self.next_deliver {
-            if let Some(byte) = self.in_flight.pop_front() {
-                self.ready.push_back(byte);
-                self.next_deliver = now + cycles_per_byte.max(1);
-            }
+    /// Delivers the next byte in flight if its tick has come, and returns
+    /// it.
+    fn step(&mut self, now: u64, cycles_per_byte: u64) -> Option<u8> {
+        if now < self.next_deliver {
+            return None;
         }
+        let byte = self.in_flight.pop_front()?;
+        self.ready.push_back(byte);
+        self.next_deliver = now + cycles_per_byte.max(1);
+        Some(byte)
     }
 
     /// The baud tick of the byte `k` places behind the next one in
@@ -76,20 +81,87 @@ impl Channel {
     }
 }
 
+/// Where the device frames of the byte stream towards the host end: the
+/// parse a [`FrameBuffer`] fed that stream byte by byte makes, followed
+/// at each byte the link delivers. Derived from the stream, never
+/// serialized.
+#[derive(Debug, Default)]
+struct FrameEnds {
+    /// The first bytes of the frame the next byte in flight belongs to,
+    /// as far as they have been delivered: the opcode and count bytes
+    /// that fix the frame's length.
+    head: [u8; 3],
+    /// How many bytes of that frame have been delivered.
+    delivered: usize,
+    /// Whether the parse is unknown: on a restored link until the bytes
+    /// in flight at the save have all arrived, and on a stream broken by
+    /// an unknown opcode until it drains. Every byte is then an end.
+    lost: bool,
+}
+
+impl FrameEnds {
+    /// Follows one delivered byte; `drained` says whether it was the last
+    /// in flight. A drained stream starts its next byte on a frame: the
+    /// serial IP sends whole frames.
+    fn deliver(&mut self, byte: u8, drained: bool) {
+        if !self.lost {
+            if let Some(slot) = self.head.get_mut(self.delivered) {
+                *slot = byte;
+            }
+            self.delivered += 1;
+            let head = &self.head[..self.delivered.min(3)];
+            match device_frame_need(|i| head.get(i).copied()) {
+                Some(Ok(need)) if need == self.delivered => self.delivered = 0,
+                Some(Err(_)) => self.lost = true,
+                _ => {}
+            }
+        }
+        if drained && self.lost {
+            *self = Self::default();
+        }
+    }
+
+    /// The place in `in_flight` of the first byte that ends a frame, or
+    /// of the last byte if none does; `None` with nothing in flight.
+    fn next_end(&self, in_flight: &VecDeque<u8>) -> Option<usize> {
+        let last = in_flight.len().checked_sub(1)?;
+        if self.lost {
+            return Some(0);
+        }
+        let held = self.delivered;
+        let at = |i: usize| match i.checked_sub(held) {
+            Some(k) => in_flight.get(k).copied(),
+            None => self.head.get(i).copied(),
+        };
+        Some(match device_frame_need(at) {
+            Some(Ok(need)) => (need - held - 1).min(last),
+            Some(Err(_)) => 0,
+            None => last,
+        })
+    }
+}
+
 /// The bidirectional RS-232 link between host computer and MultiNoC
 /// (`tx`/`rx` of Fig. 1).
 ///
 /// The system steps the link at every cycle it visits. A run loop does
-/// not visit the baud ticks of bytes towards the serial IP that complete
-/// no host command: it delivers them afterwards, each at its own tick
+/// not visit the baud ticks of bytes that change nothing an IP acts on or
+/// the host sees: towards the serial IP the bytes that complete no host
+/// command, towards the host the bytes at which a [`FrameBuffer`] fed the
+/// stream byte by byte parses no device frame, except the last byte in
+/// flight. It delivers them afterwards, each at its own tick
 /// (`next_deliver + k × cycles_per_byte` within a burst), which leaves
-/// the link where stepping every cycle would. Bytes towards the host
-/// are stepped at their ticks.
+/// the link where stepping every cycle would. Where the frames towards
+/// the host end is derived from the stream and not serialized: a
+/// restored link stops at every byte that was in flight towards the host
+/// when it was saved.
 #[derive(Debug, Default)]
 pub struct SerialLink {
     config: SerialConfig,
     to_device: Channel,
     to_host: Channel,
+    /// Where the frames towards the host end; derived, not serialized.
+    host_frames: FrameEnds,
 }
 
 impl SerialLink {
@@ -109,7 +181,15 @@ impl SerialLink {
     /// Advances the per-byte timers by one clock cycle.
     pub fn step(&mut self, now: u64) {
         self.to_device.step(now, self.config.cycles_per_byte);
-        self.to_host.step(now, self.config.cycles_per_byte);
+        self.step_to_host(now);
+    }
+
+    /// The host direction of [`step`](Self::step), following the frames.
+    fn step_to_host(&mut self, now: u64) {
+        if let Some(byte) = self.to_host.step(now, self.config.cycles_per_byte) {
+            let drained = self.to_host.in_flight.is_empty();
+            self.host_frames.deliver(byte, drained);
+        }
     }
 
     /// Delivers every byte in flight towards the device whose baud tick
@@ -128,6 +208,20 @@ impl SerialLink {
             delivered += 1;
         }
         delivered
+    }
+
+    /// The host direction of
+    /// [`deliver_to_device`](Self::deliver_to_device): delivers every byte
+    /// in flight towards the host whose baud tick is at most `through`,
+    /// each at its own tick, for a burst that is already clocked.
+    pub(crate) fn deliver_to_host(&mut self, through: u64) {
+        let cycles_per_byte = self.config.cycles_per_byte;
+        while let Some(tick) = self.to_host.tick(0, cycles_per_byte) {
+            if tick > through {
+                break;
+            }
+            self.step_to_host(tick);
+        }
     }
 
     /// Host transmits bytes towards the device.
@@ -155,10 +249,23 @@ impl SerialLink {
         self.to_device.is_idle() && self.to_host.is_idle()
     }
 
-    /// The soonest baud tick that hands the host a byte in flight. The
-    /// host reads its bytes between cycles, so the run loop stops there.
-    pub(crate) fn next_host_byte(&self) -> Option<u64> {
-        self.to_host.tick(0, self.config.cycles_per_byte)
+    /// The baud tick of the next byte in flight towards the host that the
+    /// run loop, at cycle `now`, must stop at: the first byte at which a
+    /// [`FrameBuffer`] fed the host-bound stream byte by byte would parse
+    /// a device frame, whatever the [`device_send`](Self::device_send)
+    /// calls were, else the last byte in flight. A restored link with
+    /// bytes in flight towards the host stops at every byte until they
+    /// have all arrived. A burst not yet clocked — sent into an idle
+    /// direction since the link last stepped — stops at its first tick,
+    /// at or before `now`, so that the visit that follows clocks it.
+    pub(crate) fn next_host_stop(&self, now: u64) -> Option<u64> {
+        let cycles_per_byte = self.config.cycles_per_byte;
+        let first = self.to_host.tick(0, cycles_per_byte)?;
+        if first <= now {
+            return Some(first);
+        }
+        let end = self.host_frames.next_end(&self.to_host.in_flight)?;
+        self.to_host.tick(end, cycles_per_byte)
     }
 
     /// The baud tick at which byte `k` of those in flight towards the
@@ -448,24 +555,13 @@ impl FrameBuffer {
     ///
     /// [`FrameError`] if the first byte is not a device frame opcode.
     pub fn parse_device_frame(&mut self) -> Result<Option<DeviceFrame>, FrameError> {
-        let Some(&op) = self.bytes.first() else {
+        let Some(need) = device_frame_need(|i| self.bytes.get(i).copied()).transpose()? else {
             return Ok(None);
-        };
-        let need = match op {
-            opcode::PRINTF => 4,
-            opcode::SCANF_REQUEST => 2,
-            opcode::READ_RETURN => {
-                if self.bytes.len() < 3 {
-                    return Ok(None);
-                }
-                5 + 2 * usize::from(self.bytes[2])
-            }
-            other => return Err(FrameError { opcode: other }),
         };
         if self.bytes.len() < need {
             return Ok(None);
         }
-        let frame = match op {
+        let frame = match self.bytes[0] {
             opcode::PRINTF => DeviceFrame::Printf {
                 node: self.bytes[1],
                 value: self.word(2),
@@ -498,15 +594,47 @@ fn host_command_need(at: impl Fn(usize) -> Option<u8>) -> Option<Result<usize, F
     }))
 }
 
+/// The length of the device frame whose bytes `at` reads from the front,
+/// or the error for an unknown opcode; `None` while a byte that fixes the
+/// length is missing.
+fn device_frame_need(at: impl Fn(usize) -> Option<u8>) -> Option<Result<usize, FrameError>> {
+    Some(Ok(match at(0)? {
+        opcode::PRINTF => 4,
+        opcode::SCANF_REQUEST => 2,
+        opcode::READ_RETURN => 5 + 2 * usize::from(at(2)?),
+        opcode => return Some(Err(FrameError { opcode })),
+    }))
+}
+
 hermes_noc::snap_struct!(SerialConfig { cycles_per_byte } Channel {
     in_flight,
     ready,
     next_deliver,
-} SerialLink {
-    config,
-    to_device,
-    to_host,
 } FrameBuffer { bytes });
+
+/// The timing and both channels. Where the frames towards the host end
+/// is derived, and unknown for the bytes in flight at the save.
+impl Snap for SerialLink {
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.put(&self.config);
+        w.put(&self.to_device);
+        w.put(&self.to_host);
+    }
+
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        let (config, to_device, to_host): (_, _, Channel) = r.take()?;
+        let host_frames = FrameEnds {
+            lost: !to_host.in_flight.is_empty(),
+            ..FrameEnds::default()
+        };
+        Ok(Self {
+            config,
+            to_device,
+            to_host,
+            host_frames,
+        })
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -670,8 +798,59 @@ mod tests {
         })
     }
 
+    /// One device frame of a random kind: a printf, a scanf request or a
+    /// read return of 0 to 255 words.
+    fn device_frame() -> impl Strategy<Value = Vec<u8>> {
+        let parts = (0u8..3, any::<u8>(), any::<u8>(), any::<u16>());
+        parts.prop_map(|(kind, node, count, addr)| match kind {
+            0 => DeviceFrame::Printf { node, value: addr }.to_bytes(),
+            1 => DeviceFrame::ScanfRequest { node }.to_bytes(),
+            _ => DeviceFrame::ReadReturn {
+                node,
+                addr,
+                data: (0..u16::from(count)).collect(),
+            }
+            .to_bytes(),
+        })
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The host-bound stop against parsing byte by byte: a random
+        /// frame sequence goes out in random pieces, a random number of
+        /// its bytes arrive, and the link's next stop is the tick of the
+        /// first byte in flight at which a buffer fed the stream one byte
+        /// at a time parses a frame — none with nothing in flight.
+        #[test]
+        fn host_stop_matches_parsing_byte_by_byte(
+            frames in proptest::collection::vec(device_frame(), 1..4),
+            cuts in proptest::collection::vec(any::<u16>(), 0..4),
+            delivered in any::<u16>(),
+        ) {
+            let bytes = frames.concat();
+            let delivered = usize::from(delivered) % (bytes.len() + 1);
+            let mut cuts: Vec<usize> = cuts.iter().map(|&c| usize::from(c) % bytes.len()).collect();
+            cuts.extend([0, bytes.len()]);
+            cuts.sort_unstable();
+            let mut link = SerialLink::new(SerialConfig::fast());
+            for piece in cuts.windows(2) {
+                link.device_send(&bytes[piece[0]..piece[1]]);
+            }
+            // The burst is clocked from cycle 100, four cycles a byte.
+            link.to_host.next_deliver = 100;
+            let now = 99 + 4 * delivered as u64;
+            link.deliver_to_host(now);
+            let mut parsed = FrameBuffer::new();
+            let mut parses = |byte: u8| {
+                parsed.push(byte);
+                parsed.parse_device_frame().expect("valid frames").is_some()
+            };
+            bytes[..delivered].iter().for_each(|&b| { parses(b); });
+            let first_frame = (delivered..bytes.len()).find(|&i| parses(bytes[i]));
+            let tick = |i: usize| 100 + 4 * i as u64;
+            prop_assert_eq!(link.next_host_stop(now), first_frame.map(tick));
+        }
 
         /// The completing-byte prediction against pushing byte by byte:
         /// from a buffer holding a random prefix of a random frame

@@ -1263,23 +1263,28 @@ impl System {
 
     /// Advances the clock through cycles in which no IP can act, visiting
     /// none of them: up to just before the soonest live IP's
-    /// [wake](ProcessorIp::wake) or the link's next byte towards the
-    /// host (which `done` may read), never past `last` or into the next
-    /// periodic auto-checkpoint's cycle. It is refused when nothing has a
-    /// wake, in which case only the run loop's stop condition can end the
-    /// wait.
+    /// [wake](ProcessorIp::wake) or the link's
+    /// [next stop towards the host](SerialLink::next_host_stop) (a byte
+    /// that ends a device frame, which `done` may read, or the last byte
+    /// in flight), never past `last` or into the next periodic
+    /// auto-checkpoint's cycle. A busy network stepped alone needs no
+    /// wake: its landing ends the jump. Otherwise the jump is refused
+    /// when nothing has a wake, in which case only the run loop's stop
+    /// condition can end the wait.
     ///
     /// The serial IP's wake is the byte that completes or breaks the next
     /// host command, or the last byte in flight, so the jump steps over
-    /// the bytes the host streams before it. It delivers the bytes it
-    /// crossed at their own baud ticks, into the frame buffer of a live
-    /// serial IP, before it parks or visits a landing, so that the link
-    /// and the IP are in their lockstep state wherever a visit, `done` or
-    /// a checkpoint sees them (see
+    /// the bytes the host streams before it, and over the bytes towards
+    /// the host inside a device frame. It delivers the bytes it crossed in
+    /// both directions at their own baud ticks, those towards a live
+    /// serial IP into its frame buffer, before it parks or visits a
+    /// landing, so that the link and the IP are in their lockstep state
+    /// wherever a visit, `done` or a checkpoint sees them (see
     /// [`deliver_link_bytes`](Self::deliver_link_bytes)). A burst the
     /// host queued since the loop's last cycle is not crossed: that is a
     /// send from outside, and the visit that follows clocks its first
-    /// byte.
+    /// byte. A burst towards the host that is not yet clocked stops the
+    /// jump at once, for the same reason.
     ///
     /// An idle network ticks its clock through the gap, even under a
     /// fault plan without router stalls and with the watchdog armed. A
@@ -1297,10 +1302,8 @@ impl System {
         // A busy network is stepped alone only while nothing but its
         // deliveries reaches the IPs and no watchdog reads its progress.
         let alone = self.unperturbed() && self.watchdog.is_none();
-        if !self.noc.delivered_empty()
-            || self.send_count() != self.sends_seen
-            || !(alone || self.noc.ticks_idly())
-        {
+        let busy = !self.noc.ticks_idly();
+        if !self.noc.delivered_empty() || self.send_count() != self.sends_seen || (busy && !alone) {
             return Ok(Jump::Refused);
         }
         let now = self.noc.cycle();
@@ -1308,7 +1311,8 @@ impl System {
         let wakes = self
             .live_ips()
             .filter_map(|ip| ip.wake(now, epoch, &self.link));
-        let Some(wake) = wakes.chain(self.link.next_host_byte()).min() else {
+        let stops = wakes.chain(self.link.next_host_stop(now));
+        let Some(wake) = stops.chain(busy.then_some(last)).min() else {
             return Ok(Jump::Refused);
         };
         // The step that observes cycle `stop` begins by advancing the
@@ -1346,12 +1350,15 @@ impl System {
         Ok(Jump::Parked)
     }
 
-    /// Delivers the link's bytes towards the serial IP whose baud ticks
-    /// a jump crossed, through cycle `through`, each at its own tick, and
-    /// [buffers](Self::buffer_link_bytes) them. The link and the IP are
-    /// then in their lockstep state. A jump crosses no byte that
-    /// completes a host command: that is the IP's wake.
+    /// Delivers the link's bytes in both directions whose baud ticks a
+    /// jump crossed, through cycle `through`, each at its own tick, and
+    /// [buffers](Self::buffer_link_bytes) those towards the serial IP.
+    /// The link and the IP are then in their lockstep state, and the host
+    /// finds every crossed byte in its queue. A jump crosses no byte that
+    /// completes a host command for a live serial IP, ends a device frame
+    /// or is the last in flight towards the host: those are stops.
     fn deliver_link_bytes(&mut self, through: u64) {
+        self.link.deliver_to_host(through);
         if self.link.deliver_to_device(through) > 0 {
             self.buffer_link_bytes();
             self.sends_seen = self.send_count();
@@ -1397,15 +1404,18 @@ impl System {
     /// number of cycles.
     ///
     /// `done` is asked now, at every cycle whose IPs are visited, at the
-    /// end of each jump and at each landing inside one — not at every
-    /// cycle in which a flit moves or a host byte reaches the serial IP.
-    /// In between, nothing an IP acts on or the host sees changes: no
-    /// host command completes, no byte reaches the host and the link does
-    /// not go idle, and neither do the network's idleness and delivery
+    /// end of each jump and at each landing inside one — once per device
+    /// frame towards the host, not at every cycle in which a flit moves
+    /// or a host byte reaches the serial IP or the host. In between,
+    /// nothing an IP acts on or the host sees changes: no host command
+    /// completes, no device frame reaches the host and the link does not
+    /// go idle, and neither do the network's idleness and delivery
     /// queues change: without a fault plan a packet leaves the network
     /// only by landing. Other state moves inside a jump, so a `done` that
     /// reads it sees it at those cycles only: flit hops and link loads,
-    /// and the host bytes that only grow the serial IP's frame buffer.
+    /// the host bytes that only grow the serial IP's frame buffer, and
+    /// the bytes towards the host that end no device frame (a `done` that
+    /// reads single host bytes finds them queued at the frame's end).
     /// So `done` must read the simulated state, not the clock, which
     /// `budget` bounds; it may also drive the system itself — send a
     /// packet, queue host bytes, run a nested loop — and the loop goes on

@@ -23,7 +23,7 @@
 use hermes_noc::fault::{CycleWindow, FaultPlan};
 use hermes_noc::{D2dChannel, KernelMode, NocConfig, Port, RouterAddr, Routing, TelemetryConfig};
 use multinoc::processor::ProcessorStatus;
-use multinoc::serial::{HostCommand, SerialConfig, SYNC_BYTE};
+use multinoc::serial::{DeviceFrame, FrameBuffer, HostCommand, SerialConfig, SYNC_BYTE};
 use multinoc::{NodeId, System, SystemBuilder};
 use proptest::prelude::*;
 use r8::asm::assemble;
@@ -721,6 +721,211 @@ fn checkpoint_right_after_a_host_send_resumes_as_lockstep() {
             *boundaries.last().expect("a boundary"),
             "queued at {at}: the restored run({horizon}) differs from lockstep"
         );
+    }
+}
+
+/// `n` printf words from a core, back to back, then on at label `pd`.
+fn print_burst(n: u16) -> String {
+    format!(
+        "LIW R10, 0xFFFF\nXOR R0, R0, R0\nLIW R1, {n}\n\
+         pb: ST R1, R0, R10\nSUBI R1, 1\nJMPZD pd\nJMPD pb\npd: "
+    )
+}
+
+/// Both cores print back-to-back words — P1 then computes in a long
+/// local loop, P2 halts — while the host reads a 64-word block back from
+/// the memory IP: several printf frames and a 133-byte read return queue
+/// up towards the host in one burst, which the run loop crosses to each
+/// frame's last byte.
+fn printf_bursts_beside_a_host_read(sys: &mut System) {
+    load_program(sys, P1, &format!("{}{}", print_burst(6), long_loop(100)));
+    load_program(sys, P2, &format!("{}HALT", print_burst(10)));
+    let read = HostCommand::ReadMemory {
+        node: MEM.0,
+        count: 64,
+        addr: 0x40,
+    };
+    sys.link_mut().host_send(&[SYNC_BYTE]);
+    sys.link_mut().host_send(&read.to_bytes());
+}
+
+#[test]
+fn printf_bursts_beside_a_host_read_back() {
+    check(paper(
+        NocConfig::multinoc(),
+        None,
+        printf_bursts_beside_a_host_read,
+        2_500,
+    ));
+}
+
+/// The paper layout under `kernel` loaded with
+/// [`printf_bursts_beside_a_host_read`].
+fn printf_bursts(kernel: KernelMode) -> System {
+    let mut sys = layout_builder(NocConfig::multinoc(), Layout::Paper, kernel)
+        .build()
+        .expect("valid layout");
+    printf_bursts_beside_a_host_read(&mut sys);
+    sys
+}
+
+/// A stop condition on the device frames the host has parsed.
+type Enough<'a> = &'a dyn Fn(&[DeviceFrame]) -> bool;
+
+/// Runs `sys`, whose host has already read the bytes `read`, until
+/// `enough` holds of the device frames the host has parsed since, the
+/// host reading its bytes at every question — by `run_until`, or before
+/// each lockstep `step` — and returns `(cycle, fingerprint)`.
+fn until_frames(mut sys: System, read: &[u8], lockstep: bool, enough: Enough) -> (u64, u64) {
+    let mut rx = FrameBuffer::new();
+    read.iter().for_each(|&byte| rx.push(byte));
+    let mut frames = Vec::new();
+    let mut done = |sys: &mut System| {
+        while let Some(byte) = sys.link_mut().host_recv() {
+            rx.push(byte);
+        }
+        while let Some(frame) = rx.parse_device_frame().expect("device frames") {
+            frames.push(frame);
+        }
+        Ok(enough(&frames))
+    };
+    if lockstep {
+        while !done(&mut sys).expect("reads frames") {
+            sys.step().expect("steps");
+        }
+    } else {
+        sys.run_until(BUDGET, "the frames", done)
+            .expect("the frames arrive");
+    }
+    (sys.cycle(), sys.fingerprint())
+}
+
+#[test]
+fn done_that_waits_for_device_frames_stops_where_stepping_does() {
+    // The run loop stops at the byte that ends each device frame, not at
+    // every byte towards the host: a `done` that parses frames sees the
+    // n-th printf, and the read return, at lockstep's cycle.
+    let printfs = |n: usize| {
+        move |frames: &[DeviceFrame]| {
+            let printed = frames
+                .iter()
+                .filter(|f| matches!(f, DeviceFrame::Printf { .. }));
+            printed.count() >= n
+        }
+    };
+    let read_back = |frames: &[DeviceFrame]| {
+        (frames.iter())
+            .any(|f| matches!(f, DeviceFrame::ReadReturn { data, .. } if data.len() == 64))
+    };
+    for kernel in KERNELS {
+        let waits: [(&str, Enough); 4] = [
+            ("1 printf", &printfs(1)),
+            ("5 printfs", &printfs(5)),
+            ("16 printfs", &printfs(16)),
+            ("the read return", &read_back),
+        ];
+        for (what, enough) in waits {
+            let stepped = until_frames(printf_bursts(kernel), &[], true, enough);
+            let run = until_frames(printf_bursts(kernel), &[], false, enough);
+            assert_eq!(run, stepped, "{kernel:?}, waiting for {what}");
+        }
+    }
+}
+
+#[test]
+fn checkpoint_with_bytes_in_flight_to_the_host_resumes_as_lockstep() {
+    // A restored link does not know where the frames of the bytes in
+    // flight towards the host end, so the run loop stops at each of them
+    // until they have all arrived, then follows the frames again: the
+    // restored copy, driven over the chunks or by one long run, stays on
+    // the stepped system's cycles.
+    let horizon = 2_000;
+    for received in [1, 40, 120] {
+        // The system at the checkpoint and the bytes its host has read.
+        let saved = || {
+            let mut sys = printf_bursts(KernelMode::Active);
+            let mut read = Vec::new();
+            while read.len() < received {
+                sys.step().expect("steps");
+                read.extend(std::iter::from_fn(|| sys.link_mut().host_recv()));
+            }
+            // The host's commands arrived long ago: what keeps the link
+            // busy is bytes in flight towards the host.
+            assert!(!sys.link().is_idle(), "{received}: nothing in flight");
+            (sys, read)
+        };
+        let restored = || System::restore(&saved().0.checkpoint()).expect("checkpoint restores");
+        let (mut stepped, read) = saved();
+        let start = stepped.cycle();
+        let mut boundaries = Vec::new();
+        let mut chunked = restored();
+        for &chunk in CHUNKS.iter().cycle() {
+            let chunk = chunk.min(start + horizon - chunked.cycle());
+            (0..chunk).for_each(|_| stepped.step().expect("steps"));
+            chunked.run(chunk).expect("runs");
+            boundaries.push((stepped.cycle(), stepped.fingerprint()));
+            assert_eq!(
+                (chunked.cycle(), chunked.fingerprint()),
+                *boundaries.last().expect("a boundary"),
+                "{received} bytes received: the restored run over chunks differs from lockstep"
+            );
+            drain_host(&mut stepped);
+            drain_host(&mut chunked);
+            if stepped.cycle() == start + horizon {
+                break;
+            }
+        }
+        let mut long = restored();
+        long.run(horizon).expect("runs");
+        drain_host(&mut long);
+        let mut all_at_once = saved().0;
+        (0..horizon).for_each(|_| all_at_once.step().expect("steps"));
+        drain_host(&mut all_at_once);
+        assert_eq!(
+            (long.cycle(), long.fingerprint()),
+            (all_at_once.cycle(), all_at_once.fingerprint()),
+            "{received} bytes received: the restored run({horizon}) differs from lockstep"
+        );
+        let read_back = |frames: &[DeviceFrame]| {
+            (frames.iter()).any(|f| matches!(f, DeviceFrame::ReadReturn { .. }))
+        };
+        // A `done` asked at every stop of the restored link, each frame
+        // end included, sees what it sees in lockstep.
+        let stepped = until_frames(saved().0, &read, true, &read_back);
+        let run = until_frames(restored(), &read, false, &read_back);
+        assert_eq!(run, stepped, "{received} bytes received");
+    }
+}
+
+#[test]
+fn run_until_right_after_activation_stops_where_stepping_does() {
+    // Right after `activate_directly` no IP has a wake: only the
+    // self-addressed activation packets cross the network. The run loop
+    // steps it alone to their landing instead of visiting every cycle,
+    // and a `done` on the second core's status stops at stepping's cycle.
+    for kernel in KERNELS {
+        let build = || {
+            let mut sys = layout_builder(NocConfig::multinoc(), Layout::Paper, kernel)
+                .build()
+                .expect("valid layout");
+            load_program(&mut sys, P1, &long_loop(100));
+            load_program(&mut sys, P2, &long_loop(20));
+            sys
+        };
+        let running = |sys: &System| sys.processor_status(P2) == Ok(ProcessorStatus::Running);
+        let mut stepped = build();
+        while !running(&stepped) {
+            stepped.step().expect("steps");
+        }
+        let mut run = build();
+        run.run_until(BUDGET, "P2 to run", |sys| Ok(running(sys)))
+            .expect("P2 runs");
+        assert_eq!(
+            (run.cycle(), run.fingerprint()),
+            (stepped.cycle(), stepped.fingerprint()),
+            "{kernel:?}"
+        );
+        assert!(run.cycle() > 1, "{kernel:?}: landed at {}", run.cycle());
     }
 }
 
