@@ -16,7 +16,10 @@
 # q1-q3 spread is wider than the bound and the two q1-q3 ranges
 # overlap, unless every change run beats every base run: noise that
 # wide can put either median past the bound. Also prints how often the
-# working tree's rate won.
+# working tree's rate won, and one claim line for sim_cycles_per_s: the
+# gain rule a claimed speed-up must meet, the change winning at least
+# 9/10 of the pairs (a tie counts for neither side) with a median gap
+# wider than the base side's q1-q3 spread.
 # Fails if a run is incorrect or fails an operation, if the two sides
 # (or two runs) end at different makespans, or if any metric is clearly
 # past its bound; an unresolved metric is listed but does not fail.
@@ -106,7 +109,7 @@ print(f"pair {i:>2} ({first} first): base {base / 1e6:.3f} M  "
 done
 
 python3 - "$results" "$workload" "$seed" BENCHMARK.json <<'EOF'
-import json, statistics, sys
+import json, math, statistics, sys
 
 path, workload, seed, spec = sys.argv[1:5]
 metrics = json.load(open(spec))["end_to_end"]
@@ -130,6 +133,7 @@ def relative(delta, base):
 
 
 past, unresolved = [], []
+quartiles = {}
 for m in metrics:
     name, bound, better = m["name"], m["bound"], m["better"]
     sign = 1 if better == "higher" else -1
@@ -139,6 +143,7 @@ for m in metrics:
         q = statistics.quantiles(v, n=4, method="inclusive") if len(v) > 1 else v * 3
         stats[side] = (statistics.median(v), q[0], q[2])
     (b, b1, b3), (c, c1, c3) = stats["base"], stats["change"]
+    quartiles[name] = stats
     # Relative change in the metric's good direction; below -bound is
     # past the bound.
     gain = relative(sign * (c - b), b)
@@ -157,7 +162,14 @@ for m in metrics:
           f"  {gain:+.1%} ({better} is better, bound {bound:.0%}) {verdict}")
 rate = [(b["sim_cycles_per_s"], c["sim_cycles_per_s"])
         for b, c in zip(values["base"], values["change"])]
-print(f"  change faster in {sum(c > b for b, c in rate)}/{pairs} pairs")
+wins = sum(c > b for b, c in rate)
+print(f"  change faster in {wins}/{pairs} pairs")
+(b, b1, b3), (c, _, _) = quartiles["sim_cycles_per_s"]["base"], quartiles["sim_cycles_per_s"]["change"]
+need = math.ceil(0.9 * pairs)
+holds = wins >= need and c - b > b3 - b1
+print(f"  claim sim_cycles_per_s: change won {wins}/{pairs} pairs (gain rule: >= {need}), "
+      f"median gap {relative(c - b, b):+.1%} against a base q1-q3 spread of "
+      f"{relative(b3 - b1, b):.1%}: {'holds' if holds else 'does not hold'}")
 makespans = {row["makespan_cycles"] for rows in values.values() for row in rows}
 if bad:
     sys.exit(f"{bad} run(s) incorrect or failed an operation")
