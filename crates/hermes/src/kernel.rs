@@ -235,7 +235,8 @@ impl ShardDelta {
 /// owns, takes `&` to foreign routers only in sub-phases where no shard
 /// mutates routers (decide), reads foreign outboxes only in the
 /// mailbox-drain slot (two barriers away from both the owner's writes
-/// and its clear), and writes activity flags only for nodes it owns.
+/// and its clear), and writes activity flags and flit counts only for
+/// nodes it owns.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct CycleShared {
     pub routers: *mut Router,

@@ -391,12 +391,6 @@ impl NocStats {
         links.filter(|&(_, flits)| flits > 0)
     }
 
-    /// Flits the IP at router `at` has injected so far.
-    pub fn local_ingress_flits(&self, at: RouterAddr) -> u64 {
-        self.index_of(at)
-            .map_or(0, |idx| self.local_ingress_flits[idx])
-    }
-
     /// Every router whose IP has injected a flit, with its count, in
     /// address order.
     pub fn local_ingress_counts(&self) -> impl Iterator<Item = (RouterAddr, u64)> + '_ {

@@ -181,47 +181,30 @@ impl SerialLink {
     /// Advances the per-byte timers by one clock cycle.
     pub fn step(&mut self, now: u64) {
         self.to_device.step(now, self.config.cycles_per_byte);
-        self.step_to_host(now);
-    }
-
-    /// The host direction of [`step`](Self::step), following the frames.
-    fn step_to_host(&mut self, now: u64) {
         if let Some(byte) = self.to_host.step(now, self.config.cycles_per_byte) {
             let drained = self.to_host.in_flight.is_empty();
             self.host_frames.deliver(byte, drained);
         }
     }
 
-    /// Delivers every byte in flight towards the device whose baud tick
-    /// is at most `through`, each at its own tick, and returns how many:
-    /// the device direction of stepping the link at every cycle up to
-    /// `through`, for a burst that is already clocked. The host direction
-    /// is not moved.
-    pub(crate) fn deliver_to_device(&mut self, through: u64) -> usize {
+    /// Delivers every byte in flight in either direction whose baud tick
+    /// is at most `through`, each at its own tick, and returns how many
+    /// went towards the device: stepping the link at every cycle up to
+    /// `through`, for bursts that are already clocked.
+    pub(crate) fn deliver_through(&mut self, through: u64) -> usize {
         let cycles_per_byte = self.config.cycles_per_byte;
-        let mut delivered = 0;
-        while let Some(tick) = self.to_device.tick(0, cycles_per_byte) {
-            if tick > through {
-                break;
-            }
-            self.to_device.step(tick, cycles_per_byte);
-            delivered += 1;
+        let towards_device = self.to_device.in_flight.len();
+        let next_tick = |link: &Self| {
+            let device = link.to_device.tick(0, cycles_per_byte);
+            device
+                .into_iter()
+                .chain(link.to_host.tick(0, cycles_per_byte))
+                .min()
+        };
+        while let Some(tick) = next_tick(self).filter(|&tick| tick <= through) {
+            self.step(tick);
         }
-        delivered
-    }
-
-    /// The host direction of
-    /// [`deliver_to_device`](Self::deliver_to_device): delivers every byte
-    /// in flight towards the host whose baud tick is at most `through`,
-    /// each at its own tick, for a burst that is already clocked.
-    pub(crate) fn deliver_to_host(&mut self, through: u64) {
-        let cycles_per_byte = self.config.cycles_per_byte;
-        while let Some(tick) = self.to_host.tick(0, cycles_per_byte) {
-            if tick > through {
-                break;
-            }
-            self.step_to_host(tick);
-        }
+        towards_device - self.to_device.in_flight.len()
     }
 
     /// Host transmits bytes towards the device.
@@ -270,15 +253,14 @@ impl SerialLink {
 
     /// The baud tick at which byte `k` of those in flight towards the
     /// device (0 the next) arrives, if that many are in flight and the
-    /// burst is clocked (see [`deliver_to_device`](Self::deliver_to_device)).
+    /// burst is clocked (see [`deliver_through`](Self::deliver_through)).
     pub(crate) fn device_tick(&self, k: usize) -> Option<u64> {
         self.to_device.tick(k, self.config.cycles_per_byte)
     }
 
     /// The bytes in flight towards the device, next first. Only
-    /// [`step`](Self::step) and
-    /// [`deliver_to_device`](Self::deliver_to_device) take from them and
-    /// only [`host_send`](Self::host_send) adds.
+    /// [`step`](Self::step) takes from them and only
+    /// [`host_send`](Self::host_send) adds.
     pub(crate) fn bytes_to_device(&self) -> &VecDeque<u8> {
         &self.to_device.in_flight
     }
@@ -840,7 +822,7 @@ mod tests {
             // The burst is clocked from cycle 100, four cycles a byte.
             link.to_host.next_deliver = 100;
             let now = 99 + 4 * delivered as u64;
-            link.deliver_to_host(now);
+            link.deliver_through(now);
             let mut parsed = FrameBuffer::new();
             let mut parses = |byte: u8| {
                 parsed.push(byte);

@@ -1358,8 +1358,7 @@ impl System {
     /// completes a host command for a live serial IP, ends a device frame
     /// or is the last in flight towards the host: those are stops.
     fn deliver_link_bytes(&mut self, through: u64) {
-        self.link.deliver_to_host(through);
-        if self.link.deliver_to_device(through) > 0 {
+        if self.link.deliver_through(through) > 0 {
             self.buffer_link_bytes();
             self.sends_seen = self.send_count();
         }
