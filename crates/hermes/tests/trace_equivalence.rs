@@ -33,6 +33,54 @@ fn trace_ring_stays_bounded_under_load() {
     noc.run_until_idle(10_000).expect("deliver");
 }
 
+#[test]
+fn a_cycle_replays_its_local_events_before_its_apply_events() {
+    // With one-cycle routing on a one-cycle handshake a header is granted
+    // its output and crosses the link in the same cycle. The merge
+    // replays each cycle's local-phase events (inject, route) before its
+    // apply-phase events (hop, sink), as the sub-phases ran, so the trace
+    // alternates route and hop in every window and under every kernel.
+    use hermes_noc::KernelMode;
+    let mut config = NocConfig::mesh(3, 3).with_routing_cycles(1);
+    config.cycles_per_flit = 1;
+    let route_and_hop = [SpanKind::Route, SpanKind::Hop];
+    let mut expected = vec![SpanKind::Inject];
+    (0..4).for_each(|_| expected.extend(route_and_hop));
+    expected.extend([SpanKind::Route, SpanKind::Sink, SpanKind::Delivered]);
+    for kernel in [
+        KernelMode::Reference,
+        KernelMode::Active,
+        KernelMode::Parallel { threads: 2 },
+    ] {
+        for stepped in [false, true] {
+            let mut noc = Noc::new(config.clone().with_kernel_mode(kernel)).expect("valid config");
+            noc.enable_packet_trace(4);
+            noc.send(
+                RouterAddr::new(0, 0),
+                Packet::new(RouterAddr::new(2, 2), vec![1, 2, 3]),
+            )
+            .expect("send");
+            while !noc.is_idle() {
+                if stepped {
+                    noc.step();
+                } else {
+                    noc.run(16);
+                }
+            }
+            let trace = &noc.packet_trace().expect("enabled").traces()[0];
+            let events = trace.events();
+            let kinds: Vec<SpanKind> = events.iter().map(|e| e.kind).collect();
+            assert_eq!(kinds, expected, "{kernel:?}, stepped: {stepped}");
+            assert!(
+                (events.windows(2)).any(|w| w[0].kind == SpanKind::Route
+                    && w[1].kind == SpanKind::Hop
+                    && w[0].cycle == w[1].cycle),
+                "{kernel:?}: no header routed and hopped in one cycle"
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 

@@ -195,11 +195,8 @@ impl SerialLink {
         let cycles_per_byte = self.config.cycles_per_byte;
         let towards_device = self.to_device.in_flight.len();
         let next_tick = |link: &Self| {
-            let device = link.to_device.tick(0, cycles_per_byte);
-            device
-                .into_iter()
-                .chain(link.to_host.tick(0, cycles_per_byte))
-                .min()
+            let ticks = [&link.to_device, &link.to_host].map(|c| c.tick(0, cycles_per_byte));
+            ticks.into_iter().flatten().min()
         };
         while let Some(tick) = next_tick(self).filter(|&tick| tick <= through) {
             self.step(tick);

@@ -736,8 +736,14 @@ fn print_burst(n: u16) -> String {
 /// local loop, P2 halts — while the host reads a 64-word block back from
 /// the memory IP: several printf frames and a 133-byte read return queue
 /// up towards the host in one burst, which the run loop crosses to each
-/// frame's last byte.
+/// frame's last byte. The block's bytes are device opcodes, so a frame
+/// parse that starts inside the read return finds frames of every kind
+/// that end elsewhere.
 fn printf_bursts_beside_a_host_read(sys: &mut System) {
+    let block: Vec<u16> = (0..64).map(|i| [0x0505, 0x0607, 0x0706][i % 3]).collect();
+    sys.memory_mut(MEM)
+        .expect("memory")
+        .write_block(0x40, &block);
     load_program(sys, P1, &format!("{}{}", print_burst(6), long_loop(100)));
     load_program(sys, P2, &format!("{}HALT", print_burst(10)));
     let read = HostCommand::ReadMemory {
