@@ -101,8 +101,8 @@ struct FrameEnds {
 
 impl FrameEnds {
     /// Follows one delivered byte; `drained` says whether it was the last
-    /// in flight. A drained stream starts its next byte on a frame: the
-    /// serial IP sends whole frames.
+    /// in flight. A lost parse starts again on a frame once the stream
+    /// drains: the serial IP sends whole frames.
     fn deliver(&mut self, byte: u8, drained: bool) {
         if !self.lost {
             if let Some(slot) = self.head.get_mut(self.delivered) {
